@@ -69,14 +69,27 @@ def _level(arg: str) -> HierarchyLevel:
         raise CliError(EXIT_USAGE, f"unknown level {arg!r}")
 
 
-def _load_level(data_dir: Path, level: HierarchyLevel):
-    path = data_dir / f"annotations_{level_tag(level)}.json"
+def _load_annotations(path: Path, level: HierarchyLevel):
     if not path.exists():
         raise CliError(EXIT_MISSING, f"missing annotation file: {path}")
     try:
         return load_annotations(path, level)
     except AnnotationError as e:
         raise CliError(EXIT_INVALID, str(e))
+
+
+def _load_level(data_dir: Path, level: HierarchyLevel):
+    return _load_annotations(data_dir / f"annotations_{level_tag(level)}.json", level)
+
+
+def _load_params(path: str | None):
+    if not path or not Path(path).exists():
+        raise CliError(EXIT_MISSING, f"missing checkpoint: {path}")
+    try:
+        params, _ = load_checkpoint(path)
+    except ValueError as e:
+        raise CliError(EXIT_INVALID, str(e))
+    return params
 
 
 def _stage_config(cfg: RunConfig, level: HierarchyLevel, args) -> StageConfig:
@@ -111,11 +124,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     samples = prepare_samples(aset, data_dir / "images", cfg.model)
     schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
     stage = _stage_config(cfg, level, args)
-    init = None
-    if args.init:
-        if not Path(args.init).exists():
-            raise CliError(EXIT_MISSING, f"missing checkpoint: {args.init}")
-        init, _ = load_checkpoint(args.init)
+    init = _load_params(args.init) if args.init else None
     cache = None
     if args.cache:
         if not Path(args.cache).exists():
@@ -199,9 +208,7 @@ def _detections_doc(image_ids, dets_per_image):
 
 def cmd_infer(args, cfg: RunConfig) -> int:
     level = _level(args.level)
-    if not Path(args.checkpoint).exists():
-        raise CliError(EXIT_MISSING, f"missing checkpoint: {args.checkpoint}")
-    params, _ = load_checkpoint(args.checkpoint)
+    params = _load_params(args.checkpoint)
     from .model import encode_image
 
     grids, ids = [], []
@@ -259,9 +266,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             [(s.width, s.height) for s in samples], tasks=tasks,
         )
     else:
-        if not args.checkpoint or not Path(args.checkpoint).exists():
-            raise CliError(EXIT_MISSING, f"missing checkpoint: {args.checkpoint}")
-        params, _ = load_checkpoint(args.checkpoint)
+        params = _load_params(args.checkpoint)
         schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
         report = evaluate_params(
             params, level, samples, cfg.model, schedule,
@@ -318,7 +323,7 @@ def cmd_validate(args, cfg: RunConfig) -> int:
 
 def cmd_split(args, cfg: RunConfig) -> int:
     level = _level(args.level)
-    aset = load_annotations(Path(args.annotations), level)
+    aset = _load_annotations(Path(args.annotations), level)
     train_ids, val_ids, test_ids = split_manifest(
         aset, (args.train_frac, args.val_frac, args.test_frac),
         cfg.train.seed if args.seed is None else args.seed,

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +105,6 @@ def _axis_weights(lo: np.ndarray, hi: np.ndarray, pool: int, grid: int):
 
     Returns (weights (N, P, G), bin width (N,)).
     """
-    n = lo.shape[0]
     span = hi - lo
     # Fully degenerate spans sample the single nearest cell.
     tiny = span < 1e-9
@@ -118,35 +119,26 @@ def _axis_weights(lo: np.ndarray, hi: np.ndarray, pool: int, grid: int):
     return np.clip(w, 0.0, None), span / pool
 
 
-def roi_pool(grid_feats: np.ndarray, box, pool: int) -> np.ndarray:
-    """Cell-coverage mean pooling of one box into a (P*P*C,) vector."""
-    from .geometry import Box
-
-    arr = box.to_array() if isinstance(box, Box) else np.asarray(box, dtype=np.float64)
-    return roi_pool_batch(grid_feats, arr[None, :], pool)[0]
-
-
 def roi_pool_batch(grid_feats: np.ndarray, boxes01: np.ndarray, pool: int) -> np.ndarray:
     """Pool N normalized center-size boxes into (N, P*P*C) feature vectors.
 
     Each of the P x P bins takes the coverage-weighted mean of the grid
     cells it overlaps; boxes are clamped to the image first.
     """
-    g = grid_feats.shape[0]
+    g, _, c = grid_feats.shape
     boxes01 = np.asarray(boxes01, dtype=np.float64)
+    n = boxes01.shape[0]
     x0 = np.clip(boxes01[:, 0] - boxes01[:, 2] / 2, 0.0, 1.0)
     x1 = np.clip(boxes01[:, 0] + boxes01[:, 2] / 2, 0.0, 1.0)
     y0 = np.clip(boxes01[:, 1] - boxes01[:, 3] / 2, 0.0, 1.0)
     y1 = np.clip(boxes01[:, 1] + boxes01[:, 3] / 2, 0.0, 1.0)
     wx, bw = _axis_weights(x0, x1, pool, g)
     wy, bh = _axis_weights(y0, y1, pool, g)
-    vals = np.einsum("nyg,nxh,ghc->nyxc", wy, wx, grid_feats, optimize=True)
-    vals = vals / (
-        np.maximum(bh, 1e-12)[:, None, None, None]
-        * np.maximum(bw, 1e-12)[:, None, None, None]
-    )
-    n = boxes01.shape[0]
-    return vals.reshape(n, -1)
+    # Bin weights factor per axis: pool rows with one GEMM, columns with a batched one.
+    rows = wy.reshape(n * pool, g) @ grid_feats.reshape(g, g * c)
+    vals = wx[:, None] @ rows.reshape(n, pool, g, c)
+    vals /= (np.maximum(bh, 1e-12) * np.maximum(bw, 1e-12))[:, None, None, None]
+    return vals.reshape(n, pool * pool * c)
 
 
 def time_embedding(t: float, dim: int) -> np.ndarray:
@@ -504,18 +496,24 @@ def save_checkpoint(path, params: ParamStore, meta: dict | None = None) -> None:
             f.write(np.ascontiguousarray(params[n], dtype="<f8").tobytes())
 
 
+def _read_exact(f, size: int, what: str) -> bytes:
+    # Checked before reading: a corrupt length must not size an allocation.
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise ValueError(f"{f.name}: truncated {what}: {left} of {size} bytes")
+    return f.read(size)
+
+
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
+    """Read a ``save_checkpoint`` file; ValueError if foreign or truncated."""
     with open(path, "rb") as f:
         if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<Q", _read_exact(f, 8, "header length"))
+        header = json.loads(_read_exact(f, hlen, "header").decode("utf-8"))
         params: ParamStore = {}
         for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(count * 8), dtype="<f8").astype(
-                np.float64
-            )
-            params[entry["name"]] = data.reshape(shape)
+            name, shape = entry["name"], tuple(entry["shape"])
+            data = _read_exact(f, 8 * math.prod(shape), f"tensor {name!r}")
+            params[name] = np.frombuffer(data, "<f8").astype(np.float64).reshape(shape)
     return params, header["meta"]

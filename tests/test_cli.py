@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dentdet.cli import (
@@ -11,6 +12,7 @@ from dentdet.cli import (
     EXIT_USAGE,
     main,
 )
+from dentdet.model import ModelConfig, init_params, save_checkpoint
 
 SMALL_CFG = (
     "model:\n  grid: 8\n  pool: 2\n  hidden: 16\n  time_dim: 8\n"
@@ -143,6 +145,30 @@ def test_split_manifests(dataset, cfg_path, tmp_path):
     val = (out / "val.txt").read_text().split()
     assert len(train) + len(val) == 2
     assert (out / "test.txt").read_text() == ""
+
+
+def test_split_missing_file(cfg_path, tmp_path, capsys):
+    assert main(["--config", cfg_path, "split",
+                 "--annotations", str(tmp_path / "absent.json"),
+                 "--level", "c", "--out", str(tmp_path / "splits"),
+                 "--train-frac", "0.5", "--val-frac", "0.5",
+                 "--test-frac", "0.0"]) == EXIT_MISSING
+    assert "missing annotation file:" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_is_invalid_data(dataset, cfg_path, tmp_path, capsys):
+    ckpt = tmp_path / "cut.bin"
+    cfg = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)  # as SMALL_CFG
+    save_checkpoint(ckpt, init_params(cfg, np.random.default_rng(0)))
+    ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    image = next((dataset / "images").glob("q_*.pgm"))
+    capsys.readouterr()
+    assert main(["--config", cfg_path, "infer", "--checkpoint", str(ckpt),
+                 "--level", "a", "--images", str(image)]) == EXIT_INVALID
+    assert "truncated tensor" in capsys.readouterr().err
+    assert main(["--config", cfg_path, "eval", "--data", str(dataset),
+                 "--level", "a", "--checkpoint", str(ckpt)]) == EXIT_INVALID
+    assert "truncated tensor" in capsys.readouterr().err
 
 
 def test_pipeline_full_arm(dataset, cfg_path, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dentdet.diffusion import signal_decode, signal_encode
 from dentdet.geometry import Box
@@ -12,6 +14,7 @@ from dentdet.model import (
     STAT_CHANNELS,
     BatchItem,
     ModelConfig,
+    _axis_weights,
     check_shapes,
     decode,
     decode_grad_mask,
@@ -20,7 +23,6 @@ from dentdet.model import (
     load_checkpoint,
     loss_gradients,
     param_shapes,
-    roi_pool,
     roi_pool_batch,
     save_checkpoint,
     softmax,
@@ -74,23 +76,56 @@ class TestEncoder:
             encode_image(np.zeros((2, 2)), 4)
 
 
+def _roi_pool_oracle(grid_feats, boxes01, pool):
+    """The original single-einsum RoI pooling: the reference that the two-GEMM
+    kernel in ``roi_pool_batch`` must reproduce."""
+    g = grid_feats.shape[0]
+    x0 = np.clip(boxes01[:, 0] - boxes01[:, 2] / 2, 0.0, 1.0)
+    x1 = np.clip(boxes01[:, 0] + boxes01[:, 2] / 2, 0.0, 1.0)
+    y0 = np.clip(boxes01[:, 1] - boxes01[:, 3] / 2, 0.0, 1.0)
+    y1 = np.clip(boxes01[:, 1] + boxes01[:, 3] / 2, 0.0, 1.0)
+    wx, bw = _axis_weights(x0, x1, pool, g)
+    wy, bh = _axis_weights(y0, y1, pool, g)
+    vals = np.einsum("nyg,nxh,ghc->nyxc", wy, wx, grid_feats, optimize=True)
+    vals = vals / (
+        np.maximum(bh, 1e-12)[:, None, None, None]
+        * np.maximum(bw, 1e-12)[:, None, None, None]
+    )
+    return vals.reshape(boxes01.shape[0], -1)
+
+
+def _pool_one(grid, box, pool):
+    return roi_pool_batch(grid, box.to_array()[None], pool)[0]
+
+
+# Centers reach half a unit past the image on every side and sizes reach
+# 1.5, so boxes fall inside, straddle the border, or lie wholly off it.
+_coord = st.floats(-0.5, 1.5, allow_nan=False)
+_size = st.floats(0.0, 1.5, allow_nan=False)
+_box = st.one_of(
+    st.tuples(_coord, _coord, _size, _size),
+    st.tuples(_coord, _coord, st.just(0.0), st.just(0.0)),  # zero-size
+    st.just((0.5, 0.5, 1.0, 1.0)),  # full image
+)
+
+
 class TestRoiPool:
     def test_constant_grid_pools_to_constant(self):
         grid = np.full((8, 8, 3), 7.5)
-        out = roi_pool(grid, Box(0.5, 0.5, 0.6, 0.4), 2)
+        out = _pool_one(grid, Box(0.5, 0.5, 0.6, 0.4), 2)
         np.testing.assert_allclose(out, 7.5)
 
     def test_full_image_box_equals_cell_blocks(self):
         rng = np.random.default_rng(1)
         grid = rng.normal(size=(4, 4, 1))
         # A full-image box with pool=4 on a 4-cell grid: one bin per cell.
-        out = roi_pool(grid, Box(0.5, 0.5, 1.0, 1.0), 4).reshape(4, 4)
+        out = _pool_one(grid, Box(0.5, 0.5, 1.0, 1.0), 4).reshape(4, 4)
         np.testing.assert_allclose(out, grid[..., 0], atol=1e-9)
 
     def test_quadrant_box_selects_quadrant(self):
         grid = np.zeros((4, 4, 1))
         grid[:2, :2, 0] = 1.0  # top-left quarter
-        out = roi_pool(grid, Box(0.25, 0.25, 0.5, 0.5), 2)
+        out = _pool_one(grid, Box(0.25, 0.25, 0.5, 0.5), 2)
         np.testing.assert_allclose(out, 1.0)
 
     def test_batch_matches_single(self):
@@ -102,12 +137,34 @@ class TestRoiPool:
         )
         batch = roi_pool_batch(grid, boxes, 3)
         for i in range(6):
-            np.testing.assert_allclose(batch[i], roi_pool(grid, boxes[i], 3))
+            single = roi_pool_batch(grid, boxes[i][None], 3)[0]
+            np.testing.assert_allclose(batch[i], single)
 
     def test_degenerate_box_is_finite(self):
         grid = np.random.default_rng(3).normal(size=(8, 8, 2))
-        out = roi_pool(grid, Box(0.5, 0.5, 0.0, 0.0), 2)
+        out = _pool_one(grid, Box(0.5, 0.5, 0.0, 0.0), 2)
         assert np.all(np.isfinite(out))
+
+    def test_empty_batch(self):
+        grid = np.random.default_rng(4).normal(size=(8, 8, 5))
+        out = roi_pool_batch(grid, np.zeros((0, 4)), 3)
+        assert out.shape == (0, 3 * 3 * 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g=st.sampled_from([4, 8, 16]),
+        c=st.sampled_from([1, 5, 18]),
+        pool=st.integers(1, 4),
+        boxes=st.lists(_box, min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_einsum_oracle(self, g, c, pool, boxes, seed):
+        grid = np.random.default_rng(seed).normal(size=(g, g, c))
+        boxes = np.array(boxes, dtype=np.float64)
+        got = roi_pool_batch(grid, boxes, pool)
+        want = _roi_pool_oracle(grid, boxes, pool)
+        assert got.shape == want.shape == (len(boxes), pool * pool * c)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestTimeEmbedding:
@@ -329,6 +386,25 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [1, 8, 12, 512])
+    def test_truncated_tensor_names_it(self, tmp_path, cut):
+        # Cuts inside a float and cuts at a float boundary (down to the whole
+        # last tensor) must both name the short tensor.
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(SMALL, np.random.default_rng(22)))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=r"truncated tensor 'trunk\.w2'"):
+            load_checkpoint(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, init_params(SMALL, np.random.default_rng(23)))
+        blob = path.read_bytes()
+        for size in (12, 40):  # inside the header length, inside the header
+            path.write_bytes(blob[:size])
+            with pytest.raises(ValueError, match="truncated header"):
+                load_checkpoint(path)
 
 
 def test_softmax_rows_sum_to_one():
