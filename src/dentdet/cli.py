@@ -27,7 +27,7 @@ from .diffusion import Schedule
 from .imageio import read_pgm, write_ppm
 from .labels import HierarchyLevel, mask_for
 from .manipulate import InferredBoxCache
-from .model import load_checkpoint, save_checkpoint
+from .model import ModelConfig, check_shapes, load_checkpoint, save_checkpoint
 from .train import (
     ARMS,
     StageConfig,
@@ -82,13 +82,19 @@ def _load_level(data_dir: Path, level: HierarchyLevel):
     return _load_annotations(data_dir / f"annotations_{level_tag(level)}.json", level)
 
 
-def _load_params(path: str | None):
+def _load_params(path: str | None, model_cfg: ModelConfig):
     if not path or not Path(path).exists():
         raise CliError(EXIT_MISSING, f"missing checkpoint: {path}")
     try:
         params, _ = load_checkpoint(path)
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
+    try:
+        check_shapes(params, model_cfg)
+    except ValueError as e:
+        raise CliError(
+            EXIT_INVALID, f"checkpoint {path} does not fit the model config: {e}"
+        )
     return params
 
 
@@ -124,7 +130,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     samples = prepare_samples(aset, data_dir / "images", cfg.model)
     schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
     stage = _stage_config(cfg, level, args)
-    init = _load_params(args.init) if args.init else None
+    init = _load_params(args.init, cfg.model) if args.init else None
     cache = None
     if args.cache:
         if not Path(args.cache).exists():
@@ -208,7 +214,7 @@ def _detections_doc(image_ids, dets_per_image):
 
 def cmd_infer(args, cfg: RunConfig) -> int:
     level = _level(args.level)
-    params = _load_params(args.checkpoint)
+    params = _load_params(args.checkpoint, cfg.model)
     from .model import encode_image
 
     grids, ids = [], []
@@ -266,13 +272,15 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             [(s.width, s.height) for s in samples], tasks=tasks,
         )
     else:
-        params = _load_params(args.checkpoint)
+        params = _load_params(args.checkpoint, cfg.model)
         schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
         report = evaluate_params(
             params, level, samples, cfg.model, schedule,
             n_proposals=args.n_proposals or cfg.train.n_proposals,
             steps=cfg.schedule.steps,
             seed=cfg.train.seed if args.seed is None else args.seed,
+            eta=cfg.schedule.eta, renewal_threshold=cfg.infer.renewal_threshold,
+            nms_iou=cfg.infer.nms_iou,
         )
     print(report.table())
     if args.out:

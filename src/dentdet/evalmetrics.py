@@ -5,20 +5,27 @@ at each IoU threshold; precision-recall curves are integrated with the
 101-point interpolation.  Area buckets (medium, large) are measured in
 original pixel units; classes or buckets with no ground truth are excluded
 from the averages.
+
+As in COCOeval (Lin et al., arXiv 1405.0312), IoUs are computed once per
+image and one greedy pass over each image's detections matches every IoU
+threshold and area bucket; AR, AP, AP50, AP75, AP_m and AP_l all read
+that pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, iou
+from .geometry import iou  # noqa: F401  (perfbench counts calls through it)
 from .labels import HEAD_CLASS_COUNTS
 
 IOU_THRESHOLDS = tuple(np.round(np.arange(0.50, 1.0, 0.05), 2))
 AREA_MEDIUM = (32.0**2, 96.0**2)
 AREA_LARGE = (96.0**2, float("inf"))
+AREA_BUCKETS = (None, AREA_MEDIUM, AREA_LARGE)  # all, medium, large
+RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
 TASKS = ("quadrant", "enumeration", "diagnosis")
 
@@ -81,99 +88,136 @@ class EvalReport:
         }
 
 
-def _area_px(box: Box, width: int, height: int) -> float:
-    return box.w * width * box.h * height
+def _box_array(boxes) -> np.ndarray:
+    return np.array(
+        [(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64
+    ).reshape(-1, 4)
 
 
-def _class_pr(
-    instances: list[EvalInstance],
-    cls: int,
-    thr: float,
-    max_dets: int,
-    area_range: tuple[float, float] | None,
-):
-    """Greedy matching for one (class, IoU threshold, area bucket).
+def _area_px(boxes: np.ndarray, width, height) -> np.ndarray:
+    return boxes[..., 2] * width * boxes[..., 3] * height
 
-    Returns (tp flags, fp flags, det scores, number of counted gts), or
-    None when the bucket holds no ground truth of this class.
+
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of boxes a[k] and b[k], for (..., 4) center-size arrays.
+
+    Uses the float operations of geometry.iou in its order, so every value
+    equals the scalar IoU bit for bit (iou_matrix takes areas from corners
+    and can differ in the last bit, which flips exact-threshold matches).
     """
-    records = []  # (score, image index, det index, box)
-    gt_boxes: list[list[Box]] = []
-    gt_ignore: list[np.ndarray] = []
-    n_gt = 0
-    for img_i, inst in enumerate(instances):
-        boxes = [b for b, c in inst.gts if c == cls]
-        if area_range is None:
-            ignore = np.zeros(len(boxes), dtype=bool)
-        else:
-            areas = np.array(
-                [_area_px(b, inst.width, inst.height) for b in boxes]
-            )
-            ignore = (
-                (areas < area_range[0]) | (areas >= area_range[1])
-                if len(boxes)
-                else np.zeros(0, dtype=bool)
-            )
-        gt_boxes.append(boxes)
-        gt_ignore.append(ignore)
-        n_gt += int((~ignore).sum())
-        dets = [(b, s) for b, c, s in inst.dets if c == cls]
-        dets.sort(key=lambda bs: -bs[1])
-        for det_i, (b, s) in enumerate(dets[:max_dets]):
-            records.append((s, img_i, det_i, b))
-    if n_gt == 0:
-        return None
-    # Global score order; ties broken by (image, detection index).
-    records.sort(key=lambda r: (-r[0], r[1], r[2]))
-    taken = [np.zeros(len(bs), dtype=bool) for bs in gt_boxes]
-    tp = np.zeros(len(records), dtype=bool)
-    fp = np.zeros(len(records), dtype=bool)
-    for ri, (s, img_i, det_i, b) in enumerate(records):
-        best_j = -1
-        best_iou = 0.0
-        best_ignored_j = -1
-        for j, gb in enumerate(gt_boxes[img_i]):
-            if taken[img_i][j]:
-                continue
-            v = iou(b, gb)
-            if v < thr:
-                continue
-            if not gt_ignore[img_i][j]:
-                if best_j < 0 or v > best_iou:
-                    best_j, best_iou = j, v
-            elif best_ignored_j < 0:
-                best_ignored_j = j
-        if best_j >= 0:
-            taken[img_i][best_j] = True
-            tp[ri] = True
-        elif best_ignored_j >= 0:
-            taken[img_i][best_ignored_j] = True  # ignored match: neither tp nor fp
-        else:
-            if area_range is not None:
-                inst = instances[img_i]
-                a = _area_px(b, inst.width, inst.height)
-                if a < area_range[0] or a >= area_range[1]:
-                    continue  # detection outside the bucket: ignored
-            fp[ri] = True
-    return tp, fp, n_gt
+    def corners(boxes):
+        half_w, half_h = boxes[..., 2] / 2, boxes[..., 3] / 2
+        cx, cy = boxes[..., 0], boxes[..., 1]
+        return cx - half_w, cy - half_h, cx + half_w, cy + half_h
+
+    def area(boxes):
+        return np.maximum(boxes[..., 2], 0.0) * np.maximum(boxes[..., 3], 0.0)
+
+    ax1, ay1, ax2, ay2 = corners(a)
+    bx1, by1, bx2, by2 = corners(b)
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = iw * ih
+    union = area(a) + area(b) - inter
+    out = np.zeros(inter.shape)
+    np.divide(inter, union, out=out, where=(iw > 0) & (ih > 0) & (union > 0))
+    return out
 
 
-def _ap_from_flags(tp: np.ndarray, fp: np.ndarray, n_gt: int) -> float:
-    """101-point interpolated average precision."""
-    counted = tp | fp
-    tp_c = np.cumsum(tp[counted])
-    fp_c = np.cumsum(fp[counted])
-    if len(tp_c) == 0:
-        return 0.0
-    recall = tp_c / n_gt
-    precision = tp_c / (tp_c + fp_c)
-    # Monotone envelope from the right.
-    prec_interp = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        idx = np.searchsorted(recall, r, side="left")
-        ap += prec_interp[idx] if idx < len(prec_interp) else 0.0
-    return ap / 101.0
+def _run_positions(*keys: np.ndarray) -> np.ndarray:
+    """Index of each element within its run of equal keys (keys sorted)."""
+    n = len(keys[0])
+    new_run = np.arange(n) == 0
+    for k in keys:
+        new_run[1:] |= k[1:] != k[:-1]
+    start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
+    return np.arange(n) - start
+
+
+def _pad(values: np.ndarray, img: np.ndarray, slot: np.ndarray, n_img: int, fill=0):
+    """Scatter per-box values into an (I, slots, ...) array, by image and slot."""
+    n_slots = int(slot.max()) + 1 if len(slot) else 0
+    out = np.full((n_img, n_slots) + values.shape[1:], fill, dtype=values.dtype)
+    out[img, slot] = values
+    return out
+
+
+def _bucket_outside(areas: np.ndarray) -> np.ndarray:
+    """(..., A) mask of areas outside each bucket of AREA_BUCKETS."""
+    out = np.zeros(areas.shape + (len(AREA_BUCKETS),), dtype=bool)
+    for a, bucket in enumerate(AREA_BUCKETS):
+        if bucket is not None:
+            out[..., a] = (areas < bucket[0]) | (areas >= bucket[1])
+    return out
+
+
+def _greedy_match(ious, gt_ignore, det_outside):
+    """COCO greedy matching of every image, threshold and area bucket at once.
+
+    ious: (I, D, G), zero across classes; each image's rows in score order
+    within each class.  gt_ignore: (I, G, A); det_outside: (I, D, A).
+    Returns tp, fp: (I, D, A, T).  A detection takes the first not yet
+    taken counted ground truth of maximal IoU at or above the threshold;
+    failing that, the first qualifying ignored one, which makes it neither
+    tp nor fp.  An unmatched detection outside the bucket is not an fp.
+    """
+    n_img, n_det, n_gt = ious.shape
+    shape = (n_img, len(AREA_BUCKETS), len(IOU_THRESHOLDS))
+    thresholds = np.asarray(IOU_THRESHOLDS)[:, None]
+    counted = ~gt_ignore.transpose(0, 2, 1)[:, :, None, :]
+    taken = np.zeros(shape + (n_gt,), dtype=bool)
+    tp = np.zeros((n_img, n_det) + shape[1:], dtype=bool)
+    fp = np.zeros_like(tp)
+    for d in range(n_det):
+        v = ious[:, d, None, None, :]
+        ok = (v >= thresholds) & ~taken
+        hit = ok & counted
+        matched = hit.any(-1)
+        spare = ok & ~counted
+        fallback = spare.any(-1) & ~matched
+        col = np.where(
+            matched, np.where(hit, v, -1.0).argmax(-1), spare.argmax(-1)
+        )
+        i, a, t = np.nonzero(matched | fallback)
+        taken[i, a, t, col[i, a, t]] = True
+        tp[:, d] = matched
+        fp[:, d] = ~(matched | fallback) & ~det_outside[:, d, :, None]
+    return tp, fp
+
+
+def _ap_from_flags(tp: np.ndarray, fp: np.ndarray, n_gt: np.ndarray) -> np.ndarray:
+    """101-point interpolated AP of each (bucket, threshold) curve.
+
+    tp, fp: (N, A, T) flags of one class's detections in global score
+    order; n_gt: (A,) counted ground truths.  A detection that is neither
+    tp nor fp stays on the curve with the counts before it and precision 0,
+    which leaves every interpolated precision unchanged.
+    """
+    n, *curve_shape = tp.shape
+    n_curves = int(np.prod(curve_shape))
+    tp = tp.reshape(n, n_curves).T
+    fp = fp.reshape(n, n_curves).T
+    tp_c = np.cumsum(tp, axis=1)
+    fp_c = np.cumsum(fp, axis=1)
+    recall = tp_c / np.repeat(np.maximum(n_gt, 1), curve_shape[1])[:, None]
+    precision = np.zeros(tp_c.shape)
+    np.divide(tp_c, tp_c + fp_c, out=precision, where=tp | fp)
+    # Monotone envelope from the right, then 0 past the end of the curve.
+    envelope = np.zeros((n_curves, n + 1))
+    envelope[:, :n] = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    # The curve index sampled at recall point j is the first with recall
+    # >= r_j, i.e. the number of entries with recall < r_j: those with at
+    # most j recall points at or below them.
+    below = np.searchsorted(RECALL_POINTS, recall, side="right")
+    width = len(RECALL_POINTS) + 1
+    hist = np.bincount(
+        (below + width * np.arange(n_curves)[:, None]).ravel(),
+        minlength=n_curves * width,
+    ).reshape(n_curves, width)
+    idx = np.cumsum(hist, axis=1)[:, :-1]
+    sampled = np.take_along_axis(envelope, idx, axis=1)
+    # cumsum adds in order, as a running sum over the recall points does.
+    return (np.cumsum(sampled, axis=1)[:, -1] / 101.0).reshape(curve_shape)
 
 
 def evaluate(
@@ -189,44 +233,76 @@ def evaluate(
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     num_classes = HEAD_CLASS_COUNTS[task]
-
-    def mean_ap(thresholds, area_range):
-        per_class = []
-        for cls in range(num_classes):
-            vals = []
-            for thr in thresholds:
-                res = _class_pr(instances, cls, thr, max_dets, area_range)
-                if res is None:
-                    vals = None
-                    break
-                vals.append(_ap_from_flags(res[0], res[1], res[2]))
-            if vals is not None:
-                per_class.append(float(np.mean(vals)))
-        return float(np.mean(per_class)) if per_class else -1.0
-
-    def mean_recall():
-        per_class = []
-        for cls in range(num_classes):
-            vals = []
-            for thr in IOU_THRESHOLDS:
-                res = _class_pr(instances, cls, thr, max_dets, None)
-                if res is None:
-                    vals = None
-                    break
-                vals.append(res[0].sum() / res[2])
-            if vals is not None:
-                per_class.append(float(np.mean(vals)))
-        return float(np.mean(per_class)) if per_class else -1.0
-
     if not any(inst.gts for inst in instances):
         raise ValueError(f"no ground truth labeled for task {task!r}")
+    n_img = len(instances)
+    width = np.array([inst.width for inst in instances])
+    height = np.array([inst.height for inst in instances])
+
+    g_img = np.repeat(np.arange(n_img), [len(inst.gts) for inst in instances])
+    g_box = _box_array([b for inst in instances for b, _ in inst.gts])
+    g_cls = np.array([c for inst in instances for _, c in inst.gts], dtype=np.int64)
+    g_slot = _run_positions(g_img)
+    g_ignore = _bucket_outside(_area_px(g_box, width[g_img], height[g_img]))
+    n_gt = (  # counted ground truths per (class, bucket)
+        (g_cls[:, None] == np.arange(num_classes))[:, :, None]
+        & ~g_ignore[:, None, :]
+    ).sum(axis=0)
+
+    # Each image's detections by class, then descending score (stable),
+    # at most max_dets per class.
+    d_img = np.repeat(np.arange(n_img), [len(inst.dets) for inst in instances])
+    d_box = _box_array([b for inst in instances for b, _, _ in inst.dets])
+    d_cls = np.array([c for inst in instances for _, c, _ in inst.dets], dtype=np.int64)
+    d_score = np.array([s for inst in instances for _, _, s in inst.dets], dtype=np.float64)
+    order = np.lexsort((-d_score, d_cls, d_img))
+    rank = _run_positions(d_img[order], d_cls[order])
+    keep = rank < max_dets
+    order, rank = order[keep], rank[keep]
+    d_img, d_box, d_cls, d_score = d_img[order], d_box[order], d_cls[order], d_score[order]
+    d_slot = _run_positions(d_img)
+
+    # Per-image arrays padded to (I, D) and (I, G).  Padding has class -1
+    # and zero size, so it never reaches an IoU threshold.  One IoU matrix
+    # per image keeps temporaries small.
+    det_boxes = _pad(d_box, d_img, d_slot, n_img)
+    gt_boxes = _pad(g_box, g_img, g_slot, n_img)
+    ious = np.zeros((n_img, det_boxes.shape[1], gt_boxes.shape[1]))
+    for img in range(n_img):
+        ious[img] = _iou(det_boxes[img, :, None], gt_boxes[img, None])
+    det_cls = _pad(d_cls, d_img, d_slot, n_img, fill=-1)
+    gt_cls = _pad(g_cls, g_img, g_slot, n_img, fill=-1)
+    ious[det_cls[:, :, None] != gt_cls[:, None, :]] = 0.0
+    tp, fp = _greedy_match(
+        ious,
+        _pad(g_ignore, g_img, g_slot, n_img),
+        _bucket_outside(_area_px(det_boxes, width[:, None], height[:, None])),
+    )
+    tp, fp = tp[d_img, d_slot], fp[d_img, d_slot]
+
+    # Global score order; ties broken by (image, rank within the class).
+    pr_order = np.lexsort((rank, d_img, -d_score))
+    t50, t75 = IOU_THRESHOLDS.index(0.5), IOU_THRESHOLDS.index(0.75)
+    ar, ap, ap50, ap75, ap_m, ap_l = ([] for _ in range(6))
+    for cls in range(num_classes):
+        rows = pr_order[d_cls[pr_order] == cls]
+        class_ap = _ap_from_flags(tp[rows], fp[rows], n_gt[cls])
+        if n_gt[cls, 0]:
+            ar.append(float(np.mean(tp[rows, 0].sum(axis=0) / n_gt[cls, 0])))
+            ap.append(float(np.mean(class_ap[0])))
+            ap50.append(float(class_ap[0, t50]))
+            ap75.append(float(class_ap[0, t75]))
+        if n_gt[cls, 1]:
+            ap_m.append(float(np.mean(class_ap[1])))
+        if n_gt[cls, 2]:
+            ap_l.append(float(np.mean(class_ap[2])))
+
+    def mean(per_class):
+        return float(np.mean(per_class)) if per_class else -1.0
+
     return TaskMetrics(
-        ar=mean_recall(),
-        ap=mean_ap(IOU_THRESHOLDS, None),
-        ap50=mean_ap((0.5,), None),
-        ap75=mean_ap((0.75,), None),
-        ap_m=mean_ap(IOU_THRESHOLDS, AREA_MEDIUM),
-        ap_l=mean_ap(IOU_THRESHOLDS, AREA_LARGE),
+        ar=mean(ar), ap=mean(ap), ap50=mean(ap50), ap75=mean(ap75),
+        ap_m=mean(ap_m), ap_l=mean(ap_l),
     )
 
 

@@ -425,6 +425,9 @@ def evaluate_params(
     n_proposals: int = 64,
     steps: int = 1,
     seed: int = 0,
+    eta: float = 0.0,
+    renewal_threshold: float = 0.5,
+    nms_iou: float = 0.5,
 ) -> EvalReport:
     """Infer over held-out samples and score every task the level supervises."""
     dets = infer(
@@ -436,6 +439,9 @@ def evaluate_params(
         n_proposals=n_proposals,
         steps=steps,
         seed=seed,
+        eta=eta,
+        renewal_threshold=renewal_threshold,
+        nms_iou=nms_iou,
     )
     return build_report(
         dets,

@@ -179,3 +179,58 @@ def test_pipeline_full_arm(dataset, cfg_path, tmp_path, capsys):
     assert (out / "report.txt").exists()
     assert (out / "stage_0_quadrant" / "final.bin").exists()
     assert (out / "stage_2_quadrant_enumeration_diagnosis" / "final.bin").exists()
+
+
+def test_shape_mismatched_checkpoint_is_invalid_data(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "small.bin"
+    small = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)  # as SMALL_CFG
+    save_checkpoint(ckpt, init_params(small, np.random.default_rng(0)))
+    default_cfg = tmp_path / "default.yaml"
+    default_cfg.write_text("{}\n")
+    image = next((dataset / "images").glob("q_*.pgm"))
+    commands = (
+        ["infer", "--checkpoint", str(ckpt), "--level", "a", "--images", str(image)],
+        ["eval", "--data", str(dataset), "--level", "a", "--checkpoint", str(ckpt)],
+        ["train", "--data", str(dataset), "--level", "a",
+         "--out", str(tmp_path / "run"), "--init", str(ckpt)],
+    )
+    for command in commands:
+        capsys.readouterr()
+        assert main(["--config", str(default_cfg)] + command) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "trunk.w1: shape" in err, command[0]
+        assert "Traceback" not in err
+
+
+def test_eval_infers_with_the_config_of_infer(dataset, tmp_path, monkeypatch):
+    import dentdet.cli
+    import dentdet.train
+
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(
+        SMALL_CFG + "schedule:\n  steps: 2\n  eta: 0.5\n"
+        "infer:\n  renewal_threshold: 0.3\n  nms_iou: 0.6\n"
+    )
+    ckpt = tmp_path / "small.bin"
+    small = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)
+    save_checkpoint(ckpt, init_params(small, np.random.default_rng(0)))
+    calls = {}
+
+    def recorder(command, real):
+        def wrapper(*args, **kwargs):
+            calls[command] = kwargs
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dentdet.cli, "infer", recorder("infer", dentdet.cli.infer))
+    monkeypatch.setattr(dentdet.train, "infer", recorder("eval", dentdet.train.infer))
+    image = next((dataset / "images").glob("q_*.pgm"))
+    assert main(["--config", str(cfg_path), "infer", "--checkpoint", str(ckpt),
+                 "--level", "a", "--images", str(image)]) == EXIT_OK
+    assert main(["--config", str(cfg_path), "eval", "--data", str(dataset),
+                 "--level", "a", "--checkpoint", str(ckpt)]) == EXIT_OK
+    assert calls["infer"] == calls["eval"]
+    assert calls["eval"] == {
+        "n_proposals": 8, "steps": 2, "seed": 0,
+        "eta": 0.5, "renewal_threshold": 0.3, "nms_iou": 0.6,
+    }

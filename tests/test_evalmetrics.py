@@ -2,19 +2,168 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dentdet.evalmetrics import (
+    AREA_LARGE,
+    AREA_MEDIUM,
     IOU_THRESHOLDS,
     EvalInstance,
-    _ap_from_flags,
-    _class_pr,
+    TaskMetrics,
     build_report,
     detections_to_eval,
     evaluate,
 )
 from dentdet.geometry import Box, iou
-from dentdet.labels import LabelTriple
+from dentdet.labels import HEAD_CLASS_COUNTS, LabelTriple
 from dentdet.matching import Detection
+
+# ---------------------------------------------------------------------------
+# Scalar oracle: the scorer as first written, one (class, IoU threshold,
+# area bucket) at a time with the scalar iou.  evaluate must equal it
+# exactly, field for field.
+
+
+def _area_px(box: Box, width: int, height: int) -> float:
+    return box.w * width * box.h * height
+
+
+def _class_pr(
+    instances: list[EvalInstance],
+    cls: int,
+    thr: float,
+    max_dets: int,
+    area_range: tuple[float, float] | None,
+):
+    """Greedy matching for one (class, IoU threshold, area bucket).
+
+    Returns (tp flags, fp flags, number of counted gts), or None when the
+    bucket holds no ground truth of this class.
+    """
+    records = []  # (score, image index, det index, box)
+    gt_boxes: list[list[Box]] = []
+    gt_ignore: list[np.ndarray] = []
+    n_gt = 0
+    for img_i, inst in enumerate(instances):
+        boxes = [b for b, c in inst.gts if c == cls]
+        if area_range is None:
+            ignore = np.zeros(len(boxes), dtype=bool)
+        else:
+            areas = np.array(
+                [_area_px(b, inst.width, inst.height) for b in boxes]
+            )
+            ignore = (
+                (areas < area_range[0]) | (areas >= area_range[1])
+                if len(boxes)
+                else np.zeros(0, dtype=bool)
+            )
+        gt_boxes.append(boxes)
+        gt_ignore.append(ignore)
+        n_gt += int((~ignore).sum())
+        dets = [(b, s) for b, c, s in inst.dets if c == cls]
+        dets.sort(key=lambda bs: -bs[1])
+        for det_i, (b, s) in enumerate(dets[:max_dets]):
+            records.append((s, img_i, det_i, b))
+    if n_gt == 0:
+        return None
+    # Global score order; ties broken by (image, detection index).
+    records.sort(key=lambda r: (-r[0], r[1], r[2]))
+    taken = [np.zeros(len(bs), dtype=bool) for bs in gt_boxes]
+    tp = np.zeros(len(records), dtype=bool)
+    fp = np.zeros(len(records), dtype=bool)
+    for ri, (s, img_i, det_i, b) in enumerate(records):
+        best_j = -1
+        best_iou = 0.0
+        best_ignored_j = -1
+        for j, gb in enumerate(gt_boxes[img_i]):
+            if taken[img_i][j]:
+                continue
+            v = iou(b, gb)
+            if v < thr:
+                continue
+            if not gt_ignore[img_i][j]:
+                if best_j < 0 or v > best_iou:
+                    best_j, best_iou = j, v
+            elif best_ignored_j < 0:
+                best_ignored_j = j
+        if best_j >= 0:
+            taken[img_i][best_j] = True
+            tp[ri] = True
+        elif best_ignored_j >= 0:
+            taken[img_i][best_ignored_j] = True  # ignored match: neither tp nor fp
+        else:
+            if area_range is not None:
+                inst = instances[img_i]
+                a = _area_px(b, inst.width, inst.height)
+                if a < area_range[0] or a >= area_range[1]:
+                    continue  # detection outside the bucket: ignored
+            fp[ri] = True
+    return tp, fp, n_gt
+
+
+def _ap_from_flags(tp: np.ndarray, fp: np.ndarray, n_gt: int) -> float:
+    """101-point interpolated average precision."""
+    counted = tp | fp
+    tp_c = np.cumsum(tp[counted])
+    fp_c = np.cumsum(fp[counted])
+    if len(tp_c) == 0:
+        return 0.0
+    recall = tp_c / n_gt
+    precision = tp_c / (tp_c + fp_c)
+    # Monotone envelope from the right.
+    prec_interp = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = 0.0
+    for r in np.linspace(0.0, 1.0, 101):
+        idx = np.searchsorted(recall, r, side="left")
+        ap += prec_interp[idx] if idx < len(prec_interp) else 0.0
+    return ap / 101.0
+
+
+def _oracle_evaluate(instances, task, max_dets=100) -> TaskMetrics:
+    num_classes = HEAD_CLASS_COUNTS[task]
+
+    def mean_ap(thresholds, area_range):
+        per_class = []
+        for cls in range(num_classes):
+            vals = []
+            for thr in thresholds:
+                res = _class_pr(instances, cls, thr, max_dets, area_range)
+                if res is None:
+                    vals = None
+                    break
+                vals.append(_ap_from_flags(res[0], res[1], res[2]))
+            if vals is not None:
+                per_class.append(float(np.mean(vals)))
+        return float(np.mean(per_class)) if per_class else -1.0
+
+    def mean_recall():
+        per_class = []
+        for cls in range(num_classes):
+            vals = []
+            for thr in IOU_THRESHOLDS:
+                res = _class_pr(instances, cls, thr, max_dets, None)
+                if res is None:
+                    vals = None
+                    break
+                vals.append(res[0].sum() / res[2])
+            if vals is not None:
+                per_class.append(float(np.mean(vals)))
+        return float(np.mean(per_class)) if per_class else -1.0
+
+    if not any(inst.gts for inst in instances):
+        raise ValueError(f"no ground truth labeled for task {task!r}")
+    return TaskMetrics(
+        ar=mean_recall(),
+        ap=mean_ap(IOU_THRESHOLDS, None),
+        ap50=mean_ap((0.5,), None),
+        ap75=mean_ap((0.75,), None),
+        ap_m=mean_ap(IOU_THRESHOLDS, AREA_MEDIUM),
+        ap_l=mean_ap(IOU_THRESHOLDS, AREA_LARGE),
+    )
+
+
+# ---------------------------------------------------------------------------
 
 
 def _inst(dets, gts, size=256):
@@ -196,6 +345,128 @@ class TestEvaluate:
     def test_no_gt_at_all_rejected(self):
         with pytest.raises(ValueError):
             evaluate([_inst([], [])], "quadrant")
+
+
+# On 330x220 and 340x260 images, 96x96 and 32x32 px boxes land on the
+# bucket edges only when areas are computed as w * width * h * height.
+SIZES = ((256, 256), (512, 384), (300, 200), (330, 220), (340, 260))
+
+
+@st.composite
+def _scored_images(draw, num_classes):
+    """Images built to hit the scorer's exact-equality edges.
+
+    Box sides sit at and around 32 and 96 pixels, so areas straddle both
+    bucket edges or sit on them up to rounding.  Boxes on a 1/64 grid keep
+    IoU arithmetic exact: a half-width copy of such a box sits at IoU
+    exactly 0.5 (of any other box, within rounding of 0.5), and a box
+    centred between two shifted copies ties at IoU 0.6 with both; a later
+    detection then overlaps only the first copy, at its size or grown into
+    the next area bucket.  Scores repeat, detections are duplicated or
+    labelled with another class, and an image may lack detections or
+    ground truth of any class.
+    """
+    classes = st.integers(0, num_classes - 1)
+    scores = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    grid = st.integers(16, 48).map(lambda k: k / 64)
+    sides = st.one_of(  # (w, h) in pixels
+        st.sampled_from([(32, 32), (16, 64), (31, 33), (96, 96), (48, 192), (95, 97)]),
+        st.tuples(st.integers(4, 160), st.integers(4, 160)),
+    )
+    images = []
+    for _ in range(draw(st.integers(1, 4))):
+        width, height = draw(st.sampled_from(SIZES))
+        gts, dets = [], []
+        for _ in range(draw(st.integers(0, 3))):
+            cls = draw(classes)
+            kind = draw(st.sampled_from(["missed", "copy", "shifted", "half", "tie", "stray"]))
+            if kind == "tie" or kind == "half" and draw(st.booleans()):
+                w, h = draw(st.integers(4, 40)) / 64, draw(st.integers(4, 40)) / 64
+                gt = Box(draw(grid), draw(grid), w, h)
+            else:
+                w_px, h_px = draw(sides)
+                gt = Box(draw(grid), draw(grid), w_px / width, h_px / height)
+            if kind == "stray":
+                dets.append((gt, cls, draw(scores)))
+                continue
+            if kind == "tie":
+                left = Box(gt.cx - gt.w / 4, gt.cy, gt.w, gt.h)
+                right = Box(gt.cx + gt.w / 4, gt.cy, gt.w, gt.h)
+                grown = Box(left.cx, left.cy, left.w * 1.25, left.h * 1.25)
+                hi, lo = sorted((draw(scores), draw(scores)), reverse=True)
+                gts += [(left, cls), (right, cls)]
+                dets += [(gt, cls, hi), (draw(st.sampled_from([left, grown])), cls, lo)]
+                continue
+            gts.append((gt, cls))
+            if kind == "copy":
+                det = gt
+            elif kind == "shifted":
+                dx, dy = draw(st.integers(-8, 8)) / 256, draw(st.integers(-8, 8)) / 256
+                det = Box(gt.cx + dx, gt.cy + dy, gt.w, gt.h)
+            elif kind == "half":
+                det = Box(gt.cx, gt.cy, gt.w / 2, gt.h)
+            else:
+                continue
+            copies = draw(st.integers(1, 2))
+            dets += [(det, draw(st.one_of(st.just(cls), classes)), draw(scores))] * copies
+        images.append(EvalInstance(tuple(dets), tuple(gts), width, height))
+    return images
+
+
+class TestScalarOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("task", ["quadrant", "enumeration"])
+    def test_equals_oracle_exactly(self, task, data):
+        instances = data.draw(_scored_images(HEAD_CLASS_COUNTS[task]))
+        assume(any(inst.gts for inst in instances))
+        max_dets = data.draw(st.sampled_from([1, 2, 3, 100]))
+        assert evaluate(instances, task, max_dets) == _oracle_evaluate(
+            instances, task, max_dets
+        )
+
+    def test_iou_exactly_at_threshold_matches(self):
+        gt = Box(0.5, 0.5, 0.25, 0.25)
+        half = Box(0.5, 0.5, 0.125, 0.25)
+        assert iou(half, gt) == 0.5
+        tm = evaluate([_inst([(half, 0, 1.0)], [(gt, 0)])], "quadrant")
+        assert tm == _oracle_evaluate([_inst([(half, 0, 1.0)], [(gt, 0)])], "quadrant")
+        assert tm.ap50 == 1.0 and tm.ar == 0.1
+
+    def test_first_maximal_iou_wins(self):
+        # The first detection ties at IoU 0.6 with both ground truths and
+        # takes the first; the exact copy of that one, scored lower, is then
+        # a false positive up to IoU 0.6 (picking the last tie would make
+        # it a true positive).
+        left, right = Box(0.4375, 0.5, 0.25, 0.25), Box(0.5625, 0.5, 0.25, 0.25)
+        mid = Box(0.5, 0.5, 0.25, 0.25)
+        assert iou(mid, left) == iou(mid, right) >= 0.6
+        inst = _inst([(mid, 0, 0.9), (left, 0, 0.8)], [(left, 0), (right, 0)])
+        tm = evaluate([inst], "quadrant")
+        assert tm == _oracle_evaluate([inst], "quadrant")
+        assert tm.ar == 0.5
+        assert tm.ap50 == 51 / 101
+
+
+    def test_first_qualifying_ignored_gt_wins(self):
+        # In the large bucket both 88 px ground truths are ignored.  The
+        # first detection ties on them and takes the first; the grown copy
+        # of that one (110 px, inside the bucket) is then a false positive
+        # that outranks the only counted hit, so AP_l is 0.5 at every IoU.
+        left = Box(0.4140625, 0.5, 0.34375, 0.34375)
+        right = Box(0.5859375, 0.5, 0.34375, 0.34375)
+        mid = Box(0.5, 0.5, 0.34375, 0.34375)
+        grown = Box(left.cx, left.cy, left.w * 1.25, left.h * 1.25)
+        assert iou(mid, left) == iou(mid, right) >= 0.6
+        assert iou(grown, left) >= 0.6 > 0.5 > iou(grown, right)
+        large = Box(0.5, 0.5, 0.5, 0.5)
+        instances = [
+            _inst([(mid, 0, 0.9), (grown, 0, 0.8)], [(left, 0), (right, 0)]),
+            _inst([(large, 0, 0.5)], [(large, 0)]),
+        ]
+        tm = evaluate(instances, "quadrant")
+        assert tm == _oracle_evaluate(instances, "quadrant")
+        assert tm.ap_l == 0.5
 
 
 class TestReport:
