@@ -6,10 +6,10 @@ at each IoU threshold; precision-recall curves are integrated with the
 original pixel units; classes or buckets with no ground truth are excluded
 from the averages.
 
-As in COCOeval (Lin et al., arXiv 1405.0312), IoUs are computed once per
-image and one greedy pass over each image's detections matches every IoU
-threshold and area bucket; AR, AP, AP50, AP75, AP_m and AP_l all read
-that pass.
+As in COCOeval (Lin et al., arXiv 1405.0312), each detection's IoUs are
+computed once and one greedy pass over each image's detections matches
+every IoU threshold and area bucket; AR, AP, AP50, AP75, AP_m and AP_l
+all read that pass.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import iou  # noqa: F401  (perfbench counts calls through it)
+from .geometry import iou, iou_matrix  # noqa: F401  (perfbench counts iou calls)
 from .labels import HEAD_CLASS_COUNTS
 
 IOU_THRESHOLDS = tuple(np.round(np.arange(0.50, 1.0, 0.05), 2))
@@ -98,32 +98,6 @@ def _area_px(boxes: np.ndarray, width, height) -> np.ndarray:
     return boxes[..., 2] * width * boxes[..., 3] * height
 
 
-def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of boxes a[k] and b[k], for (..., 4) center-size arrays.
-
-    Uses the float operations of geometry.iou in its order, so every value
-    equals the scalar IoU bit for bit (iou_matrix takes areas from corners
-    and can differ in the last bit, which flips exact-threshold matches).
-    """
-    def corners(boxes):
-        half_w, half_h = boxes[..., 2] / 2, boxes[..., 3] / 2
-        cx, cy = boxes[..., 0], boxes[..., 1]
-        return cx - half_w, cy - half_h, cx + half_w, cy + half_h
-
-    def area(boxes):
-        return np.maximum(boxes[..., 2], 0.0) * np.maximum(boxes[..., 3], 0.0)
-
-    ax1, ay1, ax2, ay2 = corners(a)
-    bx1, by1, bx2, by2 = corners(b)
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    inter = iw * ih
-    union = area(a) + area(b) - inter
-    out = np.zeros(inter.shape)
-    np.divide(inter, union, out=out, where=(iw > 0) & (ih > 0) & (union > 0))
-    return out
-
-
 def _run_positions(*keys: np.ndarray) -> np.ndarray:
     """Index of each element within its run of equal keys (keys sorted)."""
     n = len(keys[0])
@@ -134,10 +108,10 @@ def _run_positions(*keys: np.ndarray) -> np.ndarray:
     return np.arange(n) - start
 
 
-def _pad(values: np.ndarray, img: np.ndarray, slot: np.ndarray, n_img: int, fill=0):
-    """Scatter per-box values into an (I, slots, ...) array, by image and slot."""
+def _pad(values: np.ndarray, img: np.ndarray, slot: np.ndarray, n_img: int):
+    """Scatter per-box values into a zero-padded (I, slots, ...) array."""
     n_slots = int(slot.max()) + 1 if len(slot) else 0
-    out = np.full((n_img, n_slots) + values.shape[1:], fill, dtype=values.dtype)
+    out = np.zeros((n_img, n_slots) + values.shape[1:], dtype=values.dtype)
     out[img, slot] = values
     return out
 
@@ -151,35 +125,44 @@ def _bucket_outside(areas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _greedy_match(ious, gt_ignore, det_outside):
+def _greedy_match(dets, gts):
     """COCO greedy matching of every image, threshold and area bucket at once.
 
-    ious: (I, D, G), zero across classes; each image's rows in score order
-    within each class.  gt_ignore: (I, G, A); det_outside: (I, D, A).
-    Returns tp, fp: (I, D, A, T).  A detection takes the first not yet
-    taken counted ground truth of maximal IoU at or above the threshold;
-    failing that, the first qualifying ignored one, which makes it neither
-    tp nor fp.  An unmatched detection outside the bucket is not an fp.
+    dets: boxes (I, D, 4), classes (I, D) and outside-bucket flags (I, D, A),
+    each image's rows in score order within each class; gts: boxes (I, G, 4),
+    classes (I, G) and ignore flags (I, G, A).  Padding has zero size, so
+    its IoU with any box is 0.  Returns tp, fp: (I, D, A, T).  A detection
+    takes the first not yet taken counted ground truth of its class with
+    maximal IoU at or above the threshold; failing that, the first
+    qualifying ignored one, which makes it neither tp nor fp.  An unmatched
+    detection outside the bucket is not an fp.  IoUs are computed one
+    detection slot at a time, so no array grows with I * D * G.
     """
-    n_img, n_det, n_gt = ious.shape
+    (det_boxes, det_cls, det_outside), (gt_boxes, gt_cls, gt_ignore) = dets, gts
+    n_img, n_det = det_cls.shape
+    n_gt = gt_cls.shape[1]
     shape = (n_img, len(AREA_BUCKETS), len(IOU_THRESHOLDS))
     thresholds = np.asarray(IOU_THRESHOLDS)[:, None]
-    counted = ~gt_ignore.transpose(0, 2, 1)[:, :, None, :]
-    taken = np.zeros(shape + (n_gt,), dtype=bool)
+    ignored = gt_ignore.transpose(0, 2, 1)[:, :, None, :]
+    counted = ~ignored
+    free = np.ones(shape + (n_gt,), dtype=bool)  # not yet taken
     tp = np.zeros((n_img, n_det) + shape[1:], dtype=bool)
     fp = np.zeros_like(tp)
     for d in range(n_det):
-        v = ious[:, d, None, None, :]
-        ok = (v >= thresholds) & ~taken
+        v = iou_matrix(det_boxes[:, d, None], gt_boxes)[:, None]  # (I, 1, 1, G)
+        same_class = (det_cls[:, d, None] == gt_cls)[:, None, None]
+        ok = (v >= thresholds) & same_class & free
         hit = ok & counted
         matched = hit.any(-1)
-        spare = ok & ~counted
+        spare = ok & ignored
         fallback = spare.any(-1) & ~matched
-        col = np.where(
-            matched, np.where(hit, v, -1.0).argmax(-1), spare.argmax(-1)
+        best = np.max(
+            np.broadcast_to(v, hit.shape), axis=-1, where=hit, initial=-1.0,
+            keepdims=True,
         )
+        col = np.where(matched, (hit & (v == best)).argmax(-1), spare.argmax(-1))
         i, a, t = np.nonzero(matched | fallback)
-        taken[i, a, t, col[i, a, t]] = True
+        free[i, a, t, col[i, a, t]] = False
         tp[:, d] = matched
         fp[:, d] = ~(matched | fallback) & ~det_outside[:, d, :, None]
     return tp, fp
@@ -198,10 +181,9 @@ def _ap_from_flags(tp: np.ndarray, fp: np.ndarray, n_gt: np.ndarray) -> np.ndarr
     tp = tp.reshape(n, n_curves).T
     fp = fp.reshape(n, n_curves).T
     tp_c = np.cumsum(tp, axis=1)
-    fp_c = np.cumsum(fp, axis=1)
     recall = tp_c / np.repeat(np.maximum(n_gt, 1), curve_shape[1])[:, None]
     precision = np.zeros(tp_c.shape)
-    np.divide(tp_c, tp_c + fp_c, out=precision, where=tp | fp)
+    np.divide(tp_c, tp_c + np.cumsum(fp, axis=1), out=precision, where=tp | fp)
     # Monotone envelope from the right, then 0 past the end of the curve.
     envelope = np.zeros((n_curves, n + 1))
     envelope[:, :n] = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
@@ -262,21 +244,10 @@ def evaluate(
     d_img, d_box, d_cls, d_score = d_img[order], d_box[order], d_cls[order], d_score[order]
     d_slot = _run_positions(d_img)
 
-    # Per-image arrays padded to (I, D) and (I, G).  Padding has class -1
-    # and zero size, so it never reaches an IoU threshold.  One IoU matrix
-    # per image keeps temporaries small.
-    det_boxes = _pad(d_box, d_img, d_slot, n_img)
-    gt_boxes = _pad(g_box, g_img, g_slot, n_img)
-    ious = np.zeros((n_img, det_boxes.shape[1], gt_boxes.shape[1]))
-    for img in range(n_img):
-        ious[img] = _iou(det_boxes[img, :, None], gt_boxes[img, None])
-    det_cls = _pad(d_cls, d_img, d_slot, n_img, fill=-1)
-    gt_cls = _pad(g_cls, g_img, g_slot, n_img, fill=-1)
-    ious[det_cls[:, :, None] != gt_cls[:, None, :]] = 0.0
+    d_outside = _bucket_outside(_area_px(d_box, width[d_img], height[d_img]))
     tp, fp = _greedy_match(
-        ious,
-        _pad(g_ignore, g_img, g_slot, n_img),
-        _bucket_outside(_area_px(det_boxes, width[:, None], height[:, None])),
+        [_pad(x, d_img, d_slot, n_img) for x in (d_box, d_cls, d_outside)],
+        [_pad(x, g_img, g_slot, n_img) for x in (g_box, g_cls, g_ignore)],
     )
     tp, fp = tp[d_img, d_slot], fp[d_img, d_slot]
 

@@ -100,19 +100,29 @@ def giou(a: Box, b: Box) -> float:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between (N, 4) and (M, 4) center-size arrays."""
-    a = cxcywh_to_xyxy(np.asarray(a, dtype=np.float64))
-    b = cxcywh_to_xyxy(np.asarray(b, dtype=np.float64))
-    tl = np.maximum(a[:, None, :2], b[None, :, :2])
-    br = np.minimum(a[:, None, 2:], b[None, :, 2:])
-    wh = np.clip(br - tl, 0.0, None)
-    inter = wh[..., 0] * wh[..., 1]
-    area_a = np.clip(a[:, 2] - a[:, 0], 0, None) * np.clip(a[:, 3] - a[:, 1], 0, None)
-    area_b = np.clip(b[:, 2] - b[:, 0], 0, None) * np.clip(b[:, 3] - b[:, 1], 0, None)
-    union = area_a[:, None] + area_b[None, :] - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0)
+    """Pairwise IoU between (..., N, 4) and (..., M, 4) center-size arrays.
+
+    Leading dimensions broadcast; the result is (..., N, M).  Uses the float
+    operations of ``iou`` in its order, with areas from the sizes rather
+    than the corners, so every cell equals the scalar IoU bit for bit and
+    exact-threshold matches come out the same either way.
+    """
+    a = np.asarray(a, dtype=np.float64)[..., :, None, :]
+    b = np.asarray(b, dtype=np.float64)[..., None, :, :]
+    ax1, ay1, ax2, ay2 = np.moveaxis(cxcywh_to_xyxy(a), -1, 0)
+    bx1, by1, bx2, by2 = np.moveaxis(cxcywh_to_xyxy(b), -1, 0)
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = iw * ih
+    union = _area(a) + _area(b) - inter
+    out = np.zeros(inter.shape)
+    np.divide(inter, union, out=out, where=(iw > 0) & (ih > 0) & (union > 0))
     return out
+
+
+def _area(boxes: np.ndarray) -> np.ndarray:
+    """Box.area of each center-size box: max(0, w) * max(0, h)."""
+    return np.maximum(boxes[..., 2], 0.0) * np.maximum(boxes[..., 3], 0.0)
 
 
 def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -102,8 +102,11 @@ def test_matrix_forms_match_scalar(al, bl):
     gm = giou_matrix(a, b)
     for i, x in enumerate(al):
         for j, y in enumerate(bl):
-            assert im[i, j] == pytest.approx(iou(x, y), abs=1e-12)
+            assert im[i, j] == iou(x, y)
             assert gm[i, j] == pytest.approx(giou(x, y), abs=1e-12)
+    batched = iou_matrix(np.stack([a, a[::-1]]), np.stack([b, b[::-1]]))
+    assert np.array_equal(batched[0], im)
+    assert np.array_equal(batched[1], iou_matrix(a[::-1], b[::-1]))
 
 
 def _nms_oracle(dets, thr):
