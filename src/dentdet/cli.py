@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -98,13 +99,36 @@ def _load_params(path: str | None, model_cfg: ModelConfig):
     return params
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error messages
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"
+
+
 def _stage_config(cfg: RunConfig, level: HierarchyLevel, args) -> StageConfig:
     return StageConfig(
         level=level,
-        iterations=args.iterations or cfg.train.iterations,
-        batch_size=args.batch_size or cfg.train.batch_size,
-        lr=args.lr or cfg.train.lr,
-        n_proposals=args.n_proposals or cfg.train.n_proposals,
+        iterations=cfg.train.iterations if args.iterations is None else args.iterations,
+        batch_size=cfg.train.batch_size if args.batch_size is None else args.batch_size,
+        lr=cfg.train.lr if args.lr is None else args.lr,
+        n_proposals=cfg.train.n_proposals if args.n_proposals is None else args.n_proposals,
         seed=cfg.train.seed if args.seed is None else args.seed,
         weight_decay=cfg.train.weight_decay,
         grad_clip=cfg.train.grad_clip,
@@ -116,8 +140,10 @@ def _stage_config(cfg: RunConfig, level: HierarchyLevel, args) -> StageConfig:
 def cmd_datagen(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     generate_dataset(
-        out, args.count or cfg.data.count, cfg.train.seed if args.seed is None else args.seed,
-        size=args.size or cfg.data.size,
+        out,
+        cfg.data.count if args.count is None else args.count,
+        cfg.train.seed if args.seed is None else args.seed,
+        size=cfg.data.size if args.size is None else args.size,
     )
     print(f"wrote synthetic dataset to {out}")
     return EXIT_OK
@@ -177,6 +203,8 @@ def cmd_pipeline(args, cfg: RunConfig) -> int:
         result = run_pipeline(
             plan, datasets, cfg.model, schedule, out_dir=out,
             eval_datasets=eval_datasets, infer_steps=cfg.schedule.steps,
+            eta=cfg.schedule.eta, renewal_threshold=cfg.infer.renewal_threshold,
+            nms_iou=cfg.infer.nms_iou, cache_threshold=cfg.infer.cache_threshold,
         )
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
@@ -227,7 +255,7 @@ def cmd_infer(args, cfg: RunConfig) -> int:
     schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
     dets = infer(
         params, grids, level, cfg.model, schedule,
-        n_proposals=args.n_proposals or cfg.train.n_proposals,
+        n_proposals=cfg.train.n_proposals if args.n_proposals is None else args.n_proposals,
         steps=cfg.schedule.steps, seed=cfg.train.seed if args.seed is None else args.seed,
         eta=cfg.schedule.eta, renewal_threshold=cfg.infer.renewal_threshold,
         nms_iou=cfg.infer.nms_iou,
@@ -276,7 +304,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
         report = evaluate_params(
             params, level, samples, cfg.model, schedule,
-            n_proposals=args.n_proposals or cfg.train.n_proposals,
+            n_proposals=cfg.train.n_proposals if args.n_proposals is None else args.n_proposals,
             steps=cfg.schedule.steps,
             seed=cfg.train.seed if args.seed is None else args.seed,
             eta=cfg.schedule.eta, renewal_threshold=cfg.infer.renewal_threshold,
@@ -345,6 +373,15 @@ def cmd_split(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _stage_arguments(sp: argparse.ArgumentParser) -> None:
+    """Overrides of the config's ``train:`` section; out-of-range values exit 2."""
+    sp.add_argument("--iterations", type=_int_at_least(0))
+    sp.add_argument("--batch-size", type=_int_at_least(1))
+    sp.add_argument("--n-proposals", type=_int_at_least(1))
+    sp.add_argument("--seed", type=_int_at_least(0))
+    sp.add_argument("--lr", type=_positive_float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dentdet",
@@ -358,9 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("datagen", help="emit a synthetic three-level dataset")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--count", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--size", type=int)
+    sp.add_argument("--count", type=_int_at_least(1))
+    sp.add_argument("--seed", type=_int_at_least(0))
+    # Smaller images give tooth boxes of zero pixels.
+    sp.add_argument("--size", type=_int_at_least(16))
     sp.set_defaults(fn=cmd_datagen)
 
     sp = sub.add_parser("train", help="train a single hierarchy stage")
@@ -369,9 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--init", help="checkpoint to start from")
     sp.add_argument("--cache", help="inferred-box cache (enables manipulation)")
-    for name in ("--iterations", "--batch-size", "--n-proposals", "--seed"):
-        sp.add_argument(name, type=int)
-    sp.add_argument("--lr", type=float)
+    _stage_arguments(sp)
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("pipeline", help="full staged training (a -> b -> c)")
@@ -379,9 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--arm", choices=ARMS, default="full")
     sp.add_argument("--eval-data")
-    for name in ("--iterations", "--batch-size", "--n-proposals", "--seed"):
-        sp.add_argument(name, type=int)
-    sp.add_argument("--lr", type=float)
+    _stage_arguments(sp)
     sp.set_defaults(fn=cmd_pipeline)
 
     sp = sub.add_parser("infer", help="detect boxes on images")
@@ -389,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--level", required=True)
     sp.add_argument("--images", nargs="+", required=True)
     sp.add_argument("--out")
-    sp.add_argument("--n-proposals", type=int)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--n-proposals", type=_int_at_least(1))
+    sp.add_argument("--seed", type=_int_at_least(0))
     sp.set_defaults(fn=cmd_infer)
 
     sp = sub.add_parser("eval", help="COCO-style report over a labeled set")
@@ -400,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle", action="store_true",
                     help="evaluate ground truth copied as detections")
     sp.add_argument("--out")
-    sp.add_argument("--n-proposals", type=int)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--n-proposals", type=_int_at_least(1))
+    sp.add_argument("--seed", type=_int_at_least(0))
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("render", help="draw labeled boxes onto images")
@@ -422,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--train-frac", type=float, required=True)
     sp.add_argument("--val-frac", type=float, required=True)
     sp.add_argument("--test-frac", type=float, required=True)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_int_at_least(0))
     sp.set_defaults(fn=cmd_split)
     return p
 

@@ -147,22 +147,25 @@ def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return iou_v - penalty
 
 
-def nms(
-    dets: list[tuple[Box, float]], iou_threshold: float
-) -> list[tuple[Box, float]]:
-    """Greedy non-maximum suppression.
+def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """Greedy non-maximum suppression over (N, 4) center-size boxes.
 
-    Output sorted by descending score; ties broken by input index.  No
-    retained pair overlaps with IoU above the threshold.
+    Returns the indices of the kept boxes in descending score order, ties
+    going to the lower index.  A box is kept when its IoU with every box
+    kept before it is at most the threshold.
     """
-    if not dets:
-        return []
-    for _, score in dets:
-        if not np.isfinite(score):
-            raise ValueError("nms requires finite scores")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
-    kept: list[int] = []
-    for i in order:
-        if all(iou(dets[i][0], dets[j][0]) <= iou_threshold for j in kept):
+    boxes = np.asarray(boxes, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or boxes.shape != (len(scores), 4):
+        raise ValueError("nms needs (N, 4) boxes and N scores")
+    if not np.isfinite(scores).all():
+        raise ValueError("nms requires finite scores")
+    order = np.argsort(-scores, kind="stable")
+    over = iou_matrix(boxes[order], boxes[order]) > iou_threshold
+    suppressed = np.zeros(len(order), dtype=bool)
+    kept = []
+    for i in range(len(order)):
+        if not suppressed[i]:
             kept.append(i)
-    return [dets[i] for i in kept]
+            suppressed |= over[i]
+    return order[kept]

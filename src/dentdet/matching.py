@@ -27,8 +27,8 @@ class Detection:
     probs_e: np.ndarray
     probs_d: np.ndarray
     score: float
-    # Background-aware distributions per supervised head, filled by the
-    # decoder; required for matching and loss computation.
+    # Background-aware distributions per supervised head, filled by
+    # ``train.infer``; required for matching and loss computation.
     loss_probs: dict[str, np.ndarray] | None = field(default=None, repr=False)
 
     def display_probs(self, head: str) -> np.ndarray:

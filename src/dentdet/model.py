@@ -337,39 +337,23 @@ def decode(
 ):
     """Run the decoder on N proposals.
 
-    Returns (detections, z0_pred, cache).  Detection display probabilities
-    are softmaxed over foreground classes only; ``loss_probs`` additionally
-    carries the background-aware distributions for the supervised heads.
+    Returns (z0_pred, probs, scores, cache): the (N, 4) signal-space box
+    prediction; per head, the (N, K) display probabilities, softmaxed over
+    the foreground classes only; the (N,) confidence, the largest display
+    probability of the deepest supervised head; and the forward cache,
+    whose logits give the background-aware ``loss_probs_for_mask``.
     """
-    from .matching import Detection
-    from .geometry import Box
-
     check_shapes(params, cfg)
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != 4:
         raise ValueError("proposals must be an (N, 4) array")
     x = forward_features(cfg, grid_feats, z, t)
     cache = forward_net(params, x, z)
-    display = {
+    probs = {
         head: softmax(cache.logits[head][:, : HEAD_CLASS_COUNTS[head]])
         for head in HEAD_NAMES
     }
-    loss_probs = loss_probs_for_mask(cache.logits, mask)
-    boxes01 = signal_decode(cache.z0_pred, cfg.scale)
-    deepest = mask.deepest_head
-    dets = []
-    for i in range(z.shape[0]):
-        dets.append(
-            Detection(
-                box=Box.from_array(boxes01[i]),
-                probs_q=display["quadrant"][i],
-                probs_e=display["enumeration"][i],
-                probs_d=display["diagnosis"][i],
-                score=float(display[deepest][i].max()),
-                loss_probs={h: p[i] for h, p in loss_probs.items()},
-            )
-        )
-    return dets, cache.z0_pred, cache
+    return cache.z0_pred, probs, probs[mask.deepest_head].max(axis=1), cache
 
 
 def decode_grad_mask(z0_pred: np.ndarray, scale: float) -> np.ndarray:

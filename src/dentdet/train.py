@@ -16,10 +16,18 @@ from pathlib import Path
 import numpy as np
 
 from .data import AnnotationSet, random_crop_resize
-from .diffusion import NoisyBoxes, Schedule, box_renewal, ddim_step, forward_noise, pad_gt_boxes
+from .diffusion import (
+    NoisyBoxes,
+    Schedule,
+    box_renewal,
+    ddim_step,
+    forward_noise,
+    pad_gt_boxes,
+    signal_decode,
+)
 from .evalmetrics import EvalReport, build_report
-from .geometry import Box, iou
-from .labels import HierarchyLevel, mask_for
+from .geometry import Box, iou, nms  # noqa: F401  (perfbench counts iou calls)
+from .labels import HeadMask, HierarchyLevel, mask_for
 from .manipulate import InferredBoxCache, inference_proposals, manipulate_boxes
 from .matching import Detection
 from .model import (
@@ -30,6 +38,7 @@ from .model import (
     encode_image,
     init_params,
     loss_gradients,
+    loss_probs_for_mask,
     save_checkpoint,
     transfer_weights,
 )
@@ -300,13 +309,27 @@ def train_stage(
     return params, metrics
 
 
-def _nms_detections(dets: list[Detection], thr: float) -> list[Detection]:
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    kept: list[int] = []
-    for i in order:
-        if all(iou(dets[i].box, dets[j].box) <= thr for j in kept):
-            kept.append(i)
-    return [dets[i] for i in kept]
+def _kept_detections(
+    boxes01: np.ndarray,
+    probs: dict[str, np.ndarray],
+    scores: np.ndarray,
+    logits: dict[str, np.ndarray],
+    kept: np.ndarray,
+    mask: HeadMask,
+) -> list[Detection]:
+    """Detection objects for the rows NMS kept, in its order."""
+    loss_probs = loss_probs_for_mask({h: l[kept] for h, l in logits.items()}, mask)
+    return [
+        Detection(
+            box=Box.from_array(boxes01[i]),
+            probs_q=probs["quadrant"][i],
+            probs_e=probs["enumeration"][i],
+            probs_d=probs["diagnosis"][i],
+            score=float(scores[i]),
+            loss_probs={h: p[r] for h, p in loss_probs.items()},
+        )
+        for r, i in enumerate(kept)
+    ]
 
 
 def infer(
@@ -325,7 +348,8 @@ def infer(
     """Denoise completely noisy proposals into detections, per image.
 
     Deterministic for a fixed seed and eta = 0; per-image rng streams make
-    results independent of processing order.
+    results independent of processing order.  The chain runs on arrays;
+    only the boxes NMS keeps become :class:`Detection` objects.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -339,10 +363,9 @@ def infer(
         z = inference_proposals(n_proposals, rng, model_cfg.scale)
         for si in range(len(times) - 1):
             t, t_next = int(times[si]), int(times[si + 1])
-            dets, z0_pred, _ = decode(params, grid, z, float(t), mask, model_cfg)
+            z0_pred, _, scores, _ = decode(params, grid, z, float(t), mask, model_cfg)
             nb = ddim_step(NoisyBoxes(z, t), z0_pred, t, t_next, schedule, eta, rng)
             if si < len(times) - 2:
-                scores = np.array([d.score for d in dets])
                 nb = box_renewal(scores, nb, renewal_threshold, rng)
             z = nb.z
         # Final readout on the denoised boxes: the chain ends with clean
@@ -350,9 +373,13 @@ def infer(
         # correct sizes after observing the content under the denoised
         # window), then decode the refined boxes so every head scores the
         # window it would actually report.
-        dets, z0_pred, _ = decode(params, grid, z, 0.0, mask, model_cfg)
-        dets, _, _ = decode(params, grid, z0_pred, 0.0, mask, model_cfg)
-        results.append(_nms_detections(dets, nms_iou))
+        z0_pred = decode(params, grid, z, 0.0, mask, model_cfg)[0]
+        z0_pred, probs, scores, cache = decode(params, grid, z0_pred, 0.0, mask, model_cfg)
+        boxes01 = signal_decode(z0_pred, model_cfg.scale)
+        kept = nms(boxes01, scores, nms_iou)
+        results.append(
+            _kept_detections(boxes01, probs, scores, cache.logits, kept, mask)
+        )
     return results
 
 
@@ -366,6 +393,9 @@ def build_cache(
     steps: int = 1,
     threshold: float = 0.5,
     seed: int = 0,
+    eta: float = 0.0,
+    renewal_threshold: float = 0.5,
+    nms_iou: float = 0.5,
 ) -> InferredBoxCache:
     """Run inference over the next stage's images and cache confident boxes."""
     cache = InferredBoxCache()
@@ -378,6 +408,9 @@ def build_cache(
         n_proposals=n_proposals,
         steps=steps,
         seed=seed,
+        eta=eta,
+        renewal_threshold=renewal_threshold,
+        nms_iou=nms_iou,
     )
     for s, dets in zip(samples, dets_per_image):
         for d in dets:
@@ -459,8 +492,18 @@ def run_pipeline(
     out_dir=None,
     eval_datasets: dict[HierarchyLevel, list[TrainSample]] | None = None,
     infer_steps: int = 1,
+    eta: float = 0.0,
+    renewal_threshold: float = 0.5,
+    nms_iou: float = 0.5,
+    cache_threshold: float = 0.5,
 ) -> PipelineResult:
-    """Execute the three stages honoring the arm's mechanism flags."""
+    """Execute the three stages honoring the arm's mechanism flags.
+
+    Cache building and held-out scoring sample with ``infer_steps``,
+    ``eta``, ``renewal_threshold`` and ``nms_iou``; the cache keeps boxes
+    scoring above ``cache_threshold``.
+    """
+    sampler = dict(eta=eta, renewal_threshold=renewal_threshold, nms_iou=nms_iou)
     for stage in plan.stages:
         if stage.level not in datasets or not datasets[stage.level]:
             raise ValueError(f"missing dataset for level {stage.level.value}")
@@ -487,7 +530,9 @@ def run_pipeline(
                 schedule,
                 n_proposals=stage.n_proposals,
                 steps=infer_steps,
+                threshold=cache_threshold,
                 seed=stage.seed,
+                **sampler,
             )
             if stage_dir is not None:
                 stage_dir.mkdir(parents=True, exist_ok=True)
@@ -518,6 +563,7 @@ def run_pipeline(
                 schedule,
                 n_proposals=stage.n_proposals,
                 steps=infer_steps,
+                **sampler,
             )
         result.stages.append(sr)
         prev_params, prev_level = params, stage.level

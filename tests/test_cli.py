@@ -234,3 +234,93 @@ def test_eval_infers_with_the_config_of_infer(dataset, tmp_path, monkeypatch):
         "n_proposals": 8, "steps": 2, "seed": 0,
         "eta": 0.5, "renewal_threshold": 0.3, "nms_iou": 0.6,
     }
+
+
+def test_pipeline_samples_with_the_config_of_infer(tmp_path, monkeypatch):
+    import dentdet.train
+
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(
+        SMALL_CFG + "schedule:\n  steps: 2\n  eta: 0.5\n"
+        "infer:\n  renewal_threshold: 0.3\n  nms_iou: 0.6\n  cache_threshold: 0.7\n"
+    )
+    data, held_out = tmp_path / "data", tmp_path / "held_out"
+    for out, seed in ((data, "5"), (held_out, "6")):
+        assert main(["--config", str(cfg_path), "datagen", "--out", str(out),
+                     "--seed", seed]) == EXIT_OK
+    infer_calls, cache_calls = [], []
+
+    def recorder(calls, real):
+        def wrapper(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dentdet.train, "infer", recorder(infer_calls, dentdet.train.infer))
+    monkeypatch.setattr(
+        dentdet.train, "build_cache", recorder(cache_calls, dentdet.train.build_cache)
+    )
+    out = tmp_path / "pipe"
+    assert main(["--config", str(cfg_path), "pipeline", "--data", str(data),
+                 "--eval-data", str(held_out), "--out", str(out)]) == EXIT_OK
+    assert len(infer_calls) == 5  # two caches, three held-out reports
+    for kwargs in infer_calls:
+        assert {k: kwargs[k] for k in ("steps", "eta", "renewal_threshold", "nms_iou")} == {
+            "steps": 2, "eta": 0.5, "renewal_threshold": 0.3, "nms_iou": 0.6,
+        }
+    assert [kw["threshold"] for kw in cache_calls] == [0.7, 0.7]
+    for path in out.glob("stage_*/inferred_boxes.tsv"):
+        for line in path.read_text().splitlines():
+            assert float(line.split("\t")[-1]) > 0.7
+
+
+def test_zero_iterations_override_is_honoured(dataset, cfg_path, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["--config", cfg_path, "train", "--data", str(dataset),
+                 "--level", "a", "--out", str(tmp_path / "run"),
+                 "--iterations", "0"]) == EXIT_OK
+    assert "trained 0 logged points" in capsys.readouterr().out
+
+
+def test_n_proposals_override_is_honoured(dataset, cfg_path, tmp_path):
+    ckpt = tmp_path / "small.bin"
+    small = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)  # as SMALL_CFG
+    save_checkpoint(ckpt, init_params(small, np.random.default_rng(0)))
+    image = next((dataset / "images").glob("q_*.pgm"))
+    out_json = tmp_path / "dets.json"
+    assert main(["--config", cfg_path, "infer", "--checkpoint", str(ckpt),
+                 "--level", "a", "--images", str(image), "--n-proposals", "1",
+                 "--out", str(out_json)]) == EXIT_OK
+    assert len(json.loads(out_json.read_text())["images"][0]["detections"]) == 1
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("infer", "--n-proposals", "0"),
+    ("infer", "--n-proposals", "-3"),
+    ("infer", "--seed", "-1"),
+    ("eval", "--n-proposals", "-3"),
+    ("eval", "--seed", "-2"),
+    ("train", "--lr", "0"),
+    ("train", "--lr", "nan"),
+    ("train", "--iterations", "-1"),
+    ("train", "--batch-size", "0"),
+    ("pipeline", "--n-proposals", "0"),
+    ("datagen", "--count", "0"),
+    ("datagen", "--size", "8"),
+    ("split", "--seed", "-1"),
+])
+def test_out_of_range_override_is_usage_error(command, flag, value, tmp_path, capsys):
+    required = {
+        "infer": ["--checkpoint", "c.bin", "--level", "a", "--images", "x.pgm"],
+        "eval": ["--data", "d", "--checkpoint", "c.bin"],
+        "train": ["--data", "d", "--level", "a", "--out", "o"],
+        "pipeline": ["--data", "d", "--out", "o"],
+        "datagen": ["--out", str(tmp_path / "d")],
+        "split": ["--annotations", "a.json", "--level", "a", "--out", "o",
+                  "--train-frac", "1", "--val-frac", "0", "--test-frac", "0"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, value])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err

@@ -121,6 +121,14 @@ def _nms_oracle(dets, thr):
     return [dets[i] for i in kept]
 
 
+def _nms_kept(dets, thr):
+    """``nms`` on a (Box, score) list, mapped back to the list's entries."""
+    boxes = np.array([b.to_array() for b, _ in dets]).reshape(len(dets), 4)
+    kept = nms(boxes, np.array([s for _, s in dets]), thr)
+    assert kept.dtype.kind == "i"
+    return [dets[i] for i in kept]
+
+
 def test_nms_matches_oracle_on_random_sets():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -134,7 +142,40 @@ def test_nms_matches_oracle_on_random_sets():
             for _ in range(n)
         ]
         thr = float(rng.uniform(0.1, 0.9))
-        assert nms(dets, thr) == _nms_oracle(dets, thr)
+        assert _nms_kept(dets, thr) == _nms_oracle(dets, thr)
+
+
+# Dyadic boxes on a coarse lattice, so IoUs land exactly on thresholds such as
+# 1/3 and 1/2; scores from a few levels, so ties are common.
+lattice_boxes = st.builds(
+    Box,
+    st.integers(0, 8).map(lambda v: v / 8),
+    st.integers(0, 8).map(lambda v: v / 8),
+    st.integers(0, 4).map(lambda v: v / 8),
+    st.integers(1, 4).map(lambda v: v / 8),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(st.one_of(lattice_boxes, boxes),
+                  st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0]) | st.floats(0, 1)),
+        max_size=12,
+    ),
+    st.sampled_from([0.0, 1 / 3, 0.5, 0.7, 1.0]),
+)
+def test_nms_equals_oracle(dets, thr):
+    assert _nms_kept(dets, thr) == _nms_oracle(dets, thr)
+
+
+def test_nms_keeps_pair_at_exactly_the_threshold():
+    # Half-overlapping equal boxes: inter 1/4, union 3/4, IoU exactly 1/3.
+    a, b = Box(0.25, 0.5, 0.25, 0.25), Box(0.375, 0.5, 0.25, 0.25)
+    assert iou(a, b) == 1 / 3
+    dets = [(a, 0.9), (b, 0.8)]
+    assert _nms_kept(dets, 1 / 3) == dets
+    assert _nms_kept(dets, np.nextafter(1 / 3, 0)) == dets[:1]
 
 
 def test_nms_no_kept_pair_overlaps():
@@ -143,7 +184,7 @@ def test_nms_no_kept_pair_overlaps():
         (Box(rng.uniform(0, 1), rng.uniform(0, 1), 0.3, 0.3), float(rng.uniform(0, 1)))
         for _ in range(20)
     ]
-    kept = nms(dets, 0.4)
+    kept = _nms_kept(dets, 0.4)
     for i in range(len(kept)):
         for j in range(i + 1, len(kept)):
             assert iou(kept[i][0], kept[j][0]) <= 0.4
@@ -152,15 +193,23 @@ def test_nms_no_kept_pair_overlaps():
 def test_nms_tie_break_prefers_lower_index():
     b1 = Box(0.5, 0.5, 0.2, 0.2)
     b2 = Box(0.51, 0.5, 0.2, 0.2)
-    kept = nms([(b1, 0.7), (b2, 0.7)], 0.3)
-    assert kept[0] == (b1, 0.7)
-    assert len(kept) == 1
+    b3 = Box(0.1, 0.1, 0.1, 0.1)
+    kept = nms(np.stack([b.to_array() for b in (b1, b2, b3)]),
+               np.array([0.7, 0.7, 0.7]), 0.3)
+    assert kept.tolist() == [0, 2]
+    kept = nms(np.stack([b.to_array() for b in (b2, b1)]), np.array([0.7, 0.7]), 0.3)
+    assert kept.tolist() == [0]
 
 
 def test_nms_empty_input():
-    assert nms([], 0.5) == []
+    kept = nms(np.zeros((0, 4)), np.zeros(0), 0.5)
+    assert kept.shape == (0,) and kept.dtype.kind == "i"
 
 
 def test_nms_rejects_nan_scores():
+    box = np.array([[0.5, 0.5, 0.1, 0.1]])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            nms(box, np.array([bad]), 0.5)
     with pytest.raises(ValueError):
-        nms([(Box(0.5, 0.5, 0.1, 0.1), float("nan"))], 0.5)
+        nms(box, np.array([0.5, 0.5]), 0.5)

@@ -22,6 +22,7 @@ from dentdet.model import (
     init_params,
     load_checkpoint,
     loss_gradients,
+    loss_probs_for_mask,
     param_shapes,
     roi_pool_batch,
     save_checkpoint,
@@ -209,22 +210,40 @@ class TestDecode:
         params = init_params(SMALL, np.random.default_rng(4), head_scale=0.0)
         grid = np.random.default_rng(5).normal(size=(4, 4, NUM_CHANNELS))
         z = np.random.default_rng(6).standard_normal((6, 4))
-        dets, z0_pred, _ = decode(params, grid, z, 500.0, HeadMask(1, 0, 0), SMALL)
-        assert len(dets) == 6
-        for d in dets:
-            np.testing.assert_allclose(d.probs_q, 0.25)
-            assert d.score == pytest.approx(0.25)
-            # loss distribution includes the background logit
-            np.testing.assert_allclose(d.loss_probs["quadrant"], 0.2)
+        z0_pred, probs, scores, cache = decode(
+            params, grid, z, 500.0, HeadMask(1, 0, 0), SMALL
+        )
+        assert z0_pred.shape == (6, 4)
+        assert {h: p.shape for h, p in probs.items()} == {
+            "quadrant": (6, 4), "enumeration": (6, 8), "diagnosis": (6, 4),
+        }
+        np.testing.assert_allclose(probs["quadrant"], 0.25)
+        np.testing.assert_allclose(scores, 0.25)
+        # loss distribution includes the background logit
+        loss = loss_probs_for_mask(cache.logits, HeadMask(1, 0, 0))
+        np.testing.assert_allclose(loss["quadrant"], 0.2)
+
+    def test_scores_are_max_of_deepest_head(self):
+        params = init_params(SMALL, np.random.default_rng(10), head_scale=1.0)
+        grid = np.random.default_rng(11).normal(size=(4, 4, NUM_CHANNELS))
+        z = np.random.default_rng(12).standard_normal((5, 4))
+        for mask, head in ((HeadMask(1, 0, 0), "quadrant"),
+                           (HeadMask(1, 1, 0), "enumeration"),
+                           (HeadMask(1, 1, 1), "diagnosis")):
+            _, probs, scores, cache = decode(params, grid, z, 50.0, mask, SMALL)
+            np.testing.assert_array_equal(scores, probs[head].max(axis=1))
+            for h, p in probs.items():
+                k = p.shape[1]
+                np.testing.assert_array_equal(p, softmax(cache.logits[h][:, :k]))
 
     def test_boxes_are_decoded_signal(self):
         params = init_params(SMALL, np.random.default_rng(7))
         grid = np.zeros((4, 4, NUM_CHANNELS))
         z = np.random.default_rng(8).standard_normal((3, 4))
-        dets, z0_pred, _ = decode(params, grid, z, 100.0, HeadMask(1, 1, 1), SMALL)
+        z0_pred, _, _, cache = decode(params, grid, z, 100.0, HeadMask(1, 1, 1), SMALL)
+        np.testing.assert_array_equal(z0_pred, cache.z0_pred)
         boxes01 = signal_decode(z0_pred, SMALL.scale)
-        for d, row in zip(dets, boxes01):
-            np.testing.assert_allclose(d.box.to_array(), row)
+        assert ((boxes01 >= 0.0) & (boxes01 <= 1.0)).all()
 
     def test_rejects_bad_proposals(self):
         params = init_params(SMALL, np.random.default_rng(9))

@@ -3,11 +3,22 @@
 import numpy as np
 import pytest
 
+import dentdet.train as train_mod
 from dentdet.data import generate_layout, project_level
-from dentdet.diffusion import Schedule
-from dentdet.labels import HierarchyLevel
-from dentdet.manipulate import InferredBoxCache
-from dentdet.model import ModelConfig, encode_image, init_params
+from dentdet.diffusion import NoisyBoxes, Schedule, box_renewal, ddim_step, signal_decode
+from dentdet.geometry import Box, iou
+from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel, mask_for
+from dentdet.manipulate import InferredBoxCache, inference_proposals
+from dentdet.matching import Detection
+from dentdet.model import (
+    ModelConfig,
+    encode_image,
+    forward_features,
+    forward_net,
+    init_params,
+    loss_probs_for_mask,
+    softmax,
+)
 from dentdet.train import (
     ARMS,
     PipelinePlan,
@@ -47,6 +58,78 @@ def _stage(level, **kw):
                 n_proposals=8, seed=0)
     base.update(kw)
     return StageConfig(**base)
+
+
+# ---------------------------------------------------------------------------
+# Object-based sampler: one Detection per decoded proposal and a scalar-IoU
+# NMS, kept as the reference the array sampler must equal exactly.
+
+
+def _oracle_decode(params, grid_feats, z, t, mask, cfg):
+    x = forward_features(cfg, grid_feats, z, t)
+    cache = forward_net(params, x, z)
+    display = {
+        head: softmax(cache.logits[head][:, : HEAD_CLASS_COUNTS[head]])
+        for head in HEAD_NAMES
+    }
+    loss_probs = loss_probs_for_mask(cache.logits, mask)
+    boxes01 = signal_decode(cache.z0_pred, cfg.scale)
+    dets = [
+        Detection(
+            box=Box.from_array(boxes01[i]),
+            probs_q=display["quadrant"][i],
+            probs_e=display["enumeration"][i],
+            probs_d=display["diagnosis"][i],
+            score=float(display[mask.deepest_head][i].max()),
+            loss_probs={h: p[i] for h, p in loss_probs.items()},
+        )
+        for i in range(z.shape[0])
+    ]
+    return dets, cache.z0_pred
+
+
+def _nms_detections(dets, thr):
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    kept = []
+    for i in order:
+        if all(iou(dets[i].box, dets[j].box) <= thr for j in kept):
+            kept.append(i)
+    return [dets[i] for i in kept]
+
+
+def _oracle_infer(params, grids, level, model_cfg, schedule, n_proposals=64,
+                  steps=1, seed=0, eta=0.0, renewal_threshold=0.5, nms_iou=0.5):
+    mask = mask_for(level)
+    times = np.unique(
+        np.round(np.linspace(schedule.T, 0, steps + 1)).astype(int)
+    )[::-1]
+    results = []
+    for img_i, grid in enumerate(grids):
+        rng = np.random.default_rng([seed, img_i])
+        z = inference_proposals(n_proposals, rng, model_cfg.scale)
+        for si in range(len(times) - 1):
+            t, t_next = int(times[si]), int(times[si + 1])
+            dets, z0_pred = _oracle_decode(params, grid, z, float(t), mask, model_cfg)
+            nb = ddim_step(NoisyBoxes(z, t), z0_pred, t, t_next, schedule, eta, rng)
+            if si < len(times) - 2:
+                scores = np.array([d.score for d in dets])
+                nb = box_renewal(scores, nb, renewal_threshold, rng)
+            z = nb.z
+        dets, z0_pred = _oracle_decode(params, grid, z, 0.0, mask, model_cfg)
+        dets, _ = _oracle_decode(params, grid, z0_pred, 0.0, mask, model_cfg)
+        results.append(_nms_detections(dets, nms_iou))
+    return results
+
+
+def _same_detection(a, b):
+    return (
+        a.box == b.box
+        and a.score == b.score
+        and all(np.array_equal(x, y) for x, y in (
+            (a.probs_q, b.probs_q), (a.probs_e, b.probs_e), (a.probs_d, b.probs_d)))
+        and a.loss_probs.keys() == b.loss_probs.keys()
+        and all(np.array_equal(a.loss_probs[h], b.loss_probs[h]) for h in a.loss_probs)
+    )
 
 
 class TestPlan:
@@ -207,6 +290,32 @@ class TestInfer:
         # Processing a prefix gives the same per-image results.
         c = infer(params, grids[:1], HierarchyLevel.QUADRANT_ONLY, CFG, SCHED, seed=7)
         assert [d.box for d in c[0]] == [d.box for d in a[0]]
+
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_equals_object_oracle(self, steps, eta, monkeypatch):
+        level = HierarchyLevel.QUADRANT_ENUM
+        # Large head weights spread the scores, so renewal replaces some rows
+        # and NMS suppresses some boxes.
+        params = init_params(CFG, np.random.default_rng(8), head_scale=0.3)
+        grids = [s.grid_feats for s in _samples(level, n=3)]
+        kw = dict(n_proposals=24, steps=steps, seed=3, eta=eta,
+                  renewal_threshold=0.45, nms_iou=0.4)
+        renewed = []
+
+        def counting(scores, z, score_threshold, rng):
+            renewed.append(int((np.asarray(scores) < score_threshold).sum()))
+            return box_renewal(scores, z, score_threshold, rng)
+
+        monkeypatch.setattr(train_mod, "box_renewal", counting)
+        got = infer(params, grids, level, CFG, SCHED, **kw)
+        want = _oracle_infer(params, grids, level, CFG, SCHED, **kw)
+        if steps > 1:
+            assert 0 < sum(renewed) < len(renewed) * kw["n_proposals"]
+        assert all(len(d) < kw["n_proposals"] for d in want)
+        assert [len(d) for d in got] == [len(d) for d in want]
+        for dg, dw in zip(got, want):
+            assert all(_same_detection(a, b) for a, b in zip(dg, dw))
 
     def test_untrained_scores_uniform(self):
         params = init_params(CFG, np.random.default_rng(5), head_scale=0.0)
