@@ -1,7 +1,7 @@
 """Diffusion-based hierarchical multi-label tooth detection."""
 
 from .diffusion import NoisyBoxes, Schedule, ddim_step, forward_noise, pad_gt_boxes
-from .geometry import Box, giou, iou, nms
+from .geometry import Box, iou, nms
 from .labels import (
     HEAD_NAMES,
     NUM_DIAGNOSES,
@@ -13,7 +13,7 @@ from .labels import (
     mask_for,
 )
 from .manipulate import InferredBox, InferredBoxCache, manipulate_boxes
-from .matching import Detection, LossBreakdown, compute_loss, match
+from .matching import LossBreakdown
 from .model import (
     ModelConfig,
     decode,
@@ -24,6 +24,7 @@ from .model import (
     save_checkpoint,
     transfer_weights,
 )
+from .train import Detection
 
 __version__ = "0.1.0"
 
@@ -43,19 +44,16 @@ __all__ = [
     "NUM_QUADRANTS",
     "NoisyBoxes",
     "Schedule",
-    "compute_loss",
     "ddim_step",
     "decode",
     "encode_image",
     "forward_noise",
-    "giou",
     "init_params",
     "iou",
     "load_checkpoint",
     "loss_gradients",
     "manipulate_boxes",
     "mask_for",
-    "match",
     "nms",
     "pad_gt_boxes",
     "save_checkpoint",

@@ -10,13 +10,20 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import ENV_CONFIG, RunConfig, load_config
+from .config import (
+    DATA_BOUNDS,
+    ENV_CONFIG,
+    TRAIN_BOUNDS,
+    RunConfig,
+    TrainConfig,
+    fraction,
+    load_config,
+)
 from .data import (
     AnnotationError,
     generate_dataset,
@@ -31,6 +38,7 @@ from .manipulate import InferredBoxCache
 from .model import ModelConfig, check_shapes, load_checkpoint, save_checkpoint
 from .train import (
     ARMS,
+    Detection,
     StageConfig,
     TrainingDiverged,
     evaluate_params,
@@ -99,27 +107,25 @@ def _load_params(path: str | None, model_cfg: ModelConfig):
     return params
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def _bounded(convert, check):
+    """argparse type: ``convert`` the text, then apply a config bound."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e))
         return value
 
-    parse.__name__ = "int"  # argparse names the type in its error messages
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
     return parse
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
-    return value
-
-
-_positive_float.__name__ = "float"
+def _train_flag(key: str):
+    """argparse type of a flag overriding ``train.<key>``: parsed as the
+    type of the config default, with the config's bound."""
+    return _bounded(type(getattr(TrainConfig, key)), TRAIN_BOUNDS[key])
 
 
 def _stage_config(cfg: RunConfig, level: HierarchyLevel, args) -> StageConfig:
@@ -161,7 +167,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     if args.cache:
         if not Path(args.cache).exists():
             raise CliError(EXIT_MISSING, f"missing cache file: {args.cache}")
-        cache = InferredBoxCache.load(args.cache)
+        cache = InferredBoxCache.load(args.cache, cfg.infer.cache_threshold)
         stage = dataclasses.replace(stage, use_manipulation=True)
     try:
         params, metrics = train_stage(
@@ -270,7 +276,6 @@ def cmd_infer(args, cfg: RunConfig) -> int:
 
 def cmd_eval(args, cfg: RunConfig) -> int:
     from .evalmetrics import build_report
-    from .matching import Detection
 
     level = _level(args.level)
     data_dir = Path(args.data)
@@ -360,10 +365,13 @@ def cmd_validate(args, cfg: RunConfig) -> int:
 def cmd_split(args, cfg: RunConfig) -> int:
     level = _level(args.level)
     aset = _load_annotations(Path(args.annotations), level)
-    train_ids, val_ids, test_ids = split_manifest(
-        aset, (args.train_frac, args.val_frac, args.test_frac),
-        cfg.train.seed if args.seed is None else args.seed,
-    )
+    try:
+        train_ids, val_ids, test_ids = split_manifest(
+            aset, (args.train_frac, args.val_frac, args.test_frac),
+            cfg.train.seed if args.seed is None else args.seed,
+        )
+    except ValueError as e:
+        raise CliError(EXIT_USAGE, str(e))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, ids in (("train", train_ids), ("val", val_ids), ("test", test_ids)):
@@ -375,11 +383,8 @@ def cmd_split(args, cfg: RunConfig) -> int:
 
 def _stage_arguments(sp: argparse.ArgumentParser) -> None:
     """Overrides of the config's ``train:`` section; out-of-range values exit 2."""
-    sp.add_argument("--iterations", type=_int_at_least(0))
-    sp.add_argument("--batch-size", type=_int_at_least(1))
-    sp.add_argument("--n-proposals", type=_int_at_least(1))
-    sp.add_argument("--seed", type=_int_at_least(0))
-    sp.add_argument("--lr", type=_positive_float)
+    for key in ("iterations", "batch_size", "n_proposals", "seed", "lr"):
+        sp.add_argument("--" + key.replace("_", "-"), type=_train_flag(key))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,10 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("datagen", help="emit a synthetic three-level dataset")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--count", type=_int_at_least(1))
-    sp.add_argument("--seed", type=_int_at_least(0))
-    # Smaller images give tooth boxes of zero pixels.
-    sp.add_argument("--size", type=_int_at_least(16))
+    sp.add_argument("--count", type=_bounded(int, DATA_BOUNDS["count"]))
+    sp.add_argument("--seed", type=_train_flag("seed"))
+    sp.add_argument("--size", type=_bounded(int, DATA_BOUNDS["size"]))
     sp.set_defaults(fn=cmd_datagen)
 
     sp = sub.add_parser("train", help="train a single hierarchy stage")
@@ -423,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--level", required=True)
     sp.add_argument("--images", nargs="+", required=True)
     sp.add_argument("--out")
-    sp.add_argument("--n-proposals", type=_int_at_least(1))
-    sp.add_argument("--seed", type=_int_at_least(0))
+    sp.add_argument("--n-proposals", type=_train_flag("n_proposals"))
+    sp.add_argument("--seed", type=_train_flag("seed"))
     sp.set_defaults(fn=cmd_infer)
 
     sp = sub.add_parser("eval", help="COCO-style report over a labeled set")
@@ -434,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle", action="store_true",
                     help="evaluate ground truth copied as detections")
     sp.add_argument("--out")
-    sp.add_argument("--n-proposals", type=_int_at_least(1))
-    sp.add_argument("--seed", type=_int_at_least(0))
+    sp.add_argument("--n-proposals", type=_train_flag("n_proposals"))
+    sp.add_argument("--seed", type=_train_flag("seed"))
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("render", help="draw labeled boxes onto images")
@@ -453,10 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--annotations", required=True)
     sp.add_argument("--level", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--train-frac", type=float, required=True)
-    sp.add_argument("--val-frac", type=float, required=True)
-    sp.add_argument("--test-frac", type=float, required=True)
-    sp.add_argument("--seed", type=_int_at_least(0))
+    for name in ("--train-frac", "--val-frac", "--test-frac"):
+        sp.add_argument(name, type=_bounded(float, fraction), required=True)
+    sp.add_argument("--seed", type=_train_flag("seed"))
     sp.set_defaults(fn=cmd_split)
     return p
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -19,6 +20,71 @@ from .model import ModelConfig
 ENV_CONFIG = "DENTDET_CONFIG"
 
 
+def at_least(low: int):
+    """Bound: a finite number no smaller than ``low``."""
+
+    def check(value) -> None:
+        if not (math.isfinite(value) and value >= low):
+            raise ValueError(f"must be >= {low}, got {value}")
+
+    return check
+
+
+def positive(value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"must be a positive number, got {value}")
+
+
+def fraction(value) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"must lie in [0, 1], got {value}")
+
+
+def positive_fraction(value) -> None:
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"must lie in (0, 1], got {value}")
+
+
+def sampling_steps(value) -> None:
+    if not 1 <= value <= 8:
+        raise ValueError(f"must lie in 1..8, got {value}")
+
+
+def _check_bounds(section: str, obj, bounds: dict) -> None:
+    """Raise ``ValueError`` naming the first key whose value is out of range."""
+    for key, check in bounds.items():
+        value = getattr(obj, key)
+        try:
+            check(value)
+        except TypeError:
+            raise ValueError(
+                f"{section}.{key} must be a number, got {value!r}"
+            ) from None
+        except ValueError as e:
+            raise ValueError(f"{section}.{key} {e}") from None
+
+
+# Bounds per section, shared with the command line flags that override them.
+SCHEDULE_BOUNDS = {"timesteps": at_least(1), "steps": sampling_steps, "eta": fraction}
+TRAIN_BOUNDS = {
+    "iterations": at_least(0),
+    "batch_size": at_least(1),
+    "lr": positive,
+    "n_proposals": at_least(1),
+    "seed": at_least(0),
+    "weight_decay": at_least(0),
+    "grad_clip": positive,
+    "warmup": at_least(0),
+}
+INFER_BOUNDS = {
+    "nms_iou": fraction,
+    "renewal_threshold": fraction,
+    "cache_threshold": positive_fraction,
+}
+# Smaller images give tooth boxes of zero pixels.
+DATA_BOUNDS = {"size": at_least(16), "count": at_least(1)}
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     timesteps: int = 1000
@@ -27,10 +93,7 @@ class ScheduleConfig:
     eta: float = 1.0  # stochasticity of multi-step sampling; moot when steps=1
 
     def __post_init__(self):
-        if self.timesteps < 1:
-            raise ValueError("timesteps must be >= 1")
-        if not 1 <= self.steps <= 8:
-            raise ValueError("sampling steps must lie in 1..8")
+        _check_bounds("schedule", self, SCHEDULE_BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -45,13 +108,20 @@ class TrainConfig:
     warmup: int = 0
     augment: bool = False
 
+    def __post_init__(self):
+        _check_bounds("train", self, TRAIN_BOUNDS)
+
 
 @dataclass(frozen=True)
 class InferConfig:
     nms_iou: float = 0.5
     renewal_threshold: float = 0.5
+    # The one splice gate: the cache keeps, and training splices, the
+    # previous stage's boxes scoring above it.
     cache_threshold: float = 0.5
-    manip_noise_t: int = 0  # 0 = insert inferred boxes clean
+
+    def __post_init__(self):
+        _check_bounds("infer", self, INFER_BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -59,6 +129,9 @@ class DataConfig:
     dir: str = "dataset"
     size: int = 256
     count: int = 64
+
+    def __post_init__(self):
+        _check_bounds("data", self, DATA_BOUNDS)
 
 
 @dataclass(frozen=True)

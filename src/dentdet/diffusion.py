@@ -94,42 +94,32 @@ def forward_noise(
     return NoisyBoxes(z=np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps, t=t)
 
 
-@dataclass(frozen=True)
-class PadResult:
-    z0: np.ndarray  # (N, 4) signal space
-    n_gt: int  # rows carrying ground-truth boxes (shuffled within the array)
-    truncated: bool
-
-
 def pad_gt_boxes(
     gt: list[Box], n: int, rng: np.random.Generator, scale: float
-) -> PadResult:
-    """Build an N-row signal-space proposal target set from ground truth.
+) -> np.ndarray:
+    """Build an (N, 4) signal-space proposal target set from ground truth.
 
     Ground-truth boxes fill |gt| rows in shuffled order; the rest are random
     boxes drawn Gaussian around the image center with std 1/6 in normalized
-    coordinates.  If |gt| > N a uniformly random subset is kept.
+    coordinates.  Callers keep |gt| <= N (``train_stage`` supervises a
+    random subset when an image has more boxes than proposals).
     """
     if n < 1:
         raise ValueError("proposal count must be >= 1")
-    boxes = [b.to_array() for b in gt]
-    truncated = False
-    if len(boxes) > n:
-        keep = rng.choice(len(boxes), size=n, replace=False)
-        boxes = [boxes[i] for i in sorted(keep)]
-        truncated = True
+    n_gt = len(gt)
+    if n_gt > n:
+        raise ValueError(f"{n_gt} ground-truth boxes exceed {n} proposals")
     arr = np.empty((n, 4), dtype=np.float64)
-    n_gt = len(boxes)
     if n_gt:
         perm = rng.permutation(n_gt)
-        arr[:n_gt] = np.stack(boxes)[perm]
+        arr[:n_gt] = np.stack([b.to_array() for b in gt])[perm]
     n_pad = n - n_gt
     if n_pad:
         pad = rng.normal(0.5, 1.0 / 6.0, size=(n_pad, 4))
         pad[:, :2] = np.clip(pad[:, :2], 0.0, 1.0)
         pad[:, 2:] = np.clip(pad[:, 2:], 0.01, 1.0)
         arr[n_gt:] = pad
-    return PadResult(z0=signal_encode(arr, scale), n_gt=n_gt, truncated=truncated)
+    return signal_encode(arr, scale)
 
 
 def ddim_step(

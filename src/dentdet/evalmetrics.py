@@ -281,20 +281,13 @@ def detections_to_eval(dets, task: str):
     """Convert decoder detections to (box, class, score) triples for a task.
 
     The per-class score is the display probability of the argmax class,
-    weighted by objectness (one minus the background probability of the
-    deepest supervised head) when available.
+    weighted by the detection's objectness.
     """
     out = []
     for d in dets:
         probs = d.display_probs(task)
         cls = int(np.argmax(probs))
-        score = float(probs[cls])
-        if d.loss_probs:
-            deepest = list(d.loss_probs)[-1]
-            full = d.loss_probs[deepest]
-            if full.shape[0] == HEAD_CLASS_COUNTS[deepest] + 1:
-                score *= 1.0 - float(full[-1])
-        out.append((d.box, cls, score))
+        out.append((d.box, cls, float(probs[cls]) * d.objectness))
     return tuple(out)
 
 

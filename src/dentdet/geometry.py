@@ -82,23 +82,6 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def giou(a: Box, b: Box) -> float:
-    """Generalized IoU in [-1, 1]: IoU minus the enclosing-hull penalty."""
-    ax1, ay1, ax2, ay2 = a.to_xyxy()
-    bx1, by1, bx2, by2 = b.to_xyxy()
-    hull_w = max(ax2, bx2) - min(ax1, bx1)
-    hull_h = max(ay2, by2) - min(ay1, by1)
-    hull = hull_w * hull_h
-    if hull <= 0:
-        return 0.0
-    iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
-    ih = max(0.0, min(ay2, by2) - max(ay1, by1))
-    inter = iw * ih
-    union = a.area() + b.area() - inter
-    base = inter / union if union > 0 else 0.0
-    return base - (hull - union) / hull
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (..., N, 4) and (..., M, 4) center-size arrays.
 

@@ -16,8 +16,6 @@ from .diffusion import signal_encode
 from .geometry import Box
 from .labels import HierarchyLevel
 
-DEFAULT_SCORE_THRESHOLD = 0.5
-
 
 @dataclass(frozen=True)
 class InferredBox:
@@ -30,10 +28,12 @@ class InferredBox:
 class InferredBoxCache:
     """Per-image confident detections produced by a completed prior stage.
 
-    ``reads`` counts cache lookups so pipelines can prove that manipulation
-    was (or was not) exercised.
+    ``threshold`` is the confidence gate the cache was built with; training
+    splices the entries scoring above it.  ``reads`` counts cache lookups so
+    pipelines can prove that manipulation was (or was not) exercised.
     """
 
+    threshold: float
     entries: dict[str, list[InferredBox]] = field(default_factory=dict)
     reads: int = 0
 
@@ -62,8 +62,8 @@ class InferredBoxCache:
                     )
 
     @staticmethod
-    def load(path) -> "InferredBoxCache":
-        cache = InferredBoxCache()
+    def load(path, threshold: float) -> "InferredBoxCache":
+        cache = InferredBoxCache(threshold)
         with open(path, "r", encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
                 line = line.strip()
@@ -85,7 +85,7 @@ class InferredBoxCache:
 def manipulate_boxes(
     noisy: np.ndarray,
     inferred: list[InferredBox],
-    score_threshold: float = DEFAULT_SCORE_THRESHOLD,
+    score_threshold: float,
     scale: float = 2.0,
 ) -> np.ndarray:
     """Replace the trailing k noisy rows with confident inferred boxes.

@@ -9,40 +9,13 @@ the deepest supervised head only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import Box, cxcywh_to_xyxy, giou_matrix
-from .labels import HEAD_CLASS_COUNTS, HeadMask, LabelTriple
-
-
-@dataclass
-class Detection:
-    """One decoded proposal: box, per-head class distributions, confidence."""
-
-    box: Box
-    probs_q: np.ndarray
-    probs_e: np.ndarray
-    probs_d: np.ndarray
-    score: float
-    # Background-aware distributions per supervised head, filled by
-    # ``train.infer``; required for matching and loss computation.
-    loss_probs: dict[str, np.ndarray] | None = field(default=None, repr=False)
-
-    def display_probs(self, head: str) -> np.ndarray:
-        return {
-            "quadrant": self.probs_q,
-            "enumeration": self.probs_e,
-            "diagnosis": self.probs_d,
-        }[head]
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    pairs: tuple[tuple[int, int], ...]  # (pred_index, gt_index), one per gt
-    unmatched_preds: tuple[int, ...]
+from .geometry import cxcywh_to_xyxy, giou_matrix
+from .labels import HeadMask, LabelTriple
 
 
 @dataclass(frozen=True)
@@ -53,16 +26,6 @@ class LossBreakdown:
     l1: float
     giou: float
     total: float
-
-
-def _gt_arrays(gts: list[tuple[Box, LabelTriple]]):
-    boxes = (
-        np.stack([b.to_array() for b, _ in gts])
-        if gts
-        else np.zeros((0, 4), dtype=np.float64)
-    )
-    labels = [lab for _, lab in gts]
-    return boxes, labels
 
 
 def _cost_matrix(probs, boxes01, gt_boxes, gt_labels, mask: HeadMask, cfg):
@@ -99,37 +62,6 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
 def match_arrays(probs, boxes01, gt_boxes, gt_labels, mask: HeadMask, cfg):
     cost = _cost_matrix(probs, boxes01, gt_boxes, gt_labels, mask, cfg)
     return solve_assignment(cost)
-
-
-def match(
-    preds: list[Detection],
-    gts: list[tuple[Box, LabelTriple]],
-    mask: HeadMask,
-    cfg=None,
-) -> MatchResult:
-    """Minimum-cost one-to-one assignment of ground truth to predictions."""
-    from .model import ModelConfig
-
-    cfg = cfg or ModelConfig()
-    if len(gts) > len(preds):
-        raise ValueError("cannot match more ground-truth boxes than predictions")
-    boxes01 = np.stack([d.box.to_array() for d in preds])
-    probs = _loss_probs_of(preds, mask)
-    gt_boxes, gt_labels = _gt_arrays(gts)
-    pairs = match_arrays(probs, boxes01, gt_boxes, gt_labels, mask, cfg)
-    matched = {i for i, _ in pairs}
-    unmatched = tuple(i for i in range(len(preds)) if i not in matched)
-    return MatchResult(pairs=tuple(pairs), unmatched_preds=unmatched)
-
-
-def _loss_probs_of(preds: list[Detection], mask: HeadMask):
-    for d in preds:
-        if d.loss_probs is None:
-            raise ValueError("detections lack loss_probs; run them through decode")
-    return {
-        head: np.stack([d.loss_probs[head] for d in preds])
-        for head in mask.active_heads
-    }
 
 
 def _focal(p_t: np.ndarray, gamma: float):
@@ -295,23 +227,3 @@ def loss_forward_backward(
 
 def _short(head: str) -> str:
     return {"quadrant": "cls_q", "enumeration": "cls_e", "diagnosis": "cls_d"}[head]
-
-
-def compute_loss(
-    preds: list[Detection],
-    gts: list[tuple[Box, LabelTriple]],
-    matchres: MatchResult,
-    mask: HeadMask,
-    cfg=None,
-) -> LossBreakdown:
-    """Loss breakdown for already-matched predictions (no gradients)."""
-    from .model import ModelConfig
-
-    cfg = cfg or ModelConfig()
-    boxes01 = np.stack([d.box.to_array() for d in preds])
-    probs = _loss_probs_of(preds, mask)
-    gt_boxes, gt_labels = _gt_arrays(gts)
-    breakdown, _, _ = loss_forward_backward(
-        probs, boxes01, gt_boxes, gt_labels, list(matchres.pairs), mask, cfg
-    )
-    return breakdown

@@ -29,7 +29,6 @@ from .evalmetrics import EvalReport, build_report
 from .geometry import Box, iou, nms  # noqa: F401  (perfbench counts iou calls)
 from .labels import HeadMask, HierarchyLevel, mask_for
 from .manipulate import InferredBoxCache, inference_proposals, manipulate_boxes
-from .matching import Detection
 from .model import (
     BatchItem,
     ModelConfig,
@@ -38,8 +37,8 @@ from .model import (
     encode_image,
     init_params,
     loss_gradients,
-    loss_probs_for_mask,
     save_checkpoint,
+    softmax,
     transfer_weights,
 )
 
@@ -231,15 +230,15 @@ def train_stage(
                     # so the one-to-one assignment stays feasible.
                     keep = rng.choice(len(gts), size=cfg.n_proposals, replace=False)
                     gts = [gts[i] for i in sorted(keep)]
-                pad = pad_gt_boxes(
+                z0 = pad_gt_boxes(
                     [b for b, _ in gts], cfg.n_proposals, rng, model_cfg.scale
                 )
                 t = int(rng.integers(1, schedule.T + 1))
-                noisy = forward_noise(pad.z0, t, schedule, rng)
-                z = noisy.z
+                z = forward_noise(z0, t, schedule, rng).z
                 if cfg.use_manipulation:
                     z = manipulate_boxes(
-                        z, cache.get(s.image_id), scale=model_cfg.scale
+                        z, cache.get(s.image_id), cache.threshold,
+                        scale=model_cfg.scale,
                     )
                 gt_boxes = (
                     np.stack([b.to_array() for b, _ in gts])
@@ -309,6 +308,30 @@ def train_stage(
     return params, metrics
 
 
+@dataclass
+class Detection:
+    """One detected box: per-head class distributions and confidences.
+
+    ``probs_*`` are softmaxed over each head's foreground classes; ``score``
+    is the largest probability of the deepest supervised head, and
+    ``objectness`` is one minus that head's background probability.
+    """
+
+    box: Box
+    probs_q: np.ndarray
+    probs_e: np.ndarray
+    probs_d: np.ndarray
+    score: float
+    objectness: float = 1.0
+
+    def display_probs(self, head: str) -> np.ndarray:
+        return {
+            "quadrant": self.probs_q,
+            "enumeration": self.probs_e,
+            "diagnosis": self.probs_d,
+        }[head]
+
+
 def _kept_detections(
     boxes01: np.ndarray,
     probs: dict[str, np.ndarray],
@@ -318,7 +341,7 @@ def _kept_detections(
     mask: HeadMask,
 ) -> list[Detection]:
     """Detection objects for the rows NMS kept, in its order."""
-    loss_probs = loss_probs_for_mask({h: l[kept] for h, l in logits.items()}, mask)
+    objectness = 1.0 - softmax(logits[mask.deepest_head][kept])[:, -1]
     return [
         Detection(
             box=Box.from_array(boxes01[i]),
@@ -326,7 +349,7 @@ def _kept_detections(
             probs_e=probs["enumeration"][i],
             probs_d=probs["diagnosis"][i],
             score=float(scores[i]),
-            loss_probs={h: p[r] for h, p in loss_probs.items()},
+            objectness=float(objectness[r]),
         )
         for r, i in enumerate(kept)
     ]
@@ -397,8 +420,9 @@ def build_cache(
     renewal_threshold: float = 0.5,
     nms_iou: float = 0.5,
 ) -> InferredBoxCache:
-    """Run inference over the next stage's images and cache confident boxes."""
-    cache = InferredBoxCache()
+    """Run inference over the next stage's images and cache the boxes that
+    score above ``threshold``, the gate training splices them with."""
+    cache = InferredBoxCache(threshold)
     dets_per_image = infer(
         params,
         [s.grid_feats for s in samples],
@@ -500,8 +524,8 @@ def run_pipeline(
     """Execute the three stages honoring the arm's mechanism flags.
 
     Cache building and held-out scoring sample with ``infer_steps``,
-    ``eta``, ``renewal_threshold`` and ``nms_iou``; the cache keeps boxes
-    scoring above ``cache_threshold``.
+    ``eta``, ``renewal_threshold`` and ``nms_iou``; the cache keeps, and
+    training splices, the boxes scoring above ``cache_threshold``.
     """
     sampler = dict(eta=eta, renewal_threshold=renewal_threshold, nms_iou=nms_iou)
     for stage in plan.stages:

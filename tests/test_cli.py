@@ -324,3 +324,96 @@ def test_out_of_range_override_is_usage_error(command, flag, value, tmp_path, ca
     assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, command, message", [
+    ("train:\n  n_proposals: 0\n",
+     ["train", "--data", "d", "--level", "a", "--out", "o"],
+     "train.n_proposals must be >= 1, got 0"),
+    ("schedule:\n  steps: 2\n  eta: 2.0\n",
+     ["infer", "--checkpoint", "c.bin", "--level", "a", "--images", "x.pgm"],
+     "schedule.eta must lie in [0, 1], got 2.0"),
+    ("infer:\n  nms_iou: -1\n",
+     ["infer", "--checkpoint", "c.bin", "--level", "a", "--images", "x.pgm"],
+     "infer.nms_iou must lie in [0, 1], got -1"),
+    ("infer:\n  cache_threshold: 0\n",
+     ["pipeline", "--data", "d", "--out", "o"],
+     "infer.cache_threshold must lie in (0, 1], got 0"),
+    ("data:\n  size: 8\n",
+     ["datagen", "--out", "o"],
+     "data.size must be >= 16, got 8"),
+])
+def test_out_of_range_config_is_usage_error(section, command, message, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(section)
+    assert main(["--config", str(path), *command]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("level, fractions, message", [
+    ("c", ("0.5", "0.4", "0.0"), "split fractions must sum to 1"),
+    ("a", ("0.5", "0.25", "0.25"), "test splits require fully labeled data"),
+])
+def test_split_rejects_bad_fractions(level, fractions, message, dataset, cfg_path,
+                                     tmp_path, capsys):
+    ann = {"a": "annotations_quadrant.json",
+           "c": "annotations_quadrant_enumeration_diagnosis.json"}[level]
+    capsys.readouterr()
+    assert main(["--config", cfg_path, "split",
+                 "--annotations", str(dataset / ann), "--level", level,
+                 "--out", str(tmp_path / "splits"),
+                 "--train-frac", fractions[0], "--val-frac", fractions[1],
+                 "--test-frac", fractions[2]]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "splits").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--train-frac", "1.5"), ("--val-frac", "-0.5"), ("--test-frac", "nan"),
+])
+def test_split_fraction_outside_unit_interval_is_usage_error(flag, value, capsys):
+    fractions = {"--train-frac": "1", "--val-frac": "0", "--test-frac": "0"}
+    fractions[flag] = value
+    with pytest.raises(SystemExit) as exc:
+        main(["split", "--annotations", "a.json", "--level", "c", "--out", "o",
+              *[part for item in fractions.items() for part in item]])
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument {flag}: must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_train_cache_splices_above_the_config_gate(dataset, tmp_path, monkeypatch):
+    import dentdet.train
+    from dentdet.data import load_annotations
+    from dentdet.diffusion import signal_encode
+    from dentdet.labels import HierarchyLevel
+    from dentdet.manipulate import manipulate_boxes
+
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(SMALL_CFG + "infer:\n  cache_threshold: 0.3\n")
+    aset = load_annotations(
+        dataset / "annotations_quadrant_enumeration.json", HierarchyLevel.QUADRANT_ENUM
+    )
+    box = [0.3, 0.4, 0.1, 0.2]
+    cache = tmp_path / "inferred_boxes.tsv"
+    cache.write_text("".join(
+        "\t".join([info.id, "quadrant", *map(repr, box), "0.4"]) + "\n"
+        for info in aset.images
+    ))
+    calls = []
+
+    def recorder(noisy, inferred, score_threshold, scale):
+        out = manipulate_boxes(noisy, inferred, score_threshold, scale=scale)
+        calls.append((score_threshold, out))
+        return out
+
+    monkeypatch.setattr(dentdet.train, "manipulate_boxes", recorder)
+    assert main(["--config", str(cfg_path), "train", "--data", str(dataset),
+                 "--level", "b", "--out", str(tmp_path / "run"),
+                 "--cache", str(cache)]) == EXIT_OK
+    assert len(calls) == 3 * 2  # iterations x batch size
+    want = signal_encode(np.array(box), ModelConfig().scale)
+    for threshold, out in calls:
+        assert threshold == 0.3
+        np.testing.assert_array_equal(out[-1], want)

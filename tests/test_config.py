@@ -67,3 +67,44 @@ def test_fingerprint_tracks_content(tmp_path):
     assert a.fingerprint() != b.fingerprint()
     assert a.fingerprint() == RunConfig().fingerprint()
     assert len(a.fingerprint()) == 16
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("train", "n_proposals", 0, "train.n_proposals must be >= 1, got 0"),
+    ("train", "batch_size", 0, "train.batch_size must be >= 1"),
+    ("train", "iterations", -1, "train.iterations must be >= 0"),
+    ("train", "seed", -1, "train.seed must be >= 0"),
+    ("train", "warmup", -5, "train.warmup must be >= 0"),
+    ("train", "lr", 0.0, "train.lr must be a positive number"),
+    ("train", "lr", ".nan", "train.lr must be a positive number, got nan"),
+    ("train", "weight_decay", -0.1, "train.weight_decay must be >= 0"),
+    ("train", "grad_clip", 0.0, "train.grad_clip must be a positive number"),
+    ("train", "n_proposals", "many", "train.n_proposals must be a number"),
+    ("schedule", "eta", 2.0, "schedule.eta must lie in [0, 1], got 2.0"),
+    ("schedule", "eta", -0.5, "schedule.eta must lie in [0, 1]"),
+    ("schedule", "timesteps", 0, "schedule.timesteps must be >= 1"),
+    ("infer", "nms_iou", -1, "infer.nms_iou must lie in [0, 1], got -1"),
+    ("infer", "renewal_threshold", 1.5, "infer.renewal_threshold must lie in [0, 1]"),
+    ("infer", "cache_threshold", 0.0, "infer.cache_threshold must lie in (0, 1]"),
+    ("infer", "cache_threshold", 1.1, "infer.cache_threshold must lie in (0, 1]"),
+    ("data", "size", 8, "data.size must be >= 16, got 8"),
+    ("data", "count", 0, "data.count must be >= 1, got 0"),
+])
+def test_out_of_range_value_names_the_key(tmp_path, section, key, value, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"{section}:\n  {key}: {value}\n")  # values are YAML text
+    with pytest.raises(ValueError) as exc:
+        load_config(path)
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("text", [
+    "train:\n  n_proposals: 1\n  iterations: 0\n  seed: 0\n  warmup: 0\n  weight_decay: 0\n",
+    "schedule:\n  eta: 0\n  steps: 8\ninfer:\n  nms_iou: 1\n  renewal_threshold: 0\n"
+    "  cache_threshold: 1\n",
+    "data:\n  size: 16\n  count: 1\n",
+])
+def test_boundary_values_accepted(tmp_path, text):
+    path = tmp_path / "edge.yaml"
+    path.write_text(text)
+    load_config(path)

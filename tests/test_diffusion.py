@@ -119,37 +119,33 @@ class TestForwardNoise:
 class TestPadGtBoxes:
     def test_full_gt_is_permutation(self):
         gt = [Box(0.1 * i + 0.1, 0.2, 0.1, 0.1) for i in range(4)]
-        res = pad_gt_boxes(gt, 4, np.random.default_rng(0), 2.0)
-        assert res.n_gt == 4 and not res.truncated
-        decoded = signal_decode(res.z0, 2.0)
+        z0 = pad_gt_boxes(gt, 4, np.random.default_rng(0), 2.0)
+        assert z0.shape == (4, 4)
+        decoded = signal_decode(z0, 2.0)
         want = sorted(map(tuple, [b.to_array() for b in gt]))
         got = sorted(map(tuple, decoded))
         assert np.allclose(want, got, atol=1e-12)
 
     def test_empty_gt_gives_valid_random_boxes(self):
-        res = pad_gt_boxes([], 16, np.random.default_rng(1), 2.0)
-        assert res.n_gt == 0
-        x = signal_decode(res.z0, 2.0)
+        z0 = pad_gt_boxes([], 16, np.random.default_rng(1), 2.0)
+        assert z0.shape == (16, 4)
+        x = signal_decode(z0, 2.0)
         assert np.all(x[:, :2] >= 0) and np.all(x[:, :2] <= 1)
         assert np.all(x[:, 2:] >= MIN_SIZE) and np.all(x[:, 2:] <= 1)
 
     def test_three_gt_among_eight(self):
         gt = [Box(0.2, 0.2, 0.1, 0.1), Box(0.5, 0.5, 0.2, 0.2), Box(0.8, 0.8, 0.1, 0.3)]
-        res = pad_gt_boxes(gt, 8, np.random.default_rng(2), 2.0)
-        decoded = signal_decode(res.z0, 2.0)
+        z0 = pad_gt_boxes(gt, 8, np.random.default_rng(2), 2.0)
+        decoded = signal_decode(z0, 2.0)
         hits = 0
         for b in gt:
             hits += any(np.allclose(row, b.to_array(), atol=1e-12) for row in decoded)
-        assert hits == 3 and res.n_gt == 3
+        assert hits == 3
 
-    def test_truncation_keeps_subset(self):
+    def test_rejects_more_boxes_than_proposals(self):
         gt = [Box(0.1 * i + 0.05, 0.5, 0.05, 0.05) for i in range(9)]
-        res = pad_gt_boxes(gt, 4, np.random.default_rng(3), 2.0)
-        assert res.truncated and res.n_gt == 4
-        decoded = signal_decode(res.z0, 2.0)
-        originals = [b.to_array() for b in gt]
-        for row in decoded:
-            assert any(np.allclose(row, o, atol=1e-12) for o in originals)
+        with pytest.raises(ValueError, match="9 ground-truth boxes exceed 4"):
+            pad_gt_boxes(gt, 4, np.random.default_rng(3), 2.0)
 
     def test_rejects_zero_proposals(self):
         with pytest.raises(ValueError):

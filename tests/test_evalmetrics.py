@@ -17,7 +17,7 @@ from dentdet.evalmetrics import (
 )
 from dentdet.geometry import Box, iou
 from dentdet.labels import HEAD_CLASS_COUNTS, LabelTriple
-from dentdet.matching import Detection
+from dentdet.train import Detection
 
 # ---------------------------------------------------------------------------
 # Scalar oracle: the scorer as first written, one (class, IoU threshold,
@@ -518,16 +518,14 @@ class TestReport:
 
 class TestDetectionsToEval:
     def test_objectness_weighting(self):
-        probs_q = np.array([0.1, 0.7, 0.1, 0.1])
-        loss = {"quadrant": np.array([0.08, 0.56, 0.08, 0.08, 0.2])}
         d = Detection(
             box=Box(0.5, 0.5, 0.2, 0.2),
-            probs_q=probs_q,
+            probs_q=np.array([0.1, 0.7, 0.1, 0.1]),
             probs_e=np.full(8, 0.125),
             probs_d=np.full(4, 0.25),
             score=0.7,
-            loss_probs=loss,
+            objectness=0.8,
         )
         (box, cls, score) = detections_to_eval([d], "quadrant")[0]
         assert cls == 1
-        assert score == pytest.approx(0.7 * (1 - 0.2))
+        assert score == 0.7 * 0.8

@@ -9,7 +9,6 @@ from dentdet.geometry import (
     MIN_SIZE,
     Box,
     cxcywh_to_xyxy,
-    giou,
     giou_matrix,
     iou,
     iou_matrix,
@@ -20,6 +19,22 @@ from dentdet.geometry import (
 coords = st.floats(0.0, 1.0, allow_nan=False)
 sizes = st.floats(0.01, 1.0, allow_nan=False)
 boxes = st.builds(Box, coords, coords, sizes, sizes)
+
+
+def giou(a: Box, b: Box) -> float:
+    """Scalar generalized IoU in [-1, 1], the oracle for ``giou_matrix``:
+    IoU minus the enclosing-hull penalty."""
+    ax1, ay1, ax2, ay2 = a.to_xyxy()
+    bx1, by1, bx2, by2 = b.to_xyxy()
+    hull = (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
+    if hull <= 0:
+        return 0.0
+    iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
+    ih = max(0.0, min(ay2, by2) - max(ay1, by1))
+    inter = iw * ih
+    union = a.area() + b.area() - inter
+    base = inter / union if union > 0 else 0.0
+    return base - (hull - union) / hull
 
 
 def test_xyxy_round_trip_identity():

@@ -20,7 +20,7 @@ def _ib(cx, score, stage=HierarchyLevel.QUADRANT_ONLY):
 
 class TestCache:
     def test_add_get_and_read_counter(self):
-        cache = InferredBoxCache()
+        cache = InferredBoxCache(0.5)
         cache.add("img0", Box(0.5, 0.5, 0.1, 0.1), 0.9, HierarchyLevel.QUADRANT_ONLY)
         assert len(cache) == 1
         assert cache.reads == 0
@@ -30,13 +30,13 @@ class TestCache:
         assert cache.reads == 2
 
     def test_rejects_nan_score(self):
-        cache = InferredBoxCache()
+        cache = InferredBoxCache(0.5)
         with pytest.raises(ValueError):
             cache.add("x", Box(0.5, 0.5, 0.1, 0.1), float("nan"),
                       HierarchyLevel.QUADRANT_ONLY)
 
     def test_save_load_round_trip(self, tmp_path):
-        cache = InferredBoxCache()
+        cache = InferredBoxCache(0.5)
         rng = np.random.default_rng(0)
         for i in range(20):
             cache.add(
@@ -47,7 +47,8 @@ class TestCache:
             )
         path = tmp_path / "cache.tsv"
         cache.save(path)
-        back = InferredBoxCache.load(path)
+        back = InferredBoxCache.load(path, 0.5)
+        assert back.threshold == 0.5
         assert len(back) == len(cache)
         for image_id, entries in cache.entries.items():
             assert back.entries[image_id] == entries  # bit-exact floats via repr
@@ -56,25 +57,25 @@ class TestCache:
         path = tmp_path / "bad.tsv"
         path.write_text("img0\tquadrant\t0.5\t0.5\n")
         with pytest.raises(ValueError):
-            InferredBoxCache.load(path)
+            InferredBoxCache.load(path, 0.5)
 
 
 class TestManipulate:
     def test_empty_cache_is_identity(self):
         noisy = np.random.default_rng(0).normal(size=(8, 4))
-        out = manipulate_boxes(noisy, [])
+        out = manipulate_boxes(noisy, [], 0.5)
         np.testing.assert_array_equal(out, noisy)
         assert out is not noisy  # caller may mutate freely
 
     def test_below_threshold_ignored(self):
         noisy = np.random.default_rng(1).normal(size=(8, 4))
-        out = manipulate_boxes(noisy, [_ib(0.3, 0.2), _ib(0.6, 0.5)])
+        out = manipulate_boxes(noisy, [_ib(0.3, 0.2), _ib(0.6, 0.5)], 0.5)
         np.testing.assert_array_equal(out, noisy)  # 0.5 is not > 0.5
 
     def test_confident_boxes_fill_trailing_rows_clean(self):
         noisy = np.random.default_rng(2).normal(size=(8, 4))
         inferred = [_ib(0.2, 0.8), _ib(0.7, 0.9)]
-        out = manipulate_boxes(noisy, inferred, scale=2.0)
+        out = manipulate_boxes(noisy, inferred, 0.5, scale=2.0)
         assert out.shape == (8, 4)
         np.testing.assert_array_equal(out[:6], noisy[:6])
         want = signal_encode(
@@ -86,7 +87,7 @@ class TestManipulate:
         noisy = np.random.default_rng(3).normal(size=(3, 4))
         inferred = [_ib(0.1, 0.6), _ib(0.2, 0.95), _ib(0.3, 0.7),
                     _ib(0.4, 0.9), _ib(0.5, 0.8)]
-        out = manipulate_boxes(noisy, inferred, scale=2.0)
+        out = manipulate_boxes(noisy, inferred, 0.5, scale=2.0)
         # Top 3 scores are 0.95, 0.9, 0.8 (inputs 1, 3, 4); order preserved.
         want = signal_encode(
             np.stack([inferred[i].box.to_array() for i in (1, 3, 4)]), 2.0
@@ -96,7 +97,7 @@ class TestManipulate:
     def test_score_tie_prefers_earlier_input(self):
         noisy = np.random.default_rng(4).normal(size=(1, 4))
         inferred = [_ib(0.1, 0.8), _ib(0.9, 0.8)]
-        out = manipulate_boxes(noisy, inferred, scale=2.0)
+        out = manipulate_boxes(noisy, inferred, 0.5, scale=2.0)
         want = signal_encode(inferred[0].box.to_array()[None], 2.0)
         np.testing.assert_array_equal(out, want)
 
@@ -105,6 +106,11 @@ class TestManipulate:
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 manipulate_boxes(noisy, [], score_threshold=bad)
+
+    def test_threshold_has_no_default(self):
+        # The caller passes its cache's gate; there is no hidden second one.
+        with pytest.raises(TypeError):
+            manipulate_boxes(np.zeros((2, 4)), [])
 
     def test_threshold_one_is_identity(self):
         # No score can exceed 1.0, so the gate admits nothing.
@@ -121,7 +127,7 @@ class TestManipulate:
                 _ib(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0, 1)))
                 for _ in range(int(rng.integers(0, 16)))
             ]
-            assert manipulate_boxes(noisy, inferred).shape == (n, 4)
+            assert manipulate_boxes(noisy, inferred, 0.5).shape == (n, 4)
 
 
 class TestInferenceProposals:

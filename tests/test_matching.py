@@ -1,18 +1,18 @@
 """Hungarian matching against a brute-force oracle, and the masked loss."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from dentdet.geometry import Box, giou
+from dentdet.geometry import Box
 from dentdet.labels import HeadMask, HierarchyLevel, LabelTriple, mask_for
 from dentdet.matching import (
-    Detection,
-    MatchResult,
+    LossBreakdown,
     _cost_matrix,
-    compute_loss,
-    match,
+    loss_forward_backward,
+    match_arrays,
     solve_assignment,
 )
 from dentdet.model import ModelConfig
@@ -20,8 +20,55 @@ from dentdet.model import ModelConfig
 CFG = ModelConfig()
 
 
-def _det(box, q=None, e=None, d=None, mask=HeadMask(1, 1, 1), score=0.5):
-    """Detection with near-one-hot loss distributions (None = uniform)."""
+# ---------------------------------------------------------------------------
+# Object-list oracles over the array API: a prediction carries its box and
+# the background-aware distributions of ``model.loss_probs_for_mask``.
+
+
+@dataclass
+class _Pred:
+    box: Box
+    loss_probs: dict
+
+
+@dataclass(frozen=True)
+class MatchResult:
+    pairs: tuple[tuple[int, int], ...]  # (pred_index, gt_index), one per gt
+    unmatched_preds: tuple[int, ...]
+
+
+def _arrays(preds, gts, mask):
+    boxes01 = np.stack([p.box.to_array() for p in preds])
+    probs = {
+        head: np.stack([p.loss_probs[head] for p in preds])
+        for head in mask.active_heads
+    }
+    gt_boxes = (
+        np.stack([b.to_array() for b, _ in gts]) if gts else np.zeros((0, 4))
+    )
+    return probs, boxes01, gt_boxes, [lab for _, lab in gts]
+
+
+def match(preds, gts, mask, cfg=CFG) -> MatchResult:
+    """Minimum-cost one-to-one assignment of ground truth to predictions."""
+    if len(gts) > len(preds):
+        raise ValueError("cannot match more ground-truth boxes than predictions")
+    pairs = match_arrays(*_arrays(preds, gts, mask), mask, cfg)
+    matched = {i for i, _ in pairs}
+    unmatched = tuple(i for i in range(len(preds)) if i not in matched)
+    return MatchResult(pairs=tuple(pairs), unmatched_preds=unmatched)
+
+
+def compute_loss(preds, gts, matchres, mask, cfg=CFG) -> LossBreakdown:
+    """Loss breakdown for already-matched predictions (no gradients)."""
+    breakdown, _, _ = loss_forward_backward(
+        *_arrays(preds, gts, mask), list(matchres.pairs), mask, cfg
+    )
+    return breakdown
+
+
+def _det(box, q=None, e=None, d=None, mask=HeadMask(1, 1, 1)):
+    """Prediction with near-one-hot loss distributions (None = uniform)."""
 
     def dist(k, idx):
         if idx is None:
@@ -35,14 +82,7 @@ def _det(box, q=None, e=None, d=None, mask=HeadMask(1, 1, 1), score=0.5):
         if head in mask.active_heads:
             extra = 1 if head == mask.deepest_head else 0
             loss_probs[head] = dist(k + extra, idx)
-    return Detection(
-        box=box,
-        probs_q=dist(4, q),
-        probs_e=dist(8, e),
-        probs_d=dist(4, d),
-        score=score,
-        loss_probs=loss_probs,
-    )
+    return _Pred(box=box, loss_probs=loss_probs)
 
 
 def _brute_force_min(cost):
@@ -125,7 +165,9 @@ class TestMatch:
             probs, pb.to_array()[None], gb.to_array()[None], [LabelTriple(1)],
             mask, CFG,
         )
-        want = 2 * (1 - 0.2) + 5 * 0.1 + 2 * (1 - giou(pb, gb))
+        # Overlap 0.1 x 0.2 of two 0.04 boxes: IoU 0.02 / 0.06, and the
+        # 0.3 x 0.2 hull equals the union, so GIoU = IoU = 1/3.
+        want = 2 * (1 - 0.2) + 5 * 0.1 + 2 * (1 - 1 / 3)
         assert cost[0, 0] == pytest.approx(want, abs=1e-9)
 
     def test_masked_head_probs_do_not_affect_matching(self):
@@ -221,15 +263,3 @@ class TestComputeLoss:
         want = (1 - 0.2) ** 2 * -np.log(0.2)
         assert bd.cls_q == pytest.approx(want, rel=1e-12)
         assert bd.l1 == 0.0 and bd.giou == 0.0
-
-    def test_requires_loss_probs(self):
-        mask = HeadMask(1, 0, 0)
-        d = Detection(
-            box=Box(0.5, 0.5, 0.1, 0.1),
-            probs_q=np.full(4, 0.25),
-            probs_e=np.full(8, 0.125),
-            probs_d=np.full(4, 0.25),
-            score=0.25,
-        )
-        with pytest.raises(ValueError):
-            match([d], [(Box(0.5, 0.5, 0.1, 0.1), LabelTriple(0))], mask)

@@ -4,11 +4,9 @@ import numpy as np
 
 from dentdet.geometry import Box
 from dentdet.labels import LabelTriple
-from dentdet.matching import Detection
 from dentdet.render import (
     FONT_5X7,
     caption,
-    detection_caption,
     draw_box,
     draw_text,
     render_overlay,
@@ -19,17 +17,6 @@ def test_caption_levels():
     assert caption(LabelTriple(0)) == "Q1"
     assert caption(LabelTriple(2, 5)) == "Q3 N36"
     assert caption(LabelTriple(1, 0, 2)) == "Q2 N21 DPERIAPICAL LESION"
-
-
-def test_detection_caption_uses_argmax():
-    d = Detection(
-        box=Box(0.5, 0.5, 0.2, 0.2),
-        probs_q=np.array([0.1, 0.6, 0.2, 0.1]),
-        probs_e=np.eye(8)[4],
-        probs_d=np.eye(4)[3],
-        score=0.6,
-    )
-    assert detection_caption(d) == "Q2 N25 DIMPACTED"
 
 
 def test_font_covers_needed_glyphs():

@@ -5,11 +5,17 @@ import pytest
 
 import dentdet.train as train_mod
 from dentdet.data import generate_layout, project_level
-from dentdet.diffusion import NoisyBoxes, Schedule, box_renewal, ddim_step, signal_decode
+from dentdet.diffusion import (
+    NoisyBoxes,
+    Schedule,
+    box_renewal,
+    ddim_step,
+    signal_decode,
+    signal_encode,
+)
 from dentdet.geometry import Box, iou
 from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel, mask_for
-from dentdet.manipulate import InferredBoxCache, inference_proposals
-from dentdet.matching import Detection
+from dentdet.manipulate import InferredBoxCache, inference_proposals, manipulate_boxes
 from dentdet.model import (
     ModelConfig,
     encode_image,
@@ -21,6 +27,7 @@ from dentdet.model import (
 )
 from dentdet.train import (
     ARMS,
+    Detection,
     PipelinePlan,
     StageConfig,
     TrainingDiverged,
@@ -81,7 +88,7 @@ def _oracle_decode(params, grid_feats, z, t, mask, cfg):
             probs_e=display["enumeration"][i],
             probs_d=display["diagnosis"][i],
             score=float(display[mask.deepest_head][i].max()),
-            loss_probs={h: p[i] for h, p in loss_probs.items()},
+            objectness=1.0 - float(loss_probs[mask.deepest_head][i][-1]),
         )
         for i in range(z.shape[0])
     ]
@@ -127,8 +134,7 @@ def _same_detection(a, b):
         and a.score == b.score
         and all(np.array_equal(x, y) for x, y in (
             (a.probs_q, b.probs_q), (a.probs_e, b.probs_e), (a.probs_d, b.probs_d)))
-        and a.loss_probs.keys() == b.loss_probs.keys()
-        and all(np.array_equal(a.loss_probs[h], b.loss_probs[h]) for h in a.loss_probs)
+        and a.objectness == b.objectness
     )
 
 
@@ -236,8 +242,34 @@ class TestTrainStage:
         with pytest.raises(ValueError, match="cache"):
             train_stage(
                 _stage(HierarchyLevel.QUADRANT_ENUM),
-                samples, CFG, SCHED, cache=InferredBoxCache(),
+                samples, CFG, SCHED, cache=InferredBoxCache(0.5),
             )
+
+    def test_splices_above_the_cache_gate(self, monkeypatch):
+        # A box scoring 0.4 from a cache gated at 0.3 is spliced: the cache's
+        # gate is the only one, with no second filter at 0.5.
+        samples = _samples(HierarchyLevel.QUADRANT_ENUM, n=2)
+        cache = InferredBoxCache(0.3)
+        box = Box(0.3, 0.4, 0.1, 0.2)
+        for s in samples:
+            cache.add(s.image_id, box, 0.4, HierarchyLevel.QUADRANT_ONLY)
+        calls = []
+
+        def recorder(noisy, inferred, score_threshold, scale):
+            out = manipulate_boxes(noisy, inferred, score_threshold, scale=scale)
+            calls.append((score_threshold, out))
+            return out
+
+        monkeypatch.setattr(train_mod, "manipulate_boxes", recorder)
+        train_stage(
+            _stage(HierarchyLevel.QUADRANT_ENUM, iterations=2, use_manipulation=True),
+            samples, CFG, SCHED, cache=cache,
+        )
+        assert len(calls) == 4 and cache.reads == 4
+        want = signal_encode(box.to_array(), CFG.scale)
+        for threshold, out in calls:
+            assert threshold == 0.3
+            np.testing.assert_array_equal(out[-1], want)
 
     def test_divergence_aborts_with_context(self, tmp_path, monkeypatch):
         import dentdet.train as train_mod
@@ -334,6 +366,7 @@ class TestBuildCache:
         lo = build_cache(params, samples, HierarchyLevel.QUADRANT_ONLY,
                          CFG, SCHED, n_proposals=8, threshold=0.01)
         assert len(hi) <= len(lo)
+        assert (hi.threshold, lo.threshold) == (0.99, 0.01)
         for entries in lo.entries.values():
             for e in entries:
                 assert e.score > 0.01
