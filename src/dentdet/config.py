@@ -45,6 +45,12 @@ def positive_fraction(value) -> None:
         raise ValueError(f"must lie in (0, 1], got {value}")
 
 
+def even(value) -> None:
+    """Bound: an even number >= 0 (sine and cosine halves of an embedding)."""
+    if not (math.isfinite(value) and value >= 0 and value % 2 == 0):
+        raise ValueError(f"must be an even number >= 0, got {value}")
+
+
 def sampling_steps(value) -> None:
     if not 1 <= value <= 8:
         raise ValueError(f"must lie in 1..8, got {value}")
@@ -65,7 +71,23 @@ def _check_bounds(section: str, obj, bounds: dict) -> None:
 
 
 # Bounds per section, shared with the command line flags that override them.
-SCHEDULE_BOUNDS = {"timesteps": at_least(1), "steps": sampling_steps, "eta": fraction}
+MODEL_BOUNDS = {
+    "grid": at_least(1),
+    "pool": at_least(1),
+    "hidden": at_least(1),
+    "time_dim": even,
+    "scale": positive,
+    "focal_gamma": at_least(0),
+    "cls_weight": at_least(0),
+    "l1_weight": at_least(0),
+    "giou_weight": at_least(0),
+}
+SCHEDULE_BOUNDS = {
+    "timesteps": at_least(1),
+    "s": positive,
+    "steps": sampling_steps,
+    "eta": fraction,
+}
 TRAIN_BOUNDS = {
     "iterations": at_least(0),
     "batch_size": at_least(1),

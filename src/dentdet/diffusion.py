@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MIN_SIZE, Box
+from .geometry import MIN_SIZE
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,10 @@ def forward_noise(
 
 
 def pad_gt_boxes(
-    gt: list[Box], n: int, rng: np.random.Generator, scale: float
+    gt: np.ndarray, n: int, rng: np.random.Generator, scale: float
 ) -> np.ndarray:
-    """Build an (N, 4) signal-space proposal target set from ground truth.
+    """Build an (N, 4) signal-space proposal target set from the (M, 4)
+    normalized center-size ground-truth boxes ``gt``.
 
     Ground-truth boxes fill |gt| rows in shuffled order; the rest are random
     boxes drawn Gaussian around the image center with std 1/6 in normalized
@@ -106,13 +107,14 @@ def pad_gt_boxes(
     """
     if n < 1:
         raise ValueError("proposal count must be >= 1")
+    gt = np.asarray(gt, dtype=np.float64).reshape(-1, 4)
     n_gt = len(gt)
     if n_gt > n:
         raise ValueError(f"{n_gt} ground-truth boxes exceed {n} proposals")
     arr = np.empty((n, 4), dtype=np.float64)
     if n_gt:
         perm = rng.permutation(n_gt)
-        arr[:n_gt] = np.stack([b.to_array() for b in gt])[perm]
+        arr[:n_gt] = gt[perm]
     n_pad = n - n_gt
     if n_pad:
         pad = rng.normal(0.5, 1.0 / 6.0, size=(n_pad, 4))

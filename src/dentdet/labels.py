@@ -10,6 +10,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 NUM_QUADRANTS = 4
 NUM_ENUMERATIONS = 8
 NUM_DIAGNOSES = 4
@@ -117,6 +119,15 @@ class LabelTriple:
             "enumeration": self.enumeration,
             "diagnosis": self.diagnosis,
         }[head]
+
+
+def class_array(labels) -> np.ndarray:
+    """(M, 3) integer class indices of M label triples, one column per head
+    in ``HEAD_NAMES`` order; -1 where a head carries no label."""
+    rows = [(lab.quadrant, lab.enumeration, lab.diagnosis) for lab in labels]
+    return np.array(
+        [[-1 if c is None else c for c in row] for row in rows], dtype=np.int64
+    ).reshape(-1, len(HEAD_NAMES))
 
 
 def fdi_string(label: LabelTriple) -> str:

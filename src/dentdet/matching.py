@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import cxcywh_to_xyxy, giou_matrix
-from .labels import HeadMask, LabelTriple
+from .labels import HEAD_NAMES, HeadMask
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,15 @@ class LossBreakdown:
     l1: float
     giou: float
     total: float
+    matched_pairs: int = 0
 
 
-def _cost_matrix(probs, boxes01, gt_boxes, gt_labels, mask: HeadMask, cfg):
+def _cost_matrix(probs, boxes01, gt_boxes, gt_classes, mask: HeadMask, cfg):
     n = boxes01.shape[0]
     m = gt_boxes.shape[0]
     cost = np.zeros((n, m))
     for head in mask.active_heads:
-        classes = np.array([lab.class_for(head) for lab in gt_labels], dtype=int)
+        classes = gt_classes[:, HEAD_NAMES.index(head)]
         cost += cfg.cls_weight * (1.0 - probs[head][:, classes])
     l1 = np.abs(boxes01[:, None, :] - gt_boxes[None, :, :]).sum(axis=2)
     cost += cfg.l1_weight * l1
@@ -59,8 +60,10 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     return sorted(zip(rows.tolist(), cols.tolist()), key=lambda p: p[1])
 
 
-def match_arrays(probs, boxes01, gt_boxes, gt_labels, mask: HeadMask, cfg):
-    cost = _cost_matrix(probs, boxes01, gt_boxes, gt_labels, mask, cfg)
+def match_arrays(probs, boxes01, gt_boxes, gt_classes, mask: HeadMask, cfg):
+    """Assignment of one image's (M, 4) ground-truth boxes, with (M, 3)
+    ``labels.class_array`` classes, to its proposals."""
+    cost = _cost_matrix(probs, boxes01, gt_boxes, gt_classes, mask, cfg)
     return solve_assignment(cost)
 
 
@@ -136,92 +139,102 @@ def giou_pair_grad(pred: np.ndarray, gt: np.ndarray):
     return giou, np.stack([dcx, dcy, dw, dh], axis=1)
 
 
+def _segment_sums(values: np.ndarray, bounds) -> list[float]:
+    """Sum of each ``values[lo:hi]`` over consecutive ``bounds``, each
+    segment summed on its own (numpy's pairwise order for that length)."""
+    return [float(values[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def loss_forward_backward(
     probs: dict[str, np.ndarray],
     boxes01: np.ndarray,
-    gt_boxes: np.ndarray,
-    gt_labels: list[LabelTriple],
-    pairs: list[tuple[int, int]],
+    offsets: np.ndarray,
+    pairs: list[list[tuple[int, int]]],
+    gt_boxes: list[np.ndarray],
+    gt_classes: list[np.ndarray],
     mask: HeadMask,
     cfg,
 ):
-    """Masked multi-task loss for one image, with gradients.
+    """Masked multi-task loss of a batch of images, with gradients.
 
-    Returns (breakdown, dloss/dlogits per supervised head, dloss/dboxes01).
-    ``probs`` must come from :func:`model.loss_probs_for_mask`; gradients
-    are expressed on the logits behind each of those softmaxes.
+    The rows of ``probs`` (from :func:`model.loss_probs_for_mask`) and
+    ``boxes01`` stack the images' proposals: image i owns rows
+    ``offsets[i]:offsets[i + 1]``, ``pairs[i]`` is its assignment and
+    ``gt_boxes[i]``, ``gt_classes[i]`` its targets.  Each image's loss is
+    normalized as if alone; the breakdown is their mean, summed image by
+    image.  Returns (breakdown, dloss/dlogits per supervised head,
+    dloss/dboxes01) with gradients of the sum of the per-image losses,
+    expressed on the logits behind each softmax.  A non-finite loss raises
+    ``FloatingPointError`` naming the image's non-finite terms.
     """
-    n = boxes01.shape[0]
+    b = len(pairs)
+    offsets = np.asarray(offsets)
+    n_rows = offsets[-1]
     gamma = cfg.focal_gamma
     deepest = mask.deepest_head
-    pred_idx = np.array([i for i, _ in pairs], dtype=int)
-    gt_idx = np.array([j for _, j in pairs], dtype=int)
-    n_pairs = len(pairs)
+    idx = [np.array(p, dtype=np.int64).reshape(-1, 2) for p in pairs]
+    n_pairs = np.array([len(p) for p in idx])
+    pair_bounds = np.concatenate([[0], np.cumsum(n_pairs)])
+    pred_idx = np.concatenate([lo + p[:, 0] for lo, p in zip(offsets, idx)])
+    per_pair = np.repeat(n_pairs, n_pairs)  # pair count of each pair's image
+    gb = np.concatenate([g[p[:, 1]] for g, p in zip(gt_boxes, idx)])
+    gc = np.concatenate([c[p[:, 1]] for c, p in zip(gt_classes, idx)])
 
-    cls_terms = {"cls_q": 0.0, "cls_e": 0.0, "cls_d": 0.0}
+    terms = {"cls_q": [0.0] * b, "cls_e": [0.0] * b, "cls_d": [0.0] * b}
     dlogits: dict[str, np.ndarray] = {}
-
     for head in mask.active_heads:
         p = probs[head]
-        k_loss = p.shape[1]
-        dp_t = np.zeros(n)  # dloss/dp_target per row
-        targets = np.full(n, -1, dtype=int)
+        targets = np.full(n_rows, -1, dtype=np.int64)
         if head == deepest:
-            targets[:] = k_loss - 1  # background
-            scale = np.full(n, 1.0 / n)
+            targets[:] = p.shape[1] - 1  # background
+            sizes = np.diff(offsets)
+            scale = np.repeat(1.0 / sizes, sizes)
+            bounds = offsets
         else:
-            scale = np.zeros(n)
-            if n_pairs:
-                scale[pred_idx] = 1.0 / n_pairs
-        if n_pairs:
-            targets[pred_idx] = np.array(
-                [gt_labels[j].class_for(head) for j in gt_idx], dtype=int
-            )
-        active_rows = scale > 0
-        rows = np.nonzero(active_rows)[0]
-        p_t = p[rows, targets[rows]]
+            scale = np.zeros(n_rows)
+            scale[pred_idx] = 1.0 / per_pair
+            bounds = pair_bounds  # matched rows, in row order per image
+        targets[pred_idx] = gc[:, HEAD_NAMES.index(head)]
+        rows = np.nonzero(scale > 0)[0]
+        tgt = targets[rows]
+        p_t = p[rows, tgt]
         val, dval = _focal(p_t, gamma)
-        cls_terms[_short(head)] = float((val * scale[rows]).sum())
-        dp_t[rows] = dval * scale[rows]
+        terms[_short(head)] = _segment_sums(val * scale[rows], bounds)
         # Softmax backward: dL/dl_j = dL/dp_t * p_t * (delta_tj - p_j)
-        dl = np.zeros((n, k_loss))
-        pt_full = np.zeros(n)
-        pt_full[rows] = p_t
-        coef = dp_t * pt_full
-        dl[rows] = -coef[rows, None] * p[rows]
-        dl[rows, targets[rows]] += coef[rows]
-        dlogits[head] = dl * cfg.cls_weight
+        coef = dval * scale[rows] * p_t
+        dl = np.zeros(p.shape)
+        dl[rows] = -coef[:, None] * p[rows]
+        dl[rows, tgt] += coef
+        dl *= cfg.cls_weight
+        dlogits[head] = dl
 
     dboxes01 = np.zeros_like(boxes01)
-    if n_pairs:
-        pb = boxes01[pred_idx]
-        gb = gt_boxes[gt_idx]
-        diff = pb - gb
-        l1 = float(np.abs(diff).sum() / n_pairs)
-        np.add.at(
-            dboxes01, pred_idx, cfg.l1_weight * np.sign(diff) / n_pairs
-        )
-        gv, gd = giou_pair_grad(pb, gb)
-        giou_term = float((1.0 - gv).sum() / n_pairs)
-        np.add.at(dboxes01, pred_idx, -cfg.giou_weight * gd / n_pairs)
-    else:
-        l1 = 0.0
-        giou_term = 0.0
+    pb = boxes01[pred_idx]
+    diff = pb - gb
+    np.add.at(dboxes01, pred_idx, cfg.l1_weight * np.sign(diff) / per_pair[:, None])
+    gv, gd = giou_pair_grad(pb, gb)
+    np.add.at(dboxes01, pred_idx, -cfg.giou_weight * gd / per_pair[:, None])
+    l1_sums = _segment_sums(np.abs(diff), pair_bounds)
+    giou_sums = _segment_sums(1.0 - gv, pair_bounds)
 
-    total = (
-        cfg.cls_weight
-        * (cls_terms["cls_q"] + cls_terms["cls_e"] + cls_terms["cls_d"])
-        + cfg.l1_weight * l1
-        + cfg.giou_weight * giou_term
-    )
-    breakdown = LossBreakdown(
-        cls_q=cls_terms["cls_q"],
-        cls_e=cls_terms["cls_e"],
-        cls_d=cls_terms["cls_d"],
-        l1=l1,
-        giou=giou_term,
-        total=total,
-    )
+    totals = np.zeros(6)
+    for i in range(b):
+        cls = [terms[k][i] for k in ("cls_q", "cls_e", "cls_d")]
+        n = int(n_pairs[i])
+        l1 = l1_sums[i] / n if n else 0.0
+        giou = giou_sums[i] / n if n else 0.0
+        total = (
+            cfg.cls_weight * (cls[0] + cls[1] + cls[2])
+            + cfg.l1_weight * l1
+            + cfg.giou_weight * giou
+        )
+        if not np.isfinite(total):
+            names = ("cls_q", "cls_e", "cls_d", "l1", "giou")
+            bad = [k for k, v in zip(names, (*cls, l1, giou)) if not np.isfinite(v)]
+            raise FloatingPointError(f"non-finite loss terms: {bad}")
+        totals += np.array([*cls, l1, giou, total])
+    totals /= b
+    breakdown = LossBreakdown(*totals, matched_pairs=int(n_pairs.sum()))
     return breakdown, dlogits, dboxes01
 
 

@@ -41,6 +41,11 @@ class ModelConfig:
     l1_weight: float = 5.0
     giou_weight: float = 2.0
 
+    def __post_init__(self):
+        from .config import MODEL_BOUNDS, _check_bounds  # config imports this module
+
+        _check_bounds("model", self, MODEL_BOUNDS)
+
     @property
     def channels(self) -> int:
         return NUM_CHANNELS
@@ -245,14 +250,22 @@ class ForwardCache:
 
 
 def forward_features(
-    cfg: ModelConfig, grid_feats: np.ndarray, z: np.ndarray, t: float
+    cfg: ModelConfig,
+    grid_feats: np.ndarray,
+    z: np.ndarray,
+    t: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-proposal decoder input: pooled RoI features of the decoded noisy
-    box concatenated with the timestep embedding."""
+    box followed by the timestep embedding, written into ``out`` (N, D) if
+    given."""
     boxes01 = signal_decode(np.asarray(z, dtype=np.float64), cfg.scale)
-    roi = roi_pool_batch(grid_feats, boxes01, cfg.pool)
-    emb = np.broadcast_to(time_embedding(t, cfg.time_dim), (roi.shape[0], cfg.time_dim))
-    return np.concatenate([roi, emb], axis=1)
+    if out is None:
+        out = np.empty((boxes01.shape[0], cfg.feat_dim))
+    roi_dim = cfg.feat_dim - cfg.time_dim
+    out[:, :roi_dim] = roi_pool_batch(grid_feats, boxes01, cfg.pool)
+    out[:, roi_dim:] = time_embedding(t, cfg.time_dim)
+    return out
 
 
 def forward_net(params: ParamStore, x: np.ndarray, z: np.ndarray) -> ForwardCache:
@@ -373,7 +386,7 @@ class BatchItem:
     z: np.ndarray  # (N, 4) signal-space proposals
     t: float
     gt_boxes: np.ndarray  # (M, 4) normalized center-size
-    gt_labels: list  # list of LabelTriple, length M
+    gt_classes: np.ndarray  # (M, 3) labels.class_array class indices
 
 
 def loss_gradients(
@@ -384,49 +397,62 @@ def loss_gradients(
 ):
     """Loss and exact analytic gradients over a batch of images.
 
-    Returns (loss, grads, breakdown) with the loss mean-reduced over images.
-    Gradients of heads outside the mask are identically zero.
+    Returns (loss, grads, breakdown) with the loss mean-reduced over images
+    and the breakdown counting the matched pairs.  Gradients of heads
+    outside the mask are identically zero.  The trunk runs, and proposals
+    are matched, image by image; the loss runs once over the stacked rows.
     """
-    from .matching import LossBreakdown, loss_forward_backward, match_arrays
-
     check_shapes(params, cfg)
     grads = zero_grads(cfg)
-    b = len(batch)
-    totals = np.zeros(6)
+    offsets = np.cumsum([0] + [item.z.shape[0] for item in batch])
+    x = np.empty((offsets[-1], cfg.feat_dim))
     caches = []
-    for item in batch:
-        x = forward_features(cfg, item.grid_feats, item.z, item.t)
-        cache = forward_net(params, x, item.z)
-        caches.append(cache)
-    for item, cache in zip(batch, caches):
-        boxes01 = signal_decode(cache.z0_pred, cfg.scale)
-        probs = loss_probs_for_mask(cache.logits, mask)
-        pairs = match_arrays(probs, boxes01, item.gt_boxes, item.gt_labels, mask, cfg)
-        bd, dlogits, dboxes01 = loss_forward_backward(
-            probs, boxes01, item.gt_boxes, item.gt_labels, pairs, mask, cfg
+    for item, lo, hi in zip(batch, offsets, offsets[1:]):
+        forward_features(cfg, item.grid_feats, item.z, item.t, out=x[lo:hi])
+        caches.append(forward_net(params, x[lo:hi], item.z))
+    bd, dz0_pred, dlogits = _output_gradients(caches, batch, offsets, mask, cfg)
+    for cache, lo, hi in zip(caches, offsets, offsets[1:]):
+        backward_net(
+            params, cache, dz0_pred[lo:hi],
+            {head: dl[lo:hi] for head, dl in dlogits.items()}, grads,
         )
-        if not np.isfinite(bd.total):
-            bad = [
-                name
-                for name, v in zip(
-                    ("cls_q", "cls_e", "cls_d", "l1", "giou"),
-                    (bd.cls_q, bd.cls_e, bd.cls_d, bd.l1, bd.giou),
-                )
-                if not np.isfinite(v)
-            ]
-            raise FloatingPointError(f"non-finite loss terms: {bad}")
-        totals += np.array([bd.cls_q, bd.cls_e, bd.cls_d, bd.l1, bd.giou, bd.total])
-        # Mean over the batch; pad partial-head gradients up to K+1 logits.
-        dz0_pred = dboxes01 * decode_grad_mask(cache.z0_pred, cfg.scale) / b
-        full_dlogits = {}
-        for head, dl in dlogits.items():
-            full = np.zeros_like(cache.logits[head])
-            full[:, : dl.shape[1]] = dl / b
-            full_dlogits[head] = full
-        backward_net(params, cache, dz0_pred, full_dlogits, grads)
-    totals /= b
-    breakdown = LossBreakdown(*totals)
-    return breakdown.total, grads, breakdown
+    return bd.total, grads, bd
+
+
+def _output_gradients(caches, batch, offsets, mask: HeadMask, cfg: ModelConfig):
+    """Match each image, then take the batch-mean loss and its gradients on
+    the stacked box predictions and full-width logits.
+
+    Kept apart from :func:`loss_gradients` so the loss's intermediates are
+    freed before the backward passes run.
+    """
+    from .matching import loss_forward_backward, match_arrays
+
+    b = len(batch)
+    z0_pred = np.concatenate([c.z0_pred for c in caches])
+    boxes01 = signal_decode(z0_pred, cfg.scale)
+    probs = [loss_probs_for_mask(c.logits, mask) for c in caches]
+    pairs = [
+        match_arrays(p, boxes01[lo:hi], item.gt_boxes, item.gt_classes, mask, cfg)
+        for p, item, lo, hi in zip(probs, batch, offsets, offsets[1:])
+    ]
+    bd, dlogits, dboxes01 = loss_forward_backward(
+        {head: np.concatenate([p[head] for p in probs]) for head in mask.active_heads},
+        boxes01,
+        offsets,
+        pairs,
+        [item.gt_boxes for item in batch],
+        [item.gt_classes for item in batch],
+        mask,
+        cfg,
+    )
+    # Mean over the batch; pad partial-head gradients up to K+1 logits.
+    dz0_pred = dboxes01 * decode_grad_mask(z0_pred, cfg.scale) / b
+    full = {}
+    for head, dl in dlogits.items():
+        full[head] = np.zeros((offsets[-1], _head_dim(head)))
+        np.divide(dl, b, out=full[head][:, : dl.shape[1]])
+    return bd, dz0_pred, full
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .diffusion import (
 )
 from .evalmetrics import EvalReport, build_report
 from .geometry import Box, iou, nms  # noqa: F401  (perfbench counts iou calls)
-from .labels import HeadMask, HierarchyLevel, mask_for
+from .labels import HEAD_NAMES, HeadMask, HierarchyLevel, class_array, mask_for
 from .manipulate import InferredBoxCache, inference_proposals, manipulate_boxes
 from .model import (
     BatchItem,
@@ -116,9 +116,18 @@ def make_plan(arm: str, base: StageConfig | None = None) -> PipelinePlan:
     return PipelinePlan(arm=arm, stages=tuple(stages))
 
 
+def gt_arrays(gts) -> tuple[np.ndarray, np.ndarray]:
+    """(M, 4) boxes and (M, 3) ``class_array`` classes of (Box, LabelTriple) pairs."""
+    boxes = np.array([b.to_array() for b, _ in gts], dtype=np.float64).reshape(-1, 4)
+    return boxes, class_array([lab for _, lab in gts])
+
+
 @dataclass
 class TrainSample:
-    """One image prepared for training or evaluation."""
+    """One image prepared for training or evaluation.
+
+    ``gt_boxes`` and ``gt_classes`` are the arrays of ``gts``, built once.
+    """
 
     image_id: str
     image: np.ndarray  # uint8 grayscale, kept for augmentation
@@ -126,6 +135,11 @@ class TrainSample:
     gts: list  # list of (Box, LabelTriple)
     width: int
     height: int
+    gt_boxes: np.ndarray = field(init=False, repr=False)
+    gt_classes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.gt_boxes, self.gt_classes = gt_arrays(self.gts)
 
 
 def prepare_samples(
@@ -187,6 +201,12 @@ def train_stage(
     if not samples:
         raise ValueError("no training samples")
     mask = mask_for(cfg.level)
+    heads = [HEAD_NAMES.index(h) for h in mask.active_heads]
+    for s in samples:
+        if (s.gt_classes[:, heads] < 0).any():
+            raise ValueError(
+                f"sample {s.image_id} lacks labels of level {cfg.level.value}"
+            )
     if init is None:
         params = init_params(model_cfg, np.random.default_rng([cfg.seed, 0]))
     else:
@@ -219,20 +239,21 @@ def train_stage(
             batch = []
             for i in idx:
                 s = samples[i]
-                gts = s.gts
+                gt_boxes, gt_classes = s.gt_boxes, s.gt_classes
                 if cfg.augment:
-                    _img, gts = random_crop_resize(s.image, gts, rng)
+                    _img, gts = random_crop_resize(s.image, s.gts, rng)
                     grid = encode_image(_img, model_cfg.grid)
+                    gt_boxes, gt_classes = gt_arrays(gts)
                 else:
                     grid = s.grid_feats
-                if len(gts) > cfg.n_proposals:
+                if len(gt_boxes) > cfg.n_proposals:
                     # More targets than proposals: supervise a random subset
                     # so the one-to-one assignment stays feasible.
-                    keep = rng.choice(len(gts), size=cfg.n_proposals, replace=False)
-                    gts = [gts[i] for i in sorted(keep)]
-                z0 = pad_gt_boxes(
-                    [b for b, _ in gts], cfg.n_proposals, rng, model_cfg.scale
-                )
+                    keep = np.sort(
+                        rng.choice(len(gt_boxes), size=cfg.n_proposals, replace=False)
+                    )
+                    gt_boxes, gt_classes = gt_boxes[keep], gt_classes[keep]
+                z0 = pad_gt_boxes(gt_boxes, cfg.n_proposals, rng, model_cfg.scale)
                 t = int(rng.integers(1, schedule.T + 1))
                 z = forward_noise(z0, t, schedule, rng).z
                 if cfg.use_manipulation:
@@ -240,18 +261,10 @@ def train_stage(
                         z, cache.get(s.image_id), cache.threshold,
                         scale=model_cfg.scale,
                     )
-                gt_boxes = (
-                    np.stack([b.to_array() for b, _ in gts])
-                    if gts
-                    else np.zeros((0, 4))
-                )
                 batch.append(
                     BatchItem(
-                        grid_feats=grid,
-                        z=z,
-                        t=float(t),
-                        gt_boxes=gt_boxes,
-                        gt_labels=[lab for _, lab in gts],
+                        grid_feats=grid, z=z, t=float(t),
+                        gt_boxes=gt_boxes, gt_classes=gt_classes,
                     )
                 )
             try:
@@ -286,6 +299,9 @@ def train_stage(
                     "cls_d": bd.cls_d,
                     "l1": bd.l1,
                     "giou": bd.giou,
+                    "grad_norm": norm,
+                    "clip_factor": clip,
+                    "matched_pairs": bd.matched_pairs,
                     "wall_time": time.perf_counter() - t_start,
                 }
                 metrics.append(rec)

@@ -21,7 +21,7 @@ from dentdet.diffusion import (
 )
 from dentdet.evalmetrics import evaluate
 from dentdet.geometry import Box, iou
-from dentdet.labels import HeadMask, HierarchyLevel, LabelTriple
+from dentdet.labels import HeadMask, HierarchyLevel, LabelTriple, class_array
 from dentdet.manipulate import InferredBox, manipulate_boxes
 from dentdet.matching import solve_assignment
 from dentdet.model import (
@@ -160,7 +160,7 @@ def _grad_batch(rng, mask):
         z=z,
         t=300.0,
         gt_boxes=np.stack([b.to_array() for b, _ in gts]),
-        gt_labels=[lab for _, lab in gts],
+        gt_classes=class_array([lab for _, lab in gts]),
     )
 
 

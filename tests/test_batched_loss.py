@@ -1,0 +1,335 @@
+"""The batched training step against the per-image step it replaced.
+
+``_image_loss`` and ``_oracle_loss_gradients`` are the per-image loss and
+the per-image gradient loop that ``model.loss_gradients`` ran before its
+loss was batched.  The batched step must equal them bit for bit: the same
+loss, breakdown and gradient bytes.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import dentdet.train as train_mod
+from dentdet.data import generate_layout, project_level
+from dentdet.diffusion import Schedule, signal_decode
+from dentdet.geometry import Box
+from dentdet.labels import (
+    HEAD_CLASS_COUNTS,
+    HEAD_NAMES,
+    HeadMask,
+    HierarchyLevel,
+    LabelTriple,
+    class_array,
+)
+from dentdet.manipulate import InferredBox, InferredBoxCache, manipulate_boxes
+from dentdet.matching import (
+    LossBreakdown,
+    _focal,
+    _short,
+    giou_pair_grad,
+    loss_forward_backward,
+    match_arrays,
+)
+from dentdet.model import (
+    BatchItem,
+    ModelConfig,
+    backward_net,
+    check_shapes,
+    decode_grad_mask,
+    encode_image,
+    forward_features,
+    forward_net,
+    init_params,
+    loss_gradients,
+    loss_probs_for_mask,
+    softmax,
+    zero_grads,
+)
+from dentdet.train import StageConfig, TrainSample, train_stage
+
+# A scale that is no power of two makes the decode mask round, so the order
+# of the mean and the mask shows in the gradient bits.
+CFG = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8, scale=1.5)
+SCHED = Schedule.cosine(1000, 0.008)
+MASKS = pytest.mark.parametrize(
+    "mask", [HeadMask(1, 0, 0), HeadMask(1, 1, 0), HeadMask(1, 1, 1)],
+    ids=["q", "qe", "qed"],
+)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-image loss and gradient loop.
+
+
+def _image_loss(probs, boxes01, gt_boxes, gt_classes, pairs, mask, cfg):
+    """Masked multi-task loss for one image; (breakdown, dlogits, dboxes01)."""
+    n = boxes01.shape[0]
+    gamma = cfg.focal_gamma
+    deepest = mask.deepest_head
+    pred_idx = np.array([i for i, _ in pairs], dtype=int)
+    gt_idx = np.array([j for _, j in pairs], dtype=int)
+    n_pairs = len(pairs)
+
+    cls_terms = {"cls_q": 0.0, "cls_e": 0.0, "cls_d": 0.0}
+    dlogits = {}
+    for head in mask.active_heads:
+        p = probs[head]
+        k_loss = p.shape[1]
+        dp_t = np.zeros(n)
+        targets = np.full(n, -1, dtype=int)
+        if head == deepest:
+            targets[:] = k_loss - 1
+            scale = np.full(n, 1.0 / n)
+        else:
+            scale = np.zeros(n)
+            if n_pairs:
+                scale[pred_idx] = 1.0 / n_pairs
+        if n_pairs:
+            targets[pred_idx] = gt_classes[gt_idx, HEAD_NAMES.index(head)]
+        rows = np.nonzero(scale > 0)[0]
+        p_t = p[rows, targets[rows]]
+        val, dval = _focal(p_t, gamma)
+        cls_terms[_short(head)] = float((val * scale[rows]).sum())
+        dp_t[rows] = dval * scale[rows]
+        dl = np.zeros((n, k_loss))
+        pt_full = np.zeros(n)
+        pt_full[rows] = p_t
+        coef = dp_t * pt_full
+        dl[rows] = -coef[rows, None] * p[rows]
+        dl[rows, targets[rows]] += coef[rows]
+        dlogits[head] = dl * cfg.cls_weight
+
+    dboxes01 = np.zeros_like(boxes01)
+    if n_pairs:
+        pb = boxes01[pred_idx]
+        gb = gt_boxes[gt_idx]
+        diff = pb - gb
+        l1 = float(np.abs(diff).sum() / n_pairs)
+        np.add.at(dboxes01, pred_idx, cfg.l1_weight * np.sign(diff) / n_pairs)
+        gv, gd = giou_pair_grad(pb, gb)
+        giou_term = float((1.0 - gv).sum() / n_pairs)
+        np.add.at(dboxes01, pred_idx, -cfg.giou_weight * gd / n_pairs)
+    else:
+        l1 = 0.0
+        giou_term = 0.0
+    total = (
+        cfg.cls_weight * (cls_terms["cls_q"] + cls_terms["cls_e"] + cls_terms["cls_d"])
+        + cfg.l1_weight * l1
+        + cfg.giou_weight * giou_term
+    )
+    breakdown = LossBreakdown(
+        cls_q=cls_terms["cls_q"], cls_e=cls_terms["cls_e"], cls_d=cls_terms["cls_d"],
+        l1=l1, giou=giou_term, total=total, matched_pairs=n_pairs,
+    )
+    return breakdown, dlogits, dboxes01
+
+
+def _oracle_loss_gradients(params, batch, mask, cfg):
+    """Per-image forward, match, loss and backward; (loss, grads, breakdown)."""
+    check_shapes(params, cfg)
+    grads = zero_grads(cfg)
+    b = len(batch)
+    totals = np.zeros(6)
+    n_matched = 0
+    caches = [
+        forward_net(params, forward_features(cfg, it.grid_feats, it.z, it.t), it.z)
+        for it in batch
+    ]
+    for item, cache in zip(batch, caches):
+        boxes01 = signal_decode(cache.z0_pred, cfg.scale)
+        probs = loss_probs_for_mask(cache.logits, mask)
+        pairs = match_arrays(probs, boxes01, item.gt_boxes, item.gt_classes, mask, cfg)
+        bd, dlogits, dboxes01 = _image_loss(
+            probs, boxes01, item.gt_boxes, item.gt_classes, pairs, mask, cfg
+        )
+        if not np.isfinite(bd.total):
+            bad = [
+                name
+                for name, v in zip(
+                    ("cls_q", "cls_e", "cls_d", "l1", "giou"),
+                    (bd.cls_q, bd.cls_e, bd.cls_d, bd.l1, bd.giou),
+                )
+                if not np.isfinite(v)
+            ]
+            raise FloatingPointError(f"non-finite loss terms: {bad}")
+        totals += np.array([bd.cls_q, bd.cls_e, bd.cls_d, bd.l1, bd.giou, bd.total])
+        n_matched += len(pairs)
+        dz0_pred = dboxes01 * decode_grad_mask(cache.z0_pred, cfg.scale) / b
+        full_dlogits = {}
+        for head, dl in dlogits.items():
+            full = np.zeros_like(cache.logits[head])
+            full[:, : dl.shape[1]] = dl / b
+            full_dlogits[head] = full
+        backward_net(params, cache, dz0_pred, full_dlogits, grads)
+    totals /= b
+    breakdown = LossBreakdown(*totals, matched_pairs=n_matched)
+    return breakdown.total, grads, breakdown
+
+
+# ---------------------------------------------------------------------------
+# Batches: unequal proposal counts, images without ground truth, and rows
+# spliced by manipulate_boxes (clean copies of ground truth, so matching
+# meets exact cost ties).
+
+
+def _triple(rng, mask):
+    return LabelTriple(
+        int(rng.integers(4)),
+        int(rng.integers(8)) if mask.h_e else None,
+        int(rng.integers(4)) if mask.h_d else None,
+    )
+
+
+def _batch(rng, mask, shapes=((5, 2), (9, 0), (3, 3), (7, 4), (6, 1))):
+    items = []
+    for n, m in shapes:
+        gt = np.column_stack(
+            [rng.uniform(0.2, 0.8, (m, 2)), rng.uniform(0.05, 0.3, (m, 2))]
+        )
+        z = rng.standard_normal((n, 4))
+        if m:
+            inferred = [
+                InferredBox(Box.from_array(gt[j]), s, HierarchyLevel.QUADRANT_ONLY)
+                for j, s in ((0, 0.9), (m - 1, 0.7), (0, 0.3))
+            ]
+            z = manipulate_boxes(z, inferred, 0.5, scale=CFG.scale)
+        items.append(
+            BatchItem(
+                grid_feats=rng.normal(size=(CFG.grid, CFG.grid, CFG.channels)),
+                z=z,
+                t=float(rng.integers(1, SCHED.T + 1)),
+                gt_boxes=gt,
+                gt_classes=class_array([_triple(rng, mask) for _ in range(m)]),
+            )
+        )
+    return items
+
+
+def _params(rng):
+    params = init_params(CFG, rng, head_scale=0.5)
+    for name in params:
+        if name.endswith(".b"):
+            params[name] = params[name] + rng.normal(0, 0.1, params[name].shape)
+    return params
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+
+
+@MASKS
+@pytest.mark.parametrize("seed", range(4))
+def test_loss_gradients_equal_per_image_oracle(mask, seed):
+    rng = np.random.default_rng([seed, 41])
+    params = _params(rng)
+    batch = _batch(rng, mask)
+    loss, grads, bd = loss_gradients(params, batch, mask, CFG)
+    want_loss, want_grads, want_bd = _oracle_loss_gradients(params, batch, mask, CFG)
+    assert loss == want_loss
+    assert bd == want_bd
+    assert bd.matched_pairs == sum(len(it.gt_boxes) for it in batch)
+    assert grads.keys() == want_grads.keys()
+    for name in grads:
+        assert _same_bytes(grads[name], want_grads[name]), name
+
+
+@MASKS
+def test_loss_rows_equal_per_image_oracle(mask):
+    rng = np.random.default_rng(42)
+    sizes, probs, boxes, gts, classes, pairs = [], [], [], [], [], []
+    for n, m in ((6, 3), (4, 0), (8, 8), (1, 1)):
+        p = {}
+        for head in mask.active_heads:
+            k = HEAD_CLASS_COUNTS[head] + (head == mask.deepest_head)
+            p[head] = softmax(rng.normal(size=(n, k)))
+        b01 = np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(0.01, 0.5, (n, 2))])
+        gt = np.column_stack([rng.uniform(0, 1, (m, 2)), rng.uniform(0.01, 0.5, (m, 2))])
+        cls = class_array([_triple(rng, mask) for _ in range(m)])
+        sizes.append(n)
+        probs.append(p)
+        boxes.append(b01)
+        gts.append(gt)
+        classes.append(cls)
+        pairs.append(match_arrays(p, b01, gt, cls, mask, ModelConfig()))
+    offsets = np.cumsum([0] + sizes)
+    bd, dlogits, dboxes = loss_forward_backward(
+        {h: np.concatenate([p[h] for p in probs]) for h in mask.active_heads},
+        np.concatenate(boxes), offsets, pairs, gts, classes, mask, ModelConfig(),
+    )
+    totals = np.zeros(6)
+    for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        want_bd, want_dl, want_db = _image_loss(
+            probs[i], boxes[i], gts[i], classes[i], pairs[i], mask, ModelConfig()
+        )
+        totals += np.array([want_bd.cls_q, want_bd.cls_e, want_bd.cls_d,
+                            want_bd.l1, want_bd.giou, want_bd.total])
+        assert dlogits.keys() == want_dl.keys()
+        for head in dlogits:
+            assert _same_bytes(dlogits[head][lo:hi], want_dl[head]), (i, head)
+        assert _same_bytes(dboxes[lo:hi], want_db), i
+    totals /= len(sizes)
+    assert bd == LossBreakdown(*totals, matched_pairs=12)
+
+
+@MASKS
+def test_non_finite_loss_names_the_terms(mask):
+    rng = np.random.default_rng(43)
+    params = _params(rng)
+    params[f"head_{mask.deepest_head}.b"][0] = np.nan
+    # No ground truth: the assignment is skipped and the loss sees the NaN.
+    batch = _batch(rng, mask, shapes=((4, 0), (5, 0)))
+    with pytest.raises(FloatingPointError) as want:
+        _oracle_loss_gradients(params, batch, mask, CFG)
+    with pytest.raises(FloatingPointError) as got:
+        loss_gradients(params, batch, mask, CFG)
+    assert str(got.value) == str(want.value)
+    assert _short(mask.deepest_head) in str(got.value)
+
+
+def _samples(level, n=3, seed0=700):
+    out = []
+    for i in range(n):
+        img, layout = generate_layout(seed0 + i)
+        out.append(
+            TrainSample(
+                image_id=f"s{i}", image=img, grid_feats=encode_image(img, CFG.grid),
+                gts=project_level(layout, level), width=256, height=256,
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize("level", list(HierarchyLevel), ids=lambda lv: lv.name)
+def test_train_stage_with_oracle_is_byte_equal(level, monkeypatch, tmp_path):
+    samples = _samples(level)
+    manip = level is not HierarchyLevel.QUADRANT_ONLY
+    cfg = StageConfig(level=level, iterations=6, batch_size=3, lr=1e-2,
+                      n_proposals=40, seed=3, log_every=1, use_manipulation=manip)
+
+    def run(out_dir):
+        cache = None
+        if manip:
+            cache = InferredBoxCache(0.5)
+            for s in samples:
+                for b, _ in s.gts[:5]:
+                    cache.add(s.image_id, b, 0.8, HierarchyLevel.QUADRANT_ONLY)
+        params, metrics = train_stage(cfg, samples, CFG, SCHED, cache=cache,
+                                      out_dir=out_dir)
+        records = [json.loads(line) for line in (out_dir / "metrics.jsonl").open()]
+        for rec in metrics + records:
+            rec.pop("wall_time")
+        return params, metrics, records
+
+    params, metrics, records = run(tmp_path / "batched")
+    monkeypatch.setattr(train_mod, "loss_gradients", _oracle_loss_gradients)
+    want_params, want_metrics, want_records = run(tmp_path / "oracle")
+    assert params.keys() == want_params.keys()
+    for name in params:
+        assert _same_bytes(params[name], want_params[name]), name
+    assert metrics == want_metrics and records == want_records
+    assert all(rec["matched_pairs"] > 0 for rec in records)

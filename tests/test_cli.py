@@ -342,6 +342,18 @@ def test_out_of_range_override_is_usage_error(command, flag, value, tmp_path, ca
     ("data:\n  size: 8\n",
      ["datagen", "--out", "o"],
      "data.size must be >= 16, got 8"),
+    ("model:\n  grid: 0\n",
+     ["train", "--data", "d", "--level", "a", "--out", "o"],
+     "model.grid must be >= 1, got 0"),
+    ("model:\n  hidden: 0\n",
+     ["train", "--data", "d", "--level", "a", "--out", "o"],
+     "model.hidden must be >= 1, got 0"),
+    ("model:\n  scale: -2\n",
+     ["train", "--data", "d", "--level", "a", "--out", "o"],
+     "model.scale must be a positive number, got -2"),
+    ("schedule:\n  s: -1.0\n",
+     ["train", "--data", "d", "--level", "a", "--out", "o"],
+     "schedule.s must be a positive number, got -1.0"),
 ])
 def test_out_of_range_config_is_usage_error(section, command, message, tmp_path, capsys):
     path = tmp_path / "bad.yaml"

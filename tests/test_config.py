@@ -89,6 +89,14 @@ def test_fingerprint_tracks_content(tmp_path):
     ("infer", "cache_threshold", 1.1, "infer.cache_threshold must lie in (0, 1]"),
     ("data", "size", 8, "data.size must be >= 16, got 8"),
     ("data", "count", 0, "data.count must be >= 1, got 0"),
+    ("model", "grid", 0, "model.grid must be >= 1, got 0"),
+    ("model", "hidden", 0, "model.hidden must be >= 1, got 0"),
+    ("model", "pool", 0, "model.pool must be >= 1, got 0"),
+    ("model", "scale", -2, "model.scale must be a positive number, got -2"),
+    ("model", "time_dim", 3, "model.time_dim must be an even number >= 0, got 3"),
+    ("model", "focal_gamma", -1.0, "model.focal_gamma must be >= 0"),
+    ("model", "l1_weight", -5, "model.l1_weight must be >= 0, got -5"),
+    ("schedule", "s", -1.0, "schedule.s must be a positive number, got -1.0"),
 ])
 def test_out_of_range_value_names_the_key(tmp_path, section, key, value, message):
     path = tmp_path / "bad.yaml"
@@ -103,6 +111,8 @@ def test_out_of_range_value_names_the_key(tmp_path, section, key, value, message
     "schedule:\n  eta: 0\n  steps: 8\ninfer:\n  nms_iou: 1\n  renewal_threshold: 0\n"
     "  cache_threshold: 1\n",
     "data:\n  size: 16\n  count: 1\n",
+    "model:\n  grid: 1\n  pool: 1\n  hidden: 1\n  time_dim: 0\n  focal_gamma: 0\n"
+    "  cls_weight: 0\n  l1_weight: 0\n  giou_weight: 0\n",
 ])
 def test_boundary_values_accepted(tmp_path, text):
     path = tmp_path / "edge.yaml"

@@ -116,10 +116,14 @@ class TestForwardNoise:
         assert abs(draws.var() - (1 - ab)) < 0.02 * (1 - ab)
 
 
+def _arr(boxes):
+    return np.stack([b.to_array() for b in boxes])
+
+
 class TestPadGtBoxes:
     def test_full_gt_is_permutation(self):
         gt = [Box(0.1 * i + 0.1, 0.2, 0.1, 0.1) for i in range(4)]
-        z0 = pad_gt_boxes(gt, 4, np.random.default_rng(0), 2.0)
+        z0 = pad_gt_boxes(_arr(gt), 4, np.random.default_rng(0), 2.0)
         assert z0.shape == (4, 4)
         decoded = signal_decode(z0, 2.0)
         want = sorted(map(tuple, [b.to_array() for b in gt]))
@@ -135,7 +139,7 @@ class TestPadGtBoxes:
 
     def test_three_gt_among_eight(self):
         gt = [Box(0.2, 0.2, 0.1, 0.1), Box(0.5, 0.5, 0.2, 0.2), Box(0.8, 0.8, 0.1, 0.3)]
-        z0 = pad_gt_boxes(gt, 8, np.random.default_rng(2), 2.0)
+        z0 = pad_gt_boxes(_arr(gt), 8, np.random.default_rng(2), 2.0)
         decoded = signal_decode(z0, 2.0)
         hits = 0
         for b in gt:
@@ -145,7 +149,7 @@ class TestPadGtBoxes:
     def test_rejects_more_boxes_than_proposals(self):
         gt = [Box(0.1 * i + 0.05, 0.5, 0.05, 0.05) for i in range(9)]
         with pytest.raises(ValueError, match="9 ground-truth boxes exceed 4"):
-            pad_gt_boxes(gt, 4, np.random.default_rng(3), 2.0)
+            pad_gt_boxes(_arr(gt), 4, np.random.default_rng(3), 2.0)
 
     def test_rejects_zero_proposals(self):
         with pytest.raises(ValueError):

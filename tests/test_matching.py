@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dentdet.geometry import Box
-from dentdet.labels import HeadMask, HierarchyLevel, LabelTriple, mask_for
+from dentdet.labels import HeadMask, HierarchyLevel, LabelTriple, class_array, mask_for
 from dentdet.matching import (
     LossBreakdown,
     _cost_matrix,
@@ -46,7 +46,7 @@ def _arrays(preds, gts, mask):
     gt_boxes = (
         np.stack([b.to_array() for b, _ in gts]) if gts else np.zeros((0, 4))
     )
-    return probs, boxes01, gt_boxes, [lab for _, lab in gts]
+    return probs, boxes01, gt_boxes, class_array([lab for _, lab in gts])
 
 
 def match(preds, gts, mask, cfg=CFG) -> MatchResult:
@@ -61,8 +61,10 @@ def match(preds, gts, mask, cfg=CFG) -> MatchResult:
 
 def compute_loss(preds, gts, matchres, mask, cfg=CFG) -> LossBreakdown:
     """Loss breakdown for already-matched predictions (no gradients)."""
+    probs, boxes01, gt_boxes, gt_classes = _arrays(preds, gts, mask)
     breakdown, _, _ = loss_forward_backward(
-        *_arrays(preds, gts, mask), list(matchres.pairs), mask, cfg
+        probs, boxes01, [0, len(preds)], [list(matchres.pairs)], [gt_boxes],
+        [gt_classes], mask, cfg,
     )
     return breakdown
 
@@ -162,8 +164,8 @@ class TestMatch:
         pred = _det(pb, mask=mask)  # uniform over 5 classes incl. background
         probs = {"quadrant": np.stack([pred.loss_probs["quadrant"]])}
         cost = _cost_matrix(
-            probs, pb.to_array()[None], gb.to_array()[None], [LabelTriple(1)],
-            mask, CFG,
+            probs, pb.to_array()[None], gb.to_array()[None],
+            class_array([LabelTriple(1)]), mask, CFG,
         )
         # Overlap 0.1 x 0.2 of two 0.04 boxes: IoU 0.02 / 0.06, and the
         # 0.3 x 0.2 hull equals the union, so GIoU = IoU = 1/3.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dentdet.diffusion import signal_decode, signal_encode
 from dentdet.geometry import Box
-from dentdet.labels import HeadMask, LabelTriple
+from dentdet.labels import HeadMask, LabelTriple, class_array
 from dentdet.model import (
     HIST_CHANNELS,
     NUM_CHANNELS,
@@ -267,7 +267,7 @@ def _small_batch(rng, mask):
         z=z,
         t=300.0,
         gt_boxes=np.stack([b.to_array() for b, _ in gts]),
-        gt_labels=[lab for _, lab in gts],
+        gt_classes=class_array([lab for _, lab in gts]),
     )
 
 

@@ -1,5 +1,7 @@
 """Training loop, inference, cache building, and the staged pipeline."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -297,10 +299,24 @@ class TestTrainStage:
         samples = _samples(HierarchyLevel.QUADRANT_ONLY)
         cfg = _stage(HierarchyLevel.QUADRANT_ONLY, iterations=4,
                      log_every=2, checkpoint_every=2)
-        train_stage(cfg, samples, CFG, SCHED, out_dir=tmp_path)
-        assert (tmp_path / "metrics.jsonl").exists()
+        _, metrics = train_stage(cfg, samples, CFG, SCHED, out_dir=tmp_path)
+        records = [
+            json.loads(line) for line in (tmp_path / "metrics.jsonl").open()
+        ]
+        assert records == metrics
+        assert [r["iteration"] for r in records] == [0, 2, 3]
+        for r in records:
+            assert np.isfinite(r["grad_norm"]) and r["grad_norm"] > 0
+            assert r["clip_factor"] == min(1.0, cfg.grad_clip / r["grad_norm"])
+            # Two images of four quadrant boxes each, all matched.
+            assert r["matched_pairs"] == 8
         assert (tmp_path / "ckpt_000002.bin").exists()
         assert (tmp_path / "ckpt_000004.bin").exists()
+
+    def test_rejects_samples_without_the_level_labels(self):
+        samples = _samples(HierarchyLevel.QUADRANT_ONLY, n=2)
+        with pytest.raises(ValueError, match="sample s0 lacks labels of level"):
+            train_stage(_stage(HierarchyLevel.QUADRANT_ENUM), samples, CFG, SCHED)
 
 
 class TestInfer:
