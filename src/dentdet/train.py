@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .data import AnnotationSet, random_crop_resize
 from .diffusion import (
     NoisyBoxes,
@@ -179,6 +180,7 @@ def _global_norm(grads: ParamStore, names) -> float:
     return float(np.sqrt(sum(float((grads[n] ** 2).sum()) for n in names)))
 
 
+@blas.one_thread()
 def train_stage(
     cfg: StageConfig,
     samples: list[TrainSample],
@@ -371,6 +373,7 @@ def _kept_detections(
     ]
 
 
+@blas.one_thread()
 def infer(
     params: ParamStore,
     grids: list[np.ndarray],
