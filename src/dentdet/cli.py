@@ -19,6 +19,7 @@ from .config import (
     DATA_BOUNDS,
     ENV_CONFIG,
     TRAIN_BOUNDS,
+    DataConfig,
     RunConfig,
     TrainConfig,
     fraction,
@@ -91,6 +92,25 @@ def _load_level(data_dir: Path, level: HierarchyLevel):
     return _load_annotations(data_dir / f"annotations_{level_tag(level)}.json", level)
 
 
+def _check_grid(model_cfg: ModelConfig, width: int, height: int, path) -> None:
+    """The encoder needs at least one pixel per feature-grid cell."""
+    if min(width, height) < model_cfg.grid:
+        raise CliError(
+            EXIT_USAGE,
+            f"model.grid {model_cfg.grid} is larger than the {width}x{height} "
+            f"image {path}",
+        )
+
+
+def _samples(data_dir: Path, level: HierarchyLevel, model_cfg: ModelConfig):
+    """One level of a dataset directory, prepared for training or scoring."""
+    aset = _load_level(data_dir, level)
+    images = data_dir / "images"
+    for info in aset.images:
+        _check_grid(model_cfg, info.width, info.height, images / info.file_name)
+    return prepare_samples(aset, images, model_cfg)
+
+
 def _load_params(path: str | None, model_cfg: ModelConfig):
     if not path or not Path(path).exists():
         raise CliError(EXIT_MISSING, f"missing checkpoint: {path}")
@@ -122,46 +142,70 @@ def _bounded(convert, check):
     return parse
 
 
-def _train_flag(key: str):
-    """argparse type of a flag overriding ``train.<key>``: parsed as the
-    type of the config default, with the config's bound."""
-    return _bounded(type(getattr(TrainConfig, key)), TRAIN_BOUNDS[key])
+_SECTIONS = {"train": (TrainConfig, TRAIN_BOUNDS), "data": (DataConfig, DATA_BOUNDS)}
+_STAGE_FLAGS = (
+    "train.iterations", "train.batch_size", "train.n_proposals", "train.seed", "train.lr"
+)
 
 
-def _stage_config(cfg: RunConfig, level: HierarchyLevel, args) -> StageConfig:
-    return StageConfig(
-        level=level,
-        iterations=cfg.train.iterations if args.iterations is None else args.iterations,
-        batch_size=cfg.train.batch_size if args.batch_size is None else args.batch_size,
-        lr=cfg.train.lr if args.lr is None else args.lr,
-        n_proposals=cfg.train.n_proposals if args.n_proposals is None else args.n_proposals,
-        seed=cfg.train.seed if args.seed is None else args.seed,
-        weight_decay=cfg.train.weight_decay,
-        grad_clip=cfg.train.grad_clip,
-        warmup=cfg.train.warmup,
-        augment=cfg.train.augment,
+def _override_flags(sp: argparse.ArgumentParser, *keys: str) -> None:
+    """Add a flag per ``section.key`` overriding that config key, parsed as
+    the type of the key's default and checked by its bound (exit 2)."""
+    for dest in keys:
+        section, key = dest.split(".")
+        cls, bounds = _SECTIONS[section]
+        sp.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=dest,
+            type=_bounded(type(getattr(cls, key)), bounds[key]),
+        )
+
+
+def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    """``cfg`` with the value of every override flag given; ``main`` applies
+    them before anything reads the config or takes its fingerprint."""
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            changed = dataclasses.replace(getattr(cfg, section), **{key: value})
+            cfg = dataclasses.replace(cfg, **{section: changed})
+    return cfg
+
+
+def _stage_config(cfg: RunConfig, level: HierarchyLevel) -> StageConfig:
+    return StageConfig(level=level, **dataclasses.asdict(cfg.train))
+
+
+def _sampler(cfg: RunConfig) -> dict:
+    """``infer``'s keywords, as the config sets them."""
+    return dict(
+        n_proposals=cfg.train.n_proposals,
+        steps=cfg.schedule.steps,
+        seed=cfg.train.seed,
+        eta=cfg.schedule.eta,
+        renewal_threshold=cfg.infer.renewal_threshold,
+        nms_iou=cfg.infer.nms_iou,
     )
+
+
+def _checkpoint_meta(cfg: RunConfig, **meta) -> dict:
+    """A ``final.bin``'s metadata: ``meta`` and the run's and model's fingerprints."""
+    return {**meta, "config_fingerprint": cfg.fingerprint(),
+            "model_fingerprint": cfg.model.fingerprint()}
 
 
 def cmd_datagen(args, cfg: RunConfig) -> int:
     out = Path(args.out)
-    generate_dataset(
-        out,
-        cfg.data.count if args.count is None else args.count,
-        cfg.train.seed if args.seed is None else args.seed,
-        size=cfg.data.size if args.size is None else args.size,
-    )
+    generate_dataset(out, cfg.data.count, cfg.train.seed, size=cfg.data.size)
     print(f"wrote synthetic dataset to {out}")
     return EXIT_OK
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
     level = _level(args.level)
-    data_dir = Path(args.data)
-    aset = _load_level(data_dir, level)
-    samples = prepare_samples(aset, data_dir / "images", cfg.model)
+    samples = _samples(Path(args.data), level, cfg.model)
     schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
-    stage = _stage_config(cfg, level, args)
+    stage = _stage_config(cfg, level)
     init = _load_params(args.init, cfg.model) if args.init else None
     cache = None
     if args.cache:
@@ -178,10 +222,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIVERGED
     out = Path(args.out)
-    save_checkpoint(
-        out / "final.bin", params,
-        {"level": level.value, "config_fingerprint": cfg.fingerprint()},
-    )
+    save_checkpoint(out / "final.bin", params, _checkpoint_meta(cfg, level=level.value))
     print(f"trained {len(metrics)} logged points; checkpoint at {out / 'final.bin'}")
     return EXIT_OK
 
@@ -189,20 +230,14 @@ def cmd_train(args, cfg: RunConfig) -> int:
 def cmd_pipeline(args, cfg: RunConfig) -> int:
     data_dir = Path(args.data)
     schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
-    datasets = {}
-    for level in HierarchyLevel:
-        aset = _load_level(data_dir, level)
-        datasets[level] = prepare_samples(aset, data_dir / "images", cfg.model)
+    datasets = {level: _samples(data_dir, level, cfg.model) for level in HierarchyLevel}
     eval_datasets = None
     if args.eval_data:
         eval_dir = Path(args.eval_data)
-        eval_datasets = {}
-        for level in HierarchyLevel:
-            aset = _load_level(eval_dir, level)
-            eval_datasets[level] = prepare_samples(
-                aset, eval_dir / "images", cfg.model
-            )
-    base = _stage_config(cfg, HierarchyLevel.QUADRANT_ONLY, args)
+        eval_datasets = {
+            level: _samples(eval_dir, level, cfg.model) for level in HierarchyLevel
+        }
+    base = _stage_config(cfg, HierarchyLevel.QUADRANT_ONLY)
     plan = make_plan(args.arm, base)
     out = Path(args.out)
     try:
@@ -218,8 +253,7 @@ def cmd_pipeline(args, cfg: RunConfig) -> int:
     for i, sr in enumerate(result.stages):
         save_checkpoint(
             out / f"stage_{i}_{sr.level.value}" / "final.bin", sr.params,
-            {"level": sr.level.value, "arm": plan.arm,
-             "config_fingerprint": cfg.fingerprint()},
+            _checkpoint_meta(cfg, level=sr.level.value, arm=plan.arm),
         )
     print(result.report_text())
     return EXIT_OK
@@ -256,16 +290,12 @@ def cmd_infer(args, cfg: RunConfig) -> int:
         path = Path(p)
         if not path.exists():
             raise CliError(EXIT_MISSING, f"missing image: {path}")
-        grids.append(encode_image(read_pgm(path), cfg.model.grid))
+        image = read_pgm(path)
+        _check_grid(cfg.model, image.shape[1], image.shape[0], path)
+        grids.append(encode_image(image, cfg.model.grid))
         ids.append(path.stem)
     schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
-    dets = infer(
-        params, grids, level, cfg.model, schedule,
-        n_proposals=cfg.train.n_proposals if args.n_proposals is None else args.n_proposals,
-        steps=cfg.schedule.steps, seed=cfg.train.seed if args.seed is None else args.seed,
-        eta=cfg.schedule.eta, renewal_threshold=cfg.infer.renewal_threshold,
-        nms_iou=cfg.infer.nms_iou,
-    )
+    dets = infer(params, grids, level, cfg.model, schedule, **_sampler(cfg))
     doc = _detections_doc(ids, dets)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=1))
@@ -278,9 +308,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     from .evalmetrics import build_report
 
     level = _level(args.level)
-    data_dir = Path(args.data)
-    aset = _load_level(data_dir, level)
-    samples = prepare_samples(aset, data_dir / "images", cfg.model)
+    samples = _samples(Path(args.data), level, cfg.model)
     if args.oracle:
         dets = []
         for s in samples:
@@ -308,12 +336,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         params = _load_params(args.checkpoint, cfg.model)
         schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
         report = evaluate_params(
-            params, level, samples, cfg.model, schedule,
-            n_proposals=cfg.train.n_proposals if args.n_proposals is None else args.n_proposals,
-            steps=cfg.schedule.steps,
-            seed=cfg.train.seed if args.seed is None else args.seed,
-            eta=cfg.schedule.eta, renewal_threshold=cfg.infer.renewal_threshold,
-            nms_iou=cfg.infer.nms_iou,
+            params, level, samples, cfg.model, schedule, **_sampler(cfg)
         )
     print(report.table())
     if args.out:
@@ -367,8 +390,7 @@ def cmd_split(args, cfg: RunConfig) -> int:
     aset = _load_annotations(Path(args.annotations), level)
     try:
         train_ids, val_ids, test_ids = split_manifest(
-            aset, (args.train_frac, args.val_frac, args.test_frac),
-            cfg.train.seed if args.seed is None else args.seed,
+            aset, (args.train_frac, args.val_frac, args.test_frac), cfg.train.seed
         )
     except ValueError as e:
         raise CliError(EXIT_USAGE, str(e))
@@ -379,12 +401,6 @@ def cmd_split(args, cfg: RunConfig) -> int:
     print(f"split {len(aset.images)} images into "
           f"{len(train_ids)}/{len(val_ids)}/{len(test_ids)}")
     return EXIT_OK
-
-
-def _stage_arguments(sp: argparse.ArgumentParser) -> None:
-    """Overrides of the config's ``train:`` section; out-of-range values exit 2."""
-    for key in ("iterations", "batch_size", "n_proposals", "seed", "lr"):
-        sp.add_argument("--" + key.replace("_", "-"), type=_train_flag(key))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,9 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("datagen", help="emit a synthetic three-level dataset")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--count", type=_bounded(int, DATA_BOUNDS["count"]))
-    sp.add_argument("--seed", type=_train_flag("seed"))
-    sp.add_argument("--size", type=_bounded(int, DATA_BOUNDS["size"]))
+    _override_flags(sp, "data.count", "train.seed", "data.size")
     sp.set_defaults(fn=cmd_datagen)
 
     sp = sub.add_parser("train", help="train a single hierarchy stage")
@@ -411,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--init", help="checkpoint to start from")
     sp.add_argument("--cache", help="inferred-box cache (enables manipulation)")
-    _stage_arguments(sp)
+    _override_flags(sp, *_STAGE_FLAGS)
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("pipeline", help="full staged training (a -> b -> c)")
@@ -419,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--arm", choices=ARMS, default="full")
     sp.add_argument("--eval-data")
-    _stage_arguments(sp)
+    _override_flags(sp, *_STAGE_FLAGS)
     sp.set_defaults(fn=cmd_pipeline)
 
     sp = sub.add_parser("infer", help="detect boxes on images")
@@ -427,8 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--level", required=True)
     sp.add_argument("--images", nargs="+", required=True)
     sp.add_argument("--out")
-    sp.add_argument("--n-proposals", type=_train_flag("n_proposals"))
-    sp.add_argument("--seed", type=_train_flag("seed"))
+    _override_flags(sp, "train.n_proposals", "train.seed")
     sp.set_defaults(fn=cmd_infer)
 
     sp = sub.add_parser("eval", help="COCO-style report over a labeled set")
@@ -438,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle", action="store_true",
                     help="evaluate ground truth copied as detections")
     sp.add_argument("--out")
-    sp.add_argument("--n-proposals", type=_train_flag("n_proposals"))
-    sp.add_argument("--seed", type=_train_flag("seed"))
+    _override_flags(sp, "train.n_proposals", "train.seed")
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("render", help="draw labeled boxes onto images")
@@ -459,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     for name in ("--train-frac", "--val-frac", "--test-frac"):
         sp.add_argument(name, type=_bounded(float, fraction), required=True)
-    sp.add_argument("--seed", type=_train_flag("seed"))
+    _override_flags(sp, "train.seed")
     sp.set_defaults(fn=cmd_split)
     return p
 
@@ -468,7 +480,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = _apply_overrides(load_config(args.config), args)
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISSING

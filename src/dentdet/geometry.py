@@ -61,12 +61,6 @@ def cxcywh_to_xyxy(boxes: np.ndarray) -> np.ndarray:
     return np.concatenate([boxes[..., :2] - half, boxes[..., :2] + half], axis=-1)
 
 
-def xyxy_to_cxcywh(boxes: np.ndarray) -> np.ndarray:
-    boxes = np.asarray(boxes, dtype=np.float64)
-    wh = boxes[..., 2:] - boxes[..., :2]
-    return np.concatenate([boxes[..., :2] + wh / 2, wh], axis=-1)
-
-
 def iou(a: Box, b: Box) -> float:
     """Intersection over union; degenerate (zero-area) inputs give 0."""
     ax1, ay1, ax2, ay2 = a.to_xyxy()

@@ -75,14 +75,6 @@ def mask_for(level: HierarchyLevel) -> HeadMask:
     raise ValueError(f"unknown hierarchy level: {level!r}")
 
 
-def level_for(mask: HeadMask) -> HierarchyLevel:
-    return {
-        (1, 0, 0): HierarchyLevel.QUADRANT_ONLY,
-        (1, 1, 0): HierarchyLevel.QUADRANT_ENUM,
-        (1, 1, 1): HierarchyLevel.FULL,
-    }[(mask.h_q, mask.h_e, mask.h_d)]
-
-
 @dataclass(frozen=True)
 class LabelTriple:
     """Zero-based class indices; a field is present iff its head is supervised."""

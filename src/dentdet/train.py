@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blas
+from .config import TrainConfig
 from .data import AnnotationSet, random_crop_resize
 from .diffusion import (
     NoisyBoxes,
@@ -46,28 +47,15 @@ from .model import (
 ARMS = ("full", "no_transfer", "no_manipulation", "neither")
 
 
-@dataclass(frozen=True)
-class StageConfig:
+@dataclass(frozen=True, kw_only=True)
+class StageConfig(TrainConfig):
+    """The ``train`` config section plus what one pipeline stage adds."""
+
     level: HierarchyLevel
-    iterations: int = 2000
-    batch_size: int = 8
-    lr: float = 2e-3
-    n_proposals: int = 64
     use_manipulation: bool = False
     use_transfer: bool = False
-    seed: int = 0
-    weight_decay: float = 1e-4
-    grad_clip: float = 1.0
-    warmup: int = 0
-    augment: bool = False
     log_every: int = 50
     checkpoint_every: int = 500
-
-    def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -318,7 +306,7 @@ def train_stage(
                     last_ckpt,
                     params,
                     {"iteration": it + 1, "level": cfg.level.value,
-                     "config_fingerprint": model_cfg.fingerprint()},
+                     "model_fingerprint": model_cfg.fingerprint()},
                 )
     finally:
         if log_f:
@@ -431,29 +419,16 @@ def build_cache(
     level: HierarchyLevel,
     model_cfg: ModelConfig,
     schedule: Schedule,
-    n_proposals: int = 64,
-    steps: int = 1,
     threshold: float = 0.5,
-    seed: int = 0,
-    eta: float = 0.0,
-    renewal_threshold: float = 0.5,
-    nms_iou: float = 0.5,
+    **sampler,
 ) -> InferredBoxCache:
     """Run inference over the next stage's images and cache the boxes that
-    score above ``threshold``, the gate training splices them with."""
+    score above ``threshold``, the gate training splices them with.
+
+    ``sampler`` holds :func:`infer`'s keywords."""
     cache = InferredBoxCache(threshold)
     dets_per_image = infer(
-        params,
-        [s.grid_feats for s in samples],
-        level,
-        model_cfg,
-        schedule,
-        n_proposals=n_proposals,
-        steps=steps,
-        seed=seed,
-        eta=eta,
-        renewal_threshold=renewal_threshold,
-        nms_iou=nms_iou,
+        params, [s.grid_feats for s in samples], level, model_cfg, schedule, **sampler
     )
     for s, dets in zip(samples, dets_per_image):
         for d in dets:
@@ -498,26 +473,13 @@ def evaluate_params(
     eval_samples: list[TrainSample],
     model_cfg: ModelConfig,
     schedule: Schedule,
-    n_proposals: int = 64,
-    steps: int = 1,
-    seed: int = 0,
-    eta: float = 0.0,
-    renewal_threshold: float = 0.5,
-    nms_iou: float = 0.5,
+    **sampler,
 ) -> EvalReport:
-    """Infer over held-out samples and score every task the level supervises."""
+    """Infer over held-out samples with :func:`infer`'s keywords ``sampler``
+    and score every task the level supervises."""
     dets = infer(
-        params,
-        [s.grid_feats for s in eval_samples],
-        level,
-        model_cfg,
-        schedule,
-        n_proposals=n_proposals,
-        steps=steps,
-        seed=seed,
-        eta=eta,
-        renewal_threshold=renewal_threshold,
-        nms_iou=nms_iou,
+        params, [s.grid_feats for s in eval_samples], level, model_cfg, schedule,
+        **sampler,
     )
     return build_report(
         dets,
@@ -535,18 +497,18 @@ def run_pipeline(
     out_dir=None,
     eval_datasets: dict[HierarchyLevel, list[TrainSample]] | None = None,
     infer_steps: int = 1,
-    eta: float = 0.0,
-    renewal_threshold: float = 0.5,
-    nms_iou: float = 0.5,
     cache_threshold: float = 0.5,
+    **sampler,
 ) -> PipelineResult:
     """Execute the three stages honoring the arm's mechanism flags.
 
-    Cache building and held-out scoring sample with ``infer_steps``,
-    ``eta``, ``renewal_threshold`` and ``nms_iou``; the cache keeps, and
-    training splices, the boxes scoring above ``cache_threshold``.
+    Cache building and held-out scoring sample with ``infer_steps`` and
+    ``sampler``, :func:`infer`'s keywords other than ``n_proposals`` and
+    ``seed``.  Both take ``n_proposals`` from the stage; the cache takes the
+    stage's seed, and held-out scoring the run's (the first stage's), as
+    ``dentdet eval`` does.  The cache keeps, and training splices, the boxes
+    scoring above ``cache_threshold``.
     """
-    sampler = dict(eta=eta, renewal_threshold=renewal_threshold, nms_iou=nms_iou)
     for stage in plan.stages:
         if stage.level not in datasets or not datasets[stage.level]:
             raise ValueError(f"missing dataset for level {stage.level.value}")
@@ -606,6 +568,7 @@ def run_pipeline(
                 schedule,
                 n_proposals=stage.n_proposals,
                 steps=infer_steps,
+                seed=plan.stages[0].seed,
                 **sampler,
             )
         result.stages.append(sr)

@@ -12,7 +12,7 @@ from dentdet.cli import (
     EXIT_USAGE,
     main,
 )
-from dentdet.model import ModelConfig, init_params, save_checkpoint
+from dentdet.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 
 SMALL_CFG = (
     "model:\n  grid: 8\n  pool: 2\n  hidden: 16\n  time_dim: 8\n"
@@ -429,3 +429,69 @@ def test_train_cache_splices_above_the_config_gate(dataset, tmp_path, monkeypatc
     for threshold, out in calls:
         assert threshold == 0.3
         np.testing.assert_array_equal(out[-1], want)
+
+
+def test_pipeline_scores_held_out_sets_with_the_run_seed(cfg_path, tmp_path, capsys):
+    data, held_out = tmp_path / "data", tmp_path / "held_out"
+    for out, seed in ((data, "5"), (held_out, "6")):
+        assert main(["--config", cfg_path, "datagen", "--out", str(out),
+                     "--seed", seed]) == EXIT_OK
+    out = tmp_path / "pipe"
+    flags = ["--seed", "3", "--n-proposals", "32"]
+    assert main(["--config", cfg_path, "pipeline", "--data", str(data),
+                 "--eval-data", str(held_out), "--out", str(out), *flags]) == EXIT_OK
+    tables = []
+    for seed in ("3", "0"):
+        capsys.readouterr()
+        assert main(["--config", cfg_path, "eval", "--data", str(held_out),
+                     "--level", "a", "--checkpoint",
+                     str(out / "stage_0_quadrant" / "final.bin"),
+                     *flags, "--seed", seed]) == EXIT_OK
+        tables.append(capsys.readouterr().out.rstrip("\n"))
+    assert tables[0] != tables[1]  # the seed shows in this table
+    report = (out / "report.txt").read_text()
+    stage_a = report.split("stage quadrant:\n")[1].split("\nstage ")[0]
+    assert "\n".join("  " + line for line in tables[0].splitlines()) in stage_a
+
+
+def test_checkpoint_fingerprints_include_the_flags(dataset, cfg_path, tmp_path, capsys):
+    model = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8).fingerprint()  # as SMALL_CFG
+    fingerprints = []
+    for flags in (["--iterations", "2"], ["--iterations", "3"], []):
+        run = tmp_path / f"run_{len(fingerprints)}"
+        capsys.readouterr()
+        assert main(["--config", cfg_path, "train", "--data", str(dataset),
+                     "--level", "a", "--out", str(run), *flags]) == EXIT_OK
+        printed = capsys.readouterr().err.split("config fingerprint: ")[1].split()[0]
+        _, meta = load_checkpoint(run / "final.bin")
+        assert (meta["config_fingerprint"], meta["model_fingerprint"]) == (printed, model)
+        periodic = list(run.glob("ckpt_*.bin"))
+        assert periodic
+        for path in periodic:
+            assert {k: v for k, v in load_checkpoint(path)[1].items()
+                    if k.endswith("fingerprint")} == {"model_fingerprint": model}
+        fingerprints.append(printed)
+    assert fingerprints[0] != fingerprints[1]
+    assert fingerprints[1] == fingerprints[2]  # SMALL_CFG sets 3 iterations
+
+
+@pytest.mark.parametrize("command", ["train", "infer", "eval --oracle"])
+def test_grid_larger_than_the_images_is_usage_error(command, dataset, tmp_path, capsys):
+    cfg_path = tmp_path / "big_grid.yaml"
+    cfg_path.write_text(SMALL_CFG.replace("grid: 8", "grid: 512"))
+    ckpt = tmp_path / "big_grid.bin"
+    big = ModelConfig(grid=512, pool=2, hidden=16, time_dim=8)
+    save_checkpoint(ckpt, init_params(big, np.random.default_rng(0)))
+    image = next((dataset / "images").glob("q_*.pgm"))
+    args = {
+        "train": ["train", "--data", str(dataset), "--level", "a",
+                  "--out", str(tmp_path / "run")],
+        "infer": ["infer", "--checkpoint", str(ckpt), "--level", "a",
+                  "--images", str(image)],
+        "eval --oracle": ["eval", "--data", str(dataset), "--level", "c", "--oracle"],
+    }[command]
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), *args]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: model.grid 512 is larger than the 256x256 image" in err
+    assert "Traceback" not in err

@@ -1,8 +1,11 @@
 """YAML run-config loading, validation, and fingerprints."""
 
 import pytest
+import yaml
 
 from dentdet.config import ENV_CONFIG, RunConfig, load_config
+from dentdet.labels import HierarchyLevel
+from dentdet.train import StageConfig
 
 
 def test_defaults_without_file(monkeypatch):
@@ -69,7 +72,7 @@ def test_fingerprint_tracks_content(tmp_path):
     assert len(a.fingerprint()) == 16
 
 
-@pytest.mark.parametrize("section, key, value, message", [
+TRAIN_CASES = [
     ("train", "n_proposals", 0, "train.n_proposals must be >= 1, got 0"),
     ("train", "batch_size", 0, "train.batch_size must be >= 1"),
     ("train", "iterations", -1, "train.iterations must be >= 0"),
@@ -80,6 +83,10 @@ def test_fingerprint_tracks_content(tmp_path):
     ("train", "weight_decay", -0.1, "train.weight_decay must be >= 0"),
     ("train", "grad_clip", 0.0, "train.grad_clip must be a positive number"),
     ("train", "n_proposals", "many", "train.n_proposals must be a number"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, message", TRAIN_CASES + [
     ("schedule", "eta", 2.0, "schedule.eta must lie in [0, 1], got 2.0"),
     ("schedule", "eta", -0.5, "schedule.eta must lie in [0, 1]"),
     ("schedule", "timesteps", 0, "schedule.timesteps must be >= 1"),
@@ -103,6 +110,14 @@ def test_out_of_range_value_names_the_key(tmp_path, section, key, value, message
     path.write_text(f"{section}:\n  {key}: {value}\n")  # values are YAML text
     with pytest.raises(ValueError) as exc:
         load_config(path)
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("section, key, value, message", TRAIN_CASES)
+def test_stage_config_checks_the_train_bounds(section, key, value, message):
+    value = yaml.safe_load(str(value))  # as a config file would give it
+    with pytest.raises(ValueError) as exc:
+        StageConfig(level=HierarchyLevel.QUADRANT_ONLY, **{key: value})
     assert str(exc.value).startswith(message)
 
 

@@ -13,7 +13,6 @@ from dentdet.geometry import (
     iou,
     iou_matrix,
     nms,
-    xyxy_to_cxcywh,
 )
 
 coords = st.floats(0.0, 1.0, allow_nan=False)
@@ -53,13 +52,17 @@ def test_array_round_trip():
     assert Box.from_array(b.to_array()) == b
 
 
-def test_batch_conversion_round_trip():
+def test_batch_conversion_corners():
     rng = np.random.default_rng(3)
     cs = np.column_stack(
         [rng.uniform(0, 1, 40), rng.uniform(0, 1, 40),
          rng.uniform(0.01, 1, 40), rng.uniform(0.01, 1, 40)]
     )
-    np.testing.assert_allclose(xyxy_to_cxcywh(cxcywh_to_xyxy(cs)), cs, atol=1e-12)
+    np.testing.assert_array_equal(
+        cxcywh_to_xyxy(cs), [Box(*row).to_xyxy() for row in cs]
+    )
+    corners = cxcywh_to_xyxy([0.5, 0.5, 0.25, 0.125])
+    assert corners.tolist() == [0.375, 0.4375, 0.625, 0.5625]
 
 
 def test_clamped_enforces_floor_and_range():

@@ -9,7 +9,6 @@ from dentdet.labels import (
     HierarchyLevel,
     LabelTriple,
     fdi_string,
-    level_for,
     mask_for,
 )
 
@@ -30,7 +29,6 @@ def test_class_counts():
 def test_mask_for_levels(level, expected):
     m = mask_for(level)
     assert (m.h_q, m.h_e, m.h_d) == expected
-    assert level_for(m) is level
 
 
 @pytest.mark.parametrize("bad", [(0, 0, 0), (1, 0, 1), (0, 1, 1), (0, 1, 0)])
