@@ -39,7 +39,6 @@ from .manipulate import InferredBoxCache
 from .model import ModelConfig, check_shapes, load_checkpoint, save_checkpoint
 from .train import (
     ARMS,
-    Detection,
     StageConfig,
     TrainingDiverged,
     evaluate_params,
@@ -102,20 +101,38 @@ def _check_grid(model_cfg: ModelConfig, width: int, height: int, path) -> None:
         )
 
 
+def _check_image(path: Path) -> None:
+    if not path.exists():
+        raise CliError(EXIT_MISSING, f"missing image: {path}")
+
+
+def _read_image(path: Path):
+    _check_image(path)
+    try:
+        return read_pgm(path)
+    except ValueError as e:
+        raise CliError(EXIT_INVALID, f"invalid image: {e}")
+
+
 def _samples(data_dir: Path, level: HierarchyLevel, model_cfg: ModelConfig):
     """One level of a dataset directory, prepared for training or scoring."""
     aset = _load_level(data_dir, level)
     images = data_dir / "images"
     for info in aset.images:
-        _check_grid(model_cfg, info.width, info.height, images / info.file_name)
-    return prepare_samples(aset, images, model_cfg)
+        path = images / info.file_name
+        _check_image(path)
+        _check_grid(model_cfg, info.width, info.height, path)
+    try:
+        return prepare_samples(aset, images, model_cfg)
+    except ValueError as e:  # read_pgm names the file
+        raise CliError(EXIT_INVALID, f"invalid image: {e}")
 
 
 def _load_params(path: str | None, model_cfg: ModelConfig):
     if not path or not Path(path).exists():
         raise CliError(EXIT_MISSING, f"missing checkpoint: {path}")
     try:
-        params, _ = load_checkpoint(path)
+        params, meta = load_checkpoint(path)
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
     try:
@@ -123,6 +140,14 @@ def _load_params(path: str | None, model_cfg: ModelConfig):
     except ValueError as e:
         raise CliError(
             EXIT_INVALID, f"checkpoint {path} does not fit the model config: {e}"
+        )
+    # Grid, scale and the loss settings change no tensor shape.
+    stored, expected = meta.get("model_fingerprint"), model_cfg.fingerprint()
+    if stored is not None and stored != expected:
+        raise CliError(
+            EXIT_INVALID,
+            f"checkpoint {path} has model fingerprint {stored}, but the model "
+            f"config's is {expected}",
         )
     return params
 
@@ -288,9 +313,7 @@ def cmd_infer(args, cfg: RunConfig) -> int:
     grids, ids = [], []
     for p in args.images:
         path = Path(p)
-        if not path.exists():
-            raise CliError(EXIT_MISSING, f"missing image: {path}")
-        image = read_pgm(path)
+        image = _read_image(path)
         _check_grid(cfg.model, image.shape[1], image.shape[0], path)
         grids.append(encode_image(image, cfg.model.grid))
         ids.append(path.stem)
@@ -305,33 +328,20 @@ def cmd_infer(args, cfg: RunConfig) -> int:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    from .evalmetrics import build_report
+    from .evalmetrics import EvalReport, evaluate, task_ground_truth
 
     level = _level(args.level)
     samples = _samples(Path(args.data), level, cfg.model)
     if args.oracle:
-        dets = []
-        for s in samples:
-            per_img = []
-            for box, lab in s.gts:
-                probs_q = np.zeros(4)
-                probs_q[lab.quadrant] = 1.0
-                probs_e = np.zeros(8)
-                probs_d = np.zeros(4)
-                if lab.enumeration is not None:
-                    probs_e[lab.enumeration] = 1.0
-                if lab.diagnosis is not None:
-                    probs_d[lab.diagnosis] = 1.0
-                per_img.append(
-                    Detection(box=box, probs_q=probs_q, probs_e=probs_e,
-                              probs_d=probs_d, score=1.0)
-                )
-            dets.append(per_img)
-        tasks = mask_for(level).active_heads
-        report = build_report(
-            dets, [s.gts for s in samples],
-            [(s.width, s.height) for s in samples], tasks=tasks,
-        )
+        # Every task's ground truth, scored as detections of score 1.
+        gts = [(s.gt_boxes, s.gt_classes) for s in samples]
+        sizes = [(s.width, s.height) for s in samples]
+        tasks = {}
+        for task in mask_for(level).active_heads:
+            truth = task_ground_truth(gts, task)
+            dets = [(boxes, classes, np.ones(len(classes))) for boxes, classes in truth]
+            tasks[task] = evaluate(dets, truth, sizes, task)
+        report = EvalReport(tasks=tasks)
     else:
         params = _load_params(args.checkpoint, cfg.model)
         schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
@@ -359,7 +369,7 @@ def cmd_render(args, cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     by_image = aset.by_image()
     for info in aset.images:
-        img = read_pgm(data_dir / "images" / info.file_name)
+        img = _read_image(data_dir / "images" / info.file_name)
         items = [(a.box, caption(a.label)) for a in by_image[info.id]]
         canvas = render_overlay(img, items)
         write_ppm(out_dir / f"{info.id}.ppm", canvas)

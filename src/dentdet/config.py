@@ -148,7 +148,6 @@ class InferConfig:
 
 @dataclass(frozen=True)
 class DataConfig:
-    dir: str = "dataset"
     size: int = 256
     count: int = 64
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, cxcywh_to_xyxy
 from .labels import (
     NUM_ENUMERATIONS,
     NUM_QUADRANTS,
@@ -58,26 +58,6 @@ class Layout:
 
     def diagnosed(self):
         return [t for t in self.teeth if t.present and t.diagnosis is not None]
-
-
-def check_layout(layout: Layout) -> None:
-    """Raise if a layout violates its structural invariants."""
-    seen = set()
-    for t in layout.teeth:
-        key = (t.quadrant, t.enumeration)
-        if key in seen:
-            raise ValueError(f"duplicate tooth slot {key}")
-        seen.add(key)
-        if not t.present:
-            continue
-        x0, y0, x1, y1 = quadrant_region(t.quadrant, layout.size)
-        bx0, by0, bx1, by1 = (v * layout.size for v in t.box.to_xyxy())
-        if not (x0 - 1e-6 <= bx0 and bx1 <= x1 + 1e-6 and y0 - 1e-6 <= by0 and by1 <= y1 + 1e-6):
-            raise ValueError(
-                f"tooth {key} box escapes its quadrant region"
-            )
-    if len(layout.teeth) != NUM_QUADRANTS * NUM_ENUMERATIONS:
-        raise ValueError("layout must carry 32 tooth slots")
 
 
 # Diagnosis motifs are intensity-coded so that cell-statistics features can
@@ -368,10 +348,19 @@ def split_manifest(aset: AnnotationSet, fractions, seed: int):
     return ids[:n_train], ids[n_train : n_train + n_val], ids[n_train + n_val :]
 
 
-def random_crop_resize(img: np.ndarray, gts, rng: np.random.Generator, min_area: float = 0.8):
+def random_crop_resize(
+    img: np.ndarray,
+    boxes: np.ndarray,
+    classes: np.ndarray,
+    rng: np.random.Generator,
+    min_area: float = 0.8,
+):
     """Augmentation: random crop retaining at least ``min_area`` of the image
-    area, resized back to the original shape (nearest neighbor).  Boxes are
-    clipped to the crop; boxes whose center leaves the crop are dropped."""
+    area, resized back to the original shape (nearest neighbor).
+
+    ``boxes`` (M, 4) center-size are clipped to the crop; rows whose center
+    leaves the crop are dropped from them and from ``classes``.  Returns the
+    image, boxes and classes."""
     h, w = img.shape
     frac = np.sqrt(rng.uniform(min_area, 1.0))
     cw, ch = int(round(w * frac)), int(round(h * frac))
@@ -381,20 +370,18 @@ def random_crop_resize(img: np.ndarray, gts, rng: np.random.Generator, min_area:
     yi = np.clip((np.arange(h) * ch / h).astype(int), 0, ch - 1)
     xi = np.clip((np.arange(w) * cw / w).astype(int), 0, cw - 1)
     out_img = crop[np.ix_(yi, xi)]
-    out_gts = []
-    for box, label in gts:
-        cx_px, cy_px = box.cx * w, box.cy * h
-        if not (x0 <= cx_px < x0 + cw and y0 <= cy_px < y0 + ch):
-            continue
-        x1, y1, x2, y2 = (v * s for v, s in zip(box.to_xyxy(), (w, h, w, h)))
-        x1 = max(x1 - x0, 0.0) / cw
-        x2 = min(x2 - x0, cw) / cw
-        y1 = max(y1 - y0, 0.0) / ch
-        y2 = min(y2 - y0, ch) / ch
-        if x2 - x1 <= 0 or y2 - y1 <= 0:
-            continue
-        out_gts.append((Box.from_xyxy(x1, y1, x2, y2), label))
-    return out_img, out_gts
+    cx_px, cy_px = boxes[:, 0] * w, boxes[:, 1] * h
+    x1, y1, x2, y2 = (cxcywh_to_xyxy(boxes) * (w, h, w, h)).T
+    x1 = np.maximum(x1 - x0, 0.0) / cw
+    x2 = np.minimum(x2 - x0, cw) / cw
+    y1 = np.maximum(y1 - y0, 0.0) / ch
+    y2 = np.minimum(y2 - y0, ch) / ch
+    keep = (
+        (x0 <= cx_px) & (cx_px < x0 + cw) & (y0 <= cy_px) & (cy_px < y0 + ch)
+        & (x2 - x1 > 0) & (y2 - y1 > 0)
+    )
+    out = np.stack([(x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1], axis=1)
+    return out_img, out[keep], classes[keep]
 
 
 def level_tag(level: HierarchyLevel) -> str:

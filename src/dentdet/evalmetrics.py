@@ -31,20 +31,6 @@ TASKS = ("quadrant", "enumeration", "diagnosis")
 
 
 @dataclass(frozen=True)
-class EvalInstance:
-    """Per-image evaluation input for one task.
-
-    dets: (box, class_id, score) triples; gts: (box, class_id) pairs.
-    width/height give the original pixel size for area bucketing.
-    """
-
-    dets: tuple
-    gts: tuple
-    width: int
-    height: int
-
-
-@dataclass(frozen=True)
 class TaskMetrics:
     ar: float
     ap: float
@@ -86,12 +72,6 @@ class EvalReport:
             for task, tm in self.tasks.items()
             for k, v in tm.as_dict().items()
         }
-
-
-def _box_array(boxes) -> np.ndarray:
-    return np.array(
-        [(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=np.float64
-    ).reshape(-1, 4)
 
 
 def _area_px(boxes: np.ndarray, width, height) -> np.ndarray:
@@ -202,28 +182,33 @@ def _ap_from_flags(tp: np.ndarray, fp: np.ndarray, n_gt: np.ndarray) -> np.ndarr
     return (np.cumsum(sampled, axis=1)[:, -1] / 101.0).reshape(curve_shape)
 
 
-def evaluate(
-    instances: list[EvalInstance],
-    task: str,
-    max_dets: int = 100,
-) -> TaskMetrics:
+def _rows(per_image, dtype, width=None) -> np.ndarray:
+    """The images' rows (of ``width`` columns) concatenated in image order."""
+    shape = (-1,) if width is None else (-1, width)
+    return np.concatenate([np.asarray(a, dtype=dtype).reshape(shape) for a in per_image])
+
+
+def evaluate(dets, gts, sizes, task: str, max_dets: int = 100) -> TaskMetrics:
     """Task metrics over a set of images.
 
-    Every image must carry ground truth labeled for the task (evaluation is
-    restricted to fully labeled data for the deeper heads).
+    Per image: ``dets`` holds (boxes (D, 4), classes (D,), scores (D,)),
+    ``gts`` holds (boxes (G, 4), classes (G,)) and ``sizes`` (width,
+    height), the original pixel size for area bucketing.  Boxes are
+    normalized center-size.  Every image must carry ground truth labeled
+    for the task (evaluation is restricted to fully labeled data for the
+    deeper heads).
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     num_classes = HEAD_CLASS_COUNTS[task]
-    if not any(inst.gts for inst in instances):
+    if not any(len(classes) for _, classes in gts):
         raise ValueError(f"no ground truth labeled for task {task!r}")
-    n_img = len(instances)
-    width = np.array([inst.width for inst in instances])
-    height = np.array([inst.height for inst in instances])
+    n_img = len(sizes)
+    width, height = np.array(sizes).reshape(n_img, 2).T
 
-    g_img = np.repeat(np.arange(n_img), [len(inst.gts) for inst in instances])
-    g_box = _box_array([b for inst in instances for b, _ in inst.gts])
-    g_cls = np.array([c for inst in instances for _, c in inst.gts], dtype=np.int64)
+    g_img = np.repeat(np.arange(n_img), [len(classes) for _, classes in gts])
+    g_box = _rows([boxes for boxes, _ in gts], np.float64, 4)
+    g_cls = _rows([classes for _, classes in gts], np.int64)
     g_slot = _run_positions(g_img)
     g_ignore = _bucket_outside(_area_px(g_box, width[g_img], height[g_img]))
     n_gt = (  # counted ground truths per (class, bucket)
@@ -233,10 +218,10 @@ def evaluate(
 
     # Each image's detections by class, then descending score (stable),
     # at most max_dets per class.
-    d_img = np.repeat(np.arange(n_img), [len(inst.dets) for inst in instances])
-    d_box = _box_array([b for inst in instances for b, _, _ in inst.dets])
-    d_cls = np.array([c for inst in instances for _, c, _ in inst.dets], dtype=np.int64)
-    d_score = np.array([s for inst in instances for _, _, s in inst.dets], dtype=np.float64)
+    d_img = np.repeat(np.arange(n_img), [len(scores) for _, _, scores in dets])
+    d_box = _rows([boxes for boxes, _, _ in dets], np.float64, 4)
+    d_cls = _rows([classes for _, classes, _ in dets], np.int64)
+    d_score = _rows([scores for _, _, scores in dets], np.float64)
     order = np.lexsort((-d_score, d_cls, d_img))
     rank = _run_positions(d_img[order], d_cls[order])
     keep = rank < max_dets
@@ -278,45 +263,48 @@ def evaluate(
 
 
 def detections_to_eval(dets, task: str):
-    """Convert decoder detections to (box, class, score) triples for a task.
+    """Boxes (D, 4), classes (D,) and scores (D,) of decoder detections for
+    a task.
 
-    The per-class score is the display probability of the argmax class,
-    weighted by the detection's objectness.
+    The class is the argmax of the task's display probabilities; its score
+    is that probability weighted by the detection's objectness.
     """
-    out = []
-    for d in dets:
-        probs = d.display_probs(task)
-        cls = int(np.argmax(probs))
-        out.append((d.box, cls, float(probs[cls]) * d.objectness))
-    return tuple(out)
+    boxes = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets])
+    probs = np.array([d.display_probs(task) for d in dets])
+    probs = probs.reshape(len(dets), HEAD_CLASS_COUNTS[task])
+    classes = probs.argmax(axis=1)
+    scores = probs[np.arange(len(dets)), classes] * np.array(
+        [d.objectness for d in dets], dtype=np.float64
+    )
+    return boxes.reshape(-1, 4), classes, scores
+
+
+def task_ground_truth(per_image_gts, task: str):
+    """Each image's (boxes, classes) for one task: the task's column of its
+    (M, 3) class array, which must hold a label (not -1) in every row."""
+    col = TASKS.index(task)
+    out = [(boxes, classes[:, col]) for boxes, classes in per_image_gts]
+    if any((classes < 0).any() for _, classes in out):
+        raise ValueError(
+            f"ground truth lacks {task} labels; "
+            "evaluation needs fully labeled data for this task"
+        )
+    return out
 
 
 def build_report(per_image_dets, per_image_gts, sizes, tasks=TASKS) -> EvalReport:
     """Evaluate several tasks over the same images.
 
-    per_image_gts holds (Box, LabelTriple) pairs; labels must carry every
-    requested task's field.
+    per_image_dets holds :class:`~dentdet.train.Detection` lists;
+    per_image_gts holds (boxes (M, 4), classes (M, 3)) arrays whose classes
+    carry every requested task's column.
     """
-    report = {}
-    for task in tasks:
-        instances = []
-        for dets, gts, (w, h) in zip(per_image_dets, per_image_gts, sizes):
-            gt_triples = []
-            for box, lab in gts:
-                c = lab.class_for(task)
-                if c is None:
-                    raise ValueError(
-                        f"ground truth lacks {task} labels; "
-                        "evaluation needs fully labeled data for this task"
-                    )
-                gt_triples.append((box, c))
-            instances.append(
-                EvalInstance(
-                    dets=detections_to_eval(dets, task),
-                    gts=tuple(gt_triples),
-                    width=w,
-                    height=h,
-                )
-            )
-        report[task] = evaluate(instances, task)
-    return EvalReport(tasks=report)
+    return EvalReport(tasks={
+        task: evaluate(
+            [detections_to_eval(dets, task) for dets in per_image_dets],
+            task_ground_truth(per_image_gts, task),
+            sizes,
+            task,
+        )
+        for task in tasks
+    })

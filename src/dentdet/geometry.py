@@ -37,15 +37,6 @@ class Box:
     def area(self) -> float:
         return max(0.0, self.w) * max(0.0, self.h)
 
-    def clamped(self) -> "Box":
-        """Clamp center into [0,1] and enforce the minimum size floor."""
-        return Box(
-            min(1.0, max(0.0, self.cx)),
-            min(1.0, max(0.0, self.cy)),
-            max(MIN_SIZE, min(1.0, self.w)),
-            max(MIN_SIZE, min(1.0, self.h)),
-        )
-
     def to_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 

@@ -50,16 +50,33 @@ def _read_tokens(data: bytes, count: int):
 
 
 def read_pgm(path) -> np.ndarray:
+    """8-bit binary (P5) or ASCII (P2) graymap; ValueError naming ``path``
+    if the file is anything else or is cut short."""
     with open(path, "rb") as f:
         data = f.read()
+    try:
+        return _decode_pgm(data)
+    except (ValueError, OverflowError) as e:  # OverflowError: a P2 value > 255
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _decode_pgm(data: bytes) -> np.ndarray:
     tokens, offset = _read_tokens(data, 4)
     magic, w, h, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if magic not in (b"P5", b"P2"):
+        raise ValueError(f"unsupported netpbm magic {magic!r}")
     if maxval != 255:
-        raise ValueError(f"{path}: only 8-bit graymaps supported")
+        raise ValueError("only 8-bit graymaps supported")
+    if w < 1 or h < 1:
+        raise ValueError(f"bad image size {w}x{h}")
     if magic == b"P5":
+        if len(data) - offset < w * h:
+            raise ValueError(
+                f"truncated pixel data: {max(len(data) - offset, 0)} of {w * h} bytes"
+            )
         raw = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=offset)
         return raw.reshape(h, w).copy()
-    if magic == b"P2":
-        vals = np.array(data[offset - 1 :].split()[: w * h], dtype=np.uint8)
-        return vals.reshape(h, w)
-    raise ValueError(f"{path}: unsupported netpbm magic {magic!r}")
+    vals = data[offset - 1 :].split()[: w * h]
+    if len(vals) < w * h:
+        raise ValueError(f"truncated pixel data: {len(vals)} of {w * h} values")
+    return np.array(vals, dtype=np.uint8).reshape(h, w)

@@ -97,21 +97,6 @@ class LabelTriple:
         if self.diagnosis is not None and not 0 <= self.diagnosis < NUM_DIAGNOSES:
             raise ValueError(f"diagnosis index out of range: {self.diagnosis}")
 
-    @property
-    def level(self) -> HierarchyLevel:
-        if self.diagnosis is not None:
-            return HierarchyLevel.FULL
-        if self.enumeration is not None:
-            return HierarchyLevel.QUADRANT_ENUM
-        return HierarchyLevel.QUADRANT_ONLY
-
-    def class_for(self, head: str) -> int | None:
-        return {
-            "quadrant": self.quadrant,
-            "enumeration": self.enumeration,
-            "diagnosis": self.diagnosis,
-        }[head]
-
 
 def class_array(labels) -> np.ndarray:
     """(M, 3) integer class indices of M label triples, one column per head
@@ -120,16 +105,3 @@ def class_array(labels) -> np.ndarray:
     return np.array(
         [[-1 if c is None else c for c in row] for row in rows], dtype=np.int64
     ).reshape(-1, len(HEAD_NAMES))
-
-
-def fdi_string(label: LabelTriple) -> str:
-    """Human-readable FDI code: "Q{n}" for quadrant-only, two-digit tooth
-    number otherwise, with the diagnosis name appended when present."""
-    if label.quadrant is None:
-        raise ValueError("fdi_string requires a quadrant")
-    if label.enumeration is None:
-        return f"Q{label.quadrant + 1}"
-    code = f"{label.quadrant + 1}{label.enumeration + 1}"
-    if label.diagnosis is not None:
-        code += f" {DIAGNOSIS_NAMES[label.diagnosis]}"
-    return code

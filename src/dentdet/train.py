@@ -105,30 +105,22 @@ def make_plan(arm: str, base: StageConfig | None = None) -> PipelinePlan:
     return PipelinePlan(arm=arm, stages=tuple(stages))
 
 
-def gt_arrays(gts) -> tuple[np.ndarray, np.ndarray]:
-    """(M, 4) boxes and (M, 3) ``class_array`` classes of (Box, LabelTriple) pairs."""
-    boxes = np.array([b.to_array() for b, _ in gts], dtype=np.float64).reshape(-1, 4)
-    return boxes, class_array([lab for _, lab in gts])
-
-
 @dataclass
 class TrainSample:
     """One image prepared for training or evaluation.
 
-    ``gt_boxes`` and ``gt_classes`` are the arrays of ``gts``, built once.
+    Its ground truth is ``gt_boxes`` (M, 4), normalized center-size, and
+    ``gt_classes`` (M, 3), ``labels.class_array`` indices with -1 where a
+    head carries no label.
     """
 
     image_id: str
     image: np.ndarray  # uint8 grayscale, kept for augmentation
     grid_feats: np.ndarray
-    gts: list  # list of (Box, LabelTriple)
+    gt_boxes: np.ndarray
+    gt_classes: np.ndarray
     width: int
     height: int
-    gt_boxes: np.ndarray = field(init=False, repr=False)
-    gt_classes: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.gt_boxes, self.gt_classes = gt_arrays(self.gts)
 
 
 def prepare_samples(
@@ -141,12 +133,16 @@ def prepare_samples(
     samples = []
     for info in aset.images:
         img = read_pgm(images_dir / info.file_name)
+        anns = by_image[info.id]
         samples.append(
             TrainSample(
                 image_id=info.id,
                 image=img,
                 grid_feats=encode_image(img, cfg.grid),
-                gts=[(a.box, a.label) for a in by_image[info.id]],
+                gt_boxes=np.array(
+                    [a.box.to_array() for a in anns], dtype=np.float64
+                ).reshape(-1, 4),
+                gt_classes=class_array([a.label for a in anns]),
                 width=info.width,
                 height=info.height,
             )
@@ -231,9 +227,10 @@ def train_stage(
                 s = samples[i]
                 gt_boxes, gt_classes = s.gt_boxes, s.gt_classes
                 if cfg.augment:
-                    _img, gts = random_crop_resize(s.image, s.gts, rng)
-                    grid = encode_image(_img, model_cfg.grid)
-                    gt_boxes, gt_classes = gt_arrays(gts)
+                    img, gt_boxes, gt_classes = random_crop_resize(
+                        s.image, gt_boxes, gt_classes, rng
+                    )
+                    grid = encode_image(img, model_cfg.grid)
                 else:
                     grid = s.grid_feats
                 if len(gt_boxes) > cfg.n_proposals:
@@ -483,7 +480,7 @@ def evaluate_params(
     )
     return build_report(
         dets,
-        [s.gts for s in eval_samples],
+        [(s.gt_boxes, s.gt_classes) for s in eval_samples],
         [(s.width, s.height) for s in eval_samples],
         tasks=mask_for(level).active_heads,
     )

@@ -19,7 +19,6 @@ from dentdet.diffusion import (
     forward_noise,
     signal_encode,
 )
-from dentdet.evalmetrics import evaluate
 from dentdet.geometry import Box, iou
 from dentdet.labels import HeadMask, HierarchyLevel, LabelTriple, class_array
 from dentdet.manipulate import InferredBox, manipulate_boxes
@@ -42,6 +41,7 @@ from dentdet.train import (
     prepare_samples,
     run_pipeline,
 )
+from helpers import EvalInstance, score, truth_arrays
 
 SCHED = Schedule.cosine(1000, 0.008)
 
@@ -306,8 +306,6 @@ def _naive_task_metrics(instances, num_classes, thr, max_dets=100):
 
 
 def _random_eval_instances(rng):
-    from dentdet.evalmetrics import EvalInstance
-
     out = []
     for _ in range(int(rng.integers(1, 4))):
         gts = [
@@ -341,14 +339,12 @@ def _random_eval_instances(rng):
 
 
 def test_metric_oracle():
-    from dentdet.evalmetrics import EvalInstance
-
     rng = np.random.default_rng(11)
     with Timer() as timer:
         # Brute-force equivalence on random small instances.
         for _ in range(200):
             instances = _random_eval_instances(rng)
-            tm = evaluate(instances, "quadrant")
+            tm = score(instances, "quadrant")
             assert tm.ap50 == _naive_task_metrics(instances, 4, 0.5)
             assert tm.ap75 == _naive_task_metrics(instances, 4, 0.75)
 
@@ -370,7 +366,7 @@ def test_metric_oracle():
                     height=256,
                 )
             )
-        tm = evaluate(perfect, "quadrant")
+        tm = score(perfect, "quadrant")
         assert tm.ap == 1.0 and tm.ap50 == 1.0 and tm.ar == 1.0
 
         # Hand-derived case: a disjoint wrong detection outranks the correct
@@ -385,7 +381,7 @@ def test_metric_oracle():
             width=256,
             height=256,
         )
-        assert evaluate([inst], "quadrant").ap50 == 0.5
+        assert score([inst], "quadrant").ap50 == 0.5
     assert timer.elapsed < 10.0
 
 
@@ -459,12 +455,14 @@ def _tiny_datasets():
         samples = []
         for i in range(2):
             img, layout = generate_layout(900 + i)
+            gt_boxes, gt_classes = truth_arrays(project_level(layout, level))
             samples.append(
                 TrainSample(
                     image_id=f"im{i}",
                     image=img,
                     grid_feats=encode_image(img, ABL_CFG.grid),
-                    gts=project_level(layout, level),
+                    gt_boxes=gt_boxes,
+                    gt_classes=gt_classes,
                     width=256,
                     height=256,
                 )

@@ -48,6 +48,7 @@ from dentdet.model import (
     zero_grads,
 )
 from dentdet.train import StageConfig, TrainSample, train_stage
+from helpers import truth_arrays
 
 # A scale that is no power of two makes the decode mask round, so the order
 # of the mean and the mask shows in the gradient bits.
@@ -295,10 +296,11 @@ def _samples(level, n=3, seed0=700):
     out = []
     for i in range(n):
         img, layout = generate_layout(seed0 + i)
+        gt_boxes, gt_classes = truth_arrays(project_level(layout, level))
         out.append(
             TrainSample(
                 image_id=f"s{i}", image=img, grid_feats=encode_image(img, CFG.grid),
-                gts=project_level(layout, level), width=256, height=256,
+                gt_boxes=gt_boxes, gt_classes=gt_classes, width=256, height=256,
             )
         )
     return out
@@ -316,8 +318,9 @@ def test_train_stage_with_oracle_is_byte_equal(level, monkeypatch, tmp_path):
         if manip:
             cache = InferredBoxCache(0.5)
             for s in samples:
-                for b, _ in s.gts[:5]:
-                    cache.add(s.image_id, b, 0.8, HierarchyLevel.QUADRANT_ONLY)
+                for row in s.gt_boxes[:5]:
+                    cache.add(s.image_id, Box.from_array(row), 0.8,
+                              HierarchyLevel.QUADRANT_ONLY)
         params, metrics = train_stage(cfg, samples, CFG, SCHED, cache=cache,
                                       out_dir=out_dir)
         records = [json.loads(line) for line in (out_dir / "metrics.jsonl").open()]

@@ -495,3 +495,94 @@ def test_grid_larger_than_the_images_is_usage_error(command, dataset, tmp_path, 
     err = capsys.readouterr().err
     assert "error: model.grid 512 is larger than the 256x256 image" in err
     assert "Traceback" not in err
+
+
+def _image_command(command, dataset, tmp_path):
+    """Arguments of a command that reads ``images/q_00000.pgm``."""
+    ckpt = tmp_path / "small.bin"
+    small = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)  # as SMALL_CFG
+    save_checkpoint(ckpt, init_params(small, np.random.default_rng(0)))
+    image = dataset / "images" / "q_00000.pgm"
+    return {
+        "infer": ["infer", "--checkpoint", str(ckpt), "--level", "a",
+                  "--images", str(image)],
+        "eval": ["eval", "--data", str(dataset), "--level", "a",
+                 "--checkpoint", str(ckpt)],
+        "eval --oracle": ["eval", "--data", str(dataset), "--level", "a", "--oracle"],
+        "train": ["train", "--data", str(dataset), "--level", "a",
+                  "--out", str(tmp_path / "run")],
+        "pipeline": ["pipeline", "--data", str(dataset), "--out", str(tmp_path / "pipe")],
+        "render": ["render", "--data", str(dataset), "--level", "a",
+                   "--out", str(tmp_path / "vis")],
+    }[command], image
+
+
+IMAGE_COMMANDS = ["infer", "eval", "eval --oracle", "train", "pipeline", "render"]
+
+
+@pytest.mark.parametrize("command", IMAGE_COMMANDS)
+def test_missing_image_is_missing_file(command, dataset, cfg_path, tmp_path, capsys):
+    args, image = _image_command(command, dataset, tmp_path)
+    image.unlink()
+    capsys.readouterr()
+    assert main(["--config", cfg_path, *args]) == EXIT_MISSING
+    err = capsys.readouterr().err
+    assert f"error: missing image: {image}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", IMAGE_COMMANDS)
+def test_color_image_is_invalid_data(command, dataset, cfg_path, tmp_path, capsys):
+    args, image = _image_command(command, dataset, tmp_path)
+    image.write_bytes(b"P6\n4 4\n255\n" + bytes(48))
+    capsys.readouterr()
+    assert main(["--config", cfg_path, *args]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"error: invalid image: {image}: unsupported netpbm magic b'P6'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", IMAGE_COMMANDS)
+def test_truncated_image_is_invalid_data(command, dataset, cfg_path, tmp_path, capsys):
+    args, image = _image_command(command, dataset, tmp_path)
+    image.write_bytes(image.read_bytes()[:-100])
+    capsys.readouterr()
+    assert main(["--config", cfg_path, *args]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert (f"error: invalid image: {image}: truncated pixel data: "
+            f"{256 * 256 - 100} of {256 * 256} bytes") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", ["same", "grid: 4", "scale: 3.0", "no key"])
+def test_model_fingerprint_is_checked_on_load(model, dataset, cfg_path, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["--config", cfg_path, "train", "--data", str(dataset),
+                 "--level", "a", "--out", str(run)]) == EXIT_OK
+    ckpt = run / "final.bin"
+    trained = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8).fingerprint()
+    eval_cfg = tmp_path / "eval.yaml"
+    if model == "grid: 4":
+        eval_cfg.write_text(SMALL_CFG.replace("grid: 8", "grid: 4"))
+        other = ModelConfig(grid=4, pool=2, hidden=16, time_dim=8).fingerprint()
+    elif model == "scale: 3.0":
+        eval_cfg.write_text(SMALL_CFG.replace("time_dim: 8\n", "time_dim: 8\n  scale: 3.0\n"))
+        other = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8, scale=3.0).fingerprint()
+    else:
+        eval_cfg.write_text(SMALL_CFG)
+        other = trained
+    if model == "no key":
+        params, meta = load_checkpoint(ckpt)
+        del meta["model_fingerprint"]
+        save_checkpoint(ckpt, params, meta)
+    capsys.readouterr()
+    code = main(["--config", str(eval_cfg), "eval", "--data", str(dataset),
+                 "--level", "a", "--checkpoint", str(ckpt)])
+    err = capsys.readouterr().err
+    if other == trained:
+        assert code == EXIT_OK
+        return
+    assert code == EXIT_INVALID
+    assert (f"checkpoint {ckpt} has model fingerprint {trained}, "
+            f"but the model config's is {other}") in err
+    assert "Traceback" not in err

@@ -8,7 +8,7 @@ from dentdet.data import (
     AnnotationError,
     AnnotationSet,
     ImageInfo,
-    check_layout,
+    Layout,
     generate_dataset,
     generate_layout,
     level_tag,
@@ -21,7 +21,28 @@ from dentdet.data import (
 )
 from dentdet.geometry import Box, iou
 from dentdet.imageio import read_pgm, write_pgm
-from dentdet.labels import HierarchyLevel, LabelTriple
+from dentdet.labels import NUM_ENUMERATIONS, NUM_QUADRANTS, HierarchyLevel, LabelTriple
+from helpers import truth_arrays
+
+
+def check_layout(layout: Layout) -> None:
+    """Raise if a layout violates its structural invariants."""
+    seen = set()
+    for t in layout.teeth:
+        key = (t.quadrant, t.enumeration)
+        if key in seen:
+            raise ValueError(f"duplicate tooth slot {key}")
+        seen.add(key)
+        if not t.present:
+            continue
+        x0, y0, x1, y1 = quadrant_region(t.quadrant, layout.size)
+        bx0, by0, bx1, by1 = (v * layout.size for v in t.box.to_xyxy())
+        if not (x0 - 1e-6 <= bx0 and bx1 <= x1 + 1e-6 and y0 - 1e-6 <= by0 and by1 <= y1 + 1e-6):
+            raise ValueError(
+                f"tooth {key} box escapes its quadrant region"
+            )
+    if len(layout.teeth) != NUM_QUADRANTS * NUM_ENUMERATIONS:
+        raise ValueError("layout must carry 32 tooth slots")
 
 
 class TestLayout:
@@ -209,27 +230,129 @@ class TestSplit:
             split_manifest(self._set_of(4), (0.5, 0.2, 0.2), 0)
 
 
+def box_crop_resize(img, gts, rng, min_area=0.8):
+    """The augmentation as first written, on (Box, label) pairs: the oracle
+    ``random_crop_resize`` must equal exactly."""
+    h, w = img.shape
+    frac = np.sqrt(rng.uniform(min_area, 1.0))
+    cw, ch = int(round(w * frac)), int(round(h * frac))
+    x0 = int(rng.integers(0, w - cw + 1))
+    y0 = int(rng.integers(0, h - ch + 1))
+    crop = img[y0 : y0 + ch, x0 : x0 + cw]
+    yi = np.clip((np.arange(h) * ch / h).astype(int), 0, ch - 1)
+    xi = np.clip((np.arange(w) * cw / w).astype(int), 0, cw - 1)
+    out_img = crop[np.ix_(yi, xi)]
+    out_gts = []
+    for box, label in gts:
+        cx_px, cy_px = box.cx * w, box.cy * h
+        if not (x0 <= cx_px < x0 + cw and y0 <= cy_px < y0 + ch):
+            continue
+        x1, y1, x2, y2 = (v * s for v, s in zip(box.to_xyxy(), (w, h, w, h)))
+        x1 = max(x1 - x0, 0.0) / cw
+        x2 = min(x2 - x0, cw) / cw
+        y1 = max(y1 - y0, 0.0) / ch
+        y2 = min(y2 - y0, ch) / ch
+        if x2 - x1 <= 0 or y2 - y1 <= 0:
+            continue
+        out_gts.append((Box.from_xyxy(x1, y1, x2, y2), label))
+    return out_img, out_gts
+
+
+def box_oracle_crop(img, boxes, classes, rng, min_area=0.8):
+    """``box_crop_resize`` with ``random_crop_resize``'s array signature."""
+    pairs = [(Box.from_array(b), tuple(c)) for b, c in zip(boxes, classes)]
+    out_img, out = box_crop_resize(img, pairs, rng, min_area)
+    out_boxes = np.array([b.to_array() for b, _ in out], dtype=np.float64)
+    out_classes = np.array([c for _, c in out], dtype=classes.dtype)
+    return out_img, out_boxes.reshape(-1, 4), out_classes.reshape(-1, classes.shape[1])
+
+
 class TestAugmentation:
     def test_shape_preserved_and_boxes_valid(self):
         rng = np.random.default_rng(0)
         img, layout = generate_layout(11)
-        gts = project_level(layout, HierarchyLevel.QUADRANT_ENUM)
+        boxes, classes = truth_arrays(project_level(layout, HierarchyLevel.QUADRANT_ENUM))
         for _ in range(20):
-            out_img, out_gts = random_crop_resize(img, gts, rng)
+            out_img, out_boxes, out_classes = random_crop_resize(img, boxes, classes, rng)
             assert out_img.shape == img.shape
-            assert len(out_gts) <= len(gts)
-            for box, _ in out_gts:
-                x1, y1, x2, y2 = box.to_xyxy()
+            assert len(out_boxes) == len(out_classes) <= len(boxes)
+            for box in out_boxes:
+                x1, y1, x2, y2 = Box.from_array(box).to_xyxy()
                 assert -1e-9 <= x1 < x2 <= 1 + 1e-9
                 assert -1e-9 <= y1 < y2 <= 1 + 1e-9
 
     def test_identity_crop_possible(self):
         rng = np.random.default_rng(1)
         img = np.arange(64 * 64, dtype=np.uint8).reshape(64, 64)
-        gts = [(Box(0.5, 0.5, 0.25, 0.25), LabelTriple(0))]
-        out_img, out_gts = random_crop_resize(img, gts, rng, min_area=1.0)
+        boxes, classes = truth_arrays([(Box(0.5, 0.5, 0.25, 0.25), LabelTriple(0))])
+        out_img, out_boxes, out_classes = random_crop_resize(
+            img, boxes, classes, rng, min_area=1.0
+        )
         np.testing.assert_array_equal(out_img, img)
-        assert out_gts[0][0] == gts[0][0]
+        assert np.array_equal(out_boxes, boxes)
+        assert np.array_equal(out_classes, classes)
+
+    def test_equals_box_oracle(self):
+        # Layout boxes of every level, and random boxes on the pixel grid
+        # whose centres can sit exactly on a crop edge; small crops drop
+        # and clip many of them.
+        dropped = clipped = 0
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            img, layout = generate_layout(seed, size=64)
+            level = list(HierarchyLevel)[seed % 3]
+            boxes, classes = truth_arrays(project_level(layout, level))
+            k = 8
+            grid = rng.integers(0, 65, (k, 2)) / 64
+            sizes = rng.integers(1, 40, (k, 2)) / 64
+            boxes = np.concatenate([boxes, np.column_stack([grid, sizes])])
+            classes = np.concatenate([classes, rng.integers(-1, 4, (k, 3))])
+            min_area = (0.3, 0.8, 1.0)[seed % 3]
+            want_rng, got_rng = (np.random.default_rng([seed, 1]) for _ in range(2))
+            want = box_oracle_crop(img, boxes, classes, want_rng, min_area)
+            got = random_crop_resize(img, boxes, classes, got_rng, min_area)
+            assert np.array_equal(got[0], want[0])
+            assert got[1].shape == want[1].shape and (got[1] == want[1]).all()
+            assert got[2].dtype == classes.dtype
+            assert np.array_equal(got[2], want[2])
+            assert got_rng.random() == want_rng.random()
+            dropped += len(boxes) - len(got[1])
+            corners = np.array([Box.from_array(r).to_xyxy() for r in got[1]])
+            clipped += int(np.isclose(corners, 0.0).sum() + np.isclose(corners, 1.0).sum())
+        assert dropped > 100 and clipped > 100
+
+    def test_train_stage_with_box_oracle_is_byte_equal(self, monkeypatch):
+        import dentdet.train as train_mod
+        from dentdet.diffusion import Schedule
+        from dentdet.model import ModelConfig, encode_image
+        from dentdet.train import StageConfig, TrainSample, train_stage
+
+        cfg = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)
+        schedule = Schedule.cosine(1000, 0.008)
+        level = HierarchyLevel.QUADRANT_ENUM
+        samples = []
+        for i in range(3):
+            img, layout = generate_layout(600 + i)
+            gt_boxes, gt_classes = truth_arrays(project_level(layout, level))
+            samples.append(TrainSample(
+                image_id=f"s{i}", image=img, grid_feats=encode_image(img, cfg.grid),
+                gt_boxes=gt_boxes, gt_classes=gt_classes, width=256, height=256,
+            ))
+        stage = StageConfig(level=level, iterations=6, batch_size=3, lr=1e-2,
+                            n_proposals=24, seed=5, augment=True)
+        calls = []
+
+        def oracle(*args, **kwargs):
+            calls.append(1)
+            return box_oracle_crop(*args, **kwargs)
+
+        got, _ = train_stage(stage, samples, cfg, schedule)
+        monkeypatch.setattr(train_mod, "random_crop_resize", oracle)
+        want, _ = train_stage(stage, samples, cfg, schedule)
+        assert len(calls) == stage.iterations * stage.batch_size
+        assert got.keys() == want.keys()
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestDatasetGeneration:
@@ -269,6 +392,24 @@ class TestImageIO:
         np.testing.assert_array_equal(
             read_pgm(path), np.array([[0, 64], [128, 255]], dtype=np.uint8)
         )
+
+    @pytest.mark.parametrize("content, message", [
+        (b"P6\n2 2\n255\n" + bytes(12), "unsupported netpbm magic b'P6'"),
+        (b"P5\n2 2\n65535\n" + bytes(8), "only 8-bit graymaps supported"),
+        (b"P5\n0 2\n255\n", "bad image size 0x2"),
+        (b"P5\n2 2\n255\n" + bytes(3), "truncated pixel data: 3 of 4 bytes"),
+        (b"P2\n2 2\n255\n0 64 128\n", "truncated pixel data: 3 of 4 values"),
+        (b"P2\n2 2\n255\n0 64 128 300\n", "out of bounds for uint8"),
+        (b"P5\n2", "truncated netpbm header"),
+        (b"P5\nx 2\n255\n", "invalid literal"),
+    ])
+    def test_malformed_graymap_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as err:
+            read_pgm(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert message in str(err.value)
 
     def test_rejects_wrong_shape(self, tmp_path):
         with pytest.raises(ValueError):

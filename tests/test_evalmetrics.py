@@ -9,15 +9,14 @@ from dentdet.evalmetrics import (
     AREA_LARGE,
     AREA_MEDIUM,
     IOU_THRESHOLDS,
-    EvalInstance,
     TaskMetrics,
     build_report,
     detections_to_eval,
-    evaluate,
 )
 from dentdet.geometry import Box, iou
 from dentdet.labels import HEAD_CLASS_COUNTS, LabelTriple
 from dentdet.train import Detection
+from helpers import EvalInstance, score, truth_arrays
 
 # ---------------------------------------------------------------------------
 # Scalar oracle: the scorer as first written, one (class, IoU threshold,
@@ -272,14 +271,14 @@ class TestEvaluate:
                 for _ in range(3)
             ]
             instances.append(_inst([(b, c, 1.0) for b, c in gts], gts))
-        tm = evaluate(instances, "quadrant")
+        tm = score(instances, "quadrant")
         assert tm.ap == pytest.approx(1.0)
         assert tm.ap50 == pytest.approx(1.0)
         assert tm.ar == pytest.approx(1.0)
 
     def test_no_detections_scores_zero(self):
         instances = [_inst([], [(Box(0.5, 0.5, 0.3, 0.3), 0)])]
-        tm = evaluate(instances, "quadrant")
+        tm = score(instances, "quadrant")
         assert tm.ap == 0.0 and tm.ap50 == 0.0 and tm.ar == 0.0
 
     def test_hand_derived_half_ap(self):
@@ -290,14 +289,14 @@ class TestEvaluate:
         assert iou(correct, gt) == pytest.approx(0.6, abs=1e-9)
         wrong = Box(0.8, 0.8, 0.1, 0.1)
         inst = _inst([(wrong, 0, 0.95), (correct, 0, 0.9)], [(gt, 0)])
-        tm = evaluate([inst], "quadrant")
+        tm = score([inst], "quadrant")
         assert tm.ap50 == pytest.approx(0.5, abs=1e-12)
 
     def test_ap_not_above_ap50(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             instances = _random_instances(rng)
-            tm = evaluate(instances, "quadrant")
+            tm = score(instances, "quadrant")
             assert tm.ap <= tm.ap50 + 1e-12
             assert tm.ap75 <= tm.ap50 + 1e-12
 
@@ -305,7 +304,7 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         for _ in range(20):
             instances = _random_instances(rng)
-            before = evaluate(instances, "quadrant").ar
+            before = score(instances, "quadrant").ar
             # Duplicate one image's first gt as a max-score detection.
             target = None
             for i, inst in enumerate(instances):
@@ -315,7 +314,7 @@ class TestEvaluate:
             inst = instances[target]
             b, c = inst.gts[0]
             boosted = _inst(list(inst.dets) + [(b, c, 1.0)], inst.gts)
-            after = evaluate(
+            after = score(
                 instances[:target] + [boosted] + instances[target + 1:],
                 "quadrant",
             ).ar
@@ -325,7 +324,7 @@ class TestEvaluate:
         # All gts large: AP_m must report the -1 exclusion sentinel.
         gt = Box(0.5, 0.5, 0.5, 0.5)  # 128x128 px on a 256 image
         inst = _inst([(gt, 0, 1.0)], [(gt, 0)])
-        tm = evaluate([inst], "quadrant")
+        tm = score([inst], "quadrant")
         assert tm.ap_l == pytest.approx(1.0)
         assert tm.ap_m == -1.0
 
@@ -333,18 +332,18 @@ class TestEvaluate:
         gt = Box(0.5, 0.5, 0.3, 0.3)
         junk = [(Box(0.1, 0.1, 0.05, 0.05), 0, 0.9) for _ in range(5)]
         inst = _inst(junk + [(gt, 0, 0.1)], [(gt, 0)])
-        full = evaluate([inst], "quadrant", max_dets=100)
-        tight = evaluate([inst], "quadrant", max_dets=3)
+        full = score([inst], "quadrant", max_dets=100)
+        tight = score([inst], "quadrant", max_dets=3)
         assert full.ar == pytest.approx(1.0)
         assert tight.ar == 0.0  # the low-scoring hit falls off the budget
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError):
-            evaluate([_inst([], [(Box(0.5, 0.5, 0.1, 0.1), 0)])], "teeth")
+            score([_inst([], [(Box(0.5, 0.5, 0.1, 0.1), 0)])], "teeth")
 
     def test_no_gt_at_all_rejected(self):
         with pytest.raises(ValueError):
-            evaluate([_inst([], [])], "quadrant")
+            score([_inst([], [])], "quadrant")
 
 
 # On 330x220 and 340x260 images, 96x96 and 32x32 px boxes land on the
@@ -421,7 +420,7 @@ class TestScalarOracle:
         instances = data.draw(_scored_images(HEAD_CLASS_COUNTS[task]))
         assume(any(inst.gts for inst in instances))
         max_dets = data.draw(st.sampled_from([1, 2, 3, 100]))
-        assert evaluate(instances, task, max_dets) == _oracle_evaluate(
+        assert score(instances, task, max_dets) == _oracle_evaluate(
             instances, task, max_dets
         )
 
@@ -429,7 +428,7 @@ class TestScalarOracle:
         gt = Box(0.5, 0.5, 0.25, 0.25)
         half = Box(0.5, 0.5, 0.125, 0.25)
         assert iou(half, gt) == 0.5
-        tm = evaluate([_inst([(half, 0, 1.0)], [(gt, 0)])], "quadrant")
+        tm = score([_inst([(half, 0, 1.0)], [(gt, 0)])], "quadrant")
         assert tm == _oracle_evaluate([_inst([(half, 0, 1.0)], [(gt, 0)])], "quadrant")
         assert tm.ap50 == 1.0 and tm.ar == 0.1
 
@@ -442,7 +441,7 @@ class TestScalarOracle:
         mid = Box(0.5, 0.5, 0.25, 0.25)
         assert iou(mid, left) == iou(mid, right) >= 0.6
         inst = _inst([(mid, 0, 0.9), (left, 0, 0.8)], [(left, 0), (right, 0)])
-        tm = evaluate([inst], "quadrant")
+        tm = score([inst], "quadrant")
         assert tm == _oracle_evaluate([inst], "quadrant")
         assert tm.ar == 0.5
         assert tm.ap50 == 51 / 101
@@ -464,7 +463,7 @@ class TestScalarOracle:
             _inst([(mid, 0, 0.9), (grown, 0, 0.8)], [(left, 0), (right, 0)]),
             _inst([(large, 0, 0.5)], [(large, 0)]),
         ]
-        tm = evaluate(instances, "quadrant")
+        tm = score(instances, "quadrant")
         assert tm == _oracle_evaluate(instances, "quadrant")
         assert tm.ap_l == 0.5
 
@@ -490,7 +489,7 @@ class TestReport:
                              int(rng.integers(4))))
                 for _ in range(3)
             ]
-            gts.append(img_gts)
+            gts.append(truth_arrays(img_gts))
             dets.append([self._oracle_detection(b, lab) for b, lab in img_gts])
             sizes.append((256, 256))
         report = build_report(dets, gts, sizes)
@@ -499,7 +498,7 @@ class TestReport:
             assert tm.ar == pytest.approx(1.0), task
 
     def test_report_requires_task_labels(self):
-        gts = [[(Box(0.5, 0.5, 0.2, 0.2), LabelTriple(1))]]
+        gts = [truth_arrays([(Box(0.5, 0.5, 0.2, 0.2), LabelTriple(1))])]
         dets = [[self._oracle_detection(Box(0.5, 0.5, 0.2, 0.2),
                                         LabelTriple(1, 0, 0))]]
         with pytest.raises(ValueError, match="fully labeled"):
@@ -508,7 +507,7 @@ class TestReport:
     def test_table_formats_exclusions(self):
         gt = Box(0.5, 0.5, 0.5, 0.5)
         inst_dets = [[self._oracle_detection(gt, LabelTriple(0, 0, 0))]]
-        gts = [[(gt, LabelTriple(0, 0, 0))]]
+        gts = [truth_arrays([(gt, LabelTriple(0, 0, 0))])]
         report = build_report(inst_dets, gts, [(256, 256)], tasks=("quadrant",))
         text = report.table()
         assert "quadrant" in text
@@ -526,6 +525,7 @@ class TestDetectionsToEval:
             score=0.7,
             objectness=0.8,
         )
-        (box, cls, score) = detections_to_eval([d], "quadrant")[0]
-        assert cls == 1
-        assert score == 0.7 * 0.8
+        boxes, classes, scores = detections_to_eval([d], "quadrant")
+        assert boxes.tolist() == [[0.5, 0.5, 0.2, 0.2]]
+        assert classes.tolist() == [1]
+        assert scores.tolist() == [0.7 * 0.8]

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dentdet.geometry import (
-    MIN_SIZE,
     Box,
     cxcywh_to_xyxy,
     giou_matrix,
@@ -63,12 +62,6 @@ def test_batch_conversion_corners():
     )
     corners = cxcywh_to_xyxy([0.5, 0.5, 0.25, 0.125])
     assert corners.tolist() == [0.375, 0.4375, 0.625, 0.5625]
-
-
-def test_clamped_enforces_floor_and_range():
-    b = Box(-0.5, 1.5, -1.0, 2.0).clamped()
-    assert b.cx == 0.0 and b.cy == 1.0
-    assert b.w == MIN_SIZE and b.h == 1.0
 
 
 def test_iou_identical_boxes():

@@ -1,5 +1,6 @@
-"""Label hierarchy: masks, triples, and FDI strings."""
+"""Label hierarchy: masks, triples, and per-head class arrays."""
 
+import numpy as np
 import pytest
 
 from dentdet.labels import (
@@ -8,7 +9,7 @@ from dentdet.labels import (
     HeadMask,
     HierarchyLevel,
     LabelTriple,
-    fdi_string,
+    class_array,
     mask_for,
 )
 
@@ -45,12 +46,6 @@ def test_active_and_deepest_heads():
     assert mask_for(HierarchyLevel.FULL).deepest_head == "diagnosis"
 
 
-def test_triple_level_property():
-    assert LabelTriple(1).level is HierarchyLevel.QUADRANT_ONLY
-    assert LabelTriple(1, 4).level is HierarchyLevel.QUADRANT_ENUM
-    assert LabelTriple(1, 4, 2).level is HierarchyLevel.FULL
-
-
 def test_triple_rejects_gaps():
     with pytest.raises(ValueError):
         LabelTriple(None, 3)
@@ -73,16 +68,8 @@ def test_triple_rejects_out_of_range(kwargs):
 
 
 def test_class_for():
-    t = LabelTriple(2, 5, 1)
-    assert t.class_for("quadrant") == 2
-    assert t.class_for("enumeration") == 5
-    assert t.class_for("diagnosis") == 1
-    assert LabelTriple(2).class_for("enumeration") is None
-
-
-def test_fdi_strings():
-    assert fdi_string(LabelTriple(0)) == "Q1"
-    assert fdi_string(LabelTriple(2, 5)) == "36"
-    assert fdi_string(LabelTriple(3, 7, 3)) == "48 impacted"
-    with pytest.raises(ValueError):
-        fdi_string(LabelTriple())
+    # Each head's class is its column of class_array, -1 where it has no label.
+    classes = class_array([LabelTriple(2, 5, 1), LabelTriple(2), LabelTriple(0, 7)])
+    assert classes.dtype == np.int64
+    assert classes.tolist() == [[2, 5, 1], [2, -1, -1], [0, 7, -1]]
+    assert class_array([]).shape == (0, len(HEAD_NAMES))
