@@ -236,7 +236,10 @@ def cmd_train(args, cfg: RunConfig) -> int:
     if args.cache:
         if not Path(args.cache).exists():
             raise CliError(EXIT_MISSING, f"missing cache file: {args.cache}")
-        cache = InferredBoxCache.load(args.cache, cfg.infer.cache_threshold)
+        try:
+            cache = InferredBoxCache.load(args.cache, cfg.infer.cache_threshold)
+        except ValueError as e:  # names the file and line
+            raise CliError(EXIT_INVALID, f"invalid cache: {e}")
         stage = dataclasses.replace(stage, use_manipulation=True)
     try:
         params, metrics = train_stage(

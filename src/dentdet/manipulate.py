@@ -63,6 +63,9 @@ class InferredBoxCache:
 
     @staticmethod
     def load(path, threshold: float) -> "InferredBoxCache":
+        """Read a ``save`` file; ValueError naming the file and line on a
+        wrong field count, a non-numeric value, a non-finite score or an
+        unknown stage."""
         cache = InferredBoxCache(threshold)
         with open(path, "r", encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
@@ -70,15 +73,14 @@ class InferredBoxCache:
                 if not line:
                     continue
                 parts = line.split("\t")
-                if len(parts) != 7:
-                    raise ValueError(f"{path}:{lineno}: expected 7 fields")
-                image_id, stage, cx, cy, w, h, score = parts
-                cache.add(
-                    image_id,
-                    Box(float(cx), float(cy), float(w), float(h)),
-                    float(score),
-                    HierarchyLevel(stage),
-                )
+                try:
+                    if len(parts) != 7:
+                        raise ValueError(f"expected 7 fields, got {len(parts)}")
+                    image_id, stage, *numbers = parts
+                    cx, cy, w, h, score = map(float, numbers)
+                    cache.add(image_id, Box(cx, cy, w, h), score, HierarchyLevel(stage))
+                except ValueError as e:
+                    raise ValueError(f"{path}:{lineno}: {e}") from None
         return cache
 
 

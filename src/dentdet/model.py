@@ -108,42 +108,46 @@ def encode_image(img: np.ndarray, grid: int = 16) -> np.ndarray:
 def _axis_weights(lo: np.ndarray, hi: np.ndarray, pool: int, grid: int):
     """Overlap lengths between P equal bins of [lo, hi] and the G grid cells.
 
-    Returns (weights (N, P, G), bin width (N,)).
+    ``lo`` and ``hi`` hold spans within [0, 1] of any shape S.  Returns
+    (weights S + (P, G), bin width S).
     """
     span = hi - lo
     # Fully degenerate spans sample the single nearest cell.
     tiny = span < 1e-9
-    lo = np.where(tiny, np.clip(lo, 0.0, 1.0 - 1e-6), lo)
+    lo = np.where(tiny, np.minimum(lo, 1.0 - 1e-6), lo)
     span = np.where(tiny, 1e-6, span)
-    edges = lo[:, None] + span[:, None] * np.arange(pool + 1) / pool  # (N, P+1)
+    edges = lo[..., None] + span[..., None] * np.arange(pool + 1) / pool  # S + (P+1,)
     cell_lo = np.arange(grid) / grid
     cell_hi = cell_lo + 1.0 / grid
-    w = np.minimum(edges[:, 1:, None], cell_hi) - np.maximum(
-        edges[:, :-1, None], cell_lo
+    w = np.minimum(edges[..., 1:, None], cell_hi) - np.maximum(
+        edges[..., :-1, None], cell_lo
     )
-    return np.clip(w, 0.0, None), span / pool
+    return np.maximum(w, 0.0), span / pool
 
 
 def roi_pool_batch(grid_feats: np.ndarray, boxes01: np.ndarray, pool: int) -> np.ndarray:
-    """Pool N normalized center-size boxes into (N, P*P*C) feature vectors.
+    """Pool normalized center-size boxes into P*P*C feature vectors.
 
-    Each of the P x P bins takes the coverage-weighted mean of the grid
-    cells it overlaps; boxes are clamped to the image first.
+    (N, 4) boxes on a (G, G, C) grid give (N, P*P*C); (B, N, 4) boxes on B
+    stacked grids (B, G, G, C) give (B, N, P*P*C).  Each of the P x P bins
+    takes the coverage-weighted mean of the grid cells it overlaps; boxes
+    are clamped to the image first.
     """
-    g, _, c = grid_feats.shape
+    g, c = grid_feats.shape[-2:]
     boxes01 = np.asarray(boxes01, dtype=np.float64)
-    n = boxes01.shape[0]
-    x0 = np.clip(boxes01[:, 0] - boxes01[:, 2] / 2, 0.0, 1.0)
-    x1 = np.clip(boxes01[:, 0] + boxes01[:, 2] / 2, 0.0, 1.0)
-    y0 = np.clip(boxes01[:, 1] - boxes01[:, 3] / 2, 0.0, 1.0)
-    y1 = np.clip(boxes01[:, 1] + boxes01[:, 3] / 2, 0.0, 1.0)
-    wx, bw = _axis_weights(x0, x1, pool, g)
-    wy, bh = _axis_weights(y0, y1, pool, g)
-    # Bin weights factor per axis: pool rows with one GEMM, columns with a batched one.
-    rows = wy.reshape(n * pool, g) @ grid_feats.reshape(g, g * c)
-    vals = wx[:, None] @ rows.reshape(n, pool, g, c)
-    vals /= (np.maximum(bh, 1e-12) * np.maximum(bw, 1e-12))[:, None, None, None]
-    return vals.reshape(n, pool * pool * c)
+    lead, n = boxes01.shape[:-2], boxes01.shape[-2]
+    # Both axes at once: coordinates move to the front, x before y.
+    coords = boxes01.transpose(-1, *range(boxes01.ndim - 1))
+    centers, half = coords[:2], coords[2:] / 2
+    lo = np.minimum(np.maximum(centers - half, 0.0), 1.0)
+    hi = np.minimum(np.maximum(centers + half, 0.0), 1.0)
+    (wx, wy), (bw, bh) = _axis_weights(lo, hi, pool, g)
+    # Bin weights factor per axis: pool rows with one GEMM per image, columns
+    # with a batched one.
+    rows = wy.reshape(*lead, n * pool, g) @ grid_feats.reshape(*lead, g, g * c)
+    vals = wx[..., None, :, :] @ rows.reshape(*lead, n, pool, g, c)
+    vals /= (np.maximum(bh, 1e-12) * np.maximum(bw, 1e-12))[..., None, None, None]
+    return vals.reshape(*lead, n, pool * pool * c)
 
 
 def time_embedding(t: float, dim: int) -> np.ndarray:
@@ -242,11 +246,11 @@ def softmax(x: np.ndarray) -> np.ndarray:
 class ForwardCache:
     """Intermediate activations kept for the analytic backward pass."""
 
-    x: np.ndarray  # (M, D) input features
+    x: np.ndarray  # (..., M, D) input features
     h1: np.ndarray
     h2: np.ndarray
-    z0_pred: np.ndarray  # (M, 4) signal space
-    logits: dict[str, np.ndarray]  # head -> (M, K+1)
+    z0_pred: np.ndarray  # (..., M, 4) signal space
+    logits: dict[str, np.ndarray]  # computed head -> (..., M, K+1)
 
 
 def forward_features(
@@ -257,18 +261,23 @@ def forward_features(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-proposal decoder input: pooled RoI features of the decoded noisy
-    box followed by the timestep embedding, written into ``out`` (N, D) if
-    given."""
+    box followed by the timestep embedding, (N, D) for (N, 4) proposals or
+    (B, N, D) for (B, N, 4), written into ``out`` if given."""
     boxes01 = signal_decode(np.asarray(z, dtype=np.float64), cfg.scale)
     if out is None:
-        out = np.empty((boxes01.shape[0], cfg.feat_dim))
+        out = np.empty(boxes01.shape[:-1] + (cfg.feat_dim,))
     roi_dim = cfg.feat_dim - cfg.time_dim
-    out[:, :roi_dim] = roi_pool_batch(grid_feats, boxes01, cfg.pool)
-    out[:, roi_dim:] = time_embedding(t, cfg.time_dim)
+    out[..., :roi_dim] = roi_pool_batch(grid_feats, boxes01, cfg.pool)
+    out[..., roi_dim:] = time_embedding(t, cfg.time_dim)
     return out
 
 
-def forward_net(params: ParamStore, x: np.ndarray, z: np.ndarray) -> ForwardCache:
+def forward_net(
+    params: ParamStore,
+    x: np.ndarray,
+    z: np.ndarray,
+    heads: tuple[str, ...] = HEAD_NAMES,
+) -> ForwardCache:
     """Two-layer ReLU trunk; the box head reads the trunk output, while the
     classification heads read the trunk output concatenated with the raw
     input features — a skip connection that keeps linearly separable input
@@ -282,15 +291,20 @@ def forward_net(params: ParamStore, x: np.ndarray, z: np.ndarray) -> ForwardCach
     solution: each object gets claimed by the proposal at its reflected
     position, which scores fine on position-defined labels but leaves
     appearance-defined heads reading the wrong window.
+
+    ``x`` is (N, D) or (B, N, D); every product stays one GEMM per image.
+    Only the classification heads named in ``heads`` are computed.
     """
     h1 = np.maximum(x @ params["trunk.w1"] + params["trunk.b1"], 0.0)
     h2 = np.maximum(h1 @ params["trunk.w2"] + params["trunk.b2"], 0.0)
     z0_pred = np.asarray(z, dtype=np.float64) + h2 @ params["box.w"] + params["box.b"]
-    h2x = np.concatenate([h2, x], axis=1)
-    logits = {
-        head: h2x @ params[f"head_{head}.w"] + params[f"head_{head}.b"]
-        for head in HEAD_NAMES
-    }
+    logits = {}
+    if heads:
+        h2x = np.concatenate([h2, x], axis=-1)
+        logits = {
+            head: h2x @ params[f"head_{head}.w"] + params[f"head_{head}.b"]
+            for head in heads
+        }
     return ForwardCache(x=x, h1=h1, h2=h2, z0_pred=z0_pred, logits=logits)
 
 
@@ -347,26 +361,34 @@ def decode(
     t: float,
     mask: HeadMask,
     cfg: ModelConfig,
+    heads: tuple[str, ...] = HEAD_NAMES,
 ):
-    """Run the decoder on N proposals.
+    """Run the decoder on (N, 4) proposals over a (G, G, C) grid, or on
+    (B, N, 4) proposals over B stacked (B, G, G, C) grids.
 
-    Returns (z0_pred, probs, scores, cache): the (N, 4) signal-space box
-    prediction; per head, the (N, K) display probabilities, softmaxed over
-    the foreground classes only; the (N,) confidence, the largest display
-    probability of the deepest supervised head; and the forward cache,
-    whose logits give the background-aware ``loss_probs_for_mask``.
+    Returns (z0_pred, probs, scores, cache): the signal-space box prediction
+    shaped like ``z``; for each head in ``heads``, the (..., N, K) display
+    probabilities, softmaxed over the foreground classes only; the (..., N)
+    confidence, the largest display probability of the deepest supervised
+    head, or None when ``heads`` leaves that head out; and the forward
+    cache, whose logits (of ``heads`` only) give the background-aware
+    ``loss_probs_for_mask``.
     """
     check_shapes(params, cfg)
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != 4:
-        raise ValueError("proposals must be an (N, 4) array")
+    if z.ndim not in (2, 3) or z.shape[-1] != 4:
+        raise ValueError("proposals must be an (N, 4) or (B, N, 4) array")
+    if np.shape(grid_feats)[:-3] != z.shape[:-2]:
+        raise ValueError("one (G, G, C) feature grid per image of proposals required")
     x = forward_features(cfg, grid_feats, z, t)
-    cache = forward_net(params, x, z)
+    cache = forward_net(params, x, z, heads)
     probs = {
-        head: softmax(cache.logits[head][:, : HEAD_CLASS_COUNTS[head]])
-        for head in HEAD_NAMES
+        head: softmax(cache.logits[head][..., : HEAD_CLASS_COUNTS[head]])
+        for head in heads
     }
-    return cache.z0_pred, probs, probs[mask.deepest_head].max(axis=1), cache
+    deepest = probs.get(mask.deepest_head)
+    scores = None if deepest is None else deepest.max(axis=-1)
+    return cache.z0_pred, probs, scores, cache
 
 
 def decode_grad_mask(z0_pred: np.ndarray, scale: float) -> np.ndarray:
@@ -409,7 +431,7 @@ def loss_gradients(
     caches = []
     for item, lo, hi in zip(batch, offsets, offsets[1:]):
         forward_features(cfg, item.grid_feats, item.z, item.t, out=x[lo:hi])
-        caches.append(forward_net(params, x[lo:hi], item.z))
+        caches.append(forward_net(params, x[lo:hi], item.z, mask.active_heads))
     bd, dz0_pred, dlogits = _output_gradients(caches, batch, offsets, mask, cfg)
     for cache, lo, hi in zip(caches, offsets, offsets[1:]):
         backward_net(

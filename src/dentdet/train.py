@@ -358,6 +358,12 @@ def _kept_detections(
     ]
 
 
+# Proposal rows the sampler decodes in one pass: images run in lockstep,
+# max(1, INFER_PASS_ROWS // n_proposals) at a time.  Larger passes raised
+# the detect benchmark's peak memory (256 rows: +2.3 %, 512: +9.2 %).
+INFER_PASS_ROWS = 128
+
+
 @blas.one_thread()
 def infer(
     params: ParamStore,
@@ -375,8 +381,10 @@ def infer(
     """Denoise completely noisy proposals into detections, per image.
 
     Deterministic for a fixed seed and eta = 0; per-image rng streams make
-    results independent of processing order.  The chain runs on arrays;
-    only the boxes NMS keeps become :class:`Detection` objects.
+    results independent of processing order and of how images are grouped
+    into passes.  The decoder runs over a pass's images at once; the DDIM
+    step, renewal and NMS run per image, and only the boxes NMS keeps
+    become :class:`Detection` objects.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -384,29 +392,37 @@ def infer(
     times = np.unique(
         np.round(np.linspace(schedule.T, 0, steps + 1)).astype(int)
     )[::-1]
+    per_pass = max(1, INFER_PASS_ROWS // n_proposals)
     results = []
-    for img_i, grid in enumerate(grids):
-        rng = np.random.default_rng([seed, img_i])
-        z = inference_proposals(n_proposals, rng, model_cfg.scale)
+    for first in range(0, len(grids), per_pass):
+        images = range(first, min(first + per_pass, len(grids)))
+        grid = np.stack([grids[i] for i in images])
+        rngs = [np.random.default_rng([seed, i]) for i in images]
+        z = np.stack([inference_proposals(n_proposals, rng, model_cfg.scale) for rng in rngs])
         for si in range(len(times) - 1):
             t, t_next = int(times[si]), int(times[si + 1])
-            z0_pred, _, scores, _ = decode(params, grid, z, float(t), mask, model_cfg)
-            nb = ddim_step(NoisyBoxes(z, t), z0_pred, t, t_next, schedule, eta, rng)
-            if si < len(times) - 2:
-                nb = box_renewal(scores, nb, renewal_threshold, rng)
-            z = nb.z
+            z0_pred, _, scores, _ = decode(
+                params, grid, z, float(t), mask, model_cfg, heads=(mask.deepest_head,)
+            )
+            for b, rng in enumerate(rngs):
+                nb = ddim_step(NoisyBoxes(z[b], t), z0_pred[b], t, t_next, schedule, eta, rng)
+                if si < len(times) - 2:
+                    nb = box_renewal(scores[b], nb, renewal_threshold, rng)
+                z[b] = nb.z
         # Final readout on the denoised boxes: the chain ends with clean
         # proposals at t = 0.  Decode once to refine them (the box head can
         # correct sizes after observing the content under the denoised
         # window), then decode the refined boxes so every head scores the
         # window it would actually report.
-        z0_pred = decode(params, grid, z, 0.0, mask, model_cfg)[0]
+        z0_pred = decode(params, grid, z, 0.0, mask, model_cfg, heads=())[0]
         z0_pred, probs, scores, cache = decode(params, grid, z0_pred, 0.0, mask, model_cfg)
         boxes01 = signal_decode(z0_pred, model_cfg.scale)
-        kept = nms(boxes01, scores, nms_iou)
-        results.append(
-            _kept_detections(boxes01, probs, scores, cache.logits, kept, mask)
-        )
+        for b in range(len(grid)):
+            kept = nms(boxes01[b], scores[b], nms_iou)
+            results.append(_kept_detections(
+                boxes01[b], {h: p[b] for h, p in probs.items()}, scores[b],
+                {h: lg[b] for h, lg in cache.logits.items()}, kept, mask,
+            ))
     return results
 
 

@@ -1,6 +1,8 @@
 """End-to-end smoke tests for the command line interface."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from dentdet.cli import (
     EXIT_USAGE,
     main,
 )
+from dentdet.config import ENV_CONFIG
 from dentdet.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 
 SMALL_CFG = (
@@ -586,3 +589,51 @@ def test_model_fingerprint_is_checked_on_load(model, dataset, cfg_path, tmp_path
     assert (f"checkpoint {ckpt} has model fingerprint {trained}, "
             f"but the model config's is {other}") in err
     assert "Traceback" not in err
+
+
+_CACHE_LINE = "qe_00000\tquadrant\t0.3\t0.4\t0.1\t0.2\t0.9\n"
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    (None, None),
+    ("qe_00000\tquadrant\t0.5\t0.5\tx\t0.1\t0.9\n", "could not convert"),
+    ("qe_00000\tquadrant\t0.5\t0.5\t0.1\t0.9\n", "expected 7 fields, got 6"),
+    ("qe_00000\tmolar\t0.5\t0.5\t0.1\t0.1\t0.9\n", "'molar' is not a valid"),
+], ids=["valid", "non-numeric", "field-count", "unknown-stage"])
+def test_malformed_cache_is_invalid_data(bad_line, message, dataset, cfg_path,
+                                         tmp_path, capsys):
+    cache = tmp_path / "inferred_boxes.tsv"
+    cache.write_text(_CACHE_LINE + (bad_line or _CACHE_LINE))
+    capsys.readouterr()
+    code = main(["--config", cfg_path, "train", "--data", str(dataset),
+                 "--level", "b", "--out", str(tmp_path / "run"),
+                 "--cache", str(cache)])
+    err = capsys.readouterr().err
+    if bad_line is None:
+        assert code == EXIT_OK
+        return
+    assert code == EXIT_INVALID
+    assert f"invalid cache: {cache}:2: " in err and message in err
+    assert "Traceback" not in err
+
+
+def _quick_start_commands():
+    """The README's Quick start block, one argv per ``dentdet`` command."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("dentdet ")]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
+    commands = _quick_start_commands()
+    assert [c[0] for c in commands] == [
+        "datagen", "pipeline", "train", "infer", "eval", "render", "validate", "split",
+    ]
+    small = {"datagen": ["--count", "2"], "pipeline": ["--iterations", "2"],
+             "train": ["--iterations", "2"]}
+    for argv in commands:
+        assert main(argv + small.get(argv[0], [])) == EXIT_OK, argv
+    capsys.readouterr()

@@ -56,7 +56,7 @@ class TestCache:
     def test_load_rejects_malformed_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("img0\tquadrant\t0.5\t0.5\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{path}:1: expected 7 fields, got 4$"):
             InferredBoxCache.load(path, 0.5)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dentdet.diffusion import signal_decode, signal_encode
 from dentdet.geometry import Box
-from dentdet.labels import HeadMask, LabelTriple, class_array
+from dentdet.labels import HEAD_NAMES, HeadMask, LabelTriple, class_array
 from dentdet.model import (
     HIST_CHANNELS,
     NUM_CHANNELS,
@@ -19,6 +19,8 @@ from dentdet.model import (
     decode,
     decode_grad_mask,
     encode_image,
+    forward_features,
+    forward_net,
     init_params,
     load_checkpoint,
     loss_gradients,
@@ -95,6 +97,38 @@ def _roi_pool_oracle(grid_feats, boxes01, pool):
     return vals.reshape(boxes01.shape[0], -1)
 
 
+def _two_call_axis_weights(lo, hi, pool, grid):
+    """``_axis_weights`` as it was for (N,) spans of one axis."""
+    span = hi - lo
+    tiny = span < 1e-9
+    lo = np.where(tiny, np.clip(lo, 0.0, 1.0 - 1e-6), lo)
+    span = np.where(tiny, 1e-6, span)
+    edges = lo[:, None] + span[:, None] * np.arange(pool + 1) / pool
+    cell_lo = np.arange(grid) / grid
+    cell_hi = cell_lo + 1.0 / grid
+    w = np.minimum(edges[:, 1:, None], cell_hi) - np.maximum(
+        edges[:, :-1, None], cell_lo
+    )
+    return np.clip(w, 0.0, None), span / pool
+
+
+def _two_call_roi_pool(grid_feats, boxes01, pool):
+    """One image's RoI pooling with one axis-weights call per axis: the
+    reference the both-axes, many-image kernel must equal exactly."""
+    g, _, c = grid_feats.shape
+    n = boxes01.shape[0]
+    x0 = np.clip(boxes01[:, 0] - boxes01[:, 2] / 2, 0.0, 1.0)
+    x1 = np.clip(boxes01[:, 0] + boxes01[:, 2] / 2, 0.0, 1.0)
+    y0 = np.clip(boxes01[:, 1] - boxes01[:, 3] / 2, 0.0, 1.0)
+    y1 = np.clip(boxes01[:, 1] + boxes01[:, 3] / 2, 0.0, 1.0)
+    wx, bw = _two_call_axis_weights(x0, x1, pool, g)
+    wy, bh = _two_call_axis_weights(y0, y1, pool, g)
+    rows = wy.reshape(n * pool, g) @ grid_feats.reshape(g, g * c)
+    vals = wx[:, None] @ rows.reshape(n, pool, g, c)
+    vals /= (np.maximum(bh, 1e-12) * np.maximum(bw, 1e-12))[:, None, None, None]
+    return vals.reshape(n, pool * pool * c)
+
+
 def _pool_one(grid, box, pool):
     return roi_pool_batch(grid, box.to_array()[None], pool)[0]
 
@@ -166,6 +200,40 @@ class TestRoiPool:
         want = _roi_pool_oracle(grid, boxes, pool)
         assert got.shape == want.shape == (len(boxes), pool * pool * c)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got, _two_call_roi_pool(grid, boxes, pool))
+
+    @pytest.mark.parametrize("boxes", [
+        # Wholly off each side, straddling corners, larger than the image.
+        [(-0.5, 0.5, 0.3, 0.3), (1.5, 0.5, 0.3, 0.3), (0.5, -0.4, 0.2, 0.2),
+         (0.5, 1.4, 0.2, 0.2), (0.0, 0.0, 0.5, 0.5), (1.0, 1.0, 0.6, 0.2),
+         (0.5, 0.5, 3.0, 3.0)],
+        # Zero or near-zero spans, inside and on the border.
+        [(0.5, 0.5, 0.0, 0.0), (0.3, 0.7, 0.0, 0.4), (0.3, 0.7, 0.4, 0.0),
+         (1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.5, 0.5, 1e-10, 1e-10),
+         (-0.2, 0.5, 0.2, 0.2)],
+        # Box edges on the cell edges of an 8-cell grid.
+        [(0.5, 0.5, 0.5, 0.25), (0.25, 0.25, 0.5, 0.5), (0.125, 0.375, 0.25, 0.25),
+         (0.5, 0.5, 1.0, 1.0), (0.0625, 0.9375, 0.125, 0.125)],
+    ], ids=["outside", "degenerate", "cell-edges"])
+    def test_equals_two_call_oracle(self, boxes):
+        grid = np.random.default_rng(20).normal(size=(8, 8, 5))
+        boxes = np.array(boxes, dtype=np.float64)
+        for pool in (1, 2, 3, 4):
+            got = roi_pool_batch(grid, boxes, pool)
+            np.testing.assert_array_equal(got, _two_call_roi_pool(grid, boxes, pool))
+            # The same boxes as one image of a batch of three.
+            many = roi_pool_batch(np.stack([grid] * 3), np.stack([boxes] * 3), pool)
+            np.testing.assert_array_equal(many, np.stack([got] * 3))
+
+    @pytest.mark.parametrize("b, n, g, c, pool", [(3, 7, 8, 5, 3), (2, 64, 16, 18, 4)])
+    def test_images_axis_equals_stacked_calls(self, b, n, g, c, pool):
+        rng = np.random.default_rng(21)
+        grids = rng.normal(size=(b, g, g, c))
+        boxes = rng.uniform(-0.2, 1.2, size=(b, n, 4))
+        got = roi_pool_batch(grids, boxes, pool)
+        assert got.shape == (b, n, pool * pool * c)
+        want = np.stack([roi_pool_batch(gr, bx, pool) for gr, bx in zip(grids, boxes)])
+        np.testing.assert_array_equal(got, want)
 
 
 class TestTimeEmbedding:
@@ -250,6 +318,49 @@ class TestDecode:
         grid = np.zeros((4, 4, NUM_CHANNELS))
         with pytest.raises(ValueError):
             decode(params, grid, np.zeros((3, 5)), 10.0, HeadMask(1, 0, 0), SMALL)
+        with pytest.raises(ValueError, match="one .* feature grid per image"):
+            decode(params, grid, np.zeros((2, 3, 4)), 10.0, HeadMask(1, 0, 0), SMALL)
+
+    @pytest.mark.parametrize("cfg, n", [(SMALL, 5), (ModelConfig(), 64)],
+                             ids=["small", "default"])
+    def test_images_axis_equals_stacked_calls(self, cfg, n):
+        rng = np.random.default_rng(13)
+        params = init_params(cfg, rng, head_scale=0.3)
+        grids = rng.normal(size=(3, cfg.grid, cfg.grid, NUM_CHANNELS))
+        z = rng.standard_normal((3, n, 4))
+        mask = HeadMask(1, 1, 0)
+        z0_pred, probs, scores, cache = decode(params, grids, z, 250.0, mask, cfg)
+        ones = [decode(params, g, zi, 250.0, mask, cfg) for g, zi in zip(grids, z)]
+        np.testing.assert_array_equal(z0_pred, np.stack([o[0] for o in ones]))
+        np.testing.assert_array_equal(scores, np.stack([o[2] for o in ones]))
+        for head in HEAD_NAMES:
+            np.testing.assert_array_equal(probs[head], np.stack([o[1][head] for o in ones]))
+        x = forward_features(cfg, grids, z, 250.0)
+        np.testing.assert_array_equal(x, np.stack([o[3].x for o in ones]))
+        net = forward_net(params, x, z)
+        for b, o in enumerate(ones):
+            one = forward_net(params, x[b], z[b])
+            for name in ("h1", "h2", "z0_pred"):
+                np.testing.assert_array_equal(getattr(net, name)[b], getattr(one, name))
+            for head in HEAD_NAMES:
+                np.testing.assert_array_equal(net.logits[head][b], one.logits[head])
+                np.testing.assert_array_equal(o[3].logits[head], one.logits[head])
+
+    def test_computes_only_the_listed_heads(self):
+        params = init_params(SMALL, np.random.default_rng(14), head_scale=1.0)
+        grid = np.random.default_rng(15).normal(size=(2, 4, 4, NUM_CHANNELS))
+        z = np.random.default_rng(16).standard_normal((2, 5, 4))
+        mask = HeadMask(1, 1, 0)
+        z0_all, probs_all, scores_all, _ = decode(params, grid, z, 40.0, mask, SMALL)
+        z0_pred, probs, scores, cache = decode(params, grid, z, 40.0, mask, SMALL, heads=())
+        np.testing.assert_array_equal(z0_pred, z0_all)
+        assert probs == {} and cache.logits == {} and scores is None
+        _, probs, scores, cache = decode(
+            params, grid, z, 40.0, mask, SMALL, heads=("enumeration",)
+        )
+        assert set(probs) == set(cache.logits) == {"enumeration"}
+        np.testing.assert_array_equal(probs["enumeration"], probs_all["enumeration"])
+        np.testing.assert_array_equal(scores, scores_all)
 
 
 def _small_batch(rng, mask):

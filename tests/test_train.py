@@ -20,6 +20,7 @@ from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel, mask_f
 from dentdet.manipulate import InferredBoxCache, inference_proposals, manipulate_boxes
 from dentdet.model import (
     ModelConfig,
+    decode,
     encode_image,
     forward_features,
     forward_net,
@@ -364,6 +365,34 @@ class TestInfer:
         if steps > 1:
             assert 0 < sum(renewed) < len(renewed) * kw["n_proposals"]
         assert all(len(d) < kw["n_proposals"] for d in want)
+        assert [len(d) for d in got] == [len(d) for d in want]
+        for dg, dw in zip(got, want):
+            assert all(_same_detection(a, b) for a, b in zip(dg, dw))
+
+    @pytest.mark.parametrize("n_images, n_proposals, passes", [
+        (5, 64, 3),  # two images a pass, the last pass one
+        (2, 200, 2),  # more rows than a pass holds: one image a pass
+        (0, 64, 0),
+    ])
+    def test_passes_equal_object_oracle(self, n_images, n_proposals, passes,
+                                        monkeypatch):
+        level = HierarchyLevel.FULL
+        params = init_params(CFG, np.random.default_rng(9), head_scale=0.3)
+        grids = [s.grid_feats for s in _samples(level, n=n_images)]
+        kw = dict(n_proposals=n_proposals, steps=2, seed=4, eta=1.0,
+                  renewal_threshold=0.3, nms_iou=0.5)
+        decoded = []
+
+        def counting(params, grid_feats, z, *args, **kwargs):
+            decoded.append(len(z))
+            return decode(params, grid_feats, z, *args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "decode", counting)
+        got = infer(params, grids, level, CFG, SCHED, **kw)
+        want = _oracle_infer(params, grids, level, CFG, SCHED, **kw)
+        assert len(decoded) == 4 * passes  # two sampler steps, two readouts
+        assert sum(decoded) == 4 * n_images
+        assert len(got) == len(want) == n_images
         assert [len(d) for d in got] == [len(d) for d in want]
         for dg, dw in zip(got, want):
             assert all(_same_detection(a, b) for a, b in zip(dg, dw))
