@@ -78,9 +78,16 @@ def _level(arg: str) -> HierarchyLevel:
         raise CliError(EXIT_USAGE, f"unknown level {arg!r}")
 
 
+def _check_file(path, what: str) -> None:
+    """Exit 3, naming ``path``, unless it is an existing file."""
+    if not path or not Path(path).exists():
+        raise CliError(EXIT_MISSING, f"missing {what}: {path}")
+    if Path(path).is_dir():
+        raise CliError(EXIT_MISSING, f"{what} is a directory, not a file: {path}")
+
+
 def _load_annotations(path: Path, level: HierarchyLevel):
-    if not path.exists():
-        raise CliError(EXIT_MISSING, f"missing annotation file: {path}")
+    _check_file(path, "annotation file")
     try:
         return load_annotations(path, level)
     except AnnotationError as e:
@@ -101,13 +108,8 @@ def _check_grid(model_cfg: ModelConfig, width: int, height: int, path) -> None:
         )
 
 
-def _check_image(path: Path) -> None:
-    if not path.exists():
-        raise CliError(EXIT_MISSING, f"missing image: {path}")
-
-
 def _read_image(path: Path):
-    _check_image(path)
+    _check_file(path, "image")
     try:
         return read_pgm(path)
     except ValueError as e:
@@ -120,7 +122,7 @@ def _samples(data_dir: Path, level: HierarchyLevel, model_cfg: ModelConfig):
     images = data_dir / "images"
     for info in aset.images:
         path = images / info.file_name
-        _check_image(path)
+        _check_file(path, "image")
         _check_grid(model_cfg, info.width, info.height, path)
     try:
         return prepare_samples(aset, images, model_cfg)
@@ -129,8 +131,7 @@ def _samples(data_dir: Path, level: HierarchyLevel, model_cfg: ModelConfig):
 
 
 def _load_params(path: str | None, model_cfg: ModelConfig):
-    if not path or not Path(path).exists():
-        raise CliError(EXIT_MISSING, f"missing checkpoint: {path}")
+    _check_file(path, "checkpoint")
     try:
         params, meta = load_checkpoint(path)
     except ValueError as e:
@@ -234,8 +235,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     init = _load_params(args.init, cfg.model) if args.init else None
     cache = None
     if args.cache:
-        if not Path(args.cache).exists():
-            raise CliError(EXIT_MISSING, f"missing cache file: {args.cache}")
+        _check_file(args.cache, "cache file")
         try:
             cache = InferredBoxCache.load(args.cache, cfg.infer.cache_threshold)
         except ValueError as e:  # names the file and line
@@ -383,8 +383,7 @@ def cmd_render(args, cfg: RunConfig) -> int:
 def cmd_validate(args, cfg: RunConfig) -> int:
     level = _level(args.level)
     path = Path(args.annotations)
-    if not path.exists():
-        raise CliError(EXIT_MISSING, f"missing annotation file: {path}")
+    _check_file(path, "annotation file")
     try:
         aset = load_annotations(path, level)
     except AnnotationError as e:
@@ -494,7 +493,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-    except FileNotFoundError as e:
+    except (FileNotFoundError, IsADirectoryError) as e:  # the config file
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISSING
     except ValueError as e:

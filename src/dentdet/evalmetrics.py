@@ -6,10 +6,12 @@ at each IoU threshold; precision-recall curves are integrated with the
 original pixel units; classes or buckets with no ground truth are excluded
 from the averages.
 
-As in COCOeval (Lin et al., arXiv 1405.0312), each detection's IoUs are
-computed once and one greedy pass over each image's detections matches
-every IoU threshold and area bucket; AR, AP, AP50, AP75, AP_m and AP_l
-all read that pass.
+As in COCOeval (Lin et al., arXiv 1405.0312), one matching serves every
+IoU threshold and area bucket, and AR, AP, AP50, AP75, AP_m and AP_l all
+read it.  The (image, detection, ground truth) IoUs are computed at once.
+A detection that shares no candidate ground truth with another is matched
+in closed form; only detections that contest a ground truth go through
+the greedy steps.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ AREA_BUCKETS = (None, AREA_MEDIUM, AREA_LARGE)  # all, medium, large
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
 TASKS = ("quadrant", "enumeration", "diagnosis")
+_PROBS = dict(zip(TASKS, ("probs_q", "probs_e", "probs_d")))  # Detection fields
 
 
 @dataclass(frozen=True)
@@ -115,37 +118,80 @@ def _greedy_match(dets, gts):
     takes the first not yet taken counted ground truth of its class with
     maximal IoU at or above the threshold; failing that, the first
     qualifying ignored one, which makes it neither tp nor fp.  An unmatched
-    detection outside the bucket is not an fp.  IoUs are computed one
-    detection slot at a time, so no array grows with I * D * G.
+    detection outside the bucket is not an fp.
+
+    Only a candidate (same class, IoU at or above the lowest threshold) can
+    be taken.  A detection is contested when one of its candidates is also
+    another detection's candidate.  An uncontested detection finds all its
+    candidates free at its turn, and what it takes no other detection could
+    take, so its flags follow in closed form from its best counted and best
+    candidate IoU.  The greedy steps replay only the contested detections
+    (``_replay``).
     """
     (det_boxes, det_cls, det_outside), (gt_boxes, gt_cls, gt_ignore) = dets, gts
-    n_img, n_det = det_cls.shape
-    n_gt = gt_cls.shape[1]
-    shape = (n_img, len(AREA_BUCKETS), len(IOU_THRESHOLDS))
+    thresholds = np.asarray(IOU_THRESHOLDS)
+    v = iou_matrix(det_boxes, gt_boxes)  # (I, D, G)
+    cand = (det_cls[:, :, None] == gt_cls[:, None, :]) & (v >= thresholds[0])
+    # A detection is matched (tp) at the thresholds its best counted
+    # candidate reaches, and takes a ground truth at those its best
+    # candidate of any kind reaches.
+    i, d, g = np.nonzero(cand)
+    counted_v = np.where(gt_ignore[i, g], -1.0, v[i, d, g, None])  # (pairs, A)
+    best_counted = np.full(det_cls.shape + (len(AREA_BUCKETS),), -1.0)
+    np.maximum.at(best_counted, (i, d), counted_v)
+    best = np.max(v, axis=-1, where=cand, initial=-1.0)
+    matched = best_counted[..., None] >= thresholds  # (I, D, A, T)
+    taken = matched | (best[..., None, None] >= thresholds)
+    contested = (cand & (cand.sum(axis=1, keepdims=True) > 1)).any(-1)
+    if contested.any():
+        ci, cd = np.nonzero(contested)
+        matched[ci, cd], taken[ci, cd] = _replay(v[ci, cd], cand[ci, cd], gt_ignore[ci], ci)
+    fp = ~taken & ~det_outside[..., None]
+    return matched, fp
+
+
+def _replay(v, cand, ignored, img):
+    """The greedy steps of the contested detections, one image per row.
+
+    v, cand: (K, G) IoUs and candidate flags of the contested detections,
+    in image then slot order; ignored: (K, G, A) their images' ground-truth
+    ignore flags; img: (K,) their images.  Each image keeps only the
+    columns of its contested detections' candidates, in their order, so
+    the first-maximal and first-ignored tie rules pick the same ground
+    truth.  Returns matched (tp) and taken (a ground truth taken, counted
+    or ignored): (K, A, T).
+    """
+    slot = _run_positions(img)
+    starts = np.flatnonzero(slot == 0)
+    row = np.cumsum(slot == 0) - 1
+    col_row, col_gt = np.nonzero(np.logical_or.reduceat(cand, starts, axis=0))
+    col_slot = _run_positions(col_row)
+    n_rows, n_slots, n_cols = len(starts), int(slot.max()) + 1, int(col_slot.max()) + 1
+    col_of = np.zeros((n_rows, cand.shape[1]), dtype=np.int64)
+    col_of[col_row, col_gt] = col_slot
+    # Candidate IoUs; every other cell stays 0, below every threshold.
+    k, g = np.nonzero(cand)
+    sub_v = np.zeros((n_rows, n_slots, n_cols))
+    sub_v[row[k], slot[k], col_of[row[k], g]] = v[k, g]
+    sub_ignored = np.zeros((n_rows, len(AREA_BUCKETS), n_cols), dtype=bool)
+    sub_ignored[col_row, :, col_slot] = ignored[starts[col_row], col_gt]
+    # An available counted ground truth ranks by its IoU, an ignored one
+    # below any counted one (-1), and a taken or too distant one last (-2);
+    # argmax takes the first maximal.
+    rank_if_ok = np.where(sub_ignored[:, None], -1.0, sub_v[:, :, None])[:, :, :, None]
     thresholds = np.asarray(IOU_THRESHOLDS)[:, None]
-    ignored = gt_ignore.transpose(0, 2, 1)[:, :, None, :]
-    counted = ~ignored
-    free = np.ones(shape + (n_gt,), dtype=bool)  # not yet taken
-    tp = np.zeros((n_img, n_det) + shape[1:], dtype=bool)
-    fp = np.zeros_like(tp)
-    for d in range(n_det):
-        v = iou_matrix(det_boxes[:, d, None], gt_boxes)[:, None]  # (I, 1, 1, G)
-        same_class = (det_cls[:, d, None] == gt_cls)[:, None, None]
-        ok = (v >= thresholds) & same_class & free
-        hit = ok & counted
-        matched = hit.any(-1)
-        spare = ok & ignored
-        fallback = spare.any(-1) & ~matched
-        best = np.max(
-            np.broadcast_to(v, hit.shape), axis=-1, where=hit, initial=-1.0,
-            keepdims=True,
-        )
-        col = np.where(matched, (hit & (v == best)).argmax(-1), spare.argmax(-1))
-        i, a, t = np.nonzero(matched | fallback)
+    free = np.ones((n_rows, len(AREA_BUCKETS), len(IOU_THRESHOLDS), n_cols), dtype=bool)
+    matched = np.zeros((n_rows, n_slots) + free.shape[1:3], dtype=bool)
+    taken = np.zeros_like(matched)
+    for s in range(n_slots):
+        ok = (sub_v[:, s, None, None] >= thresholds) & free  # (rows, A, T, cols)
+        rank = np.where(ok, rank_if_ok[:, s], -2.0)
+        col = rank.argmax(-1)
+        top = np.take_along_axis(rank, col[..., None], axis=-1)[..., 0]
+        matched[:, s], taken[:, s] = top >= 0.0, top > -2.0
+        i, a, t = np.nonzero(taken[:, s])
         free[i, a, t, col[i, a, t]] = False
-        tp[:, d] = matched
-        fp[:, d] = ~(matched | fallback) & ~det_outside[:, d, :, None]
-    return tp, fp
+    return matched[row, slot], taken[row, slot]
 
 
 def _ap_from_flags(tp: np.ndarray, fp: np.ndarray, n_gt: np.ndarray) -> np.ndarray:
@@ -270,7 +316,7 @@ def detections_to_eval(dets, task: str):
     is that probability weighted by the detection's objectness.
     """
     boxes = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets])
-    probs = np.array([d.display_probs(task) for d in dets])
+    probs = np.array([getattr(d, _PROBS[task]) for d in dets])
     probs = probs.reshape(len(dets), HEAD_CLASS_COUNTS[task])
     classes = probs.argmax(axis=1)
     scores = probs[np.arange(len(dets)), classes] * np.array(

@@ -327,13 +327,6 @@ class Detection:
     score: float
     objectness: float = 1.0
 
-    def display_probs(self, head: str) -> np.ndarray:
-        return {
-            "quadrant": self.probs_q,
-            "enumeration": self.probs_e,
-            "diagnosis": self.probs_d,
-        }[head]
-
 
 def _kept_detections(
     boxes01: np.ndarray,

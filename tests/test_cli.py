@@ -617,6 +617,32 @@ def test_malformed_cache_is_invalid_data(bad_line, message, dataset, cfg_path,
     assert "Traceback" not in err
 
 
+def _file_flag_command(flag, path, dataset, cfg_path, tmp_path):
+    """argv that passes ``path`` where ``flag`` expects a file."""
+    train = ["--config", cfg_path, "train", "--data", str(dataset), "--level", "b",
+             "--out", str(tmp_path / "run")]
+    return {
+        "train --cache": [*train, "--cache", str(path)],
+        "train --init": [*train, "--init", str(path)],
+        "eval --checkpoint": ["--config", cfg_path, "eval", "--data", str(dataset),
+                              "--level", "b", "--checkpoint", str(path)],
+        "--config": ["--config", str(path), "datagen", "--out", str(tmp_path / "d")],
+    }[flag]
+
+
+@pytest.mark.parametrize(
+    "flag", ["train --cache", "train --init", "eval --checkpoint", "--config"]
+)
+def test_directory_for_a_file_is_missing_file(flag, dataset, cfg_path, tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    capsys.readouterr()
+    assert main(_file_flag_command(flag, folder, dataset, cfg_path, tmp_path)) == EXIT_MISSING
+    err = capsys.readouterr().err
+    assert str(folder) in err and "directory" in err
+    assert "Traceback" not in err
+
+
 def _quick_start_commands():
     """The README's Quick start block, one argv per ``dentdet`` command."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

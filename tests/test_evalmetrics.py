@@ -6,14 +6,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dentdet.evalmetrics import (
+    AREA_BUCKETS,
     AREA_LARGE,
     AREA_MEDIUM,
     IOU_THRESHOLDS,
     TaskMetrics,
+    _area_px as _area_px_array,
+    _bucket_outside,
+    _greedy_match,
     build_report,
     detections_to_eval,
 )
-from dentdet.geometry import Box, iou
+from dentdet.geometry import Box, iou, iou_matrix
 from dentdet.labels import HEAD_CLASS_COUNTS, LabelTriple
 from dentdet.train import Detection
 from helpers import EvalInstance, score, truth_arrays
@@ -466,6 +470,146 @@ class TestScalarOracle:
         tm = score(instances, "quadrant")
         assert tm == _oracle_evaluate(instances, "quadrant")
         assert tm.ap_l == 0.5
+
+
+# ---------------------------------------------------------------------------
+# Matcher oracle: _greedy_match as first written on arrays, one detection
+# slot at a time for every image, bucket and threshold.  The closed form
+# and the contest replay must give the same tp and fp flags, with ==.
+
+
+def _greedy_match_oracle(dets, gts):
+    (det_boxes, det_cls, det_outside), (gt_boxes, gt_cls, gt_ignore) = dets, gts
+    n_img, n_det = det_cls.shape
+    n_gt = gt_cls.shape[1]
+    shape = (n_img, len(AREA_BUCKETS), len(IOU_THRESHOLDS))
+    thresholds = np.asarray(IOU_THRESHOLDS)[:, None]
+    ignored = gt_ignore.transpose(0, 2, 1)[:, :, None, :]
+    counted = ~ignored
+    free = np.ones(shape + (n_gt,), dtype=bool)  # not yet taken
+    tp = np.zeros((n_img, n_det) + shape[1:], dtype=bool)
+    fp = np.zeros_like(tp)
+    for d in range(n_det):
+        v = iou_matrix(det_boxes[:, d, None], gt_boxes)[:, None]  # (I, 1, 1, G)
+        same_class = (det_cls[:, d, None] == gt_cls)[:, None, None]
+        ok = (v >= thresholds) & same_class & free
+        hit = ok & counted
+        matched = hit.any(-1)
+        spare = ok & ignored
+        fallback = spare.any(-1) & ~matched
+        best = np.max(
+            np.broadcast_to(v, hit.shape), axis=-1, where=hit, initial=-1.0,
+            keepdims=True,
+        )
+        col = np.where(matched, (hit & (v == best)).argmax(-1), spare.argmax(-1))
+        i, a, t = np.nonzero(matched | fallback)
+        free[i, a, t, col[i, a, t]] = False
+        tp[:, d] = matched
+        fp[:, d] = ~(matched | fallback) & ~det_outside[:, d, :, None]
+    return tp, fp
+
+
+def _padded(per_image, row_shape, dtype):
+    """Per-image rows stacked into (I, max rows, ...), zero-padded."""
+    n = max(len(rows) for rows in per_image)
+    out = np.zeros((len(per_image), n) + row_shape, dtype=dtype)
+    for i, rows in enumerate(per_image):
+        if len(rows):
+            out[i, :len(rows)] = rows
+    return out
+
+
+@st.composite
+def _contested_matches(draw):
+    """Matcher input dense in detections that contest a ground truth.
+
+    Each image has 4 to 7 ground truths, some of them shifted copies of an
+    earlier one, with sides at and around 32 and 96 pixels so that some are
+    ignored in the medium or the large bucket.  Detections copy, shift,
+    halve or grow a ground truth, are duplicated, and may take another
+    class; an image may have none.  Rows past an image's count are the
+    zero-size padding the scorer adds.
+    """
+    num_classes = draw(st.integers(1, 3))
+    classes = st.integers(0, num_classes - 1)
+    grid = st.integers(16, 48).map(lambda k: k / 64)
+    step = st.integers(-6, 6).map(lambda k: k / 128)
+    sides = st.one_of(  # (w, h) in pixels
+        st.sampled_from([(32, 32), (31, 33), (96, 96), (95, 97), (48, 192), (100, 40)]),
+        st.tuples(st.integers(8, 160), st.integers(8, 160)),
+    )
+    images = []
+    for _ in range(draw(st.integers(1, 4))):
+        width, height = draw(st.sampled_from(SIZES))
+        gts = []
+        for _ in range(draw(st.integers(4, 7))):
+            if gts and draw(st.booleans()):
+                src, cls = gts[draw(st.integers(0, len(gts) - 1))]
+                box = Box(src.cx + draw(step), src.cy + draw(step), src.w, src.h)
+                cls = draw(st.one_of(st.just(cls), classes))
+            else:
+                w_px, h_px = draw(sides)
+                box = Box(draw(grid), draw(grid), w_px / width, h_px / height)
+                cls = draw(classes)
+            gts.append((box, cls))
+        dets = []
+        for _ in range(draw(st.sampled_from([0, 2, 4, 6, 9]))):
+            gt, cls = gts[draw(st.integers(0, len(gts) - 1))]
+            kind = draw(st.sampled_from(["copy", "shifted", "half", "grown"]))
+            if kind == "shifted":
+                gt = Box(gt.cx + draw(step), gt.cy + draw(step), gt.w, gt.h)
+            elif kind == "half":
+                gt = Box(gt.cx, gt.cy, gt.w / 2, gt.h)
+            elif kind == "grown":
+                gt = Box(gt.cx, gt.cy, gt.w * 1.25, gt.h * 1.25)
+            det = (gt, draw(st.one_of(st.just(cls), classes)))
+            dets += [det] * draw(st.integers(1, 3))
+        images.append((dets, gts, width, height))
+
+    def side(pick):
+        boxes = [np.array([b.to_array() for b, _ in pick(img)]).reshape(-1, 4)
+                 for img in images]
+        areas = [_area_px_array(b, img[2], img[3]) for b, img in zip(boxes, images)]
+        return (
+            _padded(boxes, (4,), np.float64),
+            _padded([[c for _, c in pick(img)] for img in images], (), np.int64),
+            _padded([_bucket_outside(a) for a in areas], (len(AREA_BUCKETS),), bool),
+        )
+
+    return side(lambda img: img[0]), side(lambda img: img[1])
+
+
+class TestMatcherOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_contested_matches())
+    def test_equals_oracle_exactly(self, case):
+        dets, gts = case
+        tp, fp = _greedy_match(dets, gts)
+        want_tp, want_fp = _greedy_match_oracle(dets, gts)
+        assert tp.shape == want_tp.shape
+        assert (tp == want_tp).all() and (fp == want_fp).all()
+
+    def test_later_detection_takes_the_ground_truth_above_the_first_iou(self):
+        # Both detections contest one ground truth: the higher-scored one
+        # (IoU 0.6) takes it up to IoU 0.6, the lower-scored one (IoU 0.9)
+        # from there up to 0.9.  Neither is matched in closed form.
+        gt = Box(0.5, 0.5, 0.25, 0.25)
+        first = Box(0.5625, 0.5, 0.25, 0.25)  # shifted by a quarter width
+        second = Box(0.5, 0.5, 0.225, 0.25)  # inside, 0.9 of its area
+        v1, v2 = iou(first, gt), iou(second, gt)
+        assert v1 == pytest.approx(0.6) and v2 == pytest.approx(0.9)
+        boxes = np.array([[first.to_array(), second.to_array()]])
+        zero = np.zeros((1, 2, len(AREA_BUCKETS)), dtype=bool)
+        dets = (boxes, np.zeros((1, 2), dtype=np.int64), zero)
+        gts = (np.array([[gt.to_array()]]), np.zeros((1, 1), dtype=np.int64), zero[:, :1])
+        tp, fp = _greedy_match(dets, gts)
+        want_tp, want_fp = _greedy_match_oracle(dets, gts)
+        assert (tp == want_tp).all() and (fp == want_fp).all()
+        thr = np.asarray(IOU_THRESHOLDS)
+        assert (tp[0, 0, 0] == (v1 >= thr)).all()
+        assert (tp[0, 1, 0] == ((v2 >= thr) & (v1 < thr))).all()
+        assert tp[0, 1, 0].any() and tp[0, 0, 0].any()
+        assert (fp == ~tp).all()
 
 
 class TestReport:
