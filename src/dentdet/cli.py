@@ -86,6 +86,28 @@ def _check_file(path, what: str) -> None:
         raise CliError(EXIT_MISSING, f"{what} is a directory, not a file: {path}")
 
 
+def _check_out(path, directory: bool) -> None:
+    """Exit 3, naming ``path``, unless an output can be written there. A
+    directory output is created with its parents, so the nearest of them
+    that exists must be a directory; a file output must not be a directory,
+    and its parent directory must exist. Commands call this before they read
+    any input."""
+    if not path:
+        return
+    path = Path(path)
+    if directory:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise CliError(
+                EXIT_MISSING,
+                f"cannot create output directory {path}: {existing} is not a directory",
+            )
+    elif path.is_dir():
+        raise CliError(EXIT_MISSING, f"output file is a directory: {path}")
+    elif not path.parent.is_dir():
+        raise CliError(EXIT_MISSING, f"missing directory of output file: {path}")
+
+
 def _load_annotations(path: Path, level: HierarchyLevel):
     _check_file(path, "annotation file")
     try:
@@ -221,6 +243,7 @@ def _checkpoint_meta(cfg: RunConfig, **meta) -> dict:
 
 
 def cmd_datagen(args, cfg: RunConfig) -> int:
+    _check_out(args.out, directory=True)
     out = Path(args.out)
     generate_dataset(out, cfg.data.count, cfg.train.seed, size=cfg.data.size)
     print(f"wrote synthetic dataset to {out}")
@@ -228,6 +251,7 @@ def cmd_datagen(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
+    _check_out(args.out, directory=True)
     level = _level(args.level)
     samples = _samples(Path(args.data), level, cfg.model)
     schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
@@ -256,6 +280,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_pipeline(args, cfg: RunConfig) -> int:
+    _check_out(args.out, directory=True)
     data_dir = Path(args.data)
     schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
     datasets = {level: _samples(data_dir, level, cfg.model) for level in HierarchyLevel}
@@ -309,6 +334,7 @@ def _detections_doc(image_ids, dets_per_image):
 
 
 def cmd_infer(args, cfg: RunConfig) -> int:
+    _check_out(args.out, directory=False)
     level = _level(args.level)
     params = _load_params(args.checkpoint, cfg.model)
     from .model import encode_image
@@ -333,6 +359,9 @@ def cmd_infer(args, cfg: RunConfig) -> int:
 def cmd_eval(args, cfg: RunConfig) -> int:
     from .evalmetrics import EvalReport, evaluate, task_ground_truth
 
+    if args.out:
+        _check_out(args.out, directory=False)
+        _check_out(Path(args.out).with_suffix(".kv"), directory=False)
     level = _level(args.level)
     samples = _samples(Path(args.data), level, cfg.model)
     if args.oracle:
@@ -365,6 +394,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 def cmd_render(args, cfg: RunConfig) -> int:
     from .render import caption, render_overlay
 
+    _check_out(args.out, directory=True)
     level = _level(args.level)
     data_dir = Path(args.data)
     aset = _load_level(data_dir, level)
@@ -398,6 +428,7 @@ def cmd_validate(args, cfg: RunConfig) -> int:
 
 
 def cmd_split(args, cfg: RunConfig) -> int:
+    _check_out(args.out, directory=True)
     level = _level(args.level)
     aset = _load_annotations(Path(args.annotations), level)
     try:

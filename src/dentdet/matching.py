@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import cxcywh_to_xyxy, giou_matrix
 from .labels import HEAD_NAMES, HeadMask
@@ -40,6 +39,22 @@ def _cost_matrix(probs, boxes01, gt_boxes, gt_classes, mask: HeadMask, cfg):
     cost += cfg.l1_weight * l1
     cost += cfg.giou_weight * (1.0 - giou_matrix(boxes01, gt_boxes))
     return cost
+
+
+_scipy_solver = None
+
+
+def linear_sum_assignment(cost: np.ndarray):
+    """``scipy.optimize.linear_sum_assignment``, imported on the first call.
+
+    Only training solves assignments, and importing ``scipy.optimize`` more
+    than doubles the resident memory of a process that only infers and
+    scores, so those never load it.
+    """
+    global _scipy_solver
+    if _scipy_solver is None:
+        from scipy.optimize import linear_sum_assignment as _scipy_solver
+    return _scipy_solver(cost)
 
 
 def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:

@@ -394,12 +394,15 @@ def infer(
         z = np.stack([inference_proposals(n_proposals, rng, model_cfg.scale) for rng in rngs])
         for si in range(len(times) - 1):
             t, t_next = int(times[si]), int(times[si + 1])
+            # Renewal reads the deepest head's scores; the last step renews nothing.
+            renew = si < len(times) - 2
             z0_pred, _, scores, _ = decode(
-                params, grid, z, float(t), mask, model_cfg, heads=(mask.deepest_head,)
+                params, grid, z, float(t), mask, model_cfg,
+                heads=(mask.deepest_head,) if renew else (),
             )
             for b, rng in enumerate(rngs):
                 nb = ddim_step(NoisyBoxes(z[b], t), z0_pred[b], t, t_next, schedule, eta, rng)
-                if si < len(times) - 2:
+                if renew:
                     nb = box_renewal(scores[b], nb, renewal_threshold, rng)
                 z[b] = nb.z
         # Final readout on the denoised boxes: the chain ends with clean

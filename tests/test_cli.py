@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dentdet import cli, imageio
 from dentdet.cli import (
     EXIT_INVALID,
     EXIT_MISSING,
@@ -500,11 +501,17 @@ def test_grid_larger_than_the_images_is_usage_error(command, dataset, tmp_path, 
     assert "Traceback" not in err
 
 
-def _image_command(command, dataset, tmp_path):
-    """Arguments of a command that reads ``images/q_00000.pgm``."""
+def _small_checkpoint(tmp_path):
+    """An untrained checkpoint of SMALL_CFG's model."""
     ckpt = tmp_path / "small.bin"
     small = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)  # as SMALL_CFG
     save_checkpoint(ckpt, init_params(small, np.random.default_rng(0)))
+    return ckpt
+
+
+def _image_command(command, dataset, tmp_path):
+    """Arguments of a command that reads ``images/q_00000.pgm``."""
+    ckpt = _small_checkpoint(tmp_path)
     image = dataset / "images" / "q_00000.pgm"
     return {
         "infer": ["infer", "--checkpoint", str(ckpt), "--level", "a",
@@ -641,6 +648,56 @@ def test_directory_for_a_file_is_missing_file(flag, dataset, cfg_path, tmp_path,
     err = capsys.readouterr().err
     assert str(folder) in err and "directory" in err
     assert "Traceback" not in err
+
+
+def _output_command(command, dataset, tmp_path):
+    """argv of ``command`` on ``dataset``, all but its ``--out`` flag."""
+    ckpt = _small_checkpoint(tmp_path)
+    return {
+        "datagen": ["datagen"],
+        "train": ["train", "--data", str(dataset), "--level", "a"],
+        "pipeline": ["pipeline", "--data", str(dataset)],
+        "infer": ["infer", "--checkpoint", str(ckpt), "--level", "a",
+                  "--images", str(dataset / "images" / "q_00000.pgm")],
+        "eval": ["eval", "--data", str(dataset), "--level", "a", "--checkpoint", str(ckpt)],
+        "render": ["render", "--data", str(dataset), "--level", "a"],
+        "split": ["split", "--annotations", str(dataset / "annotations_quadrant.json"),
+                  "--level", "a", "--train-frac", "1", "--val-frac", "0",
+                  "--test-frac", "0"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, out, named, message", [
+    ("infer", "folder", "folder", "output file is a directory"),
+    ("eval", "folder", "folder", "output file is a directory"),
+    ("eval", "absent/report.txt", "absent/report.txt", "missing directory of output file"),
+    ("eval", "report.txt", "report.kv", "output file is a directory"),
+    ("datagen", "file", "file", "is not a directory"),
+    ("train", "file", "file", "is not a directory"),
+    ("train", "file/run", "file", "is not a directory"),
+    ("pipeline", "file", "file", "is not a directory"),
+    ("render", "file", "file", "is not a directory"),
+    ("split", "file", "file", "is not a directory"),
+])
+def test_unwritable_output_is_missing_file(command, out, named, message, dataset, cfg_path,
+                                           tmp_path, monkeypatch, capsys):
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "report.kv").mkdir()
+    (tmp_path / "file").write_text("")
+
+    def no_reads(path):
+        raise AssertionError(f"read {path} before checking --out")
+
+    monkeypatch.setattr(cli, "read_pgm", no_reads)
+    monkeypatch.setattr(imageio, "read_pgm", no_reads)
+    argv = _output_command(command, dataset, tmp_path)
+    capsys.readouterr()
+    code = main(["--config", cfg_path, *argv, "--out", str(tmp_path / out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_MISSING
+    assert message in captured.err and str(tmp_path / named) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def _quick_start_commands():

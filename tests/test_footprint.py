@@ -1,0 +1,93 @@
+"""Import footprint: inference and scoring run without scipy; training loads
+its assignment solver on the first step."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dentdet
+from dentdet import matching
+from dentdet.config import ENV_CONFIG
+from dentdet.data import generate_dataset, level_tag, load_annotations
+from dentdet.diffusion import Schedule
+from dentdet.labels import HierarchyLevel
+from dentdet.model import ModelConfig
+from dentdet.train import StageConfig, prepare_samples, train_stage
+
+SRC = Path(dentdet.__file__).resolve().parent.parent
+
+# Refuses every scipy module, then runs the inference-side commands.
+_WITHOUT_SCIPY = textwrap.dedent("""
+    import importlib.abc
+    import sys
+
+
+    class RefuseScipy(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ModuleNotFoundError(f"{name} is refused", name=name)
+            return None
+
+
+    sys.meta_path.insert(0, RefuseScipy())
+
+    from pathlib import Path
+
+    import numpy as np
+
+    import dentdet
+    from dentdet import cli
+    from dentdet.data import generate_dataset
+    from dentdet.model import ModelConfig, init_params, save_checkpoint
+
+    work = Path(sys.argv[1])
+    generate_dataset(work / "data", 2, 0)
+    ckpt = work / "init.bin"
+    save_checkpoint(ckpt, init_params(ModelConfig(), np.random.default_rng(0)))
+    image = work / "data" / "images" / "q_00000.pgm"
+    infer = ["infer", "--checkpoint", str(ckpt), "--level", "a",
+             "--images", str(image), "--out", str(work / "dets.json")]
+    evaluate = ["eval", "--data", str(work / "data"), "--level", "c",
+                "--checkpoint", str(ckpt), "--out", str(work / "report.txt")]
+    assert cli.main(infer) == 0
+    assert cli.main(evaluate) == 0
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, loaded
+    print("ok")
+""")
+
+
+def test_inference_and_scoring_run_without_scipy(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
+    assert (tmp_path / "dets.json").is_file() and (tmp_path / "report.txt").is_file()
+
+
+def test_training_solves_with_scipy(tmp_path):
+    scipy_optimize = pytest.importorskip("scipy.optimize")  # training needs scipy
+    level = HierarchyLevel.QUADRANT_ONLY
+    model_cfg = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)
+    generate_dataset(tmp_path, 2, 0)
+    aset = load_annotations(tmp_path / f"annotations_{level_tag(level)}.json", level)
+    samples = prepare_samples(aset, tmp_path / "images", model_cfg)
+    stage = StageConfig(level=level, iterations=1, batch_size=2, n_proposals=8)
+    _, metrics = train_stage(stage, samples, model_cfg, Schedule.cosine(1000, 0.008))
+    assert metrics[-1]["matched_pairs"] > 0
+
+    rng = np.random.default_rng(0)
+    for shape in [(1, 1), (5, 3), (3, 5), (8, 8), (40, 12)]:
+        cost = rng.normal(size=shape)
+        rows, cols = matching.linear_sum_assignment(cost)
+        want_rows, want_cols = scipy_optimize.linear_sum_assignment(cost)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)

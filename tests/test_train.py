@@ -397,6 +397,22 @@ class TestInfer:
         for dg, dw in zip(got, want):
             assert all(_same_detection(a, b) for a, b in zip(dg, dw))
 
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_only_renewing_steps_decode_a_head(self, steps, monkeypatch):
+        level = HierarchyLevel.FULL
+        params = init_params(CFG, np.random.default_rng(9))
+        grids = [s.grid_feats for s in _samples(level, n=2)]
+        heads = []
+
+        def recording(*args, **kwargs):
+            heads.append(kwargs.get("heads", HEAD_NAMES))
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "decode", recording)
+        infer(params, grids, level, CFG, SCHED, n_proposals=8, steps=steps)
+        renewing = [(mask_for(level).deepest_head,)] * (steps - 1)
+        assert heads == [*renewing, (), (), HEAD_NAMES]
+
     def test_untrained_scores_uniform(self):
         params = init_params(CFG, np.random.default_rng(5), head_scale=0.0)
         grids = [s.grid_feats for s in _samples(HierarchyLevel.QUADRANT_ONLY, n=1)]
