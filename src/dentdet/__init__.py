@@ -1,6 +1,6 @@
 """Diffusion-based hierarchical multi-label tooth detection."""
 
-from .diffusion import NoisyBoxes, Schedule, ddim_step, forward_noise, pad_gt_boxes
+from .diffusion import Schedule, ddim_step, forward_noise, pad_gt_boxes
 from .geometry import Box, iou, nms
 from .labels import (
     HEAD_NAMES,
@@ -12,7 +12,7 @@ from .labels import (
     LabelTriple,
     mask_for,
 )
-from .manipulate import InferredBox, InferredBoxCache, manipulate_boxes
+from .manipulate import InferredBoxCache, manipulate_boxes
 from .matching import LossBreakdown
 from .model import (
     ModelConfig,
@@ -36,13 +36,11 @@ __all__ = [
     "NUM_ENUMERATIONS",
     "HeadMask",
     "HierarchyLevel",
-    "InferredBox",
     "InferredBoxCache",
     "LabelTriple",
     "LossBreakdown",
     "ModelConfig",
     "NUM_QUADRANTS",
-    "NoisyBoxes",
     "Schedule",
     "ddim_step",
     "decode",

@@ -48,14 +48,6 @@ class Schedule:
         return Schedule(T=T, alpha_bar=ab)
 
 
-@dataclass(frozen=True)
-class NoisyBoxes:
-    """N x 4 signal-space box array at diffusion time t."""
-
-    z: np.ndarray
-    t: int
-
-
 def signal_encode(boxes: np.ndarray, scale: float) -> np.ndarray:
     """Map [0, 1] box coordinates to signal space: x -> (2x - 1) * scale."""
     if scale <= 0:
@@ -85,13 +77,13 @@ def _check_t(t: int, schedule: Schedule) -> None:
 
 def forward_noise(
     z0: np.ndarray, t: int, schedule: Schedule, rng: np.random.Generator
-) -> NoisyBoxes:
+) -> np.ndarray:
     """Sample z_t ~ N(sqrt(a_bar_t) z0, (1 - a_bar_t) I)."""
     _check_t(t, schedule)
     z0 = np.asarray(z0, dtype=np.float64)
     ab = schedule.alpha_bar[t]
     eps = rng.standard_normal(z0.shape)
-    return NoisyBoxes(z=np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps, t=t)
+    return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 
 def pad_gt_boxes(
@@ -125,15 +117,16 @@ def pad_gt_boxes(
 
 
 def ddim_step(
-    z_t: NoisyBoxes,
+    z_t: np.ndarray,
     z0_pred: np.ndarray,
     t: int,
     t_next: int,
     schedule: Schedule,
     eta: float,
     rng: np.random.Generator | None = None,
-) -> NoisyBoxes:
-    """One reverse step parameterized by the predicted clean signal.
+) -> np.ndarray:
+    """One reverse step from ``z_t`` at time t to time t_next, parameterized
+    by the predicted clean signal.
 
     With eta = 0 the update is deterministic; t_next = 0 reproduces the
     prediction exactly since alpha_bar[0] = 1.
@@ -142,14 +135,12 @@ def ddim_step(
         raise ValueError(f"require 0 <= t_next < t <= T, got t={t}, t_next={t_next}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    if z_t.t != t:
-        raise ValueError(f"z_t is at timestep {z_t.t}, expected {t}")
     z0_pred = np.asarray(z0_pred, dtype=np.float64)
-    if z0_pred.shape != z_t.z.shape:
+    if z0_pred.shape != z_t.shape:
         raise ValueError("z0_pred shape mismatch")
     ab_t = schedule.alpha_bar[t]
     ab_n = schedule.alpha_bar[t_next]
-    eps_hat = (z_t.z - np.sqrt(ab_t) * z0_pred) / np.sqrt(1.0 - ab_t)
+    eps_hat = (z_t - np.sqrt(ab_t) * z0_pred) / np.sqrt(1.0 - ab_t)
     sigma = (
         eta
         * np.sqrt((1.0 - ab_n) / (1.0 - ab_t))
@@ -160,20 +151,18 @@ def ddim_step(
         if rng is None:
             raise ValueError("eta > 0 requires an rng")
         out = out + sigma * rng.standard_normal(out.shape)
-    return NoisyBoxes(z=out, t=t_next)
+    return out
 
 
 def box_renewal(
     scores: np.ndarray,
-    z: NoisyBoxes,
+    z: np.ndarray,
     score_threshold: float,
     rng: np.random.Generator,
-) -> NoisyBoxes:
+) -> np.ndarray:
     """Replace low-confidence proposal rows with fresh standard-normal noise."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape[0] != z.z.shape[0]:
+    if scores.shape[0] != z.shape[0]:
         raise ValueError("one score per proposal row required")
     keep = scores >= score_threshold
-    fresh = rng.standard_normal(z.z.shape)
-    out = np.where(keep[:, None], z.z, fresh)
-    return NoisyBoxes(z=out, t=z.t)
+    return np.where(keep[:, None], z, rng.standard_normal(z.shape))

@@ -19,7 +19,6 @@ from . import blas
 from .config import TrainConfig
 from .data import AnnotationSet, random_crop_resize
 from .diffusion import (
-    NoisyBoxes,
     Schedule,
     box_renewal,
     ddim_step,
@@ -30,7 +29,12 @@ from .diffusion import (
 from .evalmetrics import EvalReport, build_report
 from .geometry import Box, iou, nms  # noqa: F401  (perfbench counts iou calls)
 from .labels import HEAD_NAMES, HeadMask, HierarchyLevel, class_array, mask_for
-from .manipulate import InferredBoxCache, inference_proposals, manipulate_boxes
+from .manipulate import (
+    InferredBoxCache,
+    inference_proposals,
+    inferred_boxes,
+    manipulate_boxes,
+)
 from .model import (
     BatchItem,
     ModelConfig,
@@ -242,7 +246,7 @@ def train_stage(
                     gt_boxes, gt_classes = gt_boxes[keep], gt_classes[keep]
                 z0 = pad_gt_boxes(gt_boxes, cfg.n_proposals, rng, model_cfg.scale)
                 t = int(rng.integers(1, schedule.T + 1))
-                z = forward_noise(z0, t, schedule, rng).z
+                z = forward_noise(z0, t, schedule, rng)
                 if cfg.use_manipulation:
                     z = manipulate_boxes(
                         z, cache.get(s.image_id), cache.threshold,
@@ -401,10 +405,9 @@ def infer(
                 heads=(mask.deepest_head,) if renew else (),
             )
             for b, rng in enumerate(rngs):
-                nb = ddim_step(NoisyBoxes(z[b], t), z0_pred[b], t, t_next, schedule, eta, rng)
+                z[b] = ddim_step(z[b], z0_pred[b], t, t_next, schedule, eta, rng)
                 if renew:
-                    nb = box_renewal(scores[b], nb, renewal_threshold, rng)
-                z[b] = nb.z
+                    z[b] = box_renewal(scores[b], z[b], renewal_threshold, rng)
         # Final readout on the denoised boxes: the chain ends with clean
         # proposals at t = 0.  Decode once to refine them (the box head can
         # correct sizes after observing the content under the denoised
@@ -440,9 +443,10 @@ def build_cache(
         params, [s.grid_feats for s in samples], level, model_cfg, schedule, **sampler
     )
     for s, dets in zip(samples, dets_per_image):
-        for d in dets:
-            if d.score > threshold:
-                cache.add(s.image_id, d.box, d.score, level)
+        rows = [(d.box.cx, d.box.cy, d.box.w, d.box.h, d.score)
+                for d in dets if d.score > threshold]
+        if rows:
+            cache.entries[s.image_id] = inferred_boxes(rows)
     return cache
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from dentdet.data import generate_dataset, generate_layout, load_annotations, level_tag, project_level, split_manifest
 from dentdet.diffusion import (
-    NoisyBoxes,
     Schedule,
     ddim_step,
     forward_noise,
@@ -21,7 +20,7 @@ from dentdet.diffusion import (
 )
 from dentdet.geometry import Box, iou
 from dentdet.labels import HeadMask, HierarchyLevel, LabelTriple, class_array
-from dentdet.manipulate import InferredBox, manipulate_boxes
+from dentdet.manipulate import inferred_boxes, manipulate_boxes
 from dentdet.matching import solve_assignment
 from dentdet.model import (
     BatchItem,
@@ -70,7 +69,7 @@ def test_forward_noise_statistics():
             for i in range(n // 1000):
                 draws[1000 * i : 1000 * (i + 1)] = forward_noise(
                     batch, t, SCHED, rng
-                ).z
+                )
             ab = SCHED.alpha_bar[t]
             sigma = np.sqrt(1.0 - ab)
             mean_tol = 3.0 * sigma / np.sqrt(n)
@@ -91,15 +90,14 @@ def test_ddim_oracle_chain():
     z0 = rng.normal(size=(8, 4))
     with Timer() as timer:
         # Full reverse chain with the true clean signal as the predictor.
-        z = NoisyBoxes(z=rng.standard_normal((8, 4)), t=SCHED.T)
+        z = rng.standard_normal((8, 4))
         for t in range(SCHED.T, 0, -1):
             z = ddim_step(z, z0, t, t - 1, SCHED, eta=0.0)
-        assert z.t == 0
-        np.testing.assert_allclose(z.z, z0, atol=1e-9)
+        np.testing.assert_allclose(z, z0, atol=1e-9)
         # A single jump to t_next = 0 reproduces the prediction exactly.
         zt = forward_noise(z0, 700, SCHED, rng)
         out = ddim_step(zt, z0, 700, 0, SCHED, eta=0.0)
-        np.testing.assert_array_equal(out.z, z0)
+        np.testing.assert_array_equal(out, z0)
     assert timer.elapsed < 1.0
 
 
@@ -225,19 +223,15 @@ def test_gradients_match_finite_differences():
 
 def test_manipulation_contract():
     rng = np.random.default_rng(99)
-    stage = HierarchyLevel.QUADRANT_ONLY
     with Timer() as timer:
         for _ in range(1000):
             n = int(rng.integers(1, 13))
             noisy = rng.standard_normal((n, 4))
-            inferred = [
-                InferredBox(
-                    Box(*rng.uniform(0.3, 0.7, 2), *rng.uniform(0.1, 0.2, 2)),
-                    float(rng.uniform()),
-                    stage,
-                )
+            inferred = inferred_boxes([
+                (*rng.uniform(0.3, 0.7, 2), *rng.uniform(0.1, 0.2, 2),
+                 float(rng.uniform()))
                 for _ in range(int(rng.integers(0, 16)))
-            ]
+            ])
             out = manipulate_boxes(noisy, inferred, 0.5, scale=2.0)
             assert out.shape == (n, 4)
             confident = [e for e in inferred if e.score > 0.5]
@@ -250,9 +244,7 @@ def test_manipulation_contract():
                 confident = [e for _, e in keep]
             k = len(confident)
             if k:
-                want = signal_encode(
-                    np.stack([e.box.to_array() for e in confident]), 2.0
-                )
+                want = signal_encode(np.stack([e.box for e in confident]), 2.0)
                 np.testing.assert_array_equal(out[n - k :], want)
             np.testing.assert_array_equal(out[: n - k], noisy[: n - k])
             # An impossible gate admits nothing.

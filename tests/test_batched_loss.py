@@ -14,7 +14,6 @@ import pytest
 import dentdet.train as train_mod
 from dentdet.data import generate_layout, project_level
 from dentdet.diffusion import Schedule, signal_decode
-from dentdet.geometry import Box
 from dentdet.labels import (
     HEAD_CLASS_COUNTS,
     HEAD_NAMES,
@@ -23,7 +22,7 @@ from dentdet.labels import (
     LabelTriple,
     class_array,
 )
-from dentdet.manipulate import InferredBox, InferredBoxCache, manipulate_boxes
+from dentdet.manipulate import InferredBoxCache, inferred_boxes, manipulate_boxes
 from dentdet.matching import (
     LossBreakdown,
     _focal,
@@ -191,10 +190,9 @@ def _batch(rng, mask, shapes=((5, 2), (9, 0), (3, 3), (7, 4), (6, 1))):
         )
         z = rng.standard_normal((n, 4))
         if m:
-            inferred = [
-                InferredBox(Box.from_array(gt[j]), s, HierarchyLevel.QUADRANT_ONLY)
-                for j, s in ((0, 0.9), (m - 1, 0.7), (0, 0.3))
-            ]
+            inferred = inferred_boxes(
+                [(*gt[j], s) for j, s in ((0, 0.9), (m - 1, 0.7), (0, 0.3))]
+            )
             z = manipulate_boxes(z, inferred, 0.5, scale=CFG.scale)
         items.append(
             BatchItem(
@@ -316,11 +314,10 @@ def test_train_stage_with_oracle_is_byte_equal(level, monkeypatch, tmp_path):
     def run(out_dir):
         cache = None
         if manip:
-            cache = InferredBoxCache(0.5)
-            for s in samples:
-                for row in s.gt_boxes[:5]:
-                    cache.add(s.image_id, Box.from_array(row), 0.8,
-                              HierarchyLevel.QUADRANT_ONLY)
+            cache = InferredBoxCache(0.5, {
+                s.image_id: inferred_boxes([(*row, 0.8) for row in s.gt_boxes[:5]])
+                for s in samples
+            })
         params, metrics = train_stage(cfg, samples, CFG, SCHED, cache=cache,
                                       out_dir=out_dir)
         records = [json.loads(line) for line in (out_dir / "metrics.jsonl").open()]

@@ -414,7 +414,7 @@ def test_train_cache_splices_above_the_config_gate(dataset, tmp_path, monkeypatc
     box = [0.3, 0.4, 0.1, 0.2]
     cache = tmp_path / "inferred_boxes.tsv"
     cache.write_text("".join(
-        "\t".join([info.id, "quadrant", *map(repr, box), "0.4"]) + "\n"
+        "\t".join([info.id, *map(repr, box), "0.4"]) + "\n"
         for info in aset.images
     ))
     calls = []
@@ -598,15 +598,18 @@ def test_model_fingerprint_is_checked_on_load(model, dataset, cfg_path, tmp_path
     assert "Traceback" not in err
 
 
-_CACHE_LINE = "qe_00000\tquadrant\t0.3\t0.4\t0.1\t0.2\t0.9\n"
+_CACHE_LINE = "qe_00000\t0.3\t0.4\t0.1\t0.2\t0.9\n"
 
 
 @pytest.mark.parametrize("bad_line, message", [
     (None, None),
-    ("qe_00000\tquadrant\t0.5\t0.5\tx\t0.1\t0.9\n", "could not convert"),
-    ("qe_00000\tquadrant\t0.5\t0.5\t0.1\t0.9\n", "expected 7 fields, got 6"),
-    ("qe_00000\tmolar\t0.5\t0.5\t0.1\t0.1\t0.9\n", "'molar' is not a valid"),
-], ids=["valid", "non-numeric", "field-count", "unknown-stage"])
+    ("qe_00000\t0.5\t0.5\tx\t0.1\t0.9\n", "could not convert"),
+    ("qe_00000\t0.5\t0.5\t0.1\t0.9\n", "expected 6 fields, got 5"),
+    ("qe_00000\tquadrant\t0.5\t0.5\t0.1\t0.1\t0.9\n", "expected 6 fields, got 7"),
+    ("qe_00000\t0.5\t0.5\t0.1\t0.1\tnan\n", "inferred-box values must be finite"),
+    ("qe_00000\tnan\t0.5\t0.1\t0.1\t0.9\n", "inferred-box values must be finite"),
+], ids=["valid", "non-numeric", "field-count", "previous-format", "nan-score",
+        "nan-box"])
 def test_malformed_cache_is_invalid_data(bad_line, message, dataset, cfg_path,
                                          tmp_path, capsys):
     cache = tmp_path / "inferred_boxes.tsv"

@@ -13,7 +13,9 @@ def test_every_exported_name_resolves():
         assert hasattr(dentdet, name), name
 
 
-@pytest.mark.parametrize("name", ["match", "compute_loss", "giou"])
+@pytest.mark.parametrize(
+    "name", ["match", "compute_loss", "giou", "NoisyBoxes", "InferredBox"]
+)
 def test_test_only_helpers_are_not_exported(name):
     assert name not in dentdet.__all__
     assert not hasattr(dentdet, name)
