@@ -105,49 +105,74 @@ def encode_image(img: np.ndarray, grid: int = 16) -> np.ndarray:
     return feats
 
 
-def _axis_weights(lo: np.ndarray, hi: np.ndarray, pool: int, grid: int):
-    """Overlap lengths between P equal bins of [lo, hi] and the G grid cells.
+def _bin_edges(lo: np.ndarray, hi: np.ndarray, pool: int):
+    """Edges of P equal bins over spans [lo, hi] within [0, 1] of any shape S.
 
-    ``lo`` and ``hi`` hold spans within [0, 1] of any shape S.  Returns
-    (weights S + (P, G), bin width S).
+    Returns (edges S + (P+1,), bin width S).
     """
     span = hi - lo
     # Fully degenerate spans sample the single nearest cell.
     tiny = span < 1e-9
     lo = np.where(tiny, np.minimum(lo, 1.0 - 1e-6), lo)
     span = np.where(tiny, 1e-6, span)
-    edges = lo[..., None] + span[..., None] * np.arange(pool + 1) / pool  # S + (P+1,)
+    return lo[..., None] + span[..., None] * np.arange(pool + 1) / pool, span / pool
+
+
+def _cell_overlaps(edges: np.ndarray, grid: int) -> np.ndarray:
+    """Overlap lengths S + (P, G) between bins with edges S + (P+1,) and the
+    G grid cells."""
     cell_lo = np.arange(grid) / grid
     cell_hi = cell_lo + 1.0 / grid
     w = np.minimum(edges[..., 1:, None], cell_hi) - np.maximum(
         edges[..., :-1, None], cell_lo
     )
-    return np.maximum(w, 0.0), span / pool
+    return np.maximum(w, 0.0)
 
 
-def roi_pool_batch(grid_feats: np.ndarray, boxes01: np.ndarray, pool: int) -> np.ndarray:
+def roi_pool_batch(
+    grid_feats: np.ndarray,
+    boxes01: np.ndarray,
+    pool: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Pool normalized center-size boxes into P*P*C feature vectors.
 
     (N, 4) boxes on a (G, G, C) grid give (N, P*P*C); (B, N, 4) boxes on B
-    stacked grids (B, G, G, C) give (B, N, P*P*C).  Each of the P x P bins
-    takes the coverage-weighted mean of the grid cells it overlaps; boxes
-    are clamped to the image first.
+    stacked grids (B, G, G, C) give (B, N, P*P*C), written into ``out`` if
+    given and returned.  Each of the P x P bins takes the coverage-weighted
+    mean of the grid cells it overlaps; boxes are clamped to the image first.
     """
     g, c = grid_feats.shape[-2:]
     boxes01 = np.asarray(boxes01, dtype=np.float64)
     lead, n = boxes01.shape[:-2], boxes01.shape[-2]
+    if grid_feats.shape[:-3] != lead:
+        raise ValueError(
+            "one (G, G, C) feature grid per image of boxes required: grids "
+            f"{grid_feats.shape}, boxes {boxes01.shape}"
+        )
+    if out is None:
+        out = np.empty((*lead, n, pool * pool * c))
     # Both axes at once: coordinates move to the front, x before y.
     coords = boxes01.transpose(-1, *range(boxes01.ndim - 1))
     centers, half = coords[:2], coords[2:] / 2
     lo = np.minimum(np.maximum(centers - half, 0.0), 1.0)
     hi = np.minimum(np.maximum(centers + half, 0.0), 1.0)
-    (wx, wy), (bw, bh) = _axis_weights(lo, hi, pool, g)
-    # Bin weights factor per axis: pool rows with one GEMM per image, columns
-    # with a batched one.
-    rows = wy.reshape(*lead, n * pool, g) @ grid_feats.reshape(*lead, g, g * c)
-    vals = wx[..., None, :, :] @ rows.reshape(*lead, n, pool, g, c)
-    vals /= (np.maximum(bh, 1e-12) * np.maximum(bw, 1e-12))[..., None, None, None]
-    return vals.reshape(*lead, n, pool * pool * c)
+    edges, (bw, bh) = _bin_edges(lo, hi, pool)
+    area = np.maximum(bh, 1e-12) * np.maximum(bw, 1e-12)
+    # Bin weights factor per axis: pool rows with one GEMM, then columns with
+    # a batched one.  Image by image, so only one image's weights and
+    # (N*P, G*C) bin rows are held at a time.
+    b = math.prod(lead)
+    edges, area = edges.reshape(2, b, n, pool + 1), area.reshape(b, n, 1, 1, 1)
+    grids = grid_feats.reshape(b, g, g * c)
+    vals = out.reshape(b, n, pool, pool, c)  # a view: only the last axis splits
+    rows = np.empty((n * pool, g * c))
+    for i in range(b):
+        wx, wy = _cell_overlaps(edges[:, i], g)
+        np.matmul(wy.reshape(n * pool, g), grids[i], out=rows)
+        np.matmul(wx[:, None], rows.reshape(n, pool, g, c), out=vals[i])
+        vals[i] /= area[i]
+    return out
 
 
 def time_embedding(t: float, dim: int) -> np.ndarray:
@@ -246,9 +271,8 @@ def softmax(x: np.ndarray) -> np.ndarray:
 class ForwardCache:
     """Intermediate activations kept for the analytic backward pass."""
 
-    x: np.ndarray  # (..., M, D) input features
+    x: np.ndarray  # (..., M, H + D) head input: trunk output, then decoder input
     h1: np.ndarray
-    h2: np.ndarray
     z0_pred: np.ndarray  # (..., M, 4) signal space
     logits: dict[str, np.ndarray]  # computed head -> (..., M, K+1)
 
@@ -260,15 +284,17 @@ def forward_features(
     t: float,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-proposal decoder input: pooled RoI features of the decoded noisy
-    box followed by the timestep embedding, (N, D) for (N, 4) proposals or
-    (B, N, D) for (B, N, 4), written into ``out`` if given."""
+    """Head input with the per-proposal decoder input in its last D columns:
+    pooled RoI features of the decoded noisy box followed by the timestep
+    embedding.  (N, H + D) for (N, 4) proposals or (B, N, H + D) for
+    (B, N, 4), written into ``out`` if given; the first H columns are left
+    for :func:`forward_net`'s trunk output."""
     boxes01 = signal_decode(np.asarray(z, dtype=np.float64), cfg.scale)
     if out is None:
-        out = np.empty(boxes01.shape[:-1] + (cfg.feat_dim,))
-    roi_dim = cfg.feat_dim - cfg.time_dim
-    out[..., :roi_dim] = roi_pool_batch(grid_feats, boxes01, cfg.pool)
-    out[..., roi_dim:] = time_embedding(t, cfg.time_dim)
+        out = np.empty(boxes01.shape[:-1] + (cfg.hidden + cfg.feat_dim,))
+    roi_end = cfg.hidden + cfg.feat_dim - cfg.time_dim
+    roi_pool_batch(grid_feats, boxes01, cfg.pool, out=out[..., cfg.hidden : roi_end])
+    out[..., roi_end:] = time_embedding(t, cfg.time_dim)
     return out
 
 
@@ -279,8 +305,8 @@ def forward_net(
     heads: tuple[str, ...] = HEAD_NAMES,
 ) -> ForwardCache:
     """Two-layer ReLU trunk; the box head reads the trunk output, while the
-    classification heads read the trunk output concatenated with the raw
-    input features — a skip connection that keeps linearly separable input
+    classification heads read the trunk output followed by the raw input
+    features — a skip connection that keeps linearly separable input
     evidence available even when the trunk specializes toward regression.
 
     The box head is residual: it predicts a signal-space correction to the
@@ -292,20 +318,25 @@ def forward_net(
     position, which scores fine on position-defined labels but leaves
     appearance-defined heads reading the wrong window.
 
-    ``x`` is (N, D) or (B, N, D); every product stays one GEMM per image.
-    Only the classification heads named in ``heads`` are computed.
+    ``x`` is the (N, H + D) or (B, N, H + D) head input of
+    :func:`forward_features`; the trunk output is written into its first H
+    columns, so the heads read it without a concatenation.  Every product
+    stays one GEMM per image.  Only the classification heads named in
+    ``heads`` are computed.
     """
-    h1 = np.maximum(x @ params["trunk.w1"] + params["trunk.b1"], 0.0)
-    h2 = np.maximum(h1 @ params["trunk.w2"] + params["trunk.b2"], 0.0)
+    width = params["trunk.w2"].shape[1]
+    h1 = x[..., width:] @ params["trunk.w1"]
+    h1 += params["trunk.b1"]
+    np.maximum(h1, 0.0, out=h1)
+    h2 = np.matmul(h1, params["trunk.w2"], out=x[..., :width])
+    h2 += params["trunk.b2"]
+    np.maximum(h2, 0.0, out=h2)
     z0_pred = np.asarray(z, dtype=np.float64) + h2 @ params["box.w"] + params["box.b"]
-    logits = {}
-    if heads:
-        h2x = np.concatenate([h2, x], axis=-1)
-        logits = {
-            head: h2x @ params[f"head_{head}.w"] + params[f"head_{head}.b"]
-            for head in heads
-        }
-    return ForwardCache(x=x, h1=h1, h2=h2, z0_pred=z0_pred, logits=logits)
+    logits = {
+        head: x @ params[f"head_{head}.w"] + params[f"head_{head}.b"]
+        for head in heads
+    }
+    return ForwardCache(x=x, h1=h1, z0_pred=z0_pred, logits=logits)
 
 
 def backward_net(
@@ -317,9 +348,9 @@ def backward_net(
 ) -> None:
     """Accumulate parameter gradients for upstream gradients on the decoder
     outputs.  Heads absent from ``dlogits`` receive exactly zero gradient."""
-    h1, h2, x = cache.h1, cache.h2, cache.x
-    width = h2.shape[1]
-    h2x = np.concatenate([h2, x], axis=1)
+    h1, h2x = cache.h1, cache.x
+    width = h1.shape[1]
+    h2, x = h2x[:, :width], h2x[:, width:]
     dh2 = dz0_pred @ params["box.w"].T
     grads["box.w"] += h2.T @ dz0_pred
     grads["box.b"] += dz0_pred.sum(axis=0)
@@ -366,29 +397,26 @@ def decode(
     """Run the decoder on (N, 4) proposals over a (G, G, C) grid, or on
     (B, N, 4) proposals over B stacked (B, G, G, C) grids.
 
-    Returns (z0_pred, probs, scores, cache): the signal-space box prediction
-    shaped like ``z``; for each head in ``heads``, the (..., N, K) display
-    probabilities, softmaxed over the foreground classes only; the (..., N)
-    confidence, the largest display probability of the deepest supervised
-    head, or None when ``heads`` leaves that head out; and the forward
-    cache, whose logits (of ``heads`` only) give the background-aware
-    ``loss_probs_for_mask``.
+    Returns (z0_pred, probs, scores, logits): the signal-space box
+    prediction shaped like ``z``; for each head in ``heads``, the (..., N, K)
+    display probabilities, softmaxed over the foreground classes only; the
+    (..., N) confidence, the largest display probability of the deepest
+    supervised head, or None when ``heads`` leaves that head out; and the
+    (..., N, K+1) logits of ``heads``, which give the background-aware
+    ``loss_probs_for_mask``.  No other activation outlives the call.
     """
     check_shapes(params, cfg)
     z = np.asarray(z, dtype=np.float64)
     if z.ndim not in (2, 3) or z.shape[-1] != 4:
         raise ValueError("proposals must be an (N, 4) or (B, N, 4) array")
-    if np.shape(grid_feats)[:-3] != z.shape[:-2]:
-        raise ValueError("one (G, G, C) feature grid per image of proposals required")
-    x = forward_features(cfg, grid_feats, z, t)
-    cache = forward_net(params, x, z, heads)
+    cache = forward_net(params, forward_features(cfg, grid_feats, z, t), z, heads)
     probs = {
         head: softmax(cache.logits[head][..., : HEAD_CLASS_COUNTS[head]])
         for head in heads
     }
     deepest = probs.get(mask.deepest_head)
     scores = None if deepest is None else deepest.max(axis=-1)
-    return cache.z0_pred, probs, scores, cache
+    return cache.z0_pred, probs, scores, cache.logits
 
 
 def decode_grad_mask(z0_pred: np.ndarray, scale: float) -> np.ndarray:
@@ -427,7 +455,7 @@ def loss_gradients(
     check_shapes(params, cfg)
     grads = zero_grads(cfg)
     offsets = np.cumsum([0] + [item.z.shape[0] for item in batch])
-    x = np.empty((offsets[-1], cfg.feat_dim))
+    x = np.empty((offsets[-1], cfg.hidden + cfg.feat_dim))
     caches = []
     for item, lo, hi in zip(batch, offsets, offsets[1:]):
         forward_features(cfg, item.grid_feats, item.z, item.t, out=x[lo:hi])

@@ -1,23 +1,25 @@
-"""Import footprint: inference and scoring run without scipy; training loads
-its assignment solver on the first step."""
+"""Footprint: inference and scoring run without scipy, training loads its
+assignment solver on the first step, and a sampler pass holds about one
+head input's worth of memory."""
 
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dentdet
-from dentdet import matching
+from dentdet import matching, train
 from dentdet.config import ENV_CONFIG
 from dentdet.data import generate_dataset, level_tag, load_annotations
 from dentdet.diffusion import Schedule
 from dentdet.labels import HierarchyLevel
-from dentdet.model import ModelConfig
-from dentdet.train import StageConfig, prepare_samples, train_stage
+from dentdet.model import ModelConfig, init_params
+from dentdet.train import StageConfig, infer, prepare_samples, train_stage
 
 SRC = Path(dentdet.__file__).resolve().parent.parent
 
@@ -91,3 +93,25 @@ def test_training_solves_with_scipy(tmp_path):
         rows, cols = matching.linear_sum_assignment(cost)
         want_rows, want_cols = scipy_optimize.linear_sum_assignment(cost)
         assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+
+def test_sampler_pass_peaks_below_two_and_a_half_head_inputs():
+    # One infer call that is exactly one pass: 8 images of 64 proposals.
+    # Each decode holds one (rows, H + D) head input; a decode output that
+    # kept it alive into the next decode would hold two.
+    cfg, n_images, n_proposals = ModelConfig(), 8, 64
+    assert n_images * n_proposals == train.INFER_PASS_ROWS == 512
+    rng = np.random.default_rng(0)
+    params = init_params(cfg, rng, head_scale=0.3)
+    grids = [rng.normal(size=(cfg.grid, cfg.grid, cfg.channels)) for _ in range(n_images)]
+    args = (params, grids, HierarchyLevel.FULL, cfg, Schedule.cosine(1000, 0.008))
+    kw = dict(n_proposals=n_proposals, steps=4, eta=1.0, renewal_threshold=0.3)
+    infer(*args, **kw)  # first-call imports and caches stay out of the trace
+    tracemalloc.start()
+    try:
+        infer(*args, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    head_input = n_images * n_proposals * (cfg.hidden + cfg.feat_dim) * 8
+    assert peak < 2.5 * head_input, f"{peak / head_input:.2f} head inputs"

@@ -1,5 +1,8 @@
 """Encoder determinism, RoI pooling, decoder gradients, transfer, checkpoints."""
 
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,9 @@ from dentdet.model import (
     STAT_CHANNELS,
     BatchItem,
     ModelConfig,
-    _axis_weights,
+    _bin_edges,
+    _cell_overlaps,
+    backward_net,
     check_shapes,
     decode,
     decode_grad_mask,
@@ -31,6 +36,7 @@ from dentdet.model import (
     softmax,
     time_embedding,
     transfer_weights,
+    zero_grads,
 )
 
 SMALL = ModelConfig(grid=4, pool=2, hidden=8, time_dim=4)
@@ -77,6 +83,12 @@ class TestEncoder:
             encode_image(np.zeros((4, 4, 3)), 4)
         with pytest.raises(ValueError):
             encode_image(np.zeros((2, 2)), 4)
+
+
+def _axis_weights(lo, hi, pool, grid):
+    """Bin-to-cell overlap weights S + (P, G) and bin widths S of spans S."""
+    edges, width = _bin_edges(lo, hi, pool)
+    return _cell_overlaps(edges, grid), width
 
 
 def _roi_pool_oracle(grid_feats, boxes01, pool):
@@ -235,6 +247,37 @@ class TestRoiPool:
         want = np.stack([roi_pool_batch(gr, bx, pool) for gr, bx in zip(grids, boxes)])
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one-image", "three-images"])
+    def test_out_slice_is_filled_and_returned(self, lead):
+        rng = np.random.default_rng(22)
+        g, c, pool, n = 8, 5, 3, 7
+        grids = rng.normal(size=(*lead, g, g, c))
+        boxes = rng.uniform(-0.2, 1.2, size=(*lead, n, 4))
+        # A column slice of a wider buffer: rows are strided, columns are not.
+        buf = np.full((*lead, n, pool * pool * c + 6), 7.0)
+        out = buf[..., 2 : 2 + pool * pool * c]
+        got = roi_pool_batch(grids, boxes, pool, out=out)
+        assert got is out
+        np.testing.assert_array_equal(out, roi_pool_batch(grids, boxes, pool))
+        for i in np.ndindex(*lead):
+            np.testing.assert_array_equal(out[i], _two_call_roi_pool(grids[i], boxes[i], pool))
+            np.testing.assert_allclose(
+                out[i], _roi_pool_oracle(grids[i], boxes[i], pool), rtol=0, atol=1e-12
+            )
+        assert (buf[..., :2] == 7.0).all() and (buf[..., -4:] == 7.0).all()
+
+    @pytest.mark.parametrize("grids_lead, boxes_lead", [
+        ((3,), (2,)),  # one grid too many: a per-image loop would drop it
+        ((), (2,)),
+        ((2,), ()),
+    ])
+    def test_grids_and_boxes_must_pair_up(self, grids_lead, boxes_lead):
+        grids = np.zeros((*grids_lead, 8, 8, 5))
+        boxes = np.full((*boxes_lead, 4, 4), 0.5)
+        shapes = re.escape(f"grids {grids.shape}, boxes {boxes.shape}")
+        with pytest.raises(ValueError, match=shapes):
+            roi_pool_batch(grids, boxes, 2)
+
 
 class TestTimeEmbedding:
     def test_shape_and_range(self):
@@ -278,7 +321,7 @@ class TestDecode:
         params = init_params(SMALL, np.random.default_rng(4), head_scale=0.0)
         grid = np.random.default_rng(5).normal(size=(4, 4, NUM_CHANNELS))
         z = np.random.default_rng(6).standard_normal((6, 4))
-        z0_pred, probs, scores, cache = decode(
+        z0_pred, probs, scores, logits = decode(
             params, grid, z, 500.0, HeadMask(1, 0, 0), SMALL
         )
         assert z0_pred.shape == (6, 4)
@@ -288,7 +331,7 @@ class TestDecode:
         np.testing.assert_allclose(probs["quadrant"], 0.25)
         np.testing.assert_allclose(scores, 0.25)
         # loss distribution includes the background logit
-        loss = loss_probs_for_mask(cache.logits, HeadMask(1, 0, 0))
+        loss = loss_probs_for_mask(logits, HeadMask(1, 0, 0))
         np.testing.assert_allclose(loss["quadrant"], 0.2)
 
     def test_scores_are_max_of_deepest_head(self):
@@ -298,18 +341,22 @@ class TestDecode:
         for mask, head in ((HeadMask(1, 0, 0), "quadrant"),
                            (HeadMask(1, 1, 0), "enumeration"),
                            (HeadMask(1, 1, 1), "diagnosis")):
-            _, probs, scores, cache = decode(params, grid, z, 50.0, mask, SMALL)
+            _, probs, scores, logits = decode(params, grid, z, 50.0, mask, SMALL)
             np.testing.assert_array_equal(scores, probs[head].max(axis=1))
             for h, p in probs.items():
                 k = p.shape[1]
-                np.testing.assert_array_equal(p, softmax(cache.logits[h][:, :k]))
+                assert logits[h].shape == (5, k + 1)
+                np.testing.assert_array_equal(p, softmax(logits[h][:, :k]))
 
     def test_boxes_are_decoded_signal(self):
         params = init_params(SMALL, np.random.default_rng(7))
         grid = np.zeros((4, 4, NUM_CHANNELS))
         z = np.random.default_rng(8).standard_normal((3, 4))
-        z0_pred, _, _, cache = decode(params, grid, z, 100.0, HeadMask(1, 1, 1), SMALL)
-        np.testing.assert_array_equal(z0_pred, cache.z0_pred)
+        z0_pred, _, _, logits = decode(params, grid, z, 100.0, HeadMask(1, 1, 1), SMALL)
+        net = forward_net(params, forward_features(SMALL, grid, z, 100.0), z)
+        np.testing.assert_array_equal(z0_pred, net.z0_pred)
+        for head in HEAD_NAMES:
+            np.testing.assert_array_equal(logits[head], net.logits[head])
         boxes01 = signal_decode(z0_pred, SMALL.scale)
         assert ((boxes01 >= 0.0) & (boxes01 <= 1.0)).all()
 
@@ -329,22 +376,21 @@ class TestDecode:
         grids = rng.normal(size=(3, cfg.grid, cfg.grid, NUM_CHANNELS))
         z = rng.standard_normal((3, n, 4))
         mask = HeadMask(1, 1, 0)
-        z0_pred, probs, scores, cache = decode(params, grids, z, 250.0, mask, cfg)
+        z0_pred, probs, scores, logits = decode(params, grids, z, 250.0, mask, cfg)
         ones = [decode(params, g, zi, 250.0, mask, cfg) for g, zi in zip(grids, z)]
         np.testing.assert_array_equal(z0_pred, np.stack([o[0] for o in ones]))
         np.testing.assert_array_equal(scores, np.stack([o[2] for o in ones]))
         for head in HEAD_NAMES:
             np.testing.assert_array_equal(probs[head], np.stack([o[1][head] for o in ones]))
-        x = forward_features(cfg, grids, z, 250.0)
-        np.testing.assert_array_equal(x, np.stack([o[3].x for o in ones]))
-        net = forward_net(params, x, z)
+            np.testing.assert_array_equal(logits[head], np.stack([o[3][head] for o in ones]))
+        net = forward_net(params, forward_features(cfg, grids, z, 250.0), z)
         for b, o in enumerate(ones):
-            one = forward_net(params, x[b], z[b])
-            for name in ("h1", "h2", "z0_pred"):
+            one = forward_net(params, forward_features(cfg, grids[b], z[b], 250.0), z[b])
+            for name in ("x", "h1", "z0_pred"):
                 np.testing.assert_array_equal(getattr(net, name)[b], getattr(one, name))
             for head in HEAD_NAMES:
                 np.testing.assert_array_equal(net.logits[head][b], one.logits[head])
-                np.testing.assert_array_equal(o[3].logits[head], one.logits[head])
+                np.testing.assert_array_equal(o[3][head], one.logits[head])
 
     def test_computes_only_the_listed_heads(self):
         params = init_params(SMALL, np.random.default_rng(14), head_scale=1.0)
@@ -352,15 +398,137 @@ class TestDecode:
         z = np.random.default_rng(16).standard_normal((2, 5, 4))
         mask = HeadMask(1, 1, 0)
         z0_all, probs_all, scores_all, _ = decode(params, grid, z, 40.0, mask, SMALL)
-        z0_pred, probs, scores, cache = decode(params, grid, z, 40.0, mask, SMALL, heads=())
+        z0_pred, probs, scores, logits = decode(params, grid, z, 40.0, mask, SMALL, heads=())
         np.testing.assert_array_equal(z0_pred, z0_all)
-        assert probs == {} and cache.logits == {} and scores is None
-        _, probs, scores, cache = decode(
+        assert probs == {} and logits == {} and scores is None
+        _, probs, scores, logits = decode(
             params, grid, z, 40.0, mask, SMALL, heads=("enumeration",)
         )
-        assert set(probs) == set(cache.logits) == {"enumeration"}
+        assert set(probs) == set(logits) == {"enumeration"}
         np.testing.assert_array_equal(probs["enumeration"], probs_all["enumeration"])
         np.testing.assert_array_equal(scores, scores_all)
+
+
+# ---------------------------------------------------------------------------
+# The decoder as it was before the head input was shared: the trunk output is
+# concatenated with the decoder input for the heads, in forward and backward.
+# The head-input versions must equal it exactly.
+
+
+def _concat_forward_net(params, x, z, heads=HEAD_NAMES):
+    h1 = np.maximum(x @ params["trunk.w1"] + params["trunk.b1"], 0.0)
+    h2 = np.maximum(h1 @ params["trunk.w2"] + params["trunk.b2"], 0.0)
+    z0_pred = np.asarray(z, dtype=np.float64) + h2 @ params["box.w"] + params["box.b"]
+    logits = {}
+    if heads:
+        h2x = np.concatenate([h2, x], axis=-1)
+        logits = {
+            head: h2x @ params[f"head_{head}.w"] + params[f"head_{head}.b"]
+            for head in heads
+        }
+    return SimpleNamespace(x=x, h1=h1, h2=h2, z0_pred=z0_pred, logits=logits)
+
+
+def _concat_backward_net(params, cache, dz0_pred, dlogits, grads):
+    h1, h2, x = cache.h1, cache.h2, cache.x
+    width = h2.shape[1]
+    h2x = np.concatenate([h2, x], axis=1)
+    dh2 = dz0_pred @ params["box.w"].T
+    grads["box.w"] += h2.T @ dz0_pred
+    grads["box.b"] += dz0_pred.sum(axis=0)
+    for head, dl in dlogits.items():
+        dh2 += dl @ params[f"head_{head}.w"][:width].T
+        grads[f"head_{head}.w"] += h2x.T @ dl
+        grads[f"head_{head}.b"] += dl.sum(axis=0)
+    dh2 = dh2 * (h2 > 0)
+    dh1 = (dh2 @ params["trunk.w2"].T) * (h1 > 0)
+    grads["trunk.w2"] += h1.T @ dh2
+    grads["trunk.b2"] += dh2.sum(axis=0)
+    grads["trunk.w1"] += x.T @ dh1
+    grads["trunk.b1"] += dh1.sum(axis=0)
+
+
+def _head_input(x, hidden, layout):
+    """An (..., H + D) head input holding ``x`` in its last D columns, laid
+    out as its own array, as a row range of a taller buffer, or as a column
+    range of a wider one (rows then sit further apart than H + D)."""
+    lead, d = x.shape[:-1], x.shape[-1]
+    if layout == "own":
+        buf = np.empty((*lead, hidden + d))
+    elif layout == "rows":
+        buf = np.empty((*lead[:-1], lead[-1] + 5, hidden + d))[..., 3 : 3 + lead[-1], :]
+    else:
+        buf = np.empty((*lead, hidden + d + 7))[..., 4 : 4 + hidden + d]
+    buf[..., :hidden] = np.nan  # forward_net must overwrite every trunk column
+    buf[..., hidden:] = x
+    return buf
+
+
+LAYOUTS = ("own", "rows", "strided")
+
+
+class TestHeadInput:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("lead", [(6,), (3, 6)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("heads", [HEAD_NAMES, ("enumeration",), ()],
+                             ids=["all", "one", "none"])
+    def test_forward_net_equals_concat_oracle(self, layout, lead, heads):
+        rng = np.random.default_rng(30)
+        params = init_params(SMALL, rng, head_scale=0.3)
+        x = rng.normal(size=(*lead, SMALL.feat_dim))
+        z = rng.standard_normal((*lead, 4))
+        hx = _head_input(x, SMALL.hidden, layout)
+        got = forward_net(params, hx, z, heads)
+        want = _concat_forward_net(params, x, z, heads)
+        assert got.x is hx
+        np.testing.assert_array_equal(hx[..., : SMALL.hidden], want.h2)
+        np.testing.assert_array_equal(hx[..., SMALL.hidden :], x)
+        np.testing.assert_array_equal(got.h1, want.h1)
+        np.testing.assert_array_equal(got.z0_pred, want.z0_pred)
+        assert set(got.logits) == set(want.logits) == set(heads)
+        for head in heads:
+            np.testing.assert_array_equal(got.logits[head], want.logits[head])
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("lead", [(6,), (3, 6)], ids=["2d", "3d"])
+    def test_forward_features_fills_the_decoder_columns(self, layout, lead):
+        rng = np.random.default_rng(31)
+        grids = rng.normal(size=(*lead[:-1], SMALL.grid, SMALL.grid, NUM_CHANNELS))
+        z = rng.standard_normal((*lead, 4))
+        out = _head_input(np.zeros((*lead, SMALL.feat_dim)), SMALL.hidden, layout)
+        assert forward_features(SMALL, grids, z, 70.0, out=out) is out
+        fresh = forward_features(SMALL, grids, z, 70.0)
+        assert fresh.shape == (*lead, SMALL.hidden + SMALL.feat_dim)
+        roi_dim = SMALL.feat_dim - SMALL.time_dim
+        boxes01 = signal_decode(z, SMALL.scale)
+        for part in (out, fresh):
+            x = part[..., SMALL.hidden :]
+            np.testing.assert_array_equal(
+                x[..., :roi_dim], roi_pool_batch(grids, boxes01, SMALL.pool)
+            )
+            np.testing.assert_array_equal(
+                x[..., roi_dim:], np.broadcast_to(time_embedding(70.0, SMALL.time_dim),
+                                                  (*lead, SMALL.time_dim))
+            )
+        assert np.isnan(out[..., : SMALL.hidden]).all()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("heads", [HEAD_NAMES, ("quadrant",), ()],
+                             ids=["all", "one", "none"])
+    def test_backward_net_equals_concat_oracle(self, layout, heads):
+        rng = np.random.default_rng(32)
+        params = init_params(SMALL, rng, head_scale=0.3)
+        x = rng.normal(size=(9, SMALL.feat_dim))
+        z = rng.standard_normal((9, 4))
+        dz0_pred = rng.normal(size=(9, 4))
+        dlogits = {h: rng.normal(size=(9, params[f"head_{h}.b"].size)) for h in heads}
+        got, want = zero_grads(SMALL), zero_grads(SMALL)
+        cache = forward_net(params, _head_input(x, SMALL.hidden, layout), z, heads)
+        backward_net(params, cache, dz0_pred, dlogits, got)
+        oracle = _concat_forward_net(params, x, z, heads)
+        _concat_backward_net(params, oracle, dz0_pred, dlogits, want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
 
 def _small_batch(rng, mask):

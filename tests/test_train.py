@@ -372,13 +372,17 @@ class TestInfer:
         for dg, dw in zip(got, want):
             assert all(_same_detection(a, b) for a, b in zip(dg, dw))
 
-    @pytest.mark.parametrize("n_images, n_proposals, passes", [
-        (5, 64, 3),  # two images a pass, the last pass one
-        (2, 200, 2),  # more rows than a pass holds: one image a pass
-        (0, 64, 0),
-    ])
-    def test_passes_equal_object_oracle(self, n_images, n_proposals, passes,
+    @pytest.mark.parametrize("pass_rows", [128, 512])
+    @pytest.mark.parametrize("n_images, n_proposals", [
+        (9, 64),  # several images a pass, the last pass shorter
+        (2, None),  # more rows than a pass holds: one image a pass
+        (0, 64),
+    ], ids=["short-last-pass", "over-full", "no-images"])
+    def test_passes_equal_object_oracle(self, pass_rows, n_images, n_proposals,
                                         monkeypatch):
+        n_proposals = n_proposals or pass_rows + 72
+        per_pass = max(1, pass_rows // n_proposals)
+        sizes = [min(per_pass, n_images - i) for i in range(0, n_images, per_pass)]
         level = HierarchyLevel.FULL
         params = init_params(CFG, np.random.default_rng(9), head_scale=0.3)
         grids = [s.grid_feats for s in _samples(level, n=n_images)]
@@ -390,10 +394,12 @@ class TestInfer:
             decoded.append(len(z))
             return decode(params, grid_feats, z, *args, **kwargs)
 
+        monkeypatch.setattr(train_mod, "INFER_PASS_ROWS", pass_rows)
         monkeypatch.setattr(train_mod, "decode", counting)
         got = infer(params, grids, level, CFG, SCHED, **kw)
         want = _oracle_infer(params, grids, level, CFG, SCHED, **kw)
-        assert len(decoded) == 4 * passes  # two sampler steps, two readouts
+        # Each pass decodes its images in two sampler steps and two readouts.
+        assert decoded == [size for size in sizes for _ in range(4)]
         assert sum(decoded) == 4 * n_images
         assert len(got) == len(want) == n_images
         assert [len(d) for d in got] == [len(d) for d in want]
