@@ -55,6 +55,10 @@ def signal_encode(boxes: np.ndarray, scale: float) -> np.ndarray:
     return (2.0 * np.asarray(boxes, dtype=np.float64) - 1.0) * scale
 
 
+# signal_decode's per-column lower bounds: centers 0, sizes MIN_SIZE.
+_BOX_LOWER = np.array([0.0, 0.0, MIN_SIZE, MIN_SIZE])
+
+
 def signal_decode(z: np.ndarray, scale: float) -> np.ndarray:
     """Inverse of signal_encode followed by clamping to valid boxes.
 
@@ -64,10 +68,7 @@ def signal_decode(z: np.ndarray, scale: float) -> np.ndarray:
     if scale <= 0:
         raise ValueError("signal scale must be positive")
     x = (np.asarray(z, dtype=np.float64) / scale + 1.0) / 2.0
-    out = x.copy()
-    out[..., :2] = np.clip(x[..., :2], 0.0, 1.0)
-    out[..., 2:] = np.clip(x[..., 2:], MIN_SIZE, 1.0)
-    return out
+    return np.clip(x, _BOX_LOWER, 1.0, out=x)
 
 
 def _check_t(t: int, schedule: Schedule) -> None:

@@ -30,7 +30,7 @@ AREA_BUCKETS = (None, AREA_MEDIUM, AREA_LARGE)  # all, medium, large
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
 TASKS = ("quadrant", "enumeration", "diagnosis")
-_PROBS = dict(zip(TASKS, ("probs_q", "probs_e", "probs_d")))  # Detection fields
+_PROBS = dict(zip(TASKS, ("probs_q", "probs_e", "probs_d")))  # record fields
 
 
 @dataclass(frozen=True)
@@ -194,38 +194,46 @@ def _replay(v, cand, ignored, img):
     return matched[row, slot], taken[row, slot]
 
 
-def _ap_from_flags(tp: np.ndarray, fp: np.ndarray, n_gt: np.ndarray) -> np.ndarray:
-    """101-point interpolated AP of each (bucket, threshold) curve.
+def _ap_from_flags(
+    tp: np.ndarray, fp: np.ndarray, n_gt: np.ndarray, cls: np.ndarray
+) -> np.ndarray:
+    """101-point interpolated AP of every (class, bucket, threshold) curve.
 
-    tp, fp: (N, A, T) flags of one class's detections in global score
-    order; n_gt: (A,) counted ground truths.  A detection that is neither
-    tp nor fp stays on the curve with the counts before it and precision 0,
-    which leaves every interpolated precision unchanged.
+    tp, fp: (R, A, T) flags of all detections, class by class, each class's
+    rows in global score order; cls: (R,) their classes, ascending; n_gt:
+    (C, A) counted ground truths.  Returns (C, A, T).
+
+    The precision sampled at recall point r_j is the largest precision at
+    or after the first entry with recall >= r_j, or 0 past the end of the
+    curve.  Recall rises only at a tp and an fp lowers the precision of the
+    entry before it, so that is the largest precision of a tp with recall
+    >= r_j.  A detection that is neither tp nor fp changes neither count.
+    Each tp lands in the bin of the recall points at or below its recall;
+    the maximum from the right over the bins gives every sampled precision.
     """
-    n, *curve_shape = tp.shape
-    n_curves = int(np.prod(curve_shape))
-    tp = tp.reshape(n, n_curves).T
-    fp = fp.reshape(n, n_curves).T
-    tp_c = np.cumsum(tp, axis=1)
-    recall = tp_c / np.repeat(np.maximum(n_gt, 1), curve_shape[1])[:, None]
-    precision = np.zeros(tp_c.shape)
-    np.divide(tp_c, tp_c + np.cumsum(fp, axis=1), out=precision, where=tp | fp)
-    # Monotone envelope from the right, then 0 past the end of the curve.
-    envelope = np.zeros((n_curves, n + 1))
-    envelope[:, :n] = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-    # The curve index sampled at recall point j is the first with recall
-    # >= r_j, i.e. the number of entries with recall < r_j: those with at
-    # most j recall points at or below them.
-    below = np.searchsorted(RECALL_POINTS, recall, side="right")
+    n_cls = len(n_gt)
+    n_rows, *curve_shape = tp.shape
+    # Running counts over all rows, restarted at each class's first row.
+    start = np.searchsorted(cls, np.arange(n_cls))[cls]
+    tp_run = np.zeros((n_rows + 1, *curve_shape), dtype=np.int64)
+    counted_run = np.zeros_like(tp_run)
+    np.cumsum(tp, axis=0, out=tp_run[1:])
+    np.cumsum(tp | fp, axis=0, out=counted_run[1:])
+    r, a, t = np.nonzero(tp)
+    tp_c = tp_run[r + 1, a, t] - tp_run[start[r], a, t]
+    counted = counted_run[r + 1, a, t] - counted_run[start[r], a, t]
+    c = cls[r]
+    recall = tp_c / np.maximum(n_gt, 1)[c, a]
+    # Bin k holds the tps with exactly k recall points at or below them.
     width = len(RECALL_POINTS) + 1
-    hist = np.bincount(
-        (below + width * np.arange(n_curves)[:, None]).ravel(),
-        minlength=n_curves * width,
-    ).reshape(n_curves, width)
-    idx = np.cumsum(hist, axis=1)[:, :-1]
-    sampled = np.take_along_axis(envelope, idx, axis=1)
+    k = np.searchsorted(RECALL_POINTS, recall, side="right")
+    best = np.zeros((n_cls, *curve_shape, width))
+    np.maximum.at(best.reshape(-1), np.ravel_multi_index((c, a, t, k), best.shape),
+                  tp_c / counted)
+    # Recall point j reads the bins above it: j + 1 and on.
+    sampled = np.maximum.accumulate(best[..., ::-1], axis=-1)[..., -2::-1]
     # cumsum adds in order, as a running sum over the recall points does.
-    return (np.cumsum(sampled, axis=1)[:, -1] / 101.0).reshape(curve_shape)
+    return np.cumsum(sampled, axis=-1)[..., -1] / 101.0
 
 
 def _rows(per_image, dtype, width=None) -> np.ndarray:
@@ -280,17 +288,20 @@ def evaluate(dets, gts, sizes, task: str, max_dets: int = 100) -> TaskMetrics:
         [_pad(x, d_img, d_slot, n_img) for x in (d_box, d_cls, d_outside)],
         [_pad(x, g_img, g_slot, n_img) for x in (g_box, g_cls, g_ignore)],
     )
-    tp, fp = tp[d_img, d_slot], fp[d_img, d_slot]
 
-    # Global score order; ties broken by (image, rank within the class).
-    pr_order = np.lexsort((rank, d_img, -d_score))
+    # Each class's curve in global score order, ties broken by (image, rank
+    # within the class); all classes' curves in one call.
+    pr_order = np.lexsort((rank, d_img, -d_score, d_cls))
+    pr_rows = d_img[pr_order], d_slot[pr_order]
+    tp, fp, pr_cls = tp[pr_rows], fp[pr_rows], d_cls[pr_order]
+    all_ap = _ap_from_flags(tp, fp, n_gt, pr_cls)
+    bounds = np.searchsorted(pr_cls, np.arange(num_classes + 1))
     t50, t75 = IOU_THRESHOLDS.index(0.5), IOU_THRESHOLDS.index(0.75)
     ar, ap, ap50, ap75, ap_m, ap_l = ([] for _ in range(6))
-    for cls in range(num_classes):
-        rows = pr_order[d_cls[pr_order] == cls]
-        class_ap = _ap_from_flags(tp[rows], fp[rows], n_gt[cls])
+    for cls, class_ap in enumerate(all_ap):
         if n_gt[cls, 0]:
-            ar.append(float(np.mean(tp[rows, 0].sum(axis=0) / n_gt[cls, 0])))
+            n_tp = tp[bounds[cls] : bounds[cls + 1], 0].sum(axis=0)
+            ar.append(float(np.mean(n_tp / n_gt[cls, 0])))
             ap.append(float(np.mean(class_ap[0])))
             ap50.append(float(class_ap[0, t50]))
             ap75.append(float(class_ap[0, t75]))
@@ -308,21 +319,17 @@ def evaluate(dets, gts, sizes, task: str, max_dets: int = 100) -> TaskMetrics:
     )
 
 
-def detections_to_eval(dets, task: str):
-    """Boxes (D, 4), classes (D,) and scores (D,) of decoder detections for
-    a task.
+def detections_to_eval(detected: np.ndarray, task: str):
+    """Boxes (D, 4), classes (D,) and scores (D,) of one image's sampler
+    records (``train.DETECTED``) for a task.
 
     The class is the argmax of the task's display probabilities; its score
     is that probability weighted by the detection's objectness.
     """
-    boxes = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets])
-    probs = np.array([getattr(d, _PROBS[task]) for d in dets])
-    probs = probs.reshape(len(dets), HEAD_CLASS_COUNTS[task])
+    probs = detected[_PROBS[task]]
     classes = probs.argmax(axis=1)
-    scores = probs[np.arange(len(dets)), classes] * np.array(
-        [d.objectness for d in dets], dtype=np.float64
-    )
-    return boxes.reshape(-1, 4), classes, scores
+    scores = probs[np.arange(len(detected)), classes] * detected["objectness"]
+    return detected["box"], classes, scores
 
 
 def task_ground_truth(per_image_gts, task: str):
@@ -341,7 +348,7 @@ def task_ground_truth(per_image_gts, task: str):
 def build_report(per_image_dets, per_image_gts, sizes, tasks=TASKS) -> EvalReport:
     """Evaluate several tasks over the same images.
 
-    per_image_dets holds :class:`~dentdet.train.Detection` lists;
+    per_image_dets holds each image's ``train.DETECTED`` record array;
     per_image_gts holds (boxes (M, 4), classes (M, 3)) arrays whose classes
     carry every requested task's column.
     """

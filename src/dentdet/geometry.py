@@ -115,25 +115,31 @@ def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return iou_v - penalty
 
 
-def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """Greedy non-maximum suppression over (N, 4) center-size boxes.
+def nms(
+    boxes: np.ndarray, scores: np.ndarray, iou_threshold: float
+) -> tuple[np.ndarray, ...]:
+    """Greedy non-maximum suppression over (..., N, 4) center-size boxes,
+    each set of N rows on its own.
 
-    Returns the indices of the kept boxes in descending score order, ties
-    going to the lower index.  A box is kept when its IoU with every box
-    kept before it is at most the threshold.
+    Returns the kept boxes' indices as ``np.nonzero`` does, one array per
+    axis of ``scores``: set by set in C order, each set's kept rows in
+    descending score order, ties going to the lower index.  A box is kept
+    when its IoU with every box kept before it is at most the threshold.
+    One IoU array and one sweep over the rows serve every set.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or boxes.shape != (len(scores), 4):
-        raise ValueError("nms needs (N, 4) boxes and N scores")
+    if scores.ndim < 1 or boxes.shape != scores.shape + (4,):
+        raise ValueError("nms needs (..., N, 4) boxes and (..., N) scores")
     if not np.isfinite(scores).all():
         raise ValueError("nms requires finite scores")
-    order = np.argsort(-scores, kind="stable")
-    over = iou_matrix(boxes[order], boxes[order]) > iou_threshold
-    suppressed = np.zeros(len(order), dtype=bool)
-    kept = []
-    for i in range(len(order)):
-        if not suppressed[i]:
-            kept.append(i)
-            suppressed |= over[i]
-    return order[kept]
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    ranked = np.take_along_axis(boxes, order[..., None], axis=-2)
+    over = iou_matrix(ranked, ranked) > iou_threshold  # (..., N, N)
+    suppressed = np.zeros(scores.shape, dtype=bool)
+    kept = np.zeros(scores.shape, dtype=bool)
+    for i in range(scores.shape[-1]):
+        np.logical_not(suppressed[..., i], out=kept[..., i])
+        np.logical_or(suppressed, over[..., i, :], out=suppressed,
+                      where=kept[..., i, None])
+    return (*np.nonzero(kept)[:-1], order[kept])

@@ -8,6 +8,7 @@ carry parameters.  All gradients are computed analytically in float64.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -175,12 +176,19 @@ def roi_pool_batch(
     return out
 
 
+@functools.lru_cache(maxsize=1024)
 def time_embedding(t: float, dim: int) -> np.ndarray:
-    """Standard sinusoidal embedding of a scalar timestep."""
+    """Standard sinusoidal embedding of a scalar timestep.
+
+    Computed once per (t, dim) and shared read-only: the sampler decodes
+    every pass at the same few timesteps, and training draws t from T.
+    """
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     args = t * freqs
-    return np.concatenate([np.sin(args), np.cos(args)])
+    out = np.concatenate([np.sin(args), np.cos(args)])
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +573,8 @@ def _read_exact(f, size: int, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
-    """Read a ``save_checkpoint`` file; ValueError if foreign or truncated."""
+    """Read a ``save_checkpoint`` file; ValueError if foreign, truncated or
+    holding a non-finite value."""
     with open(path, "rb") as f:
         if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
@@ -576,4 +585,6 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
             name, shape = entry["name"], tuple(entry["shape"])
             data = _read_exact(f, 8 * math.prod(shape), f"tensor {name!r}")
             params[name] = np.frombuffer(data, "<f8").astype(np.float64).reshape(shape)
+            if not np.isfinite(params[name]).all():
+                raise ValueError(f"{path}: tensor {name!r} holds non-finite values")
     return params, header["meta"]

@@ -28,7 +28,7 @@ from .diffusion import (
 )
 from .evalmetrics import EvalReport, build_report
 from .geometry import Box, iou, nms  # noqa: F401  (perfbench counts iou calls)
-from .labels import HEAD_NAMES, HeadMask, HierarchyLevel, class_array, mask_for
+from .labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel, class_array, mask_for
 from .manipulate import (
     InferredBoxCache,
     inference_proposals,
@@ -332,27 +332,16 @@ class Detection:
     objectness: float = 1.0
 
 
-def _kept_detections(
-    boxes01: np.ndarray,
-    probs: dict[str, np.ndarray],
-    scores: np.ndarray,
-    logits: dict[str, np.ndarray],
-    kept: np.ndarray,
-    mask: HeadMask,
-) -> list[Detection]:
-    """Detection objects for the rows NMS kept, in its order."""
-    objectness = 1.0 - softmax(logits[mask.deepest_head][kept])[:, -1]
-    return [
-        Detection(
-            box=Box.from_array(boxes01[i]),
-            probs_q=probs["quadrant"][i],
-            probs_e=probs["enumeration"][i],
-            probs_d=probs["diagnosis"][i],
-            score=float(scores[i]),
-            objectness=float(objectness[r]),
-        )
-        for r, i in enumerate(kept)
-    ]
+# The sampler's kept rows, one record per box: the fields of Detection, with
+# the box as a [0, 1] center-size (4,) array.
+DETECTED = np.dtype([
+    ("box", np.float64, (4,)),
+    ("probs_q", np.float64, (HEAD_CLASS_COUNTS["quadrant"],)),
+    ("probs_e", np.float64, (HEAD_CLASS_COUNTS["enumeration"],)),
+    ("probs_d", np.float64, (HEAD_CLASS_COUNTS["diagnosis"],)),
+    ("score", np.float64),
+    ("objectness", np.float64),
+])
 
 
 # Proposal rows the sampler decodes in one pass: images run in lockstep,
@@ -366,7 +355,7 @@ INFER_PASS_ROWS = 512
 
 
 @blas.one_thread()
-def infer(
+def _sample(
     params: ParamStore,
     grids: list[np.ndarray],
     level: HierarchyLevel,
@@ -378,21 +367,22 @@ def infer(
     eta: float = 0.0,
     renewal_threshold: float = 0.5,
     nms_iou: float = 0.5,
-) -> list[list[Detection]]:
-    """Denoise completely noisy proposals into detections, per image.
+) -> list[np.recarray]:
+    """Denoise completely noisy proposals into one :data:`DETECTED` record
+    array per image, its rows in the order NMS kept them.
 
     Deterministic for a fixed seed and eta = 0; per-image rng streams make
     results independent of processing order and of how images are grouped
-    into passes.  The decoder runs over a pass's images at once; the DDIM
-    step, renewal and NMS run per image, and only the boxes NMS keeps
-    become :class:`Detection` objects.
+    into passes.  The decoder, NMS and the readout run over a pass's images
+    at once; the DDIM step and renewal run per image.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     mask = mask_for(level)
-    times = np.unique(
-        np.round(np.linspace(schedule.T, 0, steps + 1)).astype(int)
-    )[::-1]
+    # linspace runs from T down to 0, so equal rounded steps are adjacent.
+    times = list(dict.fromkeys(
+        np.round(np.linspace(schedule.T, 0, steps + 1)).astype(int).tolist()
+    ))
     per_pass = max(1, INFER_PASS_ROWS // n_proposals)
     results = []
     for first in range(0, len(grids), per_pass):
@@ -400,8 +390,7 @@ def infer(
         grid = np.stack([grids[i] for i in images])
         rngs = [np.random.default_rng([seed, i]) for i in images]
         z = np.stack([inference_proposals(n_proposals, rng, model_cfg.scale) for rng in rngs])
-        for si in range(len(times) - 1):
-            t, t_next = int(times[si]), int(times[si + 1])
+        for si, (t, t_next) in enumerate(zip(times, times[1:])):
             # Renewal reads the deepest head's scores; the last step renews nothing.
             renew = si < len(times) - 2
             z0_pred, _, scores, _ = decode(
@@ -420,13 +409,43 @@ def infer(
         z0_pred = decode(params, grid, z, 0.0, mask, model_cfg, heads=())[0]
         z0_pred, probs, scores, logits = decode(params, grid, z0_pred, 0.0, mask, model_cfg)
         boxes01 = signal_decode(z0_pred, model_cfg.scale)
-        for b in range(len(grid)):
-            kept = nms(boxes01[b], scores[b], nms_iou)
-            results.append(_kept_detections(
-                boxes01[b], {h: p[b] for h, p in probs.items()}, scores[b],
-                {h: lg[b] for h, lg in logits.items()}, kept, mask,
-            ))
+        kept = nms(boxes01, scores, nms_iou)  # (image, row) pairs
+        out = np.recarray(len(kept[0]), dtype=DETECTED)
+        out.box = boxes01[kept]
+        out.probs_q = probs["quadrant"][kept]
+        out.probs_e = probs["enumeration"][kept]
+        out.probs_d = probs["diagnosis"][kept]
+        out.score = scores[kept]
+        out.objectness = 1.0 - softmax(logits[mask.deepest_head][kept])[:, -1]
+        results += np.split(out, np.cumsum(np.bincount(kept[0], minlength=len(grid)))[:-1])
     return results
+
+
+def infer(
+    params: ParamStore,
+    grids: list[np.ndarray],
+    level: HierarchyLevel,
+    model_cfg: ModelConfig,
+    schedule: Schedule,
+    **sampler,
+) -> list[list[Detection]]:
+    """Denoise completely noisy proposals into :class:`Detection` lists, one
+    per image.
+
+    ``sampler`` holds the sampler keywords, ``n_proposals``, ``steps``,
+    ``seed``, ``eta``, ``renewal_threshold`` and ``nms_iou``, with
+    :func:`_sample`'s defaults.  Deterministic for a fixed seed and eta = 0,
+    and independent of processing order.
+    """
+    return [
+        [
+            Detection(Box.from_array(box), q, e, d, float(score), float(objectness))
+            for box, q, e, d, score, objectness in zip(
+                r.box, r.probs_q, r.probs_e, r.probs_d, r.score, r.objectness
+            )
+        ]
+        for r in _sample(params, grids, level, model_cfg, schedule, **sampler)
+    ]
 
 
 def build_cache(
@@ -443,14 +462,15 @@ def build_cache(
 
     ``sampler`` holds :func:`infer`'s keywords."""
     cache = InferredBoxCache(threshold)
-    dets_per_image = infer(
+    detected = _sample(
         params, [s.grid_feats for s in samples], level, model_cfg, schedule, **sampler
     )
-    for s, dets in zip(samples, dets_per_image):
-        rows = [(d.box.cx, d.box.cy, d.box.w, d.box.h, d.score)
-                for d in dets if d.score > threshold]
-        if rows:
-            cache.entries[s.image_id] = inferred_boxes(rows)
+    for s, records in zip(samples, detected):
+        confident = records[records.score > threshold]
+        if len(confident):
+            cache.entries[s.image_id] = inferred_boxes(
+                np.column_stack([confident.box, confident.score])
+            )
     return cache
 
 
@@ -494,12 +514,12 @@ def evaluate_params(
 ) -> EvalReport:
     """Infer over held-out samples with :func:`infer`'s keywords ``sampler``
     and score every task the level supervises."""
-    dets = infer(
+    detected = _sample(
         params, [s.grid_feats for s in eval_samples], level, model_cfg, schedule,
         **sampler,
     )
     return build_report(
-        dets,
+        detected,
         [(s.gt_boxes, s.gt_classes) for s in eval_samples],
         [(s.width, s.height) for s in eval_samples],
         tasks=mask_for(level).active_heads,

@@ -39,8 +39,8 @@ class EvalInstance:
     height: int
 
 
-def score(instances, task: str, max_dets: int = 100):
-    """``evaluate`` on the arrays of Box-based instances."""
+def eval_arrays(instances):
+    """``evaluate``'s dets, gts and sizes for Box-based instances."""
     dets = [
         (_boxes(b for b, _, _ in inst.dets),
          np.array([c for _, c, _ in inst.dets], dtype=np.int64),
@@ -53,4 +53,9 @@ def score(instances, task: str, max_dets: int = 100):
         for inst in instances
     ]
     sizes = [(inst.width, inst.height) for inst in instances]
-    return evaluate(dets, gts, sizes, task, max_dets)
+    return dets, gts, sizes
+
+
+def score(instances, task: str, max_dets: int = 100):
+    """``evaluate`` on the arrays of Box-based instances."""
+    return evaluate(*eval_arrays(instances), task, max_dets)

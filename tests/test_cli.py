@@ -175,6 +175,29 @@ def test_truncated_checkpoint_is_invalid_data(dataset, cfg_path, tmp_path, capsy
     assert "truncated tensor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "infer", "train"])
+def test_non_finite_checkpoint_is_invalid_data(command, dataset, cfg_path, tmp_path, capsys):
+    ckpt = tmp_path / "nan.bin"
+    params = init_params(ModelConfig(grid=8, pool=2, hidden=16, time_dim=8),
+                         np.random.default_rng(0))  # as SMALL_CFG
+    params["trunk.w1"][3, 1] = np.nan
+    save_checkpoint(ckpt, params)
+    image = next((dataset / "images").glob("q_*.pgm"))
+    args = {
+        "eval": ["eval", "--data", str(dataset), "--level", "b"],
+        "infer": ["infer", "--level", "a", "--images", str(image)],
+        "train": ["train", "--data", str(dataset), "--level", "a",
+                  "--out", str(tmp_path / "run"), "--init"],
+    }[command]
+    if command != "train":
+        args.append("--checkpoint")
+    capsys.readouterr()
+    assert main(["--config", cfg_path, *args, str(ckpt)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"{ckpt}: tensor 'trunk.w1' holds non-finite values" in err
+    assert "Traceback" not in err
+
+
 def test_pipeline_full_arm(dataset, cfg_path, tmp_path, capsys):
     out = tmp_path / "pipe"
     assert main(["--config", cfg_path, "pipeline", "--data", str(dataset),
@@ -207,7 +230,6 @@ def test_shape_mismatched_checkpoint_is_invalid_data(dataset, tmp_path, capsys):
 
 
 def test_eval_infers_with_the_config_of_infer(dataset, tmp_path, monkeypatch):
-    import dentdet.cli
     import dentdet.train
 
     cfg_path = tmp_path / "run.yaml"
@@ -218,23 +240,23 @@ def test_eval_infers_with_the_config_of_infer(dataset, tmp_path, monkeypatch):
     ckpt = tmp_path / "small.bin"
     small = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)
     save_checkpoint(ckpt, init_params(small, np.random.default_rng(0)))
-    calls = {}
+    calls = []
+    real = dentdet.train._sample
 
-    def recorder(command, real):
-        def wrapper(*args, **kwargs):
-            calls[command] = kwargs
-            return real(*args, **kwargs)
-        return wrapper
+    def recorder(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(dentdet.cli, "infer", recorder("infer", dentdet.cli.infer))
-    monkeypatch.setattr(dentdet.train, "infer", recorder("eval", dentdet.train.infer))
+    # Both commands sample through train._sample: infer wraps its records
+    # in Detection objects, eval scores them.
+    monkeypatch.setattr(dentdet.train, "_sample", recorder)
     image = next((dataset / "images").glob("q_*.pgm"))
     assert main(["--config", str(cfg_path), "infer", "--checkpoint", str(ckpt),
                  "--level", "a", "--images", str(image)]) == EXIT_OK
     assert main(["--config", str(cfg_path), "eval", "--data", str(dataset),
                  "--level", "a", "--checkpoint", str(ckpt)]) == EXIT_OK
-    assert calls["infer"] == calls["eval"]
-    assert calls["eval"] == {
+    assert len(calls) == 2  # infer, then eval
+    assert calls[0] == calls[1] == {
         "n_proposals": 8, "steps": 2, "seed": 0,
         "eta": 0.5, "renewal_threshold": 0.3, "nms_iou": 0.6,
     }
@@ -260,7 +282,7 @@ def test_pipeline_samples_with_the_config_of_infer(tmp_path, monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(dentdet.train, "infer", recorder(infer_calls, dentdet.train.infer))
+    monkeypatch.setattr(dentdet.train, "_sample", recorder(infer_calls, dentdet.train._sample))
     monkeypatch.setattr(
         dentdet.train, "build_cache", recorder(cache_calls, dentdet.train.build_cache)
     )

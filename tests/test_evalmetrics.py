@@ -5,22 +5,34 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dentdet.evalmetrics as evalmetrics
+from dentdet.data import generate_layout, project_level
+from dentdet.diffusion import Schedule
 from dentdet.evalmetrics import (
     AREA_BUCKETS,
     AREA_LARGE,
     AREA_MEDIUM,
     IOU_THRESHOLDS,
+    RECALL_POINTS,
+    TASKS,
+    EvalReport,
     TaskMetrics,
     _area_px as _area_px_array,
     _bucket_outside,
     _greedy_match,
+    _pad,
+    _rows,
+    _run_positions,
     build_report,
     detections_to_eval,
+    evaluate,
+    task_ground_truth,
 )
 from dentdet.geometry import Box, iou, iou_matrix
-from dentdet.labels import HEAD_CLASS_COUNTS, LabelTriple
-from dentdet.train import Detection
-from helpers import EvalInstance, score, truth_arrays
+from dentdet.labels import HEAD_CLASS_COUNTS, HierarchyLevel, LabelTriple, mask_for
+from dentdet.model import ModelConfig, encode_image, init_params
+from dentdet.train import DETECTED, Detection, _sample, infer
+from helpers import EvalInstance, eval_arrays, score, truth_arrays
 
 # ---------------------------------------------------------------------------
 # Scalar oracle: the scorer as first written, one (class, IoU threshold,
@@ -612,6 +624,15 @@ class TestMatcherOracle:
         assert (fp == ~tp).all()
 
 
+def _detected(dets) -> np.recarray:
+    """One image's sampler records (``train.DETECTED``) of Detection objects."""
+    out = np.recarray(len(dets), dtype=DETECTED)
+    for i, d in enumerate(dets):
+        out[i] = (d.box.to_array(), d.probs_q, d.probs_e, d.probs_d, d.score,
+                  d.objectness)
+    return out
+
+
 class TestReport:
     def _oracle_detection(self, box, lab):
         probs_q = np.zeros(4)
@@ -634,7 +655,7 @@ class TestReport:
                 for _ in range(3)
             ]
             gts.append(truth_arrays(img_gts))
-            dets.append([self._oracle_detection(b, lab) for b, lab in img_gts])
+            dets.append(_detected([self._oracle_detection(b, lab) for b, lab in img_gts]))
             sizes.append((256, 256))
         report = build_report(dets, gts, sizes)
         for task, tm in report.tasks.items():
@@ -643,14 +664,14 @@ class TestReport:
 
     def test_report_requires_task_labels(self):
         gts = [truth_arrays([(Box(0.5, 0.5, 0.2, 0.2), LabelTriple(1))])]
-        dets = [[self._oracle_detection(Box(0.5, 0.5, 0.2, 0.2),
-                                        LabelTriple(1, 0, 0))]]
+        dets = [_detected([self._oracle_detection(Box(0.5, 0.5, 0.2, 0.2),
+                                                  LabelTriple(1, 0, 0))])]
         with pytest.raises(ValueError, match="fully labeled"):
             build_report(dets, gts, [(256, 256)], tasks=("quadrant", "diagnosis"))
 
     def test_table_formats_exclusions(self):
         gt = Box(0.5, 0.5, 0.5, 0.5)
-        inst_dets = [[self._oracle_detection(gt, LabelTriple(0, 0, 0))]]
+        inst_dets = [_detected([self._oracle_detection(gt, LabelTriple(0, 0, 0))])]
         gts = [truth_arrays([(gt, LabelTriple(0, 0, 0))])]
         report = build_report(inst_dets, gts, [(256, 256)], tasks=("quadrant",))
         text = report.table()
@@ -669,7 +690,217 @@ class TestDetectionsToEval:
             score=0.7,
             objectness=0.8,
         )
-        boxes, classes, scores = detections_to_eval([d], "quadrant")
+        boxes, classes, scores = detections_to_eval(_detected([d]), "quadrant")
         assert boxes.tolist() == [[0.5, 0.5, 0.2, 0.2]]
         assert classes.tolist() == [1]
         assert scores.tolist() == [0.7 * 0.8]
+
+
+    def test_no_detections(self):
+        boxes, classes, scores = detections_to_eval(_detected([]), "enumeration")
+        assert boxes.shape == (0, 4) and classes.shape == scores.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# The scorer as it was before it read sampler records and batched the AP
+# curves: Detection lists restacked per image and task, and one
+# _ap_from_flags call per class.  The array path must equal it exactly.
+
+
+def _ap_one_class(tp: np.ndarray, fp: np.ndarray, n_gt: np.ndarray) -> np.ndarray:
+    """(A, T) APs of one class's (N, A, T) flags, (A,) counted ground truths."""
+    n, *curve_shape = tp.shape
+    n_curves = int(np.prod(curve_shape))
+    tp = tp.reshape(n, n_curves).T
+    fp = fp.reshape(n, n_curves).T
+    tp_c = np.cumsum(tp, axis=1)
+    recall = tp_c / np.repeat(np.maximum(n_gt, 1), curve_shape[1])[:, None]
+    precision = np.zeros(tp_c.shape)
+    np.divide(tp_c, tp_c + np.cumsum(fp, axis=1), out=precision, where=tp | fp)
+    envelope = np.zeros((n_curves, n + 1))
+    envelope[:, :n] = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    below = np.searchsorted(RECALL_POINTS, recall, side="right")
+    width = len(RECALL_POINTS) + 1
+    hist = np.bincount(
+        (below + width * np.arange(n_curves)[:, None]).ravel(),
+        minlength=n_curves * width,
+    ).reshape(n_curves, width)
+    idx = np.cumsum(hist, axis=1)[:, :-1]
+    sampled = np.take_along_axis(envelope, idx, axis=1)
+    return (np.cumsum(sampled, axis=1)[:, -1] / 101.0).reshape(curve_shape)
+
+
+def _evaluate_per_class(dets, gts, sizes, task, max_dets=100) -> TaskMetrics:
+    num_classes = HEAD_CLASS_COUNTS[task]
+    n_img = len(sizes)
+    width, height = np.array(sizes).reshape(n_img, 2).T
+    g_img = np.repeat(np.arange(n_img), [len(classes) for _, classes in gts])
+    g_box = _rows([boxes for boxes, _ in gts], np.float64, 4)
+    g_cls = _rows([classes for _, classes in gts], np.int64)
+    g_slot = _run_positions(g_img)
+    g_ignore = _bucket_outside(_area_px_array(g_box, width[g_img], height[g_img]))
+    n_gt = (
+        (g_cls[:, None] == np.arange(num_classes))[:, :, None] & ~g_ignore[:, None, :]
+    ).sum(axis=0)
+    d_img = np.repeat(np.arange(n_img), [len(scores) for _, _, scores in dets])
+    d_box = _rows([boxes for boxes, _, _ in dets], np.float64, 4)
+    d_cls = _rows([classes for _, classes, _ in dets], np.int64)
+    d_score = _rows([scores for _, _, scores in dets], np.float64)
+    order = np.lexsort((-d_score, d_cls, d_img))
+    rank = _run_positions(d_img[order], d_cls[order])
+    keep = rank < max_dets
+    order, rank = order[keep], rank[keep]
+    d_img, d_box, d_cls, d_score = d_img[order], d_box[order], d_cls[order], d_score[order]
+    d_slot = _run_positions(d_img)
+    d_outside = _bucket_outside(_area_px_array(d_box, width[d_img], height[d_img]))
+    tp, fp = _greedy_match(
+        [_pad(x, d_img, d_slot, n_img) for x in (d_box, d_cls, d_outside)],
+        [_pad(x, g_img, g_slot, n_img) for x in (g_box, g_cls, g_ignore)],
+    )
+    tp, fp = tp[d_img, d_slot], fp[d_img, d_slot]
+    pr_order = np.lexsort((rank, d_img, -d_score))
+    t50, t75 = IOU_THRESHOLDS.index(0.5), IOU_THRESHOLDS.index(0.75)
+    ar, ap, ap50, ap75, ap_m, ap_l = ([] for _ in range(6))
+    for cls in range(num_classes):
+        rows = pr_order[d_cls[pr_order] == cls]
+        class_ap = _ap_one_class(tp[rows], fp[rows], n_gt[cls])
+        if n_gt[cls, 0]:
+            ar.append(float(np.mean(tp[rows, 0].sum(axis=0) / n_gt[cls, 0])))
+            ap.append(float(np.mean(class_ap[0])))
+            ap50.append(float(class_ap[0, t50]))
+            ap75.append(float(class_ap[0, t75]))
+        if n_gt[cls, 1]:
+            ap_m.append(float(np.mean(class_ap[1])))
+        if n_gt[cls, 2]:
+            ap_l.append(float(np.mean(class_ap[2])))
+
+    def mean(per_class):
+        return float(np.mean(per_class)) if per_class else -1.0
+
+    return TaskMetrics(ar=mean(ar), ap=mean(ap), ap50=mean(ap50), ap75=mean(ap75),
+                       ap_m=mean(ap_m), ap_l=mean(ap_l))
+
+
+def _detections_to_eval_objects(dets, task):
+    boxes = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets])
+    probs = np.array([getattr(d, evalmetrics._PROBS[task]) for d in dets])
+    probs = probs.reshape(len(dets), HEAD_CLASS_COUNTS[task])
+    classes = probs.argmax(axis=1)
+    scores = probs[np.arange(len(dets)), classes] * np.array(
+        [d.objectness for d in dets], dtype=np.float64
+    )
+    return boxes.reshape(-1, 4), classes, scores
+
+
+def _build_report_objects(per_image_dets, per_image_gts, sizes, tasks) -> EvalReport:
+    return EvalReport(tasks={
+        task: _evaluate_per_class(
+            [_detections_to_eval_objects(dets, task) for dets in per_image_dets],
+            task_ground_truth(per_image_gts, task),
+            sizes,
+            task,
+        )
+        for task in tasks
+    })
+
+
+@st.composite
+def _class_flags(draw):
+    """Per-class (N_c, A, T) tp and fp flags, never both set, and (C, A)
+    counted ground truths; a class may have no detections at all, and a
+    class more tps than ground truths."""
+    curve = (len(AREA_BUCKETS), len(IOU_THRESHOLDS))
+    classes = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.sampled_from([0, 0, 1, 2, 5, 9]))
+        cells = n * curve[0] * curve[1]
+        kind = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=cells, max_size=cells))
+        kind = np.array(kind, dtype=np.int64).reshape((n,) + curve)
+        classes.append((kind == 1, kind == 2))
+    n_gt = draw(st.lists(st.integers(0, 6), min_size=len(classes) * curve[0],
+                         max_size=len(classes) * curve[0]))
+    return classes, np.array(n_gt).reshape(-1, curve[0])
+
+
+class TestOneApCall:
+    @settings(max_examples=200, deadline=None)
+    @given(_class_flags())
+    def test_one_call_equals_per_class_calls(self, flags):
+        classes, n_gt = flags
+        cls = np.repeat(np.arange(len(classes)), [len(tp) for tp, _ in classes])
+        tp, fp = (np.concatenate([c[k] for c in classes]) for k in (0, 1))
+        got = evalmetrics._ap_from_flags(tp, fp, n_gt, cls)
+        assert got.shape == (len(classes), len(AREA_BUCKETS), len(IOU_THRESHOLDS))
+        for c, (tp_c, fp_c) in enumerate(classes):
+            assert np.array_equal(got[c], _ap_one_class(tp_c, fp_c, n_gt[c]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("task", ["quadrant", "enumeration"])
+    def test_evaluate_equals_per_class_oracle(self, task, data):
+        # Images may hold no detections, and classes no detections.
+        instances = data.draw(_scored_images(HEAD_CLASS_COUNTS[task]))
+        assume(any(inst.gts for inst in instances))
+        max_dets = data.draw(st.sampled_from([1, 3, 100]))
+        arrays = eval_arrays(instances)
+        assert evaluate(*arrays, task, max_dets) == _evaluate_per_class(
+            *arrays, task, max_dets
+        )
+
+    def test_one_ap_call_per_evaluate(self, monkeypatch):
+        calls = []
+        real = evalmetrics._ap_from_flags
+
+        def counting(tp, fp, n_gt, cls):
+            calls.append((tp.shape, n_gt.shape, np.bincount(cls, minlength=4).tolist()))
+            return real(tp, fp, n_gt, cls)
+
+        monkeypatch.setattr(evalmetrics, "_ap_from_flags", counting)
+        rng = np.random.default_rng(7)
+        # Classes 0-2 only, and a last image without detections.
+        instances = _random_instances(rng, n_images=4, n_classes=3)
+        instances.append(_inst([], [(Box(0.5, 0.5, 0.2, 0.2), 3)]))
+        tm = score(instances, "quadrant")
+        per_class = [sum(c == k for inst in instances for _, c, _ in inst.dets)
+                     for k in range(4)]
+        assert per_class[3] == 0
+        curve = (len(AREA_BUCKETS), len(IOU_THRESHOLDS))
+        assert calls == [((sum(per_class), *curve), (4, curve[0]), per_class)]
+        assert tm == _evaluate_per_class(*eval_arrays(instances), "quadrant")
+
+
+def _level_images(level, n, seed0=500):
+    cfg = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)
+    grids, gts = [], []
+    for i in range(n):
+        img, layout = generate_layout(seed0 + i)
+        grids.append(encode_image(img, cfg.grid))
+        gts.append(truth_arrays(project_level(layout, level)))
+    return cfg, grids, gts
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+@pytest.mark.parametrize("level", list(HierarchyLevel), ids=["a", "b", "c"])
+def test_array_report_equals_detection_list_report(level, steps):
+    cfg, grids, gts = _level_images(level, 3)
+    params = init_params(cfg, np.random.default_rng(8), head_scale=0.3)
+    args = (params, grids, level, cfg, Schedule.cosine(1000, 0.008))
+    kw = dict(n_proposals=24, steps=steps, seed=3, eta=1.0,
+              renewal_threshold=0.45, nms_iou=0.4)
+    detected, objects = _sample(*args, **kw), infer(*args, **kw)
+    # A fourth image without detections.
+    detected.append(_detected([]))
+    objects.append([])
+    gts.append(gts[0])
+    sizes = [(256, 256)] * len(gts)
+    for task in TASKS:
+        for records, dets in zip(detected, objects):
+            got = detections_to_eval(records, task)
+            want = _detections_to_eval_objects(dets, task)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert np.array_equal(g, w)
+    tasks = mask_for(level).active_heads
+    got = build_report(detected, gts, sizes, tasks)
+    want = _build_report_objects(objects, gts, sizes, tasks)
+    assert got.key_values() == want.key_values()

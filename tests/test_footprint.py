@@ -1,6 +1,6 @@
-"""Footprint: inference and scoring run without scipy, training loads its
-assignment solver on the first step, and a sampler pass holds about one
-head input's worth of memory."""
+"""Footprint: inference and scoring run without scipy or numpy.ma, training
+loads its assignment solver on the first step, and a sampler pass holds
+about one head input's worth of memory."""
 
 import os
 import subprocess
@@ -23,7 +23,8 @@ from dentdet.train import StageConfig, infer, prepare_samples, train_stage
 
 SRC = Path(dentdet.__file__).resolve().parent.parent
 
-# Refuses every scipy module, then runs the inference-side commands.
+# Refuses every scipy module, then runs the inference-side commands and
+# checks that neither they nor data generation imported numpy.ma.
 _WITHOUT_SCIPY = textwrap.dedent("""
     import importlib.abc
     import sys
@@ -60,6 +61,8 @@ _WITHOUT_SCIPY = textwrap.dedent("""
     assert cli.main(evaluate) == 0
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     assert not loaded, loaded
+    # numpy.ma costs about half a megabyte; nothing on these paths needs it.
+    assert "numpy.ma" not in sys.modules, "numpy.ma imported"
     print("ok")
 """)
 

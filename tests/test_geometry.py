@@ -135,7 +135,7 @@ def _nms_oracle(dets, thr):
 def _nms_kept(dets, thr):
     """``nms`` on a (Box, score) list, mapped back to the list's entries."""
     boxes = np.array([b.to_array() for b, _ in dets]).reshape(len(dets), 4)
-    kept = nms(boxes, np.array([s for _, s in dets]), thr)
+    (kept,) = nms(boxes, np.array([s for _, s in dets]), thr)
     assert kept.dtype.kind == "i"
     return [dets[i] for i in kept]
 
@@ -205,15 +205,15 @@ def test_nms_tie_break_prefers_lower_index():
     b1 = Box(0.5, 0.5, 0.2, 0.2)
     b2 = Box(0.51, 0.5, 0.2, 0.2)
     b3 = Box(0.1, 0.1, 0.1, 0.1)
-    kept = nms(np.stack([b.to_array() for b in (b1, b2, b3)]),
-               np.array([0.7, 0.7, 0.7]), 0.3)
+    (kept,) = nms(np.stack([b.to_array() for b in (b1, b2, b3)]),
+                  np.array([0.7, 0.7, 0.7]), 0.3)
     assert kept.tolist() == [0, 2]
-    kept = nms(np.stack([b.to_array() for b in (b2, b1)]), np.array([0.7, 0.7]), 0.3)
+    (kept,) = nms(np.stack([b.to_array() for b in (b2, b1)]), np.array([0.7, 0.7]), 0.3)
     assert kept.tolist() == [0]
 
 
 def test_nms_empty_input():
-    kept = nms(np.zeros((0, 4)), np.zeros(0), 0.5)
+    (kept,) = nms(np.zeros((0, 4)), np.zeros(0), 0.5)
     assert kept.shape == (0,) and kept.dtype.kind == "i"
 
 
@@ -224,3 +224,80 @@ def test_nms_rejects_nan_scores():
             nms(box, np.array([bad]), 0.5)
     with pytest.raises(ValueError):
         nms(box, np.array([0.5, 0.5]), 0.5)
+    with pytest.raises(ValueError):
+        nms(box[0], np.array(0.5), 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        nms(np.stack([box, box]), np.array([[0.5], [float("nan")]]), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Per-image NMS, one set of boxes a call with its own IoU array and sweep, as
+# the sampler ran it image by image: the batched ``nms`` must equal it.
+
+
+def _nms_per_image(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float):
+    order = np.argsort(-scores, kind="stable")
+    over = iou_matrix(boxes[order], boxes[order]) > iou_threshold
+    suppressed = np.zeros(len(order), dtype=bool)
+    kept = []
+    for i in range(len(order)):
+        if not suppressed[i]:
+            kept.append(i)
+            suppressed |= over[i]
+    return order[kept]
+
+
+# Rows of one image: lattice boxes whose IoUs land exactly on thresholds,
+# zero-width boxes, random boxes; scores from a few levels, so ties are common.
+zero_size_boxes = st.builds(Box, coords, coords, st.just(0.0), st.sampled_from([0.0, 0.25]))
+image_rows = st.tuples(
+    st.one_of(lattice_boxes, zero_size_boxes, boxes),
+    st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0]) | st.floats(0, 1),
+)
+
+
+@st.composite
+def image_sets(draw):
+    """(B, N) rows; some images repeat their first row as their last, so
+    equal boxes with equal scores meet."""
+    n = draw(st.integers(0, 10))
+    images = draw(st.lists(st.lists(image_rows, min_size=n, max_size=n), max_size=4))
+    for rows in images:
+        if n >= 2 and draw(st.booleans()):
+            rows[-1] = rows[0]
+    return n, images
+
+
+@settings(max_examples=300)
+@given(image_sets(), st.sampled_from([0.0, 1 / 3, 0.5, 0.7, 1.0]))
+def test_batched_nms_equals_per_image_oracle(image_set, thr):
+    n, images = image_set
+    b_count = len(images)  # B = 0 and N = 0 both occur
+    boxes = np.array([[b.to_array() for b, _ in rows] for rows in images]).reshape(b_count, n, 4)
+    scores = np.array([[s for _, s in rows] for rows in images]).reshape(b_count, n)
+    img, rows = nms(boxes, scores, thr)
+    want = [_nms_per_image(boxes[b], scores[b], thr) for b in range(len(boxes))]
+    assert img.tolist() == [b for b, kept in enumerate(want) for _ in kept]
+    assert rows.tolist() == [int(i) for kept in want for i in kept]
+    # Extra leading axes flatten into one: the same rows, set by set.
+    *lead, rows2 = nms(boxes[None], scores[None], thr)
+    assert lead[0].tolist() == [0] * len(rows) and np.array_equal(lead[1], img)
+    assert np.array_equal(rows2, rows)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0), (2, 3, 0)])
+def test_batched_nms_empty_sets(shape):
+    kept = nms(np.zeros(shape + (4,)), np.zeros(shape), 0.5)
+    assert len(kept) == len(shape)
+    assert all(k.shape == (0,) and k.dtype.kind == "i" for k in kept)
+
+
+def test_batched_nms_iou_exactly_at_threshold():
+    # IoU of a and b is exactly 1/3: kept together at 1/3, not just below.
+    a, b = Box(0.25, 0.5, 0.25, 0.25), Box(0.375, 0.5, 0.25, 0.25)
+    boxes = np.array([[a.to_array(), b.to_array()], [b.to_array(), a.to_array()]])
+    scores = np.array([[0.9, 0.8], [0.8, 0.8]])
+    img, rows = nms(boxes, scores, 1 / 3)
+    assert img.tolist() == [0, 0, 1, 1] and rows.tolist() == [0, 1, 0, 1]
+    img, rows = nms(boxes, scores, np.nextafter(1 / 3, 0))
+    assert img.tolist() == [0, 1] and rows.tolist() == [0, 0]

@@ -406,6 +406,22 @@ class TestInfer:
         for dg, dw in zip(got, want):
             assert all(_same_detection(a, b) for a, b in zip(dg, dw))
 
+    def test_records_are_the_detections(self):
+        level = HierarchyLevel.FULL
+        params = init_params(CFG, np.random.default_rng(8), head_scale=0.3)
+        grids = [s.grid_feats for s in _samples(level, n=3)]
+        kw = dict(n_proposals=24, steps=2, seed=3, nms_iou=0.4)
+        detected = train_mod._sample(params, grids, level, CFG, SCHED, **kw)
+        objects = infer(params, grids, level, CFG, SCHED, **kw)
+        assert [len(r) for r in detected] == [len(d) for d in objects]
+        for records, dets in zip(detected, objects):
+            assert records.dtype == train_mod.DETECTED
+            for r, d in zip(records, dets):
+                assert Box.from_array(r.box) == d.box
+                assert (r.score, r.objectness) == (d.score, d.objectness)
+                for field in ("probs_q", "probs_e", "probs_d"):
+                    assert np.array_equal(r[field], getattr(d, field))
+
     @pytest.mark.parametrize("steps", [1, 3])
     def test_only_renewing_steps_decode_a_head(self, steps, monkeypatch):
         level = HierarchyLevel.FULL
@@ -443,6 +459,26 @@ class TestBuildCache:
         for entries in lo.entries.values():
             for e in entries:
                 assert e.score > 0.01
+
+    @pytest.mark.parametrize("threshold", [0.26, 0.3, 0.99])
+    def test_equals_detection_list_oracle(self, threshold):
+        # The cache as built from Detection objects, one row tuple a box.
+        level = HierarchyLevel.QUADRANT_ONLY
+        params = init_params(CFG, np.random.default_rng(8), head_scale=0.3)
+        samples = _samples(HierarchyLevel.QUADRANT_ENUM, n=3)
+        kw = dict(n_proposals=16, steps=2, seed=5, eta=1.0)
+        got = build_cache(params, samples, level, CFG, SCHED, threshold=threshold, **kw)
+        want = InferredBoxCache(threshold)
+        grids = [s.grid_feats for s in samples]
+        for s, dets in zip(samples, infer(params, grids, level, CFG, SCHED, **kw)):
+            rows = [(d.box.cx, d.box.cy, d.box.w, d.box.h, d.score)
+                    for d in dets if d.score > threshold]
+            if rows:
+                want.entries[s.image_id] = inferred_boxes(rows)
+        assert threshold == 0.99 or len(want)
+        assert got.entries.keys() == want.entries.keys()
+        for key, records in want.entries.items():
+            assert got.entries[key].tobytes() == records.tobytes()
 
 
 class TestPipeline:
