@@ -55,13 +55,10 @@ EXIT_MISSING = 3
 EXIT_INVALID = 4
 EXIT_DIVERGED = 5
 
+# Each level by its letter and by its tag.
 _LEVELS = {
-    "a": HierarchyLevel.QUADRANT_ONLY,
-    "b": HierarchyLevel.QUADRANT_ENUM,
-    "c": HierarchyLevel.FULL,
-    "quadrant": HierarchyLevel.QUADRANT_ONLY,
-    "quadrant_enumeration": HierarchyLevel.QUADRANT_ENUM,
-    "quadrant_enumeration_diagnosis": HierarchyLevel.FULL,
+    **dict(zip("abc", HierarchyLevel)),
+    **{level.value: level for level in HierarchyLevel},
 }
 
 
@@ -264,7 +261,6 @@ def cmd_train(args, cfg: RunConfig) -> int:
             cache = InferredBoxCache.load(args.cache, cfg.infer.cache_threshold)
         except ValueError as e:  # names the file and line
             raise CliError(EXIT_INVALID, f"invalid cache: {e}")
-        stage = dataclasses.replace(stage, use_manipulation=True)
     try:
         params, metrics = train_stage(
             stage, samples, cfg.model, schedule, init=init, cache=cache,

@@ -385,11 +385,8 @@ def random_crop_resize(
 
 
 def level_tag(level: HierarchyLevel) -> str:
-    return {
-        HierarchyLevel.QUADRANT_ONLY: "quadrant",
-        HierarchyLevel.QUADRANT_ENUM: "quadrant_enumeration",
-        HierarchyLevel.FULL: "quadrant_enumeration_diagnosis",
-    }[level]
+    """The level's name in file names: ``annotations_<tag>.json``."""
+    return level.value
 
 
 def generate_dataset(out_dir, count: int, seed: int, size: int = DEFAULT_SIZE):
@@ -406,11 +403,7 @@ def generate_dataset(out_dir, count: int, seed: int, size: int = DEFAULT_SIZE):
 
     paths = {}
     offset = 0
-    for level, tag in (
-        (HierarchyLevel.QUADRANT_ONLY, "q"),
-        (HierarchyLevel.QUADRANT_ENUM, "qe"),
-        (HierarchyLevel.FULL, "qed"),
-    ):
+    for level, tag in zip(HierarchyLevel, ("q", "qe", "qed")):
         aset = AnnotationSet(level=level)
         for i in range(count):
             image_seed = seed * 1_000_003 + offset + i

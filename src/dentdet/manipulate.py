@@ -114,16 +114,11 @@ def manipulate_boxes(
     )
 
 
-def inference_proposals(
-    n: int, rng: np.random.Generator, scale: float = 2.0
-) -> np.ndarray:
+def inference_proposals(n: int, rng: np.random.Generator) -> np.ndarray:
     """Completely noisy proposals: standard-normal signal-space samples.
 
-    Inference-time proposals are independent of any cache by construction;
-    ``scale`` only fixes the signal-space convention shared with decoding.
+    Inference-time proposals are independent of any cache by construction.
     """
     if n < 1:
         raise ValueError("proposal count must be >= 1")
-    if scale <= 0:
-        raise ValueError("signal scale must be positive")
     return rng.standard_normal((n, 4))

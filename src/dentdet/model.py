@@ -204,48 +204,45 @@ def _head_dim(head: str) -> int:
 def init_params(
     cfg: ModelConfig, rng: np.random.Generator, head_scale: float = 1e-4
 ) -> ParamStore:
-    """Fresh decoder parameters.
+    """Fresh decoder parameters, drawn in :func:`param_shapes` order.
 
     Trunk and box head use Xavier-uniform init; classification heads start
     near zero (uniform class probabilities).  ``head_scale`` sets the small
     symmetric range for head weights so independently initialized stages
     never share a tensor bit-for-bit; pass 0 for exactly-zero heads.
     """
-
-    def xavier(fan_in, fan_out):
-        lim = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, size=(fan_in, fan_out))
-
-    d, h = cfg.feat_dim, cfg.hidden
-    params: ParamStore = {
-        "trunk.w1": xavier(d, h),
-        "trunk.b1": np.zeros(h),
-        "trunk.w2": xavier(h, h),
-        "trunk.b2": np.zeros(h),
-        "box.w": xavier(h, 4),
-        "box.b": np.zeros(4),
-    }
-    for head in HEAD_NAMES:
-        k = _head_dim(head)
-        params[f"head_{head}.w"] = rng.uniform(
-            -head_scale, head_scale, size=(h + d, k)
-        )
-        params[f"head_{head}.b"] = rng.uniform(-head_scale, head_scale, size=k)
+    params: ParamStore = {}
+    for name, shape in param_shapes(cfg).items():
+        if name.startswith("head_"):
+            params[name] = rng.uniform(-head_scale, head_scale, size=shape)
+        elif len(shape) == 2:
+            lim = np.sqrt(6.0 / sum(shape))
+            params[name] = rng.uniform(-lim, lim, size=shape)
+        else:
+            params[name] = np.zeros(shape)
     return params
 
 
+def level_params(mask: HeadMask | None = None) -> list[str]:
+    """Names of the tensors a level trains and hands on to the next, in
+    layout order: trunk, box head, then the classification heads ``mask``
+    supervises (all of them if None), shallow to deep."""
+    heads = HEAD_NAMES if mask is None else mask.active_heads
+    return [
+        "trunk.w1", "trunk.b1", "trunk.w2", "trunk.b2", "box.w", "box.b",
+        *(f"head_{head}.{p}" for head in heads for p in ("w", "b")),
+    ]
+
+
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The parameter layout: every tensor's shape, in :func:`level_params`
+    order."""
     d, h = cfg.feat_dim, cfg.hidden
-    shapes = {
-        "trunk.w1": (d, h), "trunk.b1": (h,),
-        "trunk.w2": (h, h), "trunk.b2": (h,),
-        "box.w": (h, 4), "box.b": (4,),
-    }
+    shapes = [(d, h), (h,), (h, h), (h,), (h, 4), (4,)]
     for head in HEAD_NAMES:
         k = _head_dim(head)
-        shapes[f"head_{head}.w"] = (h + d, k)
-        shapes[f"head_{head}.b"] = (k,)
-    return shapes
+        shapes += [(h + d, k), (k,)]
+    return dict(zip(level_params(), shapes))
 
 
 def check_shapes(params: ParamStore, cfg: ModelConfig) -> None:
@@ -522,19 +519,14 @@ def transfer_weights(
     dst: ParamStore,
     src_mask: HeadMask | None = None,
 ) -> tuple[ParamStore, list[str]]:
-    """Copy trunk, box head, and previously supervised classification heads
-    from ``src`` into a copy of ``dst``.
+    """Copy ``level_params(src_mask)`` from ``src`` into a copy of ``dst``:
+    the trunk, the box head and the heads the previous stage supervised.
 
     Heads outside ``src_mask`` (newly supervised at the deeper stage) keep
     their fresh initialization.  Returns the new store and the list of
     copied tensor names.
     """
-    for name in ("trunk.w1", "trunk.b1", "trunk.w2", "trunk.b2", "box.w", "box.b"):
-        if src[name].shape != dst[name].shape:
-            raise ValueError(f"incompatible trunk shapes for {name}")
-    heads = src_mask.active_heads if src_mask is not None else tuple(HEAD_NAMES)
-    copied = ["trunk.w1", "trunk.b1", "trunk.w2", "trunk.b2", "box.w", "box.b"]
-    copied += [f"head_{h}.{p}" for h in heads for p in ("w", "b")]
+    copied = level_params(src_mask)
     out = {k: v.copy() for k, v in dst.items()}
     for name in copied:
         if src[name].shape != out[name].shape:

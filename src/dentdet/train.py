@@ -3,7 +3,7 @@
 Stages run shallow to deep (quadrant -> quadrant+enumeration -> full), each
 optionally receiving the previous stage's weights (transfer) and/or its
 confident inferred boxes (noisy-box manipulation).  The four ablation arms
-toggle those two mechanisms independently.
+of :data:`ARMS` toggle those two mechanisms independently.
 """
 
 from __future__ import annotations
@@ -42,13 +42,22 @@ from .model import (
     decode,
     encode_image,
     init_params,
+    level_params,
     loss_gradients,
     save_checkpoint,
     softmax,
     transfer_weights,
 )
 
-ARMS = ("full", "no_transfer", "no_manipulation", "neither")
+# Ablation arm -> (transfer, manipulation): whether each stage after the
+# first starts from the previous stage's weights, and whether it trains on
+# the previous stage's inferred boxes.
+ARMS = {
+    "full": (True, True),
+    "no_transfer": (False, True),
+    "no_manipulation": (True, False),
+    "neither": (False, False),
+}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -56,8 +65,6 @@ class StageConfig(TrainConfig):
     """The ``train`` config section plus what one pipeline stage adds."""
 
     level: HierarchyLevel
-    use_manipulation: bool = False
-    use_transfer: bool = False
     log_every: int = 50
     checkpoint_every: int = 500
 
@@ -70,18 +77,12 @@ class PipelinePlan:
     def __post_init__(self):
         if self.arm not in ARMS:
             raise ValueError(f"unknown ablation arm {self.arm!r}")
-        levels = tuple(s.level for s in self.stages)
-        expected = (
-            HierarchyLevel.QUADRANT_ONLY,
-            HierarchyLevel.QUADRANT_ENUM,
-            HierarchyLevel.FULL,
-        )
-        if levels != expected:
+        if tuple(s.level for s in self.stages) != tuple(HierarchyLevel):
             raise ValueError("pipeline stages must run quadrant -> enum -> full")
 
 
 def make_plan(arm: str, base: StageConfig | None = None) -> PipelinePlan:
-    """Plan for one ablation arm; later stages get the arm's mechanism flags.
+    """Plan for one ablation arm: one stage per level, shallow to deep.
 
     Each successive stage halves the learning rate.  Later stages refine a
     model that already localizes (via transfer and/or manipulation-spliced
@@ -90,23 +91,11 @@ def make_plan(arm: str, base: StageConfig | None = None) -> PipelinePlan:
     its own sparse labels can rebuild it.
     """
     base = base or StageConfig(level=HierarchyLevel.QUADRANT_ONLY)
-    manip = arm in ("full", "no_transfer")
-    trans = arm in ("full", "no_manipulation")
-    stages = []
-    for i, level in enumerate(
-        (HierarchyLevel.QUADRANT_ONLY, HierarchyLevel.QUADRANT_ENUM, HierarchyLevel.FULL)
-    ):
-        stages.append(
-            replace(
-                base,
-                level=level,
-                use_manipulation=manip and i > 0,
-                use_transfer=trans and i > 0,
-                seed=base.seed + i,
-                lr=base.lr * 0.5**i,
-            )
-        )
-    return PipelinePlan(arm=arm, stages=tuple(stages))
+    stages = tuple(
+        replace(base, level=level, seed=base.seed + i, lr=base.lr * 0.5**i)
+        for i, level in enumerate(HierarchyLevel)
+    )
+    return PipelinePlan(arm=arm, stages=stages)
 
 
 @dataclass
@@ -180,14 +169,13 @@ def train_stage(
 ) -> tuple[ParamStore, list[dict]]:
     """Train one hierarchy stage; fully reproducible from (cfg, seed).
 
-    ``cache`` must be present iff manipulation is enabled.  Emits periodic
-    loss records and checkpoints; on a non-finite loss the last good
-    checkpoint is retained and :class:`TrainingDiverged` is raised.
+    Trains the level's ``level_params`` and takes their gradient norm in
+    that order, whatever order ``init`` holds its tensors in.  Given a
+    ``cache``, each noisy proposal set gets the image's cached boxes spliced
+    in (manipulation).  Emits periodic loss records and checkpoints; on a
+    non-finite loss the last good checkpoint is retained and
+    :class:`TrainingDiverged` is raised.
     """
-    if cfg.use_manipulation and cache is None:
-        raise ValueError("manipulation enabled but no inferred-box cache given")
-    if not cfg.use_manipulation and cache is not None:
-        raise ValueError("cache given but manipulation disabled")
     if not samples:
         raise ValueError("no training samples")
     mask = mask_for(cfg.level)
@@ -202,15 +190,7 @@ def train_stage(
     else:
         params = {k: v.copy() for k, v in init.items()}
     rng = np.random.default_rng([cfg.seed, 1])
-    trainable = [
-        n
-        for n in params
-        if not any(
-            n.startswith(f"head_{h}.")
-            for h in ("enumeration", "diagnosis")
-            if h not in mask.active_heads
-        )
-    ]
+    trainable = level_params(mask)
     m = {n: np.zeros_like(params[n]) for n in trainable}
     v = {n: np.zeros_like(params[n]) for n in trainable}
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -247,7 +227,7 @@ def train_stage(
                 z0 = pad_gt_boxes(gt_boxes, cfg.n_proposals, rng, model_cfg.scale)
                 t = int(rng.integers(1, schedule.T + 1))
                 z = forward_noise(z0, t, schedule, rng)
-                if cfg.use_manipulation:
+                if cache is not None:
                     z = manipulate_boxes(
                         z, cache.get(s.image_id), cache.threshold,
                         scale=model_cfg.scale,
@@ -389,7 +369,7 @@ def _sample(
         images = range(first, min(first + per_pass, len(grids)))
         grid = np.stack([grids[i] for i in images])
         rngs = [np.random.default_rng([seed, i]) for i in images]
-        z = np.stack([inference_proposals(n_proposals, rng, model_cfg.scale) for rng in rngs])
+        z = np.stack([inference_proposals(n_proposals, rng) for rng in rngs])
         for si, (t, t_next) in enumerate(zip(times, times[1:])):
             # Renewal reads the deepest head's scores; the last step renews nothing.
             renew = si < len(times) - 2
@@ -537,7 +517,7 @@ def run_pipeline(
     cache_threshold: float = 0.5,
     **sampler,
 ) -> PipelineResult:
-    """Execute the three stages honoring the arm's mechanism flags.
+    """Execute the three stages with the mechanisms ``ARMS`` gives the arm.
 
     Cache building and held-out scoring sample with ``infer_steps`` and
     ``sampler``, :func:`infer`'s keywords other than ``n_proposals`` and
@@ -551,19 +531,20 @@ def run_pipeline(
             raise ValueError(f"missing dataset for level {stage.level.value}")
     out_dir = Path(out_dir) if out_dir is not None else None
     result = PipelineResult(arm=plan.arm)
+    transfer, manipulate = ARMS[plan.arm]
     prev_params: ParamStore | None = None
     prev_level: HierarchyLevel | None = None
     for i, stage in enumerate(plan.stages):
         stage_dir = out_dir / f"stage_{i}_{stage.level.value}" if out_dir else None
         copied: list[str] = []
         init = None
-        if stage.use_transfer and prev_params is not None:
+        if transfer and prev_params is not None:
             fresh = init_params(model_cfg, np.random.default_rng([stage.seed, 0]))
             init, copied = transfer_weights(
                 prev_params, fresh, src_mask=mask_for(prev_level)
             )
         cache = None
-        if stage.use_manipulation and prev_params is not None:
+        if manipulate and prev_params is not None:
             cache = build_cache(
                 prev_params,
                 datasets[stage.level],

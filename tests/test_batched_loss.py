@@ -309,7 +309,7 @@ def test_train_stage_with_oracle_is_byte_equal(level, monkeypatch, tmp_path):
     samples = _samples(level)
     manip = level is not HierarchyLevel.QUADRANT_ONLY
     cfg = StageConfig(level=level, iterations=6, batch_size=3, lr=1e-2,
-                      n_proposals=40, seed=3, log_every=1, use_manipulation=manip)
+                      n_proposals=40, seed=3, log_every=1)
 
     def run(out_dir):
         cache = None

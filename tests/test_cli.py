@@ -1,5 +1,6 @@
 """End-to-end smoke tests for the command line interface."""
 
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -15,8 +16,11 @@ from dentdet.cli import (
     EXIT_USAGE,
     main,
 )
-from dentdet.config import ENV_CONFIG
+from dentdet.config import ENV_CONFIG, load_config
+from dentdet.diffusion import Schedule
+from dentdet.labels import HierarchyLevel
 from dentdet.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from dentdet.train import train_stage
 
 SMALL_CFG = (
     "model:\n  grid: 8\n  pool: 2\n  hidden: 16\n  time_dim: 8\n"
@@ -196,6 +200,29 @@ def test_non_finite_checkpoint_is_invalid_data(command, dataset, cfg_path, tmp_p
     err = capsys.readouterr().err
     assert f"{ckpt}: tensor 'trunk.w1' holds non-finite values" in err
     assert "Traceback" not in err
+
+
+def test_train_init_equals_the_in_memory_store(dataset, cfg_path, tmp_path):
+    # final.bin reads back with its tensors in name order; training from it
+    # must write what train_stage gives from the store in memory.
+    cfg = load_config(cfg_path)
+    schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
+
+    def in_memory(level, init=None):
+        stage = dataclasses.replace(cli._stage_config(cfg, level), iterations=12)
+        samples = cli._samples(dataset, level, cfg.model)
+        return train_stage(stage, samples, cfg.model, schedule, init=init)[0]
+
+    train = ["--config", cfg_path, "train", "--data", str(dataset), "--iterations", "12"]
+    assert main([*train, "--level", "a", "--out", str(tmp_path / "a")]) == EXIT_OK
+    store = in_memory(HierarchyLevel.QUADRANT_ONLY)
+    assert main([*train, "--level", "b", "--out", str(tmp_path / "b"),
+                 "--init", str(tmp_path / "a" / "final.bin")]) == EXIT_OK
+    want = in_memory(HierarchyLevel.QUADRANT_ENUM, init=store)
+    got, _ = load_checkpoint(tmp_path / "b" / "final.bin")
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def test_pipeline_full_arm(dataset, cfg_path, tmp_path, capsys):

@@ -144,5 +144,3 @@ class TestInferenceProposals:
     def test_validation(self):
         with pytest.raises(ValueError):
             inference_proposals(0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            inference_proposals(4, np.random.default_rng(0), scale=0.0)

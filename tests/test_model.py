@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dentdet.diffusion import signal_decode, signal_encode
 from dentdet.geometry import Box
-from dentdet.labels import HEAD_NAMES, HeadMask, LabelTriple, class_array
+from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HeadMask, LabelTriple, class_array
 from dentdet.model import (
     HIST_CHANNELS,
     NUM_CHANNELS,
@@ -27,6 +27,7 @@ from dentdet.model import (
     forward_features,
     forward_net,
     init_params,
+    level_params,
     load_checkpoint,
     loss_gradients,
     loss_probs_for_mask,
@@ -626,6 +627,75 @@ class TestDecodeGradMask:
         assert m[0, 1] == 0.0  # clamped high
         assert m[0, 2] == 0.0  # clamped low (below size floor)
         assert m[0, 3] == pytest.approx(1 / (2 * scale))
+
+
+# ---------------------------------------------------------------------------
+# The hand-written parameter set the layout replaced: init_params drew each
+# tensor by name, and transfer_weights listed the tensors it copies.  Kept
+# as the oracles the layout walk must equal exactly.
+
+_SHARED = ("trunk.w1", "trunk.b1", "trunk.w2", "trunk.b2", "box.w", "box.b")
+
+
+def _oracle_init_params(cfg, rng, head_scale=1e-4):
+    def xavier(fan_in, fan_out):
+        lim = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-lim, lim, size=(fan_in, fan_out))
+
+    d, h = cfg.feat_dim, cfg.hidden
+    params = {
+        "trunk.w1": xavier(d, h),
+        "trunk.b1": np.zeros(h),
+        "trunk.w2": xavier(h, h),
+        "trunk.b2": np.zeros(h),
+        "box.w": xavier(h, 4),
+        "box.b": np.zeros(4),
+    }
+    for head in HEAD_NAMES:
+        k = HEAD_CLASS_COUNTS[head] + 1
+        params[f"head_{head}.w"] = rng.uniform(-head_scale, head_scale, size=(h + d, k))
+        params[f"head_{head}.b"] = rng.uniform(-head_scale, head_scale, size=k)
+    return params
+
+
+def _oracle_transfer_weights(src, dst, src_mask=None):
+    for name in _SHARED:
+        if src[name].shape != dst[name].shape:
+            raise ValueError(f"incompatible trunk shapes for {name}")
+    heads = src_mask.active_heads if src_mask is not None else tuple(HEAD_NAMES)
+    copied = [*_SHARED, *(f"head_{h}.{p}" for h in heads for p in ("w", "b"))]
+    out = {k: v.copy() for k, v in dst.items()}
+    for name in copied:
+        if src[name].shape != out[name].shape:
+            raise ValueError(f"incompatible shapes for {name}")
+        out[name] = src[name].copy()
+    return out, copied
+
+
+def _same_store(a, b):
+    return list(a) == list(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+MASKS = [HeadMask(1, 0, 0), HeadMask(1, 1, 0), HeadMask(1, 1, 1), None]
+
+
+@pytest.mark.parametrize("cfg", [SMALL, ModelConfig()], ids=["small", "default"])
+@pytest.mark.parametrize("head_scale", [0.0, 1e-4])
+class TestLayout:
+    def test_init_equals_named_draws(self, cfg, head_scale):
+        got = init_params(cfg, np.random.default_rng(31), head_scale)
+        want = _oracle_init_params(cfg, np.random.default_rng(31), head_scale)
+        assert _same_store(got, want)
+        assert level_params() == list(param_shapes(cfg)) == list(got)
+
+    @pytest.mark.parametrize("mask", MASKS, ids=["a", "b", "c", "all"])
+    def test_transfer_equals_named_list(self, cfg, head_scale, mask):
+        src = init_params(cfg, np.random.default_rng(32), head_scale=0.3)
+        dst = init_params(cfg, np.random.default_rng(33), head_scale)
+        got, copied = transfer_weights(src, dst, src_mask=mask)
+        want, want_copied = _oracle_transfer_weights(src, dst, src_mask=mask)
+        assert _same_store(got, want)
+        assert copied == want_copied == level_params(mask)
 
 
 class TestTransfer:

@@ -29,6 +29,7 @@ from dentdet.model import (
     forward_features,
     forward_net,
     init_params,
+    level_params,
     loss_probs_for_mask,
     softmax,
 )
@@ -123,7 +124,7 @@ def _oracle_infer(params, grids, level, model_cfg, schedule, n_proposals=64,
     results = []
     for img_i, grid in enumerate(grids):
         rng = np.random.default_rng([seed, img_i])
-        z = inference_proposals(n_proposals, rng, model_cfg.scale)
+        z = inference_proposals(n_proposals, rng)
         for si in range(len(times) - 1):
             t, t_next = int(times[si]), int(times[si + 1])
             dets, z0_pred = _oracle_decode(params, grid, z, float(t), mask, model_cfg)
@@ -149,19 +150,17 @@ def _same_detection(a, b):
 
 class TestPlan:
     def test_arm_flags(self):
-        for arm, (manip, trans) in {
+        # arm -> (transfer, manipulation); the arms share one stage plan.
+        assert ARMS == {
             "full": (True, True),
-            "no_transfer": (True, False),
-            "no_manipulation": (False, True),
+            "no_transfer": (False, True),
+            "no_manipulation": (True, False),
             "neither": (False, False),
-        }.items():
+        }
+        for arm in ARMS:
             plan = make_plan(arm)
             assert plan.arm == arm
-            assert plan.stages[0].use_manipulation is False
-            assert plan.stages[0].use_transfer is False
-            for stage in plan.stages[1:]:
-                assert stage.use_manipulation is manip
-                assert stage.use_transfer is trans
+            assert plan.stages == make_plan("full").stages
 
     def test_stage_order(self):
         plan = make_plan("full")
@@ -241,18 +240,28 @@ class TestTrainStage:
             )
         assert not np.array_equal(params["trunk.w1"], init["trunk.w1"])
 
-    def test_cache_flag_consistency(self):
-        samples = _samples(HierarchyLevel.QUADRANT_ENUM)
-        with pytest.raises(ValueError, match="cache"):
-            train_stage(
-                _stage(HierarchyLevel.QUADRANT_ENUM, use_manipulation=True),
-                samples, CFG, SCHED,
-            )
-        with pytest.raises(ValueError, match="cache"):
-            train_stage(
-                _stage(HierarchyLevel.QUADRANT_ENUM),
-                samples, CFG, SCHED, cache=InferredBoxCache(0.5),
-            )
+    @pytest.mark.parametrize("level", list(HierarchyLevel), ids=lambda lv: lv.name)
+    def test_init_order_does_not_matter(self, level):
+        # A checkpoint reads back with its names sorted; training from it
+        # must equal training from the same store in layout order, gradient
+        # norm and clip factor included.
+        samples = _samples(level)
+        init = init_params(CFG, np.random.default_rng(12), head_scale=0.3)
+        assert list(init) == level_params()
+        cfg = _stage(level, iterations=12, log_every=1)
+        strip = lambda ms: [
+            {k: v for k, v in m.items() if k != "wall_time"} for m in ms
+        ]
+        runs = [
+            train_stage(cfg, samples, CFG, SCHED, init=store)
+            for store in (init, dict(sorted(init.items())))
+        ]
+        (p1, m1), (p2, m2) = runs
+        assert any(m["clip_factor"] < 1.0 for m in m1)
+        assert p1.keys() == p2.keys()
+        for name in p1:
+            assert p1[name].tobytes() == p2[name].tobytes(), name
+        assert strip(m1) == strip(m2)
 
     def test_splices_above_the_cache_gate(self, monkeypatch):
         # A box scoring 0.4 from a cache gated at 0.3 is spliced: the cache's
@@ -271,7 +280,7 @@ class TestTrainStage:
 
         monkeypatch.setattr(train_mod, "manipulate_boxes", recorder)
         train_stage(
-            _stage(HierarchyLevel.QUADRANT_ENUM, iterations=2, use_manipulation=True),
+            _stage(HierarchyLevel.QUADRANT_ENUM, iterations=2),
             samples, CFG, SCHED, cache=cache,
         )
         assert len(calls) == 4 and cache.reads == 4
@@ -541,8 +550,12 @@ class TestPipeline:
 
     def test_all_arms_distinct_reports(self):
         texts = set()
-        for arm in ARMS:
+        for arm, (transfer, manipulation) in ARMS.items():
             plan = make_plan(arm, _stage(HierarchyLevel.QUADRANT_ONLY, iterations=3))
             result = run_pipeline(plan, self._datasets(), CFG, SCHED)
             texts.add(result.report_text())
+            # Stages after the first inherit and splice as the arm's row says.
+            for sr in result.stages[1:]:
+                assert bool(sr.copied_tensors) is transfer
+                assert (sr.cache_reads > 0) is manipulation
         assert len(texts) == len(ARMS)
