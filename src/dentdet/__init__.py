@@ -7,10 +7,8 @@ from .labels import (
     NUM_DIAGNOSES,
     NUM_ENUMERATIONS,
     NUM_QUADRANTS,
-    HeadMask,
     HierarchyLevel,
     LabelTriple,
-    mask_for,
 )
 from .manipulate import InferredBoxCache, manipulate_boxes
 from .matching import LossBreakdown
@@ -34,7 +32,6 @@ __all__ = [
     "HEAD_NAMES",
     "NUM_DIAGNOSES",
     "NUM_ENUMERATIONS",
-    "HeadMask",
     "HierarchyLevel",
     "InferredBoxCache",
     "LabelTriple",
@@ -51,7 +48,6 @@ __all__ = [
     "load_checkpoint",
     "loss_gradients",
     "manipulate_boxes",
-    "mask_for",
     "nms",
     "pad_gt_boxes",
     "save_checkpoint",

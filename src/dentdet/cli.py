@@ -34,7 +34,7 @@ from .data import (
 )
 from .diffusion import Schedule
 from .imageio import read_pgm, write_ppm
-from .labels import HierarchyLevel, mask_for
+from .labels import HierarchyLevel
 from .manipulate import InferredBoxCache
 from .model import ModelConfig, check_shapes, load_checkpoint, save_checkpoint
 from .train import (
@@ -149,7 +149,7 @@ def _samples(data_dir: Path, level: HierarchyLevel, model_cfg: ModelConfig):
         raise CliError(EXIT_INVALID, f"invalid image: {e}")
 
 
-def _load_params(path: str | None, model_cfg: ModelConfig):
+def _load_params(path: str, model_cfg: ModelConfig):
     _check_file(path, "checkpoint")
     try:
         params, meta = load_checkpoint(path)
@@ -365,7 +365,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         gts = [(s.gt_boxes, s.gt_classes) for s in samples]
         sizes = [(s.width, s.height) for s in samples]
         tasks = {}
-        for task in mask_for(level).active_heads:
+        for task in level.heads:
             truth = task_ground_truth(gts, task)
             dets = [(boxes, classes, np.ones(len(classes))) for boxes, classes in truth]
             tasks[task] = evaluate(dets, truth, sizes, task)
@@ -486,9 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="COCO-style report over a labeled set")
     sp.add_argument("--data", required=True)
     sp.add_argument("--level", default="c")
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--oracle", action="store_true",
-                    help="evaluate ground truth copied as detections")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--oracle", action="store_true",
+                        help="evaluate ground truth copied as detections")
     sp.add_argument("--out")
     _override_flags(sp, "train.n_proposals", "train.seed")
     sp.set_defaults(fn=cmd_eval)

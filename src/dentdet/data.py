@@ -21,11 +21,11 @@ import numpy as np
 
 from .geometry import Box, cxcywh_to_xyxy
 from .labels import (
+    HEAD_NAMES,
     NUM_ENUMERATIONS,
     NUM_QUADRANTS,
     HierarchyLevel,
     LabelTriple,
-    mask_for,
 )
 
 DEFAULT_SIZE = 256
@@ -220,6 +220,10 @@ class AnnotationSet:
         return out
 
 
+# Each head's label field in an annotation record, shallow to deep.
+CATEGORY_KEYS = {head: f"category_id_{k}" for k, head in enumerate(HEAD_NAMES, start=1)}
+
+
 class AnnotationError(ValueError):
     """Schema or invariant violations, with per-record indices."""
 
@@ -243,12 +247,10 @@ def write_annotations(aset: AnnotationSet, path) -> None:
         rec = {
             "image_id": ann.image_id,
             "bbox": [x1 * w_img, y1 * h_img, (x2 - x1) * w_img, (y2 - y1) * h_img],
-            "category_id_1": ann.label.quadrant,
         }
-        if ann.label.enumeration is not None:
-            rec["category_id_2"] = ann.label.enumeration
-        if ann.label.diagnosis is not None:
-            rec["category_id_3"] = ann.label.diagnosis
+        for head, key in CATEGORY_KEYS.items():
+            if getattr(ann.label, head) is not None:
+                rec[key] = getattr(ann.label, head)
         annotations.append(rec)
     doc = {"level": aset.level.value, "images": images, "annotations": annotations}
     with open(path, "w", encoding="utf-8") as f:
@@ -256,10 +258,25 @@ def write_annotations(aset: AnnotationSet, path) -> None:
         f.write("\n")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_annotations(path, level: HierarchyLevel) -> AnnotationSet:
-    """Parse and validate an annotation file for a declared hierarchy level."""
+    """Parse and validate an annotation file for a declared hierarchy level.
+
+    Any malformed content raises :class:`AnnotationError`; errors of the
+    file as a whole carry record index -1."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise AnnotationError([(-1, f"not a JSON file: {e}")])
+    if not isinstance(doc, dict):
+        raise AnnotationError([(-1, "top level must be an object")])
+    for key in ("images", "annotations"):
+        if not isinstance(doc.get(key, []), list):
+            raise AnnotationError([(-1, f"{key} must be a list")])
     errors: list[tuple[int, str]] = []
     if "level" in doc and doc["level"] != level.value:
         errors.append((-1, f"file level {doc['level']!r} != declared {level.value!r}"))
@@ -273,48 +290,47 @@ def load_annotations(path, level: HierarchyLevel) -> AnnotationSet:
                 height=int(rec["height"]),
                 file_name=str(rec.get("file_name", "")),
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             errors.append((i, f"bad image record: {e}"))
             continue
         images.append(info)
         dims[info.id] = (info.width, info.height)
-    mask = mask_for(level)
+    heads = level.heads
     annotations = []
     for i, rec in enumerate(doc.get("annotations", [])):
+        if not isinstance(rec, dict):
+            errors.append((i, "annotation record is not an object"))
+            continue
         image_id = str(rec.get("image_id"))
         if image_id not in dims:
             errors.append((i, f"unknown image_id {image_id!r}"))
             continue
         w_img, h_img = dims[image_id]
         bbox = rec.get("bbox")
-        if not (isinstance(bbox, list) and len(bbox) == 4):
-            errors.append((i, "bbox must be [x, y, w, h]"))
+        if not (
+            isinstance(bbox, list) and len(bbox) == 4 and all(map(_is_number, bbox))
+        ):
+            errors.append((i, "bbox must be [x, y, w, h] numbers"))
             continue
         x, y, w, h = (float(v) for v in bbox)
-        if w <= 0 or h <= 0:
+        # Written so that a NaN fails each test.
+        if not (w > 0 and h > 0):
             errors.append((i, f"non-positive box size {w}x{h}"))
             continue
-        if x < 0 or y < 0 or x + w > w_img + 1e-6 or y + h > h_img + 1e-6:
+        if not (x >= 0 and y >= 0 and x + w <= w_img + 1e-6 and y + h <= h_img + 1e-6):
             errors.append((i, "box outside image bounds"))
             continue
-        fields = {
-            "quadrant": rec.get("category_id_1"),
-            "enumeration": rec.get("category_id_2"),
-            "diagnosis": rec.get("category_id_3"),
-        }
-        for head, bit in zip(
-            ("quadrant", "enumeration", "diagnosis"), (mask.h_q, mask.h_e, mask.h_d)
-        ):
-            if bit and fields[head] is None:
-                errors.append((i, f"missing {head} label for level {level.value}"))
-            if not bit and fields[head] is not None:
+        classes = {}
+        for head, key in CATEGORY_KEYS.items():
+            value = rec.get(key)
+            if head in heads:
+                if value is None:
+                    errors.append((i, f"missing {head} label for level {level.value}"))
+                classes[head] = value
+            elif value is not None:
                 errors.append((i, f"{head} label not allowed at level {level.value}"))
         try:
-            label = LabelTriple(
-                quadrant=fields["quadrant"] if mask.h_q else None,
-                enumeration=fields["enumeration"] if mask.h_e else None,
-                diagnosis=fields["diagnosis"] if mask.h_d else None,
-            )
+            label = LabelTriple(**classes)
         except ValueError as e:
             errors.append((i, str(e)))
             continue

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import iou, iou_matrix  # noqa: F401  (perfbench counts iou calls)
-from .labels import HEAD_CLASS_COUNTS
+from .labels import HEAD_CLASS_COUNTS, HEAD_NAMES
 
 IOU_THRESHOLDS = tuple(np.round(np.arange(0.50, 1.0, 0.05), 2))
 AREA_MEDIUM = (32.0**2, 96.0**2)
@@ -29,8 +29,7 @@ AREA_LARGE = (96.0**2, float("inf"))
 AREA_BUCKETS = (None, AREA_MEDIUM, AREA_LARGE)  # all, medium, large
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
-TASKS = ("quadrant", "enumeration", "diagnosis")
-_PROBS = dict(zip(TASKS, ("probs_q", "probs_e", "probs_d")))  # record fields
+_PROBS = dict(zip(HEAD_NAMES, ("probs_q", "probs_e", "probs_d")))  # record fields
 
 
 @dataclass(frozen=True)
@@ -252,7 +251,7 @@ def evaluate(dets, gts, sizes, task: str, max_dets: int = 100) -> TaskMetrics:
     for the task (evaluation is restricted to fully labeled data for the
     deeper heads).
     """
-    if task not in TASKS:
+    if task not in HEAD_NAMES:
         raise ValueError(f"unknown task {task!r}")
     num_classes = HEAD_CLASS_COUNTS[task]
     if not any(len(classes) for _, classes in gts):
@@ -335,7 +334,7 @@ def detections_to_eval(detected: np.ndarray, task: str):
 def task_ground_truth(per_image_gts, task: str):
     """Each image's (boxes, classes) for one task: the task's column of its
     (M, 3) class array, which must hold a label (not -1) in every row."""
-    col = TASKS.index(task)
+    col = HEAD_NAMES.index(task)
     out = [(boxes, classes[:, col]) for boxes, classes in per_image_gts]
     if any((classes < 0).any() for _, classes in out):
         raise ValueError(
@@ -345,7 +344,7 @@ def task_ground_truth(per_image_gts, task: str):
     return out
 
 
-def build_report(per_image_dets, per_image_gts, sizes, tasks=TASKS) -> EvalReport:
+def build_report(per_image_dets, per_image_gts, sizes, tasks=HEAD_NAMES) -> EvalReport:
     """Evaluate several tasks over the same images.
 
     per_image_dets holds each image's ``train.DETECTED`` record array;

@@ -1,4 +1,5 @@
-"""FDI label hierarchy: head availability masks and label triples.
+"""FDI label hierarchy: the levels, the heads each supervises, and label
+triples.
 
 Three annotation regimes exist, nested: quadrant only, quadrant+enumeration,
 and quadrant+enumeration+diagnosis.  Each regime supervises a prefix of the
@@ -27,52 +28,21 @@ HEAD_CLASS_COUNTS = {
 
 
 class HierarchyLevel(enum.Enum):
+    """An annotation regime; its value joins the names of the heads it
+    supervises."""
+
     QUADRANT_ONLY = "quadrant"
     QUADRANT_ENUM = "quadrant_enumeration"
     FULL = "quadrant_enumeration_diagnosis"
 
-
-@dataclass(frozen=True)
-class HeadMask:
-    """Binary indicators of which heads are supervised.
-
-    Only the nested settings (1,0,0), (1,1,0), (1,1,1) are legal.
-    """
-
-    h_q: int
-    h_e: int
-    h_d: int
-
-    def __post_init__(self):
-        if (self.h_q, self.h_e, self.h_d) not in {(1, 0, 0), (1, 1, 0), (1, 1, 1)}:
-            raise ValueError(
-                f"illegal head mask ({self.h_q},{self.h_e},{self.h_d}); "
-                "hierarchy is nested"
-            )
-
     @property
-    def active_heads(self) -> tuple[str, ...]:
-        out = ["quadrant"]
-        if self.h_e:
-            out.append("enumeration")
-        if self.h_d:
-            out.append("diagnosis")
-        return tuple(out)
+    def heads(self) -> tuple[str, ...]:
+        """The supervised heads: a prefix of ``HEAD_NAMES``, shallow to deep."""
+        return tuple(self.value.split("_"))
 
     @property
     def deepest_head(self) -> str:
-        return self.active_heads[-1]
-
-
-def mask_for(level: HierarchyLevel) -> HeadMask:
-    """Head availability mask for an annotation regime."""
-    if level is HierarchyLevel.QUADRANT_ONLY:
-        return HeadMask(1, 0, 0)
-    if level is HierarchyLevel.QUADRANT_ENUM:
-        return HeadMask(1, 1, 0)
-    if level is HierarchyLevel.FULL:
-        return HeadMask(1, 1, 1)
-    raise ValueError(f"unknown hierarchy level: {level!r}")
+        return self.heads[-1]
 
 
 @dataclass(frozen=True)
@@ -84,24 +54,23 @@ class LabelTriple:
     diagnosis: int | None = None
 
     def __post_init__(self):
-        if self.quadrant is None and (
-            self.enumeration is not None or self.diagnosis is not None
-        ):
-            raise ValueError("enumeration/diagnosis present without quadrant")
-        if self.enumeration is None and self.diagnosis is not None:
-            raise ValueError("diagnosis present without enumeration")
-        if self.quadrant is not None and not 0 <= self.quadrant < NUM_QUADRANTS:
-            raise ValueError(f"quadrant index out of range: {self.quadrant}")
-        if self.enumeration is not None and not 0 <= self.enumeration < NUM_ENUMERATIONS:
-            raise ValueError(f"enumeration index out of range: {self.enumeration}")
-        if self.diagnosis is not None and not 0 <= self.diagnosis < NUM_DIAGNOSES:
-            raise ValueError(f"diagnosis index out of range: {self.diagnosis}")
+        missing = None  # the shallowest head without a label
+        for head in HEAD_NAMES:
+            value = getattr(self, head)
+            if value is None:
+                missing = missing or head
+            elif missing is not None:
+                raise ValueError(f"{head} present without {missing}")
+            elif isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{head} index is not an integer: {value!r}")
+            elif not 0 <= value < HEAD_CLASS_COUNTS[head]:
+                raise ValueError(f"{head} index out of range: {value}")
 
 
 def class_array(labels) -> np.ndarray:
     """(M, 3) integer class indices of M label triples, one column per head
     in ``HEAD_NAMES`` order; -1 where a head carries no label."""
-    rows = [(lab.quadrant, lab.enumeration, lab.diagnosis) for lab in labels]
+    rows = [[getattr(lab, head) for head in HEAD_NAMES] for lab in labels]
     return np.array(
         [[-1 if c is None else c for c in row] for row in rows], dtype=np.int64
     ).reshape(-1, len(HEAD_NAMES))

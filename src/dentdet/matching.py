@@ -9,12 +9,12 @@ the deepest supervised head only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .geometry import cxcywh_to_xyxy, giou_matrix
-from .labels import HEAD_NAMES, HeadMask
+from .labels import HEAD_NAMES, HierarchyLevel
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,12 @@ class LossBreakdown:
     matched_pairs: int = 0
 
 
-def _cost_matrix(probs, boxes01, gt_boxes, gt_classes, mask: HeadMask, cfg):
+def _cost_matrix(probs, boxes01, gt_boxes, gt_classes, level: HierarchyLevel, cfg):
     n = boxes01.shape[0]
     m = gt_boxes.shape[0]
     cost = np.zeros((n, m))
-    for head in mask.active_heads:
-        classes = gt_classes[:, HEAD_NAMES.index(head)]
-        cost += cfg.cls_weight * (1.0 - probs[head][:, classes])
+    for col, head in enumerate(level.heads):
+        cost += cfg.cls_weight * (1.0 - probs[head][:, gt_classes[:, col]])
     l1 = np.abs(boxes01[:, None, :] - gt_boxes[None, :, :]).sum(axis=2)
     cost += cfg.l1_weight * l1
     cost += cfg.giou_weight * (1.0 - giou_matrix(boxes01, gt_boxes))
@@ -75,10 +74,10 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     return sorted(zip(rows.tolist(), cols.tolist()), key=lambda p: p[1])
 
 
-def match_arrays(probs, boxes01, gt_boxes, gt_classes, mask: HeadMask, cfg):
+def match_arrays(probs, boxes01, gt_boxes, gt_classes, level: HierarchyLevel, cfg):
     """Assignment of one image's (M, 4) ground-truth boxes, with (M, 3)
     ``labels.class_array`` classes, to its proposals."""
-    cost = _cost_matrix(probs, boxes01, gt_boxes, gt_classes, mask, cfg)
+    cost = _cost_matrix(probs, boxes01, gt_boxes, gt_classes, level, cfg)
     return solve_assignment(cost)
 
 
@@ -167,7 +166,7 @@ def loss_forward_backward(
     pairs: list[list[tuple[int, int]]],
     gt_boxes: list[np.ndarray],
     gt_classes: list[np.ndarray],
-    mask: HeadMask,
+    level: HierarchyLevel,
     cfg,
 ):
     """Masked multi-task loss of a batch of images, with gradients.
@@ -186,7 +185,7 @@ def loss_forward_backward(
     offsets = np.asarray(offsets)
     n_rows = offsets[-1]
     gamma = cfg.focal_gamma
-    deepest = mask.deepest_head
+    deepest = level.deepest_head
     idx = [np.array(p, dtype=np.int64).reshape(-1, 2) for p in pairs]
     n_pairs = np.array([len(p) for p in idx])
     pair_bounds = np.concatenate([[0], np.cumsum(n_pairs)])
@@ -195,9 +194,9 @@ def loss_forward_backward(
     gb = np.concatenate([g[p[:, 1]] for g, p in zip(gt_boxes, idx)])
     gc = np.concatenate([c[p[:, 1]] for c, p in zip(gt_classes, idx)])
 
-    terms = {"cls_q": [0.0] * b, "cls_e": [0.0] * b, "cls_d": [0.0] * b}
+    terms = [[0.0] * b for _ in HEAD_NAMES]  # per head, each image's term
     dlogits: dict[str, np.ndarray] = {}
-    for head in mask.active_heads:
+    for col, head in enumerate(level.heads):
         p = probs[head]
         targets = np.full(n_rows, -1, dtype=np.int64)
         if head == deepest:
@@ -209,12 +208,12 @@ def loss_forward_backward(
             scale = np.zeros(n_rows)
             scale[pred_idx] = 1.0 / per_pair
             bounds = pair_bounds  # matched rows, in row order per image
-        targets[pred_idx] = gc[:, HEAD_NAMES.index(head)]
+        targets[pred_idx] = gc[:, col]
         rows = np.nonzero(scale > 0)[0]
         tgt = targets[rows]
         p_t = p[rows, tgt]
         val, dval = _focal(p_t, gamma)
-        terms[_short(head)] = _segment_sums(val * scale[rows], bounds)
+        terms[col] = _segment_sums(val * scale[rows], bounds)
         # Softmax backward: dL/dl_j = dL/dp_t * p_t * (delta_tj - p_j)
         coef = dval * scale[rows] * p_t
         dl = np.zeros(p.shape)
@@ -234,24 +233,20 @@ def loss_forward_backward(
 
     totals = np.zeros(6)
     for i in range(b):
-        cls = [terms[k][i] for k in ("cls_q", "cls_e", "cls_d")]
+        cls = [t[i] for t in terms]
         n = int(n_pairs[i])
         l1 = l1_sums[i] / n if n else 0.0
         giou = giou_sums[i] / n if n else 0.0
         total = (
-            cfg.cls_weight * (cls[0] + cls[1] + cls[2])
+            cfg.cls_weight * sum(cls[1:], start=cls[0])  # no 0.0 start: keeps a -0.0
             + cfg.l1_weight * l1
             + cfg.giou_weight * giou
         )
         if not np.isfinite(total):
-            names = ("cls_q", "cls_e", "cls_d", "l1", "giou")
+            names = [f.name for f in fields(LossBreakdown)]  # cls_*, l1, giou, ...
             bad = [k for k, v in zip(names, (*cls, l1, giou)) if not np.isfinite(v)]
             raise FloatingPointError(f"non-finite loss terms: {bad}")
         totals += np.array([*cls, l1, giou, total])
     totals /= b
     breakdown = LossBreakdown(*totals, matched_pairs=int(n_pairs.sum()))
     return breakdown, dlogits, dboxes01
-
-
-def _short(head: str) -> str:
-    return {"quadrant": "cls_q", "enumeration": "cls_e", "diagnosis": "cls_d"}[head]

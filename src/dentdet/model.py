@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import MIN_SIZE, signal_decode
-from .labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HeadMask
+from .labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel
 
 ParamStore = dict[str, np.ndarray]
 
@@ -223,11 +223,11 @@ def init_params(
     return params
 
 
-def level_params(mask: HeadMask | None = None) -> list[str]:
+def level_params(level: HierarchyLevel | None = None) -> list[str]:
     """Names of the tensors a level trains and hands on to the next, in
-    layout order: trunk, box head, then the classification heads ``mask``
+    layout order: trunk, box head, then the classification heads ``level``
     supervises (all of them if None), shallow to deep."""
-    heads = HEAD_NAMES if mask is None else mask.active_heads
+    heads = HEAD_NAMES if level is None else level.heads
     return [
         "trunk.w1", "trunk.b1", "trunk.w2", "trunk.b2", "box.w", "box.b",
         *(f"head_{head}.{p}" for head in heads for p in ("w", "b")),
@@ -372,7 +372,7 @@ def backward_net(
 
 
 def loss_probs_for_mask(
-    logits: dict[str, np.ndarray], mask: HeadMask
+    logits: dict[str, np.ndarray], level: HierarchyLevel
 ) -> dict[str, np.ndarray]:
     """Per-head probabilities used by matching and the loss.
 
@@ -381,9 +381,9 @@ def loss_probs_for_mask(
     Unsupervised heads are omitted.
     """
     out = {}
-    for head in mask.active_heads:
+    for head in level.heads:
         k = HEAD_CLASS_COUNTS[head]
-        if head == mask.deepest_head:
+        if head == level.deepest_head:
             out[head] = softmax(logits[head])
         else:
             out[head] = softmax(logits[head][:, :k])
@@ -395,7 +395,7 @@ def decode(
     grid_feats: np.ndarray,
     z: np.ndarray,
     t: float,
-    mask: HeadMask,
+    level: HierarchyLevel,
     cfg: ModelConfig,
     heads: tuple[str, ...] = HEAD_NAMES,
 ):
@@ -419,7 +419,7 @@ def decode(
         head: softmax(cache.logits[head][..., : HEAD_CLASS_COUNTS[head]])
         for head in heads
     }
-    deepest = probs.get(mask.deepest_head)
+    deepest = probs.get(level.deepest_head)
     scores = None if deepest is None else deepest.max(axis=-1)
     return cache.z0_pred, probs, scores, cache.logits
 
@@ -447,14 +447,14 @@ class BatchItem:
 def loss_gradients(
     params: ParamStore,
     batch: list[BatchItem],
-    mask: HeadMask,
+    level: HierarchyLevel,
     cfg: ModelConfig,
 ):
     """Loss and exact analytic gradients over a batch of images.
 
     Returns (loss, grads, breakdown) with the loss mean-reduced over images
     and the breakdown counting the matched pairs.  Gradients of heads
-    outside the mask are identically zero.  The trunk runs, and proposals
+    the level does not supervise are identically zero.  The trunk runs, and proposals
     are matched, image by image; the loss runs once over the stacked rows.
     """
     check_shapes(params, cfg)
@@ -464,8 +464,8 @@ def loss_gradients(
     caches = []
     for item, lo, hi in zip(batch, offsets, offsets[1:]):
         forward_features(cfg, item.grid_feats, item.z, item.t, out=x[lo:hi])
-        caches.append(forward_net(params, x[lo:hi], item.z, mask.active_heads))
-    bd, dz0_pred, dlogits = _output_gradients(caches, batch, offsets, mask, cfg)
+        caches.append(forward_net(params, x[lo:hi], item.z, level.heads))
+    bd, dz0_pred, dlogits = _output_gradients(caches, batch, offsets, level, cfg)
     for cache, lo, hi in zip(caches, offsets, offsets[1:]):
         backward_net(
             params, cache, dz0_pred[lo:hi],
@@ -474,7 +474,7 @@ def loss_gradients(
     return bd.total, grads, bd
 
 
-def _output_gradients(caches, batch, offsets, mask: HeadMask, cfg: ModelConfig):
+def _output_gradients(caches, batch, offsets, level: HierarchyLevel, cfg: ModelConfig):
     """Match each image, then take the batch-mean loss and its gradients on
     the stacked box predictions and full-width logits.
 
@@ -486,19 +486,19 @@ def _output_gradients(caches, batch, offsets, mask: HeadMask, cfg: ModelConfig):
     b = len(batch)
     z0_pred = np.concatenate([c.z0_pred for c in caches])
     boxes01 = signal_decode(z0_pred, cfg.scale)
-    probs = [loss_probs_for_mask(c.logits, mask) for c in caches]
+    probs = [loss_probs_for_mask(c.logits, level) for c in caches]
     pairs = [
-        match_arrays(p, boxes01[lo:hi], item.gt_boxes, item.gt_classes, mask, cfg)
+        match_arrays(p, boxes01[lo:hi], item.gt_boxes, item.gt_classes, level, cfg)
         for p, item, lo, hi in zip(probs, batch, offsets, offsets[1:])
     ]
     bd, dlogits, dboxes01 = loss_forward_backward(
-        {head: np.concatenate([p[head] for p in probs]) for head in mask.active_heads},
+        {head: np.concatenate([p[head] for p in probs]) for head in level.heads},
         boxes01,
         offsets,
         pairs,
         [item.gt_boxes for item in batch],
         [item.gt_classes for item in batch],
-        mask,
+        level,
         cfg,
     )
     # Mean over the batch; pad partial-head gradients up to K+1 logits.
@@ -517,16 +517,16 @@ def _output_gradients(caches, batch, offsets, mask: HeadMask, cfg: ModelConfig):
 def transfer_weights(
     src: ParamStore,
     dst: ParamStore,
-    src_mask: HeadMask | None = None,
+    src_level: HierarchyLevel | None = None,
 ) -> tuple[ParamStore, list[str]]:
-    """Copy ``level_params(src_mask)`` from ``src`` into a copy of ``dst``:
+    """Copy ``level_params(src_level)`` from ``src`` into a copy of ``dst``:
     the trunk, the box head and the heads the previous stage supervised.
 
-    Heads outside ``src_mask`` (newly supervised at the deeper stage) keep
-    their fresh initialization.  Returns the new store and the list of
-    copied tensor names.
+    Heads ``src_level`` does not supervise (newly supervised at the deeper
+    stage) keep their fresh initialization.  Returns the new store and the
+    list of copied tensor names.
     """
-    copied = level_params(src_mask)
+    copied = level_params(src_level)
     out = {k: v.copy() for k, v in dst.items()}
     for name in copied:
         if src[name].shape != out[name].shape:

@@ -28,7 +28,7 @@ from .diffusion import (
 )
 from .evalmetrics import EvalReport, build_report
 from .geometry import Box, iou, nms  # noqa: F401  (perfbench counts iou calls)
-from .labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel, class_array, mask_for
+from .labels import HEAD_CLASS_COUNTS, HierarchyLevel, class_array
 from .manipulate import (
     InferredBoxCache,
     inference_proposals,
@@ -178,10 +178,9 @@ def train_stage(
     """
     if not samples:
         raise ValueError("no training samples")
-    mask = mask_for(cfg.level)
-    heads = [HEAD_NAMES.index(h) for h in mask.active_heads]
+    supervised = len(cfg.level.heads)  # class_array columns the level labels
     for s in samples:
-        if (s.gt_classes[:, heads] < 0).any():
+        if (s.gt_classes[:, :supervised] < 0).any():
             raise ValueError(
                 f"sample {s.image_id} lacks labels of level {cfg.level.value}"
             )
@@ -190,7 +189,7 @@ def train_stage(
     else:
         params = {k: v.copy() for k, v in init.items()}
     rng = np.random.default_rng([cfg.seed, 1])
-    trainable = level_params(mask)
+    trainable = level_params(cfg.level)
     m = {n: np.zeros_like(params[n]) for n in trainable}
     v = {n: np.zeros_like(params[n]) for n in trainable}
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -239,7 +238,7 @@ def train_stage(
                     )
                 )
             try:
-                loss, grads, bd = loss_gradients(params, batch, mask, model_cfg)
+                loss, grads, bd = loss_gradients(params, batch, cfg.level, model_cfg)
             except FloatingPointError as e:
                 raise TrainingDiverged(it, str(last_ckpt) if last_ckpt else None) from e
             if not np.isfinite(loss):
@@ -358,7 +357,6 @@ def _sample(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    mask = mask_for(level)
     # linspace runs from T down to 0, so equal rounded steps are adjacent.
     times = list(dict.fromkeys(
         np.round(np.linspace(schedule.T, 0, steps + 1)).astype(int).tolist()
@@ -374,8 +372,8 @@ def _sample(
             # Renewal reads the deepest head's scores; the last step renews nothing.
             renew = si < len(times) - 2
             z0_pred, _, scores, _ = decode(
-                params, grid, z, float(t), mask, model_cfg,
-                heads=(mask.deepest_head,) if renew else (),
+                params, grid, z, float(t), level, model_cfg,
+                heads=(level.deepest_head,) if renew else (),
             )
             for b, rng in enumerate(rngs):
                 z[b] = ddim_step(z[b], z0_pred[b], t, t_next, schedule, eta, rng)
@@ -386,8 +384,8 @@ def _sample(
         # correct sizes after observing the content under the denoised
         # window), then decode the refined boxes so every head scores the
         # window it would actually report.
-        z0_pred = decode(params, grid, z, 0.0, mask, model_cfg, heads=())[0]
-        z0_pred, probs, scores, logits = decode(params, grid, z0_pred, 0.0, mask, model_cfg)
+        z0_pred = decode(params, grid, z, 0.0, level, model_cfg, heads=())[0]
+        z0_pred, probs, scores, logits = decode(params, grid, z0_pred, 0.0, level, model_cfg)
         boxes01 = signal_decode(z0_pred, model_cfg.scale)
         kept = nms(boxes01, scores, nms_iou)  # (image, row) pairs
         out = np.recarray(len(kept[0]), dtype=DETECTED)
@@ -396,7 +394,7 @@ def _sample(
         out.probs_e = probs["enumeration"][kept]
         out.probs_d = probs["diagnosis"][kept]
         out.score = scores[kept]
-        out.objectness = 1.0 - softmax(logits[mask.deepest_head][kept])[:, -1]
+        out.objectness = 1.0 - softmax(logits[level.deepest_head][kept])[:, -1]
         results += np.split(out, np.cumsum(np.bincount(kept[0], minlength=len(grid)))[:-1])
     return results
 
@@ -502,7 +500,7 @@ def evaluate_params(
         detected,
         [(s.gt_boxes, s.gt_classes) for s in eval_samples],
         [(s.width, s.height) for s in eval_samples],
-        tasks=mask_for(level).active_heads,
+        tasks=level.heads,
     )
 
 
@@ -540,9 +538,7 @@ def run_pipeline(
         init = None
         if transfer and prev_params is not None:
             fresh = init_params(model_cfg, np.random.default_rng([stage.seed, 0]))
-            init, copied = transfer_weights(
-                prev_params, fresh, src_mask=mask_for(prev_level)
-            )
+            init, copied = transfer_weights(prev_params, fresh, src_level=prev_level)
         cache = None
         if manipulate and prev_params is not None:
             cache = build_cache(

@@ -19,7 +19,7 @@ from dentdet.diffusion import (
     signal_encode,
 )
 from dentdet.geometry import Box, iou
-from dentdet.labels import HeadMask, HierarchyLevel, LabelTriple, class_array
+from dentdet.labels import HierarchyLevel, LabelTriple, class_array
 from dentdet.manipulate import inferred_boxes, manipulate_boxes
 from dentdet.matching import solve_assignment
 from dentdet.model import (
@@ -136,13 +136,9 @@ PARAM_GROUPS = {
 }
 
 
-def _grad_batch(rng, mask):
+def _grad_batch(rng, level):
     def triple(i):
-        if mask.h_d:
-            return LabelTriple(i, i + 2, i)
-        if mask.h_e:
-            return LabelTriple(i, i + 2)
-        return LabelTriple(i)
+        return LabelTriple(*(i, i + 2, i)[: len(level.heads)])
 
     grid = rng.normal(size=(GRAD_CFG.grid, GRAD_CFG.grid, GRAD_CFG.channels))
     gts = [
@@ -163,10 +159,9 @@ def _grad_batch(rng, mask):
 
 
 def test_gradients_match_finite_differences():
-    masks = [HeadMask(1, 0, 0), HeadMask(1, 1, 0), HeadMask(1, 1, 1)]
     eps = 1e-5
     with Timer() as timer:
-        for mask in masks:
+        for level in HierarchyLevel:
             rng = np.random.default_rng(10)
             params = init_params(GRAD_CFG, rng)
             # Jitter biases so no ReLU pre-activation sits exactly at its
@@ -176,12 +171,12 @@ def test_gradients_match_finite_differences():
                     params[name] = params[name] + rng.normal(
                         0, 0.01, params[name].shape
                     )
-            batch = [_grad_batch(rng, mask), _grad_batch(rng, mask)]
-            _, grads, _ = loss_gradients(params, batch, mask, GRAD_CFG)
+            batch = [_grad_batch(rng, level), _grad_batch(rng, level)]
+            _, grads, _ = loss_gradients(params, batch, level, GRAD_CFG)
 
             frozen_heads = [
                 h for h in ("enumeration", "diagnosis")
-                if h not in mask.active_heads
+                if h not in level.heads
             ]
             for head in frozen_heads:
                 assert np.all(grads[f"head_{head}.w"] == 0.0)
@@ -201,9 +196,9 @@ def test_gradients_match_finite_differences():
                     flat = params[name].reshape(-1)
                     orig = flat[i]
                     flat[i] = orig + eps
-                    lp, _, _ = loss_gradients(params, batch, mask, GRAD_CFG)
+                    lp, _, _ = loss_gradients(params, batch, level, GRAD_CFG)
                     flat[i] = orig - eps
-                    lm, _, _ = loss_gradients(params, batch, mask, GRAD_CFG)
+                    lm, _, _ = loss_gradients(params, batch, level, GRAD_CFG)
                     flat[i] = orig
                     fd = (lp - lm) / (2 * eps)
                     g = grads[name].reshape(-1)[i]
@@ -213,7 +208,7 @@ def test_gradients_match_finite_differences():
                     # on an absolute scale (errors ~1e-9 still fail).
                     denom = max(abs(fd), abs(g), 1e-5)
                     worst = max(worst, abs(fd - g) / denom)
-            assert worst < 1e-4, mask
+            assert worst < 1e-4, level
     assert timer.elapsed < 60.0
 
 

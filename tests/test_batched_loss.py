@@ -17,7 +17,6 @@ from dentdet.diffusion import Schedule, signal_decode
 from dentdet.labels import (
     HEAD_CLASS_COUNTS,
     HEAD_NAMES,
-    HeadMask,
     HierarchyLevel,
     LabelTriple,
     class_array,
@@ -26,7 +25,6 @@ from dentdet.manipulate import InferredBoxCache, inferred_boxes, manipulate_boxe
 from dentdet.matching import (
     LossBreakdown,
     _focal,
-    _short,
     giou_pair_grad,
     loss_forward_backward,
     match_arrays,
@@ -53,28 +51,27 @@ from helpers import truth_arrays
 # of the mean and the mask shows in the gradient bits.
 CFG = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8, scale=1.5)
 SCHED = Schedule.cosine(1000, 0.008)
-MASKS = pytest.mark.parametrize(
-    "mask", [HeadMask(1, 0, 0), HeadMask(1, 1, 0), HeadMask(1, 1, 1)],
-    ids=["q", "qe", "qed"],
-)
+LEVELS = pytest.mark.parametrize("level", list(HierarchyLevel), ids=["q", "qe", "qed"])
+# The LossBreakdown field of each head's classification term.
+CLS_TERM = dict(zip(HEAD_NAMES, ("cls_q", "cls_e", "cls_d")))
 
 
 # ---------------------------------------------------------------------------
 # Oracles: the per-image loss and gradient loop.
 
 
-def _image_loss(probs, boxes01, gt_boxes, gt_classes, pairs, mask, cfg):
+def _image_loss(probs, boxes01, gt_boxes, gt_classes, pairs, level, cfg):
     """Masked multi-task loss for one image; (breakdown, dlogits, dboxes01)."""
     n = boxes01.shape[0]
     gamma = cfg.focal_gamma
-    deepest = mask.deepest_head
+    deepest = level.deepest_head
     pred_idx = np.array([i for i, _ in pairs], dtype=int)
     gt_idx = np.array([j for _, j in pairs], dtype=int)
     n_pairs = len(pairs)
 
     cls_terms = {"cls_q": 0.0, "cls_e": 0.0, "cls_d": 0.0}
     dlogits = {}
-    for head in mask.active_heads:
+    for head in level.heads:
         p = probs[head]
         k_loss = p.shape[1]
         dp_t = np.zeros(n)
@@ -91,7 +88,7 @@ def _image_loss(probs, boxes01, gt_boxes, gt_classes, pairs, mask, cfg):
         rows = np.nonzero(scale > 0)[0]
         p_t = p[rows, targets[rows]]
         val, dval = _focal(p_t, gamma)
-        cls_terms[_short(head)] = float((val * scale[rows]).sum())
+        cls_terms[CLS_TERM[head]] = float((val * scale[rows]).sum())
         dp_t[rows] = dval * scale[rows]
         dl = np.zeros((n, k_loss))
         pt_full = np.zeros(n)
@@ -126,7 +123,7 @@ def _image_loss(probs, boxes01, gt_boxes, gt_classes, pairs, mask, cfg):
     return breakdown, dlogits, dboxes01
 
 
-def _oracle_loss_gradients(params, batch, mask, cfg):
+def _oracle_loss_gradients(params, batch, level, cfg):
     """Per-image forward, match, loss and backward; (loss, grads, breakdown)."""
     check_shapes(params, cfg)
     grads = zero_grads(cfg)
@@ -139,10 +136,10 @@ def _oracle_loss_gradients(params, batch, mask, cfg):
     ]
     for item, cache in zip(batch, caches):
         boxes01 = signal_decode(cache.z0_pred, cfg.scale)
-        probs = loss_probs_for_mask(cache.logits, mask)
-        pairs = match_arrays(probs, boxes01, item.gt_boxes, item.gt_classes, mask, cfg)
+        probs = loss_probs_for_mask(cache.logits, level)
+        pairs = match_arrays(probs, boxes01, item.gt_boxes, item.gt_classes, level, cfg)
         bd, dlogits, dboxes01 = _image_loss(
-            probs, boxes01, item.gt_boxes, item.gt_classes, pairs, mask, cfg
+            probs, boxes01, item.gt_boxes, item.gt_classes, pairs, level, cfg
         )
         if not np.isfinite(bd.total):
             bad = [
@@ -174,15 +171,15 @@ def _oracle_loss_gradients(params, batch, mask, cfg):
 # meets exact cost ties).
 
 
-def _triple(rng, mask):
+def _triple(rng, level):
     return LabelTriple(
         int(rng.integers(4)),
-        int(rng.integers(8)) if mask.h_e else None,
-        int(rng.integers(4)) if mask.h_d else None,
+        int(rng.integers(8)) if "enumeration" in level.heads else None,
+        int(rng.integers(4)) if "diagnosis" in level.heads else None,
     )
 
 
-def _batch(rng, mask, shapes=((5, 2), (9, 0), (3, 3), (7, 4), (6, 1))):
+def _batch(rng, level, shapes=((5, 2), (9, 0), (3, 3), (7, 4), (6, 1))):
     items = []
     for n, m in shapes:
         gt = np.column_stack(
@@ -200,7 +197,7 @@ def _batch(rng, mask, shapes=((5, 2), (9, 0), (3, 3), (7, 4), (6, 1))):
                 z=z,
                 t=float(rng.integers(1, SCHED.T + 1)),
                 gt_boxes=gt,
-                gt_classes=class_array([_triple(rng, mask) for _ in range(m)]),
+                gt_classes=class_array([_triple(rng, level) for _ in range(m)]),
             )
         )
     return items
@@ -221,14 +218,14 @@ def _same_bytes(a, b):
 # ---------------------------------------------------------------------------
 
 
-@MASKS
+@LEVELS
 @pytest.mark.parametrize("seed", range(4))
-def test_loss_gradients_equal_per_image_oracle(mask, seed):
+def test_loss_gradients_equal_per_image_oracle(level, seed):
     rng = np.random.default_rng([seed, 41])
     params = _params(rng)
-    batch = _batch(rng, mask)
-    loss, grads, bd = loss_gradients(params, batch, mask, CFG)
-    want_loss, want_grads, want_bd = _oracle_loss_gradients(params, batch, mask, CFG)
+    batch = _batch(rng, level)
+    loss, grads, bd = loss_gradients(params, batch, level, CFG)
+    want_loss, want_grads, want_bd = _oracle_loss_gradients(params, batch, level, CFG)
     assert loss == want_loss
     assert bd == want_bd
     assert bd.matched_pairs == sum(len(it.gt_boxes) for it in batch)
@@ -237,33 +234,33 @@ def test_loss_gradients_equal_per_image_oracle(mask, seed):
         assert _same_bytes(grads[name], want_grads[name]), name
 
 
-@MASKS
-def test_loss_rows_equal_per_image_oracle(mask):
+@LEVELS
+def test_loss_rows_equal_per_image_oracle(level):
     rng = np.random.default_rng(42)
     sizes, probs, boxes, gts, classes, pairs = [], [], [], [], [], []
     for n, m in ((6, 3), (4, 0), (8, 8), (1, 1)):
         p = {}
-        for head in mask.active_heads:
-            k = HEAD_CLASS_COUNTS[head] + (head == mask.deepest_head)
+        for head in level.heads:
+            k = HEAD_CLASS_COUNTS[head] + (head == level.deepest_head)
             p[head] = softmax(rng.normal(size=(n, k)))
         b01 = np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(0.01, 0.5, (n, 2))])
         gt = np.column_stack([rng.uniform(0, 1, (m, 2)), rng.uniform(0.01, 0.5, (m, 2))])
-        cls = class_array([_triple(rng, mask) for _ in range(m)])
+        cls = class_array([_triple(rng, level) for _ in range(m)])
         sizes.append(n)
         probs.append(p)
         boxes.append(b01)
         gts.append(gt)
         classes.append(cls)
-        pairs.append(match_arrays(p, b01, gt, cls, mask, ModelConfig()))
+        pairs.append(match_arrays(p, b01, gt, cls, level, ModelConfig()))
     offsets = np.cumsum([0] + sizes)
     bd, dlogits, dboxes = loss_forward_backward(
-        {h: np.concatenate([p[h] for p in probs]) for h in mask.active_heads},
-        np.concatenate(boxes), offsets, pairs, gts, classes, mask, ModelConfig(),
+        {h: np.concatenate([p[h] for p in probs]) for h in level.heads},
+        np.concatenate(boxes), offsets, pairs, gts, classes, level, ModelConfig(),
     )
     totals = np.zeros(6)
     for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
         want_bd, want_dl, want_db = _image_loss(
-            probs[i], boxes[i], gts[i], classes[i], pairs[i], mask, ModelConfig()
+            probs[i], boxes[i], gts[i], classes[i], pairs[i], level, ModelConfig()
         )
         totals += np.array([want_bd.cls_q, want_bd.cls_e, want_bd.cls_d,
                             want_bd.l1, want_bd.giou, want_bd.total])
@@ -275,19 +272,19 @@ def test_loss_rows_equal_per_image_oracle(mask):
     assert bd == LossBreakdown(*totals, matched_pairs=12)
 
 
-@MASKS
-def test_non_finite_loss_names_the_terms(mask):
+@LEVELS
+def test_non_finite_loss_names_the_terms(level):
     rng = np.random.default_rng(43)
     params = _params(rng)
-    params[f"head_{mask.deepest_head}.b"][0] = np.nan
+    params[f"head_{level.deepest_head}.b"][0] = np.nan
     # No ground truth: the assignment is skipped and the loss sees the NaN.
-    batch = _batch(rng, mask, shapes=((4, 0), (5, 0)))
+    batch = _batch(rng, level, shapes=((4, 0), (5, 0)))
     with pytest.raises(FloatingPointError) as want:
-        _oracle_loss_gradients(params, batch, mask, CFG)
+        _oracle_loss_gradients(params, batch, level, CFG)
     with pytest.raises(FloatingPointError) as got:
-        loss_gradients(params, batch, mask, CFG)
+        loss_gradients(params, batch, level, CFG)
     assert str(got.value) == str(want.value)
-    assert _short(mask.deepest_head) in str(got.value)
+    assert CLS_TERM[level.deepest_head] in str(got.value)
 
 
 def _samples(level, n=3, seed0=700):

@@ -132,6 +132,53 @@ def test_eval_oracle_is_perfect(dataset, cfg_path, tmp_path, capsys):
     assert all(v == "100.000" for v in scored.values())
 
 
+@pytest.mark.parametrize("given", [[], ["--checkpoint", "c.bin", "--oracle"]],
+                         ids=["neither", "both"])
+def test_eval_takes_one_of_checkpoint_and_oracle(given, dataset, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--data", str(dataset), *given])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--checkpoint" in err and "--oracle" in err and "Traceback" not in err
+
+
+def _malformed(case, doc):
+    """The text of an annotation file ``doc`` broken as ``case`` names."""
+    record = doc["annotations"][0]
+    if case == "not JSON":
+        return json.dumps(doc)[:-1]
+    if case == "top-level list":
+        return json.dumps([doc])
+    if case == "record not an object":
+        doc["annotations"][0] = [record]
+    elif case == "bbox not numbers":
+        record["bbox"][0] = "x"
+    else:  # a category id that is not an integer
+        record["category_id_1"] = {"text": "x", "fraction": 1.5, "bool": True}[case]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", ["validate", "eval --oracle", "train"])
+@pytest.mark.parametrize("case", [
+    "not JSON", "top-level list", "record not an object", "bbox not numbers",
+    "text", "fraction", "bool",
+])
+def test_malformed_annotations_are_invalid_data(command, case, dataset, cfg_path,
+                                                tmp_path, capsys):
+    path = dataset / "annotations_quadrant_enumeration_diagnosis.json"
+    path.write_text(_malformed(case, json.loads(path.read_text())))
+    args = {
+        "validate": ["validate", "--annotations", str(path)],
+        "eval --oracle": ["eval", "--data", str(dataset), "--oracle"],
+        "train": ["train", "--data", str(dataset), "--out", str(tmp_path / "run")],
+    }[command]
+    capsys.readouterr()
+    assert main(["--config", cfg_path, *args, "--level", "c"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    record = -1 if case in ("not JSON", "top-level list") else 0
+    assert f"record {record}: " in err and "Traceback" not in err
+
+
 def test_render_writes_overlays(dataset, cfg_path, tmp_path):
     out = tmp_path / "vis"
     assert main(["--config", cfg_path, "render", "--data", str(dataset),

@@ -184,6 +184,8 @@ class TestAnnotationIO:
                 {"image_id": "a", "bbox": [10, 10, 0, 5], "category_id_1": 0},
                 {"image_id": "a", "bbox": [90, 90, 20, 20], "category_id_1": 0},
                 {"image_id": "b", "bbox": [1, 1, 5, 5], "category_id_1": 0},
+                {"image_id": "a", "bbox": [float("nan"), 1, 5, 5], "category_id_1": 0},
+                {"image_id": "a", "bbox": [1, 1, 5, float("nan")], "category_id_1": 0},
             ],
         }
         path = tmp_path / "bad.json"
@@ -194,6 +196,7 @@ class TestAnnotationIO:
         assert any("non-positive" in m for m in msgs)
         assert any("outside image bounds" in m for m in msgs)
         assert any("unknown image_id" in m for m in msgs)
+        assert [i for i, _ in exc.value.errors] == [0, 1, 2, 3, 4]
 
 
 class TestSplit:

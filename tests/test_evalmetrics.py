@@ -14,7 +14,6 @@ from dentdet.evalmetrics import (
     AREA_MEDIUM,
     IOU_THRESHOLDS,
     RECALL_POINTS,
-    TASKS,
     EvalReport,
     TaskMetrics,
     _area_px as _area_px_array,
@@ -29,7 +28,7 @@ from dentdet.evalmetrics import (
     task_ground_truth,
 )
 from dentdet.geometry import Box, iou, iou_matrix
-from dentdet.labels import HEAD_CLASS_COUNTS, HierarchyLevel, LabelTriple, mask_for
+from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel, LabelTriple
 from dentdet.model import ModelConfig, encode_image, init_params
 from dentdet.train import DETECTED, Detection, _sample, infer
 from helpers import EvalInstance, eval_arrays, score, truth_arrays
@@ -893,14 +892,14 @@ def test_array_report_equals_detection_list_report(level, steps):
     objects.append([])
     gts.append(gts[0])
     sizes = [(256, 256)] * len(gts)
-    for task in TASKS:
+    for task in HEAD_NAMES:
         for records, dets in zip(detected, objects):
             got = detections_to_eval(records, task)
             want = _detections_to_eval_objects(dets, task)
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.dtype == w.dtype
                 assert np.array_equal(g, w)
-    tasks = mask_for(level).active_heads
+    tasks = level.heads
     got = build_report(detected, gts, sizes, tasks)
     want = _build_report_objects(objects, gts, sizes, tasks)
     assert got.key_values() == want.key_values()

@@ -1,4 +1,4 @@
-"""Label hierarchy: masks, triples, and per-head class arrays."""
+"""Label hierarchy: levels and their heads, triples, and per-head class arrays."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,11 @@ import pytest
 from dentdet.labels import (
     HEAD_CLASS_COUNTS,
     HEAD_NAMES,
-    HeadMask,
     HierarchyLevel,
     LabelTriple,
     class_array,
-    mask_for,
 )
+from dentdet.model import level_params
 
 
 def test_class_counts():
@@ -28,22 +27,29 @@ def test_class_counts():
     ],
 )
 def test_mask_for_levels(level, expected):
-    m = mask_for(level)
-    assert (m.h_q, m.h_e, m.h_d) == expected
+    # The paper's head availability mask (h_q, h_e, h_d) of each level.
+    assert level.heads == tuple(h for h, bit in zip(HEAD_NAMES, expected) if bit)
+    heads = [f"head_{h}.{p}" for h, bit in zip(HEAD_NAMES, expected) if bit
+             for p in ("w", "b")]
+    assert level_params(level) == [
+        "trunk.w1", "trunk.b1", "trunk.w2", "trunk.b2", "box.w", "box.b", *heads
+    ]
 
 
-@pytest.mark.parametrize("bad", [(0, 0, 0), (1, 0, 1), (0, 1, 1), (0, 1, 0)])
-def test_non_nested_masks_rejected(bad):
-    with pytest.raises(ValueError):
-        HeadMask(*bad)
+def test_level_heads_are_nested_prefixes():
+    # Shallow to deep, each level supervises one more head than the last.
+    for depth, level in enumerate(HierarchyLevel, start=1):
+        assert level.heads == HEAD_NAMES[:depth]
+        assert level.deepest_head == HEAD_NAMES[depth - 1]
+    assert level_params() == level_params(HierarchyLevel.FULL)
 
 
 def test_active_and_deepest_heads():
-    assert mask_for(HierarchyLevel.QUADRANT_ONLY).active_heads == ("quadrant",)
-    assert mask_for(HierarchyLevel.QUADRANT_ONLY).deepest_head == "quadrant"
-    assert mask_for(HierarchyLevel.QUADRANT_ENUM).deepest_head == "enumeration"
-    assert mask_for(HierarchyLevel.FULL).active_heads == HEAD_NAMES
-    assert mask_for(HierarchyLevel.FULL).deepest_head == "diagnosis"
+    assert HierarchyLevel.QUADRANT_ONLY.heads == ("quadrant",)
+    assert HierarchyLevel.QUADRANT_ONLY.deepest_head == "quadrant"
+    assert HierarchyLevel.QUADRANT_ENUM.deepest_head == "enumeration"
+    assert HierarchyLevel.FULL.heads == HEAD_NAMES
+    assert HierarchyLevel.FULL.deepest_head == "diagnosis"
 
 
 def test_triple_rejects_gaps():
@@ -65,6 +71,27 @@ def test_triple_rejects_gaps():
 def test_triple_rejects_out_of_range(kwargs):
     with pytest.raises(ValueError):
         LabelTriple(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"quadrant": 1.5},
+        {"quadrant": 1.0},
+        {"quadrant": True},
+        {"quadrant": "1"},
+        {"quadrant": 0, "enumeration": [1]},
+        {"quadrant": 0, "enumeration": 0, "diagnosis": False},
+    ],
+)
+def test_triple_rejects_non_integers(kwargs):
+    # class_array would truncate 1.5 and True to quadrant 1.
+    with pytest.raises(ValueError, match="not an integer"):
+        LabelTriple(**kwargs)
+
+
+def test_triple_accepts_numpy_integers():
+    assert class_array([LabelTriple(np.int64(3), np.int32(7))]).tolist() == [[3, 7, -1]]
 
 
 def test_class_for():

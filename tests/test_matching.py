@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dentdet.geometry import Box
-from dentdet.labels import HeadMask, HierarchyLevel, LabelTriple, class_array, mask_for
+from dentdet.labels import HierarchyLevel, LabelTriple, class_array
 from dentdet.matching import (
     LossBreakdown,
     _cost_matrix,
@@ -37,11 +37,11 @@ class MatchResult:
     unmatched_preds: tuple[int, ...]
 
 
-def _arrays(preds, gts, mask):
+def _arrays(preds, gts, level):
     boxes01 = np.stack([p.box.to_array() for p in preds])
     probs = {
         head: np.stack([p.loss_probs[head] for p in preds])
-        for head in mask.active_heads
+        for head in level.heads
     }
     gt_boxes = (
         np.stack([b.to_array() for b, _ in gts]) if gts else np.zeros((0, 4))
@@ -49,27 +49,27 @@ def _arrays(preds, gts, mask):
     return probs, boxes01, gt_boxes, class_array([lab for _, lab in gts])
 
 
-def match(preds, gts, mask, cfg=CFG) -> MatchResult:
+def match(preds, gts, level, cfg=CFG) -> MatchResult:
     """Minimum-cost one-to-one assignment of ground truth to predictions."""
     if len(gts) > len(preds):
         raise ValueError("cannot match more ground-truth boxes than predictions")
-    pairs = match_arrays(*_arrays(preds, gts, mask), mask, cfg)
+    pairs = match_arrays(*_arrays(preds, gts, level), level, cfg)
     matched = {i for i, _ in pairs}
     unmatched = tuple(i for i in range(len(preds)) if i not in matched)
     return MatchResult(pairs=tuple(pairs), unmatched_preds=unmatched)
 
 
-def compute_loss(preds, gts, matchres, mask, cfg=CFG) -> LossBreakdown:
+def compute_loss(preds, gts, matchres, level, cfg=CFG) -> LossBreakdown:
     """Loss breakdown for already-matched predictions (no gradients)."""
-    probs, boxes01, gt_boxes, gt_classes = _arrays(preds, gts, mask)
+    probs, boxes01, gt_boxes, gt_classes = _arrays(preds, gts, level)
     breakdown, _, _ = loss_forward_backward(
         probs, boxes01, [0, len(preds)], [list(matchres.pairs)], [gt_boxes],
-        [gt_classes], mask, cfg,
+        [gt_classes], level, cfg,
     )
     return breakdown
 
 
-def _det(box, q=None, e=None, d=None, mask=HeadMask(1, 1, 1)):
+def _det(box, q=None, e=None, d=None, level=HierarchyLevel.FULL):
     """Prediction with near-one-hot loss distributions (None = uniform)."""
 
     def dist(k, idx):
@@ -81,8 +81,8 @@ def _det(box, q=None, e=None, d=None, mask=HeadMask(1, 1, 1)):
 
     loss_probs = {}
     for head, k, idx in (("quadrant", 4, q), ("enumeration", 8, e), ("diagnosis", 4, d)):
-        if head in mask.active_heads:
-            extra = 1 if head == mask.deepest_head else 0
+        if head in level.heads:
+            extra = 1 if head == level.deepest_head else 0
             loss_probs[head] = dist(k + extra, idx)
     return _Pred(box=box, loss_probs=loss_probs)
 
@@ -126,46 +126,46 @@ class TestAssignment:
 
 class TestMatch:
     def test_one_gt_one_pred(self):
-        preds = [_det(Box(0.5, 0.5, 0.2, 0.2), q=1, mask=HeadMask(1, 0, 0))]
+        preds = [_det(Box(0.5, 0.5, 0.2, 0.2), q=1, level=HierarchyLevel.QUADRANT_ONLY)]
         gts = [(Box(0.5, 0.5, 0.2, 0.2), LabelTriple(1))]
-        res = match(preds, gts, HeadMask(1, 0, 0))
+        res = match(preds, gts, HierarchyLevel.QUADRANT_ONLY)
         assert res.pairs == ((0, 0),)
         assert res.unmatched_preds == ()
 
     def test_prefers_nearby_box(self):
-        mask = HeadMask(1, 0, 0)
+        level = HierarchyLevel.QUADRANT_ONLY
         preds = [
-            _det(Box(0.2, 0.2, 0.1, 0.1), q=0, mask=mask),
-            _det(Box(0.8, 0.8, 0.1, 0.1), q=0, mask=mask),
+            _det(Box(0.2, 0.2, 0.1, 0.1), q=0, level=level),
+            _det(Box(0.8, 0.8, 0.1, 0.1), q=0, level=level),
         ]
         gts = [(Box(0.78, 0.81, 0.1, 0.1), LabelTriple(0))]
-        res = match(preds, gts, mask)
+        res = match(preds, gts, level)
         assert res.pairs == ((1, 0),)
         assert res.unmatched_preds == (0,)
 
     def test_duplicate_preds_take_lower_index(self):
-        mask = HeadMask(1, 0, 0)
+        level = HierarchyLevel.QUADRANT_ONLY
         b = Box(0.5, 0.5, 0.2, 0.2)
-        preds = [_det(b, q=2, mask=mask), _det(b, q=2, mask=mask)]
+        preds = [_det(b, q=2, level=level), _det(b, q=2, level=level)]
         gts = [(b, LabelTriple(2))]
-        assert match(preds, gts, mask).pairs == ((0, 0),)
+        assert match(preds, gts, level).pairs == ((0, 0),)
 
     def test_rejects_excess_gts(self):
-        mask = HeadMask(1, 0, 0)
-        preds = [_det(Box(0.5, 0.5, 0.1, 0.1), mask=mask)]
+        level = HierarchyLevel.QUADRANT_ONLY
+        preds = [_det(Box(0.5, 0.5, 0.1, 0.1), level=level)]
         gts = [(Box(0.4, 0.4, 0.1, 0.1), LabelTriple(0))] * 2
         with pytest.raises(ValueError):
-            match(preds, gts, mask)
+            match(preds, gts, level)
 
     def test_cost_matrix_hand_value(self):
         # Single pred/gt with known probabilities and geometry.
-        mask = HeadMask(1, 0, 0)
+        level = HierarchyLevel.QUADRANT_ONLY
         pb, gb = Box(0.5, 0.5, 0.2, 0.2), Box(0.6, 0.5, 0.2, 0.2)
-        pred = _det(pb, mask=mask)  # uniform over 5 classes incl. background
+        pred = _det(pb, level=level)  # uniform over 5 classes incl. background
         probs = {"quadrant": np.stack([pred.loss_probs["quadrant"]])}
         cost = _cost_matrix(
             probs, pb.to_array()[None], gb.to_array()[None],
-            class_array([LabelTriple(1)]), mask, CFG,
+            class_array([LabelTriple(1)]), level, CFG,
         )
         # Overlap 0.1 x 0.2 of two 0.04 boxes: IoU 0.02 / 0.06, and the
         # 0.3 x 0.2 hull equals the union, so GIoU = IoU = 1/3.
@@ -173,22 +173,23 @@ class TestMatch:
         assert cost[0, 0] == pytest.approx(want, abs=1e-9)
 
     def test_masked_head_probs_do_not_affect_matching(self):
-        mask = HeadMask(1, 0, 0)
+        level = HierarchyLevel.QUADRANT_ONLY
         b1, b2 = Box(0.3, 0.3, 0.2, 0.2), Box(0.7, 0.7, 0.2, 0.2)
         gts = [(b1, LabelTriple(0)), (b2, LabelTriple(1))]
-        base = [_det(b1, q=0, mask=mask), _det(b2, q=1, mask=mask)]
-        alt = [_det(b1, q=0, e=5, d=3, mask=mask), _det(b2, q=1, e=1, d=0, mask=mask)]
-        assert match(base, gts, mask) == match(alt, gts, mask)
+        base = [_det(b1, q=0, level=level), _det(b2, q=1, level=level)]
+        alt = [_det(b1, q=0, e=5, d=3, level=level),
+               _det(b2, q=1, e=1, d=0, level=level)]
+        assert match(base, gts, level) == match(alt, gts, level)
 
 
 class TestComputeLoss:
     def test_perfect_predictions_near_zero(self):
-        mask = mask_for(HierarchyLevel.FULL)
+        level = HierarchyLevel.FULL
         b = Box(0.5, 0.5, 0.25, 0.25)
-        preds = [_det(b, q=1, e=3, d=2, mask=mask)]
+        preds = [_det(b, q=1, e=3, d=2, level=level)]
         gts = [(b, LabelTriple(1, 3, 2))]
-        res = match(preds, gts, mask)
-        bd = compute_loss(preds, gts, res, mask)
+        res = match(preds, gts, level)
+        bd = compute_loss(preds, gts, res, level)
         assert bd.total == pytest.approx(0.0, abs=1e-9)
         assert bd.l1 == 0.0 and bd.giou == pytest.approx(0.0, abs=1e-12)
 
@@ -196,33 +197,33 @@ class TestComputeLoss:
         # Mask (1,0,0): the quadrant head carries a background logit, so the
         # uniform distribution is over 5 classes; focal term is
         # (1 - 1/5)^gamma * -log(1/5).
-        mask = HeadMask(1, 0, 0)
+        level = HierarchyLevel.QUADRANT_ONLY
         b = Box(0.5, 0.5, 0.2, 0.2)
-        preds = [_det(b, mask=mask)]  # uniform
+        preds = [_det(b, level=level)]  # uniform
         gts = [(b, LabelTriple(3))]
-        bd = compute_loss(preds, gts, MatchResult(((0, 0),), ()), mask)
+        bd = compute_loss(preds, gts, MatchResult(((0, 0),), ()), level)
         want = (1 - 0.2) ** 2 * -np.log(0.2)
         assert bd.cls_q == pytest.approx(want, rel=1e-12)
         assert bd.cls_e == 0.0 and bd.cls_d == 0.0
         assert bd.total == pytest.approx(2 * want, rel=1e-12)
 
     def test_masked_terms_exactly_zero(self):
-        mask = HeadMask(1, 0, 0)
+        level = HierarchyLevel.QUADRANT_ONLY
         b = Box(0.4, 0.4, 0.2, 0.2)
-        preds = [_det(b, q=2, e=7, d=3, mask=mask)]
+        preds = [_det(b, q=2, e=7, d=3, level=level)]
         gts = [(b, LabelTriple(2))]
-        bd = compute_loss(preds, gts, match(preds, gts, mask), mask)
+        bd = compute_loss(preds, gts, match(preds, gts, level), level)
         assert bd.cls_e == 0.0
         assert bd.cls_d == 0.0
 
     def test_total_recombines_weighted_terms(self):
-        mask = mask_for(HierarchyLevel.FULL)
+        level = HierarchyLevel.FULL
         rng = np.random.default_rng(7)
         preds = [
             _det(
                 Box(*rng.uniform(0.2, 0.8, 2), *rng.uniform(0.1, 0.3, 2)),
                 q=int(rng.integers(4)), e=int(rng.integers(8)),
-                d=int(rng.integers(4)), mask=mask,
+                d=int(rng.integers(4)), level=level,
             )
             for _ in range(5)
         ]
@@ -232,18 +233,18 @@ class TestComputeLoss:
                          int(rng.integers(4))))
             for _ in range(3)
         ]
-        bd = compute_loss(preds, gts, match(preds, gts, mask), mask)
+        bd = compute_loss(preds, gts, match(preds, gts, level), level)
         want = 2 * (bd.cls_q + bd.cls_e + bd.cls_d) + 5 * bd.l1 + 2 * bd.giou
         assert bd.total == pytest.approx(want, rel=1e-12)
         assert bd.total >= 0
 
     def test_loss_invariant_under_pred_permutation(self):
-        mask = mask_for(HierarchyLevel.QUADRANT_ENUM)
+        level = HierarchyLevel.QUADRANT_ENUM
         rng = np.random.default_rng(8)
         preds = [
             _det(
                 Box(*rng.uniform(0.2, 0.8, 2), *rng.uniform(0.1, 0.3, 2)),
-                q=int(rng.integers(4)), e=int(rng.integers(8)), mask=mask,
+                q=int(rng.integers(4)), e=int(rng.integers(8)), level=level,
             )
             for _ in range(4)
         ]
@@ -252,15 +253,15 @@ class TestComputeLoss:
              LabelTriple(int(rng.integers(4)), int(rng.integers(8))))
             for _ in range(2)
         ]
-        bd1 = compute_loss(preds, gts, match(preds, gts, mask), mask)
+        bd1 = compute_loss(preds, gts, match(preds, gts, level), level)
         shuffled = [preds[i] for i in (2, 0, 3, 1)]
-        bd2 = compute_loss(shuffled, gts, match(shuffled, gts, mask), mask)
+        bd2 = compute_loss(shuffled, gts, match(shuffled, gts, level), level)
         assert bd1.total == pytest.approx(bd2.total, rel=1e-12)
 
     def test_no_gts_pure_background(self):
-        mask = HeadMask(1, 0, 0)
-        preds = [_det(Box(0.5, 0.5, 0.1, 0.1), mask=mask) for _ in range(3)]
-        bd = compute_loss(preds, [], MatchResult((), (0, 1, 2)), mask)
+        level = HierarchyLevel.QUADRANT_ONLY
+        preds = [_det(Box(0.5, 0.5, 0.1, 0.1), level=level) for _ in range(3)]
+        bd = compute_loss(preds, [], MatchResult((), (0, 1, 2)), level)
         # Every proposal pays the uniform-probability background term.
         want = (1 - 0.2) ** 2 * -np.log(0.2)
         assert bd.cls_q == pytest.approx(want, rel=1e-12)

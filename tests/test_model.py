@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from dentdet.diffusion import signal_decode, signal_encode
 from dentdet.geometry import Box
-from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HeadMask, LabelTriple, class_array
+from dentdet.labels import (
+    HEAD_CLASS_COUNTS,
+    HEAD_NAMES,
+    HierarchyLevel,
+    LabelTriple,
+    class_array,
+)
 from dentdet.model import (
     HIST_CHANNELS,
     NUM_CHANNELS,
@@ -323,7 +329,7 @@ class TestDecode:
         grid = np.random.default_rng(5).normal(size=(4, 4, NUM_CHANNELS))
         z = np.random.default_rng(6).standard_normal((6, 4))
         z0_pred, probs, scores, logits = decode(
-            params, grid, z, 500.0, HeadMask(1, 0, 0), SMALL
+            params, grid, z, 500.0, HierarchyLevel.QUADRANT_ONLY, SMALL
         )
         assert z0_pred.shape == (6, 4)
         assert {h: p.shape for h, p in probs.items()} == {
@@ -332,17 +338,15 @@ class TestDecode:
         np.testing.assert_allclose(probs["quadrant"], 0.25)
         np.testing.assert_allclose(scores, 0.25)
         # loss distribution includes the background logit
-        loss = loss_probs_for_mask(logits, HeadMask(1, 0, 0))
+        loss = loss_probs_for_mask(logits, HierarchyLevel.QUADRANT_ONLY)
         np.testing.assert_allclose(loss["quadrant"], 0.2)
 
     def test_scores_are_max_of_deepest_head(self):
         params = init_params(SMALL, np.random.default_rng(10), head_scale=1.0)
         grid = np.random.default_rng(11).normal(size=(4, 4, NUM_CHANNELS))
         z = np.random.default_rng(12).standard_normal((5, 4))
-        for mask, head in ((HeadMask(1, 0, 0), "quadrant"),
-                           (HeadMask(1, 1, 0), "enumeration"),
-                           (HeadMask(1, 1, 1), "diagnosis")):
-            _, probs, scores, logits = decode(params, grid, z, 50.0, mask, SMALL)
+        for level, head in zip(HierarchyLevel, HEAD_NAMES):
+            _, probs, scores, logits = decode(params, grid, z, 50.0, level, SMALL)
             np.testing.assert_array_equal(scores, probs[head].max(axis=1))
             for h, p in probs.items():
                 k = p.shape[1]
@@ -353,7 +357,7 @@ class TestDecode:
         params = init_params(SMALL, np.random.default_rng(7))
         grid = np.zeros((4, 4, NUM_CHANNELS))
         z = np.random.default_rng(8).standard_normal((3, 4))
-        z0_pred, _, _, logits = decode(params, grid, z, 100.0, HeadMask(1, 1, 1), SMALL)
+        z0_pred, _, _, logits = decode(params, grid, z, 100.0, HierarchyLevel.FULL, SMALL)
         net = forward_net(params, forward_features(SMALL, grid, z, 100.0), z)
         np.testing.assert_array_equal(z0_pred, net.z0_pred)
         for head in HEAD_NAMES:
@@ -364,10 +368,11 @@ class TestDecode:
     def test_rejects_bad_proposals(self):
         params = init_params(SMALL, np.random.default_rng(9))
         grid = np.zeros((4, 4, NUM_CHANNELS))
+        level = HierarchyLevel.QUADRANT_ONLY
         with pytest.raises(ValueError):
-            decode(params, grid, np.zeros((3, 5)), 10.0, HeadMask(1, 0, 0), SMALL)
+            decode(params, grid, np.zeros((3, 5)), 10.0, level, SMALL)
         with pytest.raises(ValueError, match="one .* feature grid per image"):
-            decode(params, grid, np.zeros((2, 3, 4)), 10.0, HeadMask(1, 0, 0), SMALL)
+            decode(params, grid, np.zeros((2, 3, 4)), 10.0, level, SMALL)
 
     @pytest.mark.parametrize("cfg, n", [(SMALL, 5), (ModelConfig(), 64)],
                              ids=["small", "default"])
@@ -376,9 +381,9 @@ class TestDecode:
         params = init_params(cfg, rng, head_scale=0.3)
         grids = rng.normal(size=(3, cfg.grid, cfg.grid, NUM_CHANNELS))
         z = rng.standard_normal((3, n, 4))
-        mask = HeadMask(1, 1, 0)
-        z0_pred, probs, scores, logits = decode(params, grids, z, 250.0, mask, cfg)
-        ones = [decode(params, g, zi, 250.0, mask, cfg) for g, zi in zip(grids, z)]
+        level = HierarchyLevel.QUADRANT_ENUM
+        z0_pred, probs, scores, logits = decode(params, grids, z, 250.0, level, cfg)
+        ones = [decode(params, g, zi, 250.0, level, cfg) for g, zi in zip(grids, z)]
         np.testing.assert_array_equal(z0_pred, np.stack([o[0] for o in ones]))
         np.testing.assert_array_equal(scores, np.stack([o[2] for o in ones]))
         for head in HEAD_NAMES:
@@ -397,13 +402,13 @@ class TestDecode:
         params = init_params(SMALL, np.random.default_rng(14), head_scale=1.0)
         grid = np.random.default_rng(15).normal(size=(2, 4, 4, NUM_CHANNELS))
         z = np.random.default_rng(16).standard_normal((2, 5, 4))
-        mask = HeadMask(1, 1, 0)
-        z0_all, probs_all, scores_all, _ = decode(params, grid, z, 40.0, mask, SMALL)
-        z0_pred, probs, scores, logits = decode(params, grid, z, 40.0, mask, SMALL, heads=())
+        level = HierarchyLevel.QUADRANT_ENUM
+        z0_all, probs_all, scores_all, _ = decode(params, grid, z, 40.0, level, SMALL)
+        z0_pred, probs, scores, logits = decode(params, grid, z, 40.0, level, SMALL, heads=())
         np.testing.assert_array_equal(z0_pred, z0_all)
         assert probs == {} and logits == {} and scores is None
         _, probs, scores, logits = decode(
-            params, grid, z, 40.0, mask, SMALL, heads=("enumeration",)
+            params, grid, z, 40.0, level, SMALL, heads=("enumeration",)
         )
         assert set(probs) == set(logits) == {"enumeration"}
         np.testing.assert_array_equal(probs["enumeration"], probs_all["enumeration"])
@@ -532,11 +537,11 @@ class TestHeadInput:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
 
-def _small_batch(rng, mask):
+def _small_batch(rng, level):
     grid = rng.normal(size=(SMALL.grid, SMALL.grid, NUM_CHANNELS))
     gts = [
-        (Box(0.3, 0.3, 0.2, 0.2), _triple_for(mask, 0)),
-        (Box(0.7, 0.6, 0.25, 0.3), _triple_for(mask, 1)),
+        (Box(0.3, 0.3, 0.2, 0.2), _triple_for(level, 0)),
+        (Box(0.7, 0.6, 0.25, 0.3), _triple_for(level, 1)),
     ]
     z = signal_encode(
         np.stack([b.to_array() for b, _ in gts] + [rng.uniform(0.2, 0.8, 4)]),
@@ -551,20 +556,13 @@ def _small_batch(rng, mask):
     )
 
 
-def _triple_for(mask, i):
-    if mask.h_d:
-        return LabelTriple(i, i + 2, i)
-    if mask.h_e:
-        return LabelTriple(i, i + 2)
-    return LabelTriple(i)
+def _triple_for(level, i):
+    return LabelTriple(*(i, i + 2, i)[: len(level.heads)])
 
 
-@pytest.mark.parametrize(
-    "mask", [HeadMask(1, 0, 0), HeadMask(1, 1, 0), HeadMask(1, 1, 1)],
-    ids=["q", "qe", "qed"],
-)
+@pytest.mark.parametrize("level", list(HierarchyLevel), ids=["q", "qe", "qed"])
 class TestGradients:
-    def test_finite_difference_check(self, mask):
+    def test_finite_difference_check(self, level):
         rng = np.random.default_rng(10)
         params = init_params(SMALL, rng)
         # Jitter biases so no ReLU pre-activation sits exactly at its kink,
@@ -572,8 +570,8 @@ class TestGradients:
         for name in params:
             if name.endswith(".b") or ".b" in name:
                 params[name] = params[name] + rng.normal(0, 0.01, params[name].shape)
-        batch = [_small_batch(rng, mask)]
-        _, grads, _ = loss_gradients(params, batch, mask, SMALL)
+        batch = [_small_batch(rng, level)]
+        _, grads, _ = loss_gradients(params, batch, level, SMALL)
         eps = 1e-5
         worst = 0.0
         for name in params:
@@ -583,9 +581,9 @@ class TestGradients:
             for i in idx:
                 orig = flat[i]
                 flat[i] = orig + eps
-                lp, _, _ = loss_gradients(params, batch, mask, SMALL)
+                lp, _, _ = loss_gradients(params, batch, level, SMALL)
                 flat[i] = orig - eps
-                lm, _, _ = loss_gradients(params, batch, mask, SMALL)
+                lm, _, _ = loss_gradients(params, batch, level, SMALL)
                 flat[i] = orig
                 fd = (lp - lm) / (2 * eps)
                 # The 1e-6 floor keeps sub-1e-7 gradients, where central
@@ -594,11 +592,11 @@ class TestGradients:
                 worst = max(worst, abs(fd - gflat[i]) / denom)
         assert worst < 1e-4
 
-    def test_frozen_heads_zero_gradient(self, mask):
+    def test_frozen_heads_zero_gradient(self, level):
         rng = np.random.default_rng(11)
         params = init_params(SMALL, rng)
-        _, grads, _ = loss_gradients(params, [_small_batch(rng, mask)], mask, SMALL)
-        frozen = [h for h in ("enumeration", "diagnosis") if h not in mask.active_heads]
+        _, grads, _ = loss_gradients(params, [_small_batch(rng, level)], level, SMALL)
+        frozen = [h for h in ("enumeration", "diagnosis") if h not in level.heads]
         for head in frozen:
             assert np.all(grads[f"head_{head}.w"] == 0.0)
             assert np.all(grads[f"head_{head}.b"] == 0.0)
@@ -607,11 +605,11 @@ class TestGradients:
 class TestBatching:
     def test_batch_loss_is_mean_of_singles(self):
         rng = np.random.default_rng(12)
-        mask = HeadMask(1, 1, 0)
+        level = HierarchyLevel.QUADRANT_ENUM
         params = init_params(SMALL, rng)
-        items = [_small_batch(rng, mask) for _ in range(3)]
-        loss_b, grads_b, _ = loss_gradients(params, items, mask, SMALL)
-        singles = [loss_gradients(params, [it], mask, SMALL) for it in items]
+        items = [_small_batch(rng, level) for _ in range(3)]
+        loss_b, grads_b, _ = loss_gradients(params, items, level, SMALL)
+        singles = [loss_gradients(params, [it], level, SMALL) for it in items]
         assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
         for name in grads_b:
             want = np.mean([s[1][name] for s in singles], axis=0)
@@ -658,11 +656,11 @@ def _oracle_init_params(cfg, rng, head_scale=1e-4):
     return params
 
 
-def _oracle_transfer_weights(src, dst, src_mask=None):
+def _oracle_transfer_weights(src, dst, src_level=None):
     for name in _SHARED:
         if src[name].shape != dst[name].shape:
             raise ValueError(f"incompatible trunk shapes for {name}")
-    heads = src_mask.active_heads if src_mask is not None else tuple(HEAD_NAMES)
+    heads = src_level.heads if src_level is not None else tuple(HEAD_NAMES)
     copied = [*_SHARED, *(f"head_{h}.{p}" for h in heads for p in ("w", "b"))]
     out = {k: v.copy() for k, v in dst.items()}
     for name in copied:
@@ -676,7 +674,7 @@ def _same_store(a, b):
     return list(a) == list(b) and all(a[k].tobytes() == b[k].tobytes() for k in a)
 
 
-MASKS = [HeadMask(1, 0, 0), HeadMask(1, 1, 0), HeadMask(1, 1, 1), None]
+LEVELS = [*HierarchyLevel, None]
 
 
 @pytest.mark.parametrize("cfg", [SMALL, ModelConfig()], ids=["small", "default"])
@@ -688,21 +686,21 @@ class TestLayout:
         assert _same_store(got, want)
         assert level_params() == list(param_shapes(cfg)) == list(got)
 
-    @pytest.mark.parametrize("mask", MASKS, ids=["a", "b", "c", "all"])
-    def test_transfer_equals_named_list(self, cfg, head_scale, mask):
+    @pytest.mark.parametrize("level", LEVELS, ids=["a", "b", "c", "all"])
+    def test_transfer_equals_named_list(self, cfg, head_scale, level):
         src = init_params(cfg, np.random.default_rng(32), head_scale=0.3)
         dst = init_params(cfg, np.random.default_rng(33), head_scale)
-        got, copied = transfer_weights(src, dst, src_mask=mask)
-        want, want_copied = _oracle_transfer_weights(src, dst, src_mask=mask)
+        got, copied = transfer_weights(src, dst, src_level=level)
+        want, want_copied = _oracle_transfer_weights(src, dst, src_level=level)
         assert _same_store(got, want)
-        assert copied == want_copied == level_params(mask)
+        assert copied == want_copied == level_params(level)
 
 
 class TestTransfer:
     def test_copies_trunk_and_supervised_heads(self):
         src = init_params(SMALL, np.random.default_rng(13))
         dst = init_params(SMALL, np.random.default_rng(14))
-        out, copied = transfer_weights(src, dst, src_mask=HeadMask(1, 1, 0))
+        out, copied = transfer_weights(src, dst, src_level=HierarchyLevel.QUADRANT_ENUM)
         assert "head_diagnosis.w" not in copied
         np.testing.assert_array_equal(out["trunk.w1"], src["trunk.w1"])
         np.testing.assert_array_equal(out["head_quadrant.w"], src["head_quadrant.w"])
@@ -715,7 +713,7 @@ class TestTransfer:
         src = init_params(SMALL, np.random.default_rng(15))
         dst = init_params(SMALL, np.random.default_rng(16))
         dst_before = {k: v.copy() for k, v in dst.items()}
-        out, _ = transfer_weights(src, dst, src_mask=HeadMask(1, 0, 0))
+        out, _ = transfer_weights(src, dst, src_level=HierarchyLevel.QUADRANT_ONLY)
         for k in dst:
             np.testing.assert_array_equal(dst[k], dst_before[k])
         out["trunk.w1"][0, 0] += 1.0

@@ -14,7 +14,8 @@ def test_every_exported_name_resolves():
 
 
 @pytest.mark.parametrize(
-    "name", ["match", "compute_loss", "giou", "NoisyBoxes", "InferredBox"]
+    "name",
+    ["match", "compute_loss", "giou", "NoisyBoxes", "InferredBox", "HeadMask", "mask_for"],
 )
 def test_test_only_helpers_are_not_exported(name):
     assert name not in dentdet.__all__

@@ -15,7 +15,7 @@ from dentdet.diffusion import (
     signal_encode,
 )
 from dentdet.geometry import Box, iou
-from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel, mask_for
+from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel
 from dentdet.manipulate import (
     InferredBoxCache,
     inference_proposals,
@@ -83,14 +83,14 @@ def _stage(level, **kw):
 # NMS, kept as the reference the array sampler must equal exactly.
 
 
-def _oracle_decode(params, grid_feats, z, t, mask, cfg):
+def _oracle_decode(params, grid_feats, z, t, level, cfg):
     x = forward_features(cfg, grid_feats, z, t)
     cache = forward_net(params, x, z)
     display = {
         head: softmax(cache.logits[head][:, : HEAD_CLASS_COUNTS[head]])
         for head in HEAD_NAMES
     }
-    loss_probs = loss_probs_for_mask(cache.logits, mask)
+    loss_probs = loss_probs_for_mask(cache.logits, level)
     boxes01 = signal_decode(cache.z0_pred, cfg.scale)
     dets = [
         Detection(
@@ -98,8 +98,8 @@ def _oracle_decode(params, grid_feats, z, t, mask, cfg):
             probs_q=display["quadrant"][i],
             probs_e=display["enumeration"][i],
             probs_d=display["diagnosis"][i],
-            score=float(display[mask.deepest_head][i].max()),
-            objectness=1.0 - float(loss_probs[mask.deepest_head][i][-1]),
+            score=float(display[level.deepest_head][i].max()),
+            objectness=1.0 - float(loss_probs[level.deepest_head][i][-1]),
         )
         for i in range(z.shape[0])
     ]
@@ -117,7 +117,6 @@ def _nms_detections(dets, thr):
 
 def _oracle_infer(params, grids, level, model_cfg, schedule, n_proposals=64,
                   steps=1, seed=0, eta=0.0, renewal_threshold=0.5, nms_iou=0.5):
-    mask = mask_for(level)
     times = np.unique(
         np.round(np.linspace(schedule.T, 0, steps + 1)).astype(int)
     )[::-1]
@@ -127,13 +126,13 @@ def _oracle_infer(params, grids, level, model_cfg, schedule, n_proposals=64,
         z = inference_proposals(n_proposals, rng)
         for si in range(len(times) - 1):
             t, t_next = int(times[si]), int(times[si + 1])
-            dets, z0_pred = _oracle_decode(params, grid, z, float(t), mask, model_cfg)
+            dets, z0_pred = _oracle_decode(params, grid, z, float(t), level, model_cfg)
             z = ddim_step(z, z0_pred, t, t_next, schedule, eta, rng)
             if si < len(times) - 2:
                 scores = np.array([d.score for d in dets])
                 z = box_renewal(scores, z, renewal_threshold, rng)
-        dets, z0_pred = _oracle_decode(params, grid, z, 0.0, mask, model_cfg)
-        dets, _ = _oracle_decode(params, grid, z0_pred, 0.0, mask, model_cfg)
+        dets, z0_pred = _oracle_decode(params, grid, z, 0.0, level, model_cfg)
+        dets, _ = _oracle_decode(params, grid, z0_pred, 0.0, level, model_cfg)
         results.append(_nms_detections(dets, nms_iou))
     return results
 
@@ -444,7 +443,7 @@ class TestInfer:
 
         monkeypatch.setattr(train_mod, "decode", recording)
         infer(params, grids, level, CFG, SCHED, n_proposals=8, steps=steps)
-        renewing = [(mask_for(level).deepest_head,)] * (steps - 1)
+        renewing = [(level.deepest_head,)] * (steps - 1)
         assert heads == [*renewing, (), (), HEAD_NAMES]
 
     def test_untrained_scores_uniform(self):
