@@ -34,7 +34,7 @@ from .data import (
 )
 from .diffusion import Schedule
 from .imageio import read_pgm, write_ppm
-from .labels import HierarchyLevel
+from .labels import HEAD_NAMES, HierarchyLevel
 from .manipulate import InferredBoxCache
 from .model import ModelConfig, check_shapes, load_checkpoint, save_checkpoint
 from .train import (
@@ -42,7 +42,6 @@ from .train import (
     StageConfig,
     TrainingDiverged,
     evaluate_params,
-    infer,
     make_plan,
     prepare_samples,
     run_pipeline,
@@ -222,7 +221,7 @@ def _stage_config(cfg: RunConfig, level: HierarchyLevel) -> StageConfig:
 
 
 def _sampler(cfg: RunConfig) -> dict:
-    """``infer``'s keywords, as the config sets them."""
+    """The sampler's keywords, as the config sets them."""
     return dict(
         n_proposals=cfg.train.n_proposals,
         steps=cfg.schedule.steps,
@@ -308,25 +307,17 @@ def cmd_pipeline(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _detections_doc(image_ids, dets_per_image):
-    doc = {"images": []}
-    for image_id, dets in zip(image_ids, dets_per_image):
-        doc["images"].append(
-            {
-                "id": image_id,
-                "detections": [
-                    {
-                        "box_cxcywh": [d.box.cx, d.box.cy, d.box.w, d.box.h],
-                        "score": d.score,
-                        "probs_quadrant": d.probs_q.tolist(),
-                        "probs_enumeration": d.probs_e.tolist(),
-                        "probs_diagnosis": d.probs_d.tolist(),
-                    }
-                    for d in dets
-                ],
-            }
-        )
-    return doc
+def _detections_doc(image_ids, records):
+    """The ``infer`` JSON of ``train._sample``'s record arrays, one per image."""
+    probs = [f"probs_{head}" for head in HEAD_NAMES]
+    return {"images": [
+        {"id": image_id, "detections": [
+            {"box_cxcywh": r["box"].tolist(), "score": r["score"].item(),
+             **{key: r[key].tolist() for key in probs}}
+            for r in recs
+        ]}
+        for image_id, recs in zip(image_ids, records)
+    ]}
 
 
 def cmd_infer(args, cfg: RunConfig) -> int:
@@ -334,6 +325,7 @@ def cmd_infer(args, cfg: RunConfig) -> int:
     level = _level(args.level)
     params = _load_params(args.checkpoint, cfg.model)
     from .model import encode_image
+    from .train import _sample
 
     grids, ids = [], []
     for p in args.images:
@@ -343,8 +335,8 @@ def cmd_infer(args, cfg: RunConfig) -> int:
         grids.append(encode_image(image, cfg.model.grid))
         ids.append(path.stem)
     schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
-    dets = infer(params, grids, level, cfg.model, schedule, **_sampler(cfg))
-    doc = _detections_doc(ids, dets)
+    records = _sample(params, grids, level, cfg.model, schedule, **_sampler(cfg))
+    doc = _detections_doc(ids, records)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=1))
     else:

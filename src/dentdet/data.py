@@ -262,6 +262,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_size(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 def load_annotations(path, level: HierarchyLevel) -> AnnotationSet:
     """Parse and validate an annotation file for a declared hierarchy level.
 
@@ -286,12 +290,19 @@ def load_annotations(path, level: HierarchyLevel) -> AnnotationSet:
         try:
             info = ImageInfo(
                 id=str(rec["id"]),
-                width=int(rec["width"]),
-                height=int(rec["height"]),
+                width=rec["width"],
+                height=rec["height"],
                 file_name=str(rec.get("file_name", "")),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+        except (KeyError, TypeError) as e:
             errors.append((i, f"bad image record: {e}"))
+            continue
+        if not (_is_size(info.width) and _is_size(info.height)):
+            errors.append((i, f"image size {info.width!r}x{info.height!r} is not "
+                              "two positive integers"))
+            continue
+        if info.id in dims:
+            errors.append((i, f"duplicate image id {info.id!r}"))
             continue
         images.append(info)
         dims[info.id] = (info.width, info.height)

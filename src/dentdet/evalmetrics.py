@@ -29,8 +29,6 @@ AREA_LARGE = (96.0**2, float("inf"))
 AREA_BUCKETS = (None, AREA_MEDIUM, AREA_LARGE)  # all, medium, large
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
-_PROBS = dict(zip(HEAD_NAMES, ("probs_q", "probs_e", "probs_d")))  # record fields
-
 
 @dataclass(frozen=True)
 class TaskMetrics:
@@ -325,7 +323,7 @@ def detections_to_eval(detected: np.ndarray, task: str):
     The class is the argmax of the task's display probabilities; its score
     is that probability weighted by the detection's objectness.
     """
-    probs = detected[_PROBS[task]]
+    probs = detected[f"probs_{task}"]
     classes = probs.argmax(axis=1)
     scores = probs[np.arange(len(detected)), classes] * detected["objectness"]
     return detected["box"], classes, scores

@@ -7,6 +7,7 @@ Corner format (x1, y1, x2, y2) appears only at I/O boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,25 +68,57 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between (..., N, 4) and (..., M, 4) center-size arrays.
+@dataclass(frozen=True)
+class Overlap:
+    """What :func:`overlap` measures of two broadcast sets of boxes."""
 
-    Leading dimensions broadcast; the result is (..., N, M).  Uses the float
-    operations of ``iou`` in its order, with areas from the sizes rather
-    than the corners, so every cell equals the scalar IoU bit for bit and
+    a: np.ndarray  # corners x1, y1, x2, y2 of the first boxes, on axis 0
+    b: np.ndarray  # corners of the second boxes
+    inter_wh: tuple[np.ndarray, np.ndarray]  # intersection sides, <= 0 when apart
+    inter: np.ndarray  # intersection area, 0 where a side is not positive
+    union: np.ndarray
+    iou: np.ndarray  # 0 where the boxes do not overlap or union <= 0
+
+    @cached_property
+    def hull_wh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sides of the enclosing box, computed on first use: IoU callers
+        (NMS, scoring) never read them."""
+        (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = self.a, self.b
+        return (np.maximum(ax2, bx2) - np.minimum(ax1, bx1),
+                np.maximum(ay2, by2) - np.minimum(ay1, by1))
+
+    @cached_property
+    def hull(self) -> np.ndarray:
+        return self.hull_wh[0] * self.hull_wh[1]
+
+    def giou(self) -> np.ndarray:
+        """IoU minus the share of the enclosing box outside the union; the
+        penalty is 0 where the enclosing box has no positive area."""
+        penalty = np.zeros(self.hull.shape)
+        np.divide(self.hull - self.union, self.hull, out=penalty, where=self.hull > 0)
+        return self.iou - penalty
+
+
+def overlap(a: np.ndarray, b: np.ndarray) -> Overlap:
+    """Overlap of (..., 4) center-size boxes, element by element.
+
+    The leading axes broadcast.  Uses the float operations of ``iou`` in its
+    order, with areas ``max(0, w) * max(0, h)`` from the sizes rather than
+    the corners, so each IoU equals the scalar one bit for bit and
     exact-threshold matches come out the same either way.
     """
-    a = np.asarray(a, dtype=np.float64)[..., :, None, :]
-    b = np.asarray(b, dtype=np.float64)[..., None, :, :]
-    ax1, ay1, ax2, ay2 = np.moveaxis(cxcywh_to_xyxy(a), -1, 0)
-    bx1, by1, bx2, by2 = np.moveaxis(cxcywh_to_xyxy(b), -1, 0)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ax1, ay1, ax2, ay2 = ac = np.moveaxis(cxcywh_to_xyxy(a), -1, 0)
+    bx1, by1, bx2, by2 = bc = np.moveaxis(cxcywh_to_xyxy(b), -1, 0)
     iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
     ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    inter = iw * ih
+    has = (iw > 0) & (ih > 0)
+    inter = np.where(has, iw * ih, 0.0)
     union = _area(a) + _area(b) - inter
-    out = np.zeros(inter.shape)
-    np.divide(inter, union, out=out, where=(iw > 0) & (ih > 0) & (union > 0))
-    return out
+    iou = np.zeros(inter.shape)
+    np.divide(inter, union, out=iou, where=has & (union > 0))
+    return Overlap(ac, bc, (iw, ih), inter, union, iou)
 
 
 def _area(boxes: np.ndarray) -> np.ndarray:
@@ -93,26 +126,22 @@ def _area(boxes: np.ndarray) -> np.ndarray:
     return np.maximum(boxes[..., 2], 0.0) * np.maximum(boxes[..., 3], 0.0)
 
 
+def _pairs(a, b) -> Overlap:
+    """:func:`overlap` of every (..., N, 4) row of ``a`` with every
+    (..., M, 4) row of ``b``: (..., N, M) terms."""
+    return overlap(np.asarray(a)[..., :, None, :], np.asarray(b)[..., None, :, :])
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU between (..., N, 4) and (..., M, 4) center-size arrays;
+    leading dimensions broadcast and the result is (..., N, M)."""
+    return _pairs(a, b).iou
+
+
 def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise GIoU between (N, 4) and (M, 4) center-size arrays."""
-    a = cxcywh_to_xyxy(np.asarray(a, dtype=np.float64))
-    b = cxcywh_to_xyxy(np.asarray(b, dtype=np.float64))
-    tl = np.maximum(a[:, None, :2], b[None, :, :2])
-    br = np.minimum(a[:, None, 2:], b[None, :, 2:])
-    wh = np.clip(br - tl, 0.0, None)
-    inter = wh[..., 0] * wh[..., 1]
-    area_a = np.clip(a[:, 2] - a[:, 0], 0, None) * np.clip(a[:, 3] - a[:, 1], 0, None)
-    area_b = np.clip(b[:, 2] - b[:, 0], 0, None) * np.clip(b[:, 3] - b[:, 1], 0, None)
-    union = area_a[:, None] + area_b[None, :] - inter
-    iou_v = np.zeros_like(inter)
-    np.divide(inter, union, out=iou_v, where=union > 0)
-    htl = np.minimum(a[:, None, :2], b[None, :, :2])
-    hbr = np.maximum(a[:, None, 2:], b[None, :, 2:])
-    hwh = np.clip(hbr - htl, 0.0, None)
-    hull = hwh[..., 0] * hwh[..., 1]
-    penalty = np.zeros_like(inter)
-    np.divide(hull - union, hull, out=penalty, where=hull > 0)
-    return iou_v - penalty
+    """Pairwise GIoU between (..., N, 4) and (..., M, 4) center-size arrays,
+    as :meth:`Overlap.giou`; shapes as in :func:`iou_matrix`."""
+    return _pairs(a, b).giou()
 
 
 def nms(

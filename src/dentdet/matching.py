@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import cxcywh_to_xyxy, giou_matrix
+from .geometry import giou_matrix, overlap
 from .labels import HEAD_NAMES, HierarchyLevel
 
 
@@ -94,63 +94,32 @@ def _focal(p_t: np.ndarray, gamma: float):
 
 
 def giou_pair_grad(pred: np.ndarray, gt: np.ndarray):
-    """GIoU of paired boxes plus its gradient w.r.t. the predicted
-    center-size coordinates.  Both inputs are (M, 4) normalized cxcywh."""
-    p = cxcywh_to_xyxy(pred)
-    g = cxcywh_to_xyxy(gt)
-    x1, y1, x2, y2 = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
-    gx1, gy1, gx2, gy2 = g[:, 0], g[:, 1], g[:, 2], g[:, 3]
-    w = np.clip(x2 - x1, 0, None)
-    h = np.clip(y2 - y1, 0, None)
-    area_p = w * h
-    area_g = np.clip(gx2 - gx1, 0, None) * np.clip(gy2 - gy1, 0, None)
+    """GIoU of paired boxes (:meth:`geometry.Overlap.giou`) plus its
+    gradient w.r.t. the predicted center-size coordinates.  Both inputs are
+    (M, 4) normalized cxcywh."""
+    o = overlap(pred, gt)
+    (x1, y1, x2, y2), (gx1, gy1, gx2, gy2) = o.a, o.b
+    iw, ih = o.inter_wh
+    hw, hh = o.hull_wh
+    w, h = np.maximum(np.asarray(pred, dtype=np.float64)[:, 2:].T, 0.0)
+    union, hull = o.union, o.hull
 
-    iw = np.minimum(x2, gx2) - np.maximum(x1, gx1)
-    ih = np.minimum(y2, gy2) - np.maximum(y1, gy1)
-    has_i = (iw > 0) & (ih > 0)
-    inter = np.where(has_i, iw * ih, 0.0)
-    union = area_p + area_g - inter
-
-    hw = np.maximum(x2, gx2) - np.minimum(x1, gx1)
-    hh = np.maximum(y2, gy2) - np.minimum(y1, gy1)
-    hull = hw * hh
-
-    iou = np.where(union > 0, inter / np.maximum(union, 1e-300), 0.0)
-    giou = iou - np.where(hull > 0, (hull - union) / np.maximum(hull, 1e-300), 0.0)
-
-    # Partials w.r.t. pred corners.
-    da = np.stack([-h, -w, h, w], axis=1)  # order: x1, y1, x2, y2
+    # Partials w.r.t. pred corners x1, y1, x2, y2.
+    da = np.stack([-h, -w, h, w])
     di = np.stack(
-        [
-            -ih * (x1 > gx1),
-            -iw * (y1 > gy1),
-            ih * (x2 < gx2),
-            iw * (y2 < gy2),
-        ],
-        axis=1,
-    ) * has_i[:, None]
+        [-ih * (x1 > gx1), -iw * (y1 > gy1), ih * (x2 < gx2), iw * (y2 < gy2)]
+    ) * ((iw > 0) & (ih > 0))
     dhull = np.stack(
-        [
-            -hh * (x1 < gx1),
-            -hw * (y1 < gy1),
-            hh * (x2 > gx2),
-            hw * (y2 > gy2),
-        ],
-        axis=1,
+        [-hh * (x1 < gx1), -hw * (y1 < gy1), hh * (x2 > gx2), hw * (y2 > gy2)]
     )
     du = da - di
-    u2 = np.maximum(union, 1e-300) ** 2
-    h2 = np.maximum(hull, 1e-300) ** 2
-    diou = (di * union[:, None] - inter[:, None] * du) / u2[:, None]
-    dpen = (du * hull[:, None] - union[:, None] * dhull) / h2[:, None]
-    dgiou_xyxy = diou + np.where((hull > 0)[:, None], dpen, 0.0)
+    diou = (di * union - o.inter * du) / np.maximum(union, 1e-300) ** 2
+    dpen = (du * hull - union * dhull) / np.maximum(hull, 1e-300) ** 2
+    dx1, dy1, dx2, dy2 = diou + np.where(hull > 0, dpen, 0.0)
 
     # Chain corners back to center-size.
-    dcx = dgiou_xyxy[:, 0] + dgiou_xyxy[:, 2]
-    dcy = dgiou_xyxy[:, 1] + dgiou_xyxy[:, 3]
-    dw = (dgiou_xyxy[:, 2] - dgiou_xyxy[:, 0]) / 2
-    dh = (dgiou_xyxy[:, 3] - dgiou_xyxy[:, 1]) / 2
-    return giou, np.stack([dcx, dcy, dw, dh], axis=1)
+    dcxcywh = [dx1 + dx2, dy1 + dy2, (dx2 - dx1) / 2, (dy2 - dy1) / 2]
+    return o.giou(), np.stack(dcxcywh, axis=1)
 
 
 def _segment_sums(values: np.ndarray, bounds) -> list[float]:

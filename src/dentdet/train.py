@@ -28,7 +28,7 @@ from .diffusion import (
 )
 from .evalmetrics import EvalReport, build_report
 from .geometry import Box, iou, nms  # noqa: F401  (perfbench counts iou calls)
-from .labels import HEAD_CLASS_COUNTS, HierarchyLevel, class_array
+from .labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel, class_array
 from .manipulate import (
     InferredBoxCache,
     inference_proposals,
@@ -312,12 +312,11 @@ class Detection:
 
 
 # The sampler's kept rows, one record per box: the fields of Detection, with
-# the box as a [0, 1] center-size (4,) array.
+# the box as a [0, 1] center-size (4,) array and one ``probs_<head>`` field
+# per head of labels.HEAD_NAMES.
 DETECTED = np.dtype([
     ("box", np.float64, (4,)),
-    ("probs_q", np.float64, (HEAD_CLASS_COUNTS["quadrant"],)),
-    ("probs_e", np.float64, (HEAD_CLASS_COUNTS["enumeration"],)),
-    ("probs_d", np.float64, (HEAD_CLASS_COUNTS["diagnosis"],)),
+    *((f"probs_{head}", np.float64, (HEAD_CLASS_COUNTS[head],)) for head in HEAD_NAMES),
     ("score", np.float64),
     ("objectness", np.float64),
 ])
@@ -390,9 +389,8 @@ def _sample(
         kept = nms(boxes01, scores, nms_iou)  # (image, row) pairs
         out = np.recarray(len(kept[0]), dtype=DETECTED)
         out.box = boxes01[kept]
-        out.probs_q = probs["quadrant"][kept]
-        out.probs_e = probs["enumeration"][kept]
-        out.probs_d = probs["diagnosis"][kept]
+        for head in HEAD_NAMES:
+            out[f"probs_{head}"] = probs[head][kept]
         out.score = scores[kept]
         out.objectness = 1.0 - softmax(logits[level.deepest_head][kept])[:, -1]
         results += np.split(out, np.cumsum(np.bincount(kept[0], minlength=len(grid)))[:-1])
@@ -419,7 +417,7 @@ def infer(
         [
             Detection(Box.from_array(box), q, e, d, float(score), float(objectness))
             for box, q, e, d, score, objectness in zip(
-                r.box, r.probs_q, r.probs_e, r.probs_d, r.score, r.objectness
+                r.box, *(r[f"probs_{head}"] for head in HEAD_NAMES), r.score, r.objectness
             )
         ]
         for r in _sample(params, grids, level, model_cfg, schedule, **sampler)

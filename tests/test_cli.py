@@ -142,6 +142,13 @@ def test_eval_takes_one_of_checkpoint_and_oracle(given, dataset, capsys):
     assert "--checkpoint" in err and "--oracle" in err and "Traceback" not in err
 
 
+# Image sizes that are not positive integers, each in the first image record.
+BAD_SIZES = {
+    "width fraction": ("width", 100.7), "height bool": ("height", True),
+    "width text": ("width", "256"), "height zero": ("height", 0),
+}
+
+
 def _malformed(case, doc):
     """The text of an annotation file ``doc`` broken as ``case`` names."""
     record = doc["annotations"][0]
@@ -153,15 +160,20 @@ def _malformed(case, doc):
         doc["annotations"][0] = [record]
     elif case == "bbox not numbers":
         record["bbox"][0] = "x"
+    elif case in BAD_SIZES:
+        key, value = BAD_SIZES[case]
+        doc["images"][0][key] = value
+    elif case == "duplicate image id":  # the second image record reuses the first id
+        doc["images"][1]["id"] = doc["images"][0]["id"]
     else:  # a category id that is not an integer
         record["category_id_1"] = {"text": "x", "fraction": 1.5, "bool": True}[case]
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("command", ["validate", "eval --oracle", "train"])
+@pytest.mark.parametrize("command", ["validate", "eval --oracle", "train", "render"])
 @pytest.mark.parametrize("case", [
     "not JSON", "top-level list", "record not an object", "bbox not numbers",
-    "text", "fraction", "bool",
+    "text", "fraction", "bool", *BAD_SIZES, "duplicate image id",
 ])
 def test_malformed_annotations_are_invalid_data(command, case, dataset, cfg_path,
                                                 tmp_path, capsys):
@@ -171,11 +183,12 @@ def test_malformed_annotations_are_invalid_data(command, case, dataset, cfg_path
         "validate": ["validate", "--annotations", str(path)],
         "eval --oracle": ["eval", "--data", str(dataset), "--oracle"],
         "train": ["train", "--data", str(dataset), "--out", str(tmp_path / "run")],
+        "render": ["render", "--data", str(dataset), "--out", str(tmp_path / "vis")],
     }[command]
     capsys.readouterr()
     assert main(["--config", cfg_path, *args, "--level", "c"]) == EXIT_INVALID
     err = capsys.readouterr().err
-    record = -1 if case in ("not JSON", "top-level list") else 0
+    record = {"not JSON": -1, "top-level list": -1, "duplicate image id": 1}.get(case, 0)
     assert f"record {record}: " in err and "Traceback" not in err
 
 

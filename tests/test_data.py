@@ -199,6 +199,39 @@ class TestAnnotationIO:
         assert [i for i, _ in exc.value.errors] == [0, 1, 2, 3, 4]
 
 
+    @pytest.mark.parametrize("width, height", [
+        (100.7, 100), (100, True), ("256", 256), (0, 100), (100, -3), (None, 100),
+    ])
+    def test_image_size_must_be_positive_integers(self, tmp_path, width, height):
+        import json
+
+        doc = {"images": [{"id": "a", "width": 100, "height": 100},
+                          {"id": "b", "width": width, "height": height}],
+               "annotations": []}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(AnnotationError) as exc:
+            load_annotations(path, HierarchyLevel.QUADRANT_ONLY)
+        assert exc.value.errors == [
+            (1, f"image size {width!r}x{height!r} is not two positive integers")
+        ]
+
+    def test_duplicate_image_id_rejected(self, tmp_path):
+        import json
+
+        doc = {
+            "images": [{"id": "a", "width": 100, "height": 100},
+                       {"id": "b", "width": 80, "height": 80},
+                       {"id": "a", "width": 50, "height": 50}],
+            "annotations": [{"image_id": "a", "bbox": [60, 60, 30, 30], "category_id_1": 0}],
+        }
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(AnnotationError) as exc:
+            load_annotations(path, HierarchyLevel.QUADRANT_ONLY)
+        # Only the second "a" is at fault; the box lies inside the first.
+        assert exc.value.errors == [(2, "duplicate image id 'a'")]
+
 class TestSplit:
     def _set_of(self, n, level=HierarchyLevel.FULL):
         aset = AnnotationSet(level=level)

@@ -782,7 +782,8 @@ def _evaluate_per_class(dets, gts, sizes, task, max_dets=100) -> TaskMetrics:
 
 def _detections_to_eval_objects(dets, task):
     boxes = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets])
-    probs = np.array([getattr(d, evalmetrics._PROBS[task]) for d in dets])
+    field = dict(zip(HEAD_NAMES, ("probs_q", "probs_e", "probs_d")))[task]
+    probs = np.array([getattr(d, field) for d in dets])
     probs = probs.reshape(len(dets), HEAD_CLASS_COUNTS[task])
     classes = probs.argmax(axis=1)
     scores = probs[np.arange(len(dets)), classes] * np.array(

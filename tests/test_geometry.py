@@ -114,10 +114,29 @@ def test_matrix_forms_match_scalar(al, bl):
     for i, x in enumerate(al):
         for j, y in enumerate(bl):
             assert im[i, j] == iou(x, y)
-            assert gm[i, j] == pytest.approx(giou(x, y), abs=1e-12)
+            assert gm[i, j] == giou(x, y)
     batched = iou_matrix(np.stack([a, a[::-1]]), np.stack([b, b[::-1]]))
     assert np.array_equal(batched[0], im)
     assert np.array_equal(batched[1], iou_matrix(a[::-1], b[::-1]))
+
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_giou_matrix_leading_axes_equal_per_set_calls(sets, n, m, data):
+    # Set s of a meets set s of b, and a one-set b broadcasts over a's sets.
+    def stack(k):
+        rows = data.draw(st.lists(st.lists(boxes, min_size=k, max_size=k),
+                                  min_size=sets, max_size=sets))
+        return np.array([[x.to_array() for x in r] for r in rows]).reshape(sets, k, 4)
+
+    a, b = stack(n), stack(m)
+    gm = giou_matrix(a, b)
+    assert gm.shape == (sets, n, m)
+    one_b = giou_matrix(a, b[:1])
+    for s in range(sets):
+        assert np.array_equal(gm[s], giou_matrix(a[s], b[s]))
+        assert np.array_equal(one_b[s], giou_matrix(a[s], b[0]))
 
 
 def _nms_oracle(dets, thr):

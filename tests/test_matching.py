@@ -6,11 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dentdet.geometry import Box
+from dentdet.geometry import Box, cxcywh_to_xyxy, giou_matrix
 from dentdet.labels import HierarchyLevel, LabelTriple, class_array
 from dentdet.matching import (
     LossBreakdown,
     _cost_matrix,
+    giou_pair_grad,
     loss_forward_backward,
     match_arrays,
     solve_assignment,
@@ -266,3 +267,71 @@ class TestComputeLoss:
         want = (1 - 0.2) ** 2 * -np.log(0.2)
         assert bd.cls_q == pytest.approx(want, rel=1e-12)
         assert bd.l1 == 0.0 and bd.giou == 0.0
+
+
+# ---------------------------------------------------------------------------
+# giou_pair_grad on its own: its values against giou_matrix, its gradient
+# against central differences.
+
+
+def test_giou_pair_grad_values_equal_giou_matrix_diagonal():
+    rng = np.random.default_rng(21)
+    gt = np.column_stack([rng.uniform(0, 1, (300, 2)), rng.uniform(0.01, 0.5, (300, 2))])
+    pred = gt + rng.normal(0, 0.05, gt.shape)  # overlapping, nested and apart
+    pred[::7, 2:] = np.abs(pred[::7, 2:])
+    values, _ = giou_pair_grad(pred, gt)
+    assert np.array_equal(values, np.diagonal(giou_matrix(pred, gt)))
+
+
+def _kink_distance(pred, gt):
+    """Distance of each pair from where GIoU's gradient jumps: equal corners
+    of the two boxes, or an intersection side that changes sign."""
+    p, g = cxcywh_to_xyxy(pred), cxcywh_to_xyxy(gt)
+    iw = np.minimum(p[:, 2], g[:, 2]) - np.maximum(p[:, 0], g[:, 0])
+    ih = np.minimum(p[:, 3], g[:, 3]) - np.maximum(p[:, 1], g[:, 1])
+    return np.min(np.column_stack([np.abs(p - g), np.abs(iw), np.abs(ih)]), axis=1)
+
+
+def _fd_cases():
+    """(kind, pred, gt) pairs away from kinks, the touching ones excepted:
+    those touch corner to corner, so no single coordinate makes them
+    overlap."""
+    rng = np.random.default_rng(5)
+    gt = np.column_stack([rng.uniform(0.2, 0.8, (400, 2)), rng.uniform(0.05, 0.4, (400, 2))])
+    pred = np.column_stack([rng.uniform(0.2, 0.8, (400, 2)), rng.uniform(0.05, 0.4, (400, 2))])
+    pred[:100, :2] = gt[:100, :2] + rng.uniform(-0.1, 0.1, (100, 2))
+    pred[:100, 2:] = gt[:100, 2:] * rng.uniform(0.2, 0.6, (100, 2))  # most nested
+    keep = _kink_distance(pred, gt) > 1e-3
+    p, g = cxcywh_to_xyxy(pred), cxcywh_to_xyxy(gt)
+    apart = (np.minimum(p[:, 2:], g[:, 2:]) <= np.maximum(p[:, :2], g[:, :2])).any(axis=1)
+    nested = ((p[:, :2] > g[:, :2]) & (p[:, 2:] < g[:, 2:])).all(axis=1)
+    cases = {
+        "nested": (pred[keep & nested], gt[keep & nested]),
+        "overlapping": (pred[keep & ~nested & ~apart], gt[keep & ~nested & ~apart]),
+        "disjoint": (pred[keep & apart], gt[keep & apart]),
+        # Dyadic boxes meeting at one corner, each corner on either side.
+        "touching": (
+            np.array([[0.25, 0.25, 0.25, 0.25], [0.75, 0.25, 0.25, 0.125],
+                      [0.5, 0.5, 0.5, 0.25]]),
+            np.array([[0.5, 0.5, 0.25, 0.25], [0.5, 0.5, 0.25, 0.375],
+                      [0.875, 0.75, 0.25, 0.25]]),
+        ),
+    }
+    for kind, (pr, gr) in cases.items():
+        assert len(pr) >= 3, kind
+        yield from ((kind, pr[i], gr[i]) for i in range(min(len(pr), 40)))
+
+
+def test_giou_pair_grad_matches_finite_differences():
+    eps = 1e-6
+    for kind, pred, gt in _fd_cases():
+        _, grad = giou_pair_grad(pred[None], gt[None])
+        fd = np.zeros(4)
+        for k in range(4):
+            step = np.zeros(4)
+            step[k] = eps
+            plus, _ = giou_pair_grad((pred + step)[None], gt[None])
+            minus, _ = giou_pair_grad((pred - step)[None], gt[None])
+            fd[k] = (plus[0] - minus[0]) / (2 * eps)
+        # Central differences carry ~1e-16 / eps ~ 1e-10 of rounding.
+        np.testing.assert_allclose(grad[0], fd, rtol=1e-6, atol=1e-7, err_msg=kind)

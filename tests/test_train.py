@@ -427,8 +427,8 @@ class TestInfer:
             for r, d in zip(records, dets):
                 assert Box.from_array(r.box) == d.box
                 assert (r.score, r.objectness) == (d.score, d.objectness)
-                for field in ("probs_q", "probs_e", "probs_d"):
-                    assert np.array_equal(r[field], getattr(d, field))
+                for head, field in zip(HEAD_NAMES, ("probs_q", "probs_e", "probs_d")):
+                    assert np.array_equal(r[f"probs_{head}"], getattr(d, field))
 
     @pytest.mark.parametrize("steps", [1, 3])
     def test_only_renewing_steps_decode_a_head(self, steps, monkeypatch):
