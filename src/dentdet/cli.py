@@ -117,12 +117,19 @@ def _load_level(data_dir: Path, level: HierarchyLevel):
 
 
 def _check_grid(model_cfg: ModelConfig, width: int, height: int, path) -> None:
-    """The encoder needs at least one pixel per feature-grid cell."""
+    """The encoder needs at least one pixel per feature-grid cell, and two
+    pixels per side for its gradient channels."""
     if min(width, height) < model_cfg.grid:
         raise CliError(
             EXIT_USAGE,
             f"model.grid {model_cfg.grid} is larger than the {width}x{height} "
             f"image {path}",
+        )
+    if min(width, height) < 2:
+        raise CliError(
+            EXIT_USAGE,
+            f"image {path} is {width}x{height}; the encoder needs at least "
+            "2 pixels per side",
         )
 
 

@@ -71,39 +71,94 @@ def encode_image(img: np.ndarray, grid: int = 16) -> np.ndarray:
     gradient magnitudes, the occupancy fractions of six fixed intensity
     bands (a coarse per-cell histogram, which preserves distinct gray
     levels that a plain mean would blend away), and eight fixed sinusoidal
-    positional channels.
+    positional channels.  uint8 images are scaled to [0, 1]; pixels past
+    the last whole cell on either axis are left out.
+
+    Each channel equals, to the bit, what ``np.mean``, ``np.std``,
+    ``np.gradient`` and ``np.digitize`` give, since the same float
+    operations run in the same memory order; but the image is read fewer
+    times: mean and std share one sum, the gradients are taken in place in
+    one buffer, and the bands come from one integer count per cell.
     """
     img = np.asarray(img)
     if img.ndim != 2 or img.size == 0:
         raise ValueError("encode_image expects a non-empty 2-D grayscale array")
     h, w = img.shape
+    if min(h, w) < 2:
+        raise ValueError(
+            f"image {w}x{h} too small: the gradient channels need at least "
+            "2 pixels per side"
+        )
     if h < grid or w < grid:
         raise ValueError(f"image {w}x{h} smaller than feature grid {grid}")
-    x = img.astype(np.float64)
+    # Never written to, so a float64 input is read in place.
     if img.dtype == np.uint8:
-        x = x / 255.0
-    gy, gx = np.gradient(x)
+        x = np.divide(img, 255.0)
+    else:
+        x = img.astype(np.float64, copy=False)
     ch, cw = h // grid, w // grid
+    n = ch * cw
     crop = lambda a: a[: grid * ch, : grid * cw].reshape(grid, ch, grid, cw)
     cells = crop(x)
     feats = np.empty((grid, grid, NUM_CHANNELS), dtype=np.float64)
-    feats[..., 0] = cells.mean(axis=(1, 3))
-    feats[..., 1] = cells.std(axis=(1, 3))
-    feats[..., 2] = crop(np.abs(gx)).mean(axis=(1, 3))
-    feats[..., 3] = crop(np.abs(gy)).mean(axis=(1, 3))
-    bands = np.digitize(cells, HIST_EDGES)
-    for b in range(HIST_CHANNELS):
-        feats[..., STAT_CHANNELS + b] = (bands == b).mean(axis=(1, 3))
+    # One scratch image holds the deviations, then each gradient, then the
+    # band keys, so a call allocates two image-sized arrays, not five.  It
+    # takes x's memory order, as np.gradient's output does: the order of
+    # each cell sum follows it.
+    buf = np.empty_like(x)
+    # Mean and std by _mean's and _var's own ufuncs, on one shared sum.
+    mean = np.true_divide(cells.sum(axis=(1, 3)), n, out=feats[..., 0])
+    dev = np.subtract(cells, mean[:, None, :, None], out=crop(buf))
+    np.square(dev, out=dev)
+    var = np.true_divide(dev.sum(axis=(1, 3)), n)
+    np.sqrt(var, out=feats[..., 1])
+    for axis, c in ((1, 2), (0, 3)):
+        _abs_gradient(x, axis, out=buf)
+        np.true_divide(crop(buf).sum(axis=(1, 3)), n, out=feats[..., c])
+    # np.digitize puts a pixel in band b when exactly b edges are at or
+    # below it, and a NaN in the last band.  Counting per pixel the edges
+    # it is below (a NaN is below none) gives the bands in reverse order.
+    below = np.less(cells, HIST_EDGES[0]).view(np.uint8)
+    for e in HIST_EDGES[1:]:
+        below += np.less(cells, e)
+    cell_key = np.arange(grid * grid).reshape(grid, 1, grid, 1) * HIST_CHANNELS
+    keys = buf.view(np.intp).ravel(order="K")[: below.size]
+    np.add(below, cell_key, out=keys.reshape(below.shape))
+    counts = np.bincount(keys, minlength=grid * grid * HIST_CHANNELS)
+    np.true_divide(
+        counts.reshape(grid, grid, HIST_CHANNELS)[..., ::-1], n,
+        out=feats[..., STAT_CHANNELS : STAT_CHANNELS + HIST_CHANNELS],
+    )
+    feats[..., STAT_CHANNELS + HIST_CHANNELS :] = _positional_channels(grid)
+    return feats
+
+
+def _abs_gradient(x: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """``|np.gradient(x, axis=axis)|`` written into ``out`` with numpy's
+    operations: halved central differences inside, one-sided differences
+    at the two edges (numpy divides those by the unit spacing, which
+    changes no bit)."""
+    f, g = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(f[2:], f[:-2], out=g[1:-1])
+    np.divide(g[1:-1], 2.0, out=g[1:-1])
+    np.subtract(f[1], f[0], out=g[0])
+    np.subtract(f[-1], f[-2], out=g[-1])
+    np.abs(out, out=out)
+
+
+@functools.lru_cache
+def _positional_channels(grid: int) -> np.ndarray:
+    """The (G, G, 8) sinusoidal channels, computed once per grid, read-only."""
     u = (np.arange(grid) + 0.5) / grid
     uu, vv = np.meshgrid(u, u)  # uu varies along x (axis 1), vv along y (axis 0)
-    pos = [
+    pos = np.stack([
         np.sin(np.pi * uu), np.cos(np.pi * uu),
         np.sin(2 * np.pi * uu), np.cos(2 * np.pi * uu),
         np.sin(np.pi * vv), np.cos(np.pi * vv),
         np.sin(2 * np.pi * vv), np.cos(2 * np.pi * vv),
-    ]
-    feats[..., STAT_CHANNELS + HIST_CHANNELS :] = np.stack(pos, axis=-1)
-    return feats
+    ], axis=-1)
+    pos.flags.writeable = False
+    return pos
 
 
 def _bin_edges(lo: np.ndarray, hi: np.ndarray, pool: int):

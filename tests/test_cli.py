@@ -673,6 +673,28 @@ def test_truncated_image_is_invalid_data(command, dataset, cfg_path, tmp_path, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["infer", "eval", "eval --oracle", "train", "pipeline"])
+def test_image_under_two_pixels_is_usage_error(command, dataset, tmp_path, capsys):
+    # At model.grid 1 the grid check passes a 1-pixel-wide image, but the
+    # encoder's gradient channels need two pixels per side.
+    cfg_path = tmp_path / "grid1.yaml"
+    cfg_path.write_text(SMALL_CFG.replace("grid: 8", "grid: 1"))
+    args, image = _image_command(command, dataset, tmp_path)
+    imageio.write_pgm(image, np.full((5, 1), 128, dtype=np.uint8))
+    ann_path = dataset / "annotations_quadrant.json"
+    doc = json.loads(ann_path.read_text())
+    doc["images"] = [dict(im, width=1, height=5) if im["id"] == image.stem else im
+                     for im in doc["images"]]
+    doc["annotations"] = [dict(a, bbox=[0.0, 0.0, 1.0, 5.0]) if a["image_id"] == image.stem
+                          else a for a in doc["annotations"]]
+    ann_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), *args]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: image {image} is 1x5; the encoder needs at least 2 pixels per side" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("model", ["same", "grid: 4", "scale: 3.0", "no key"])
 def test_model_fingerprint_is_checked_on_load(model, dataset, cfg_path, tmp_path, capsys):
     run = tmp_path / "run"

@@ -19,6 +19,7 @@ from dentdet.labels import (
 )
 from dentdet.model import (
     HIST_CHANNELS,
+    HIST_EDGES,
     NUM_CHANNELS,
     STAT_CHANNELS,
     BatchItem,
@@ -90,6 +91,128 @@ class TestEncoder:
             encode_image(np.zeros((4, 4, 3)), 4)
         with pytest.raises(ValueError):
             encode_image(np.zeros((2, 2)), 4)
+        for shape in [(1, 5), (5, 1), (1, 1)]:  # np.gradient needs 2 per side
+            with pytest.raises(ValueError, match="at least 2 pixels per side"):
+                encode_image(np.zeros(shape, dtype=np.uint8), 1)
+
+    @pytest.mark.parametrize("grid", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("shape", [(16, 16), (64, 80), (256, 256), (257, 300)])
+    def test_uint8_equals_oracle(self, shape, grid):
+        img = np.random.default_rng(grid).integers(0, 256, shape).astype(np.uint8)
+        assert encode_image(img, grid).tobytes() == _encode_image_oracle(img, grid).tobytes()
+
+    @pytest.mark.parametrize("grid", [1, 3, 8])
+    def test_float_edge_values_equal_oracle(self, grid):
+        # Values exactly on the band edges, outside [0, 1] and non-finite,
+        # mixed with ordinary ones; NaN is compared by its bytes too.
+        rng = np.random.default_rng(grid)
+        special = [*HIST_EDGES, 0.0, 1.0, -0.25, -3.0, 1.5, 40.0, np.nan, np.inf, -np.inf]
+        img = np.where(
+            rng.random((48, 61)) < 0.5,
+            rng.choice(special, (48, 61)),
+            rng.normal(0.5, 0.6, (48, 61)),
+        )
+        with np.errstate(invalid="ignore"):  # inf - inf in both
+            got, want = encode_image(img, grid), _encode_image_oracle(img, grid)
+        assert got.tobytes() == want.tobytes()
+        finite = np.where(np.isfinite(img), img, 0.5)
+        assert encode_image(finite, grid).tobytes() == _encode_image_oracle(finite, grid).tobytes()
+
+    @pytest.mark.parametrize("value", [0, 26, 128, 255])
+    def test_constant_image_equals_oracle(self, value):
+        img = np.full((40, 36), value, dtype=np.uint8)
+        assert encode_image(img, 4).tobytes() == _encode_image_oracle(img, 4).tobytes()
+        flat = np.full((40, 36), 0.3)
+        assert encode_image(flat, 4).tobytes() == _encode_image_oracle(flat, 4).tobytes()
+
+    def test_strided_inputs_equal_oracle(self):
+        rng = np.random.default_rng(3)
+        big = rng.normal(0.5, 0.4, (150, 260))
+        pixels = rng.integers(0, 256, (150, 260)).astype(np.uint8)
+        for img in (big.T, big[::2, ::3], pixels.T, pixels[1:, 3:], big.astype(np.float32)):
+            for grid in (3, 16):
+                assert encode_image(img, grid).tobytes() == _encode_image_oracle(img, grid).tobytes()
+
+    def test_float64_input_is_left_unchanged(self):
+        img = np.random.default_rng(4).uniform(-0.5, 1.5, (64, 48))
+        before = img.copy()
+        encode_image(img, 8)
+        assert img.tobytes() == before.tobytes()
+
+    def test_result_does_not_share_the_cached_positional_channels(self):
+        img = np.zeros((16, 16), dtype=np.uint8)
+        encode_image(img, 4)[...] = -1.0
+        assert encode_image(img, 4).tobytes() == _encode_image_oracle(img, 4).tobytes()
+
+
+def _encode_image_oracle(img, grid):
+    """The encoder as first written: np.gradient, np.mean, np.std, and one
+    np.digitize plus six bool means for the bands.  ``encode_image`` must
+    equal it to the byte."""
+    img = np.asarray(img)
+    h, w = img.shape
+    x = img.astype(np.float64)
+    if img.dtype == np.uint8:
+        x = x / 255.0
+    gy, gx = np.gradient(x)
+    ch, cw = h // grid, w // grid
+    crop = lambda a: a[: grid * ch, : grid * cw].reshape(grid, ch, grid, cw)
+    cells = crop(x)
+    feats = np.empty((grid, grid, NUM_CHANNELS), dtype=np.float64)
+    feats[..., 0] = cells.mean(axis=(1, 3))
+    feats[..., 1] = cells.std(axis=(1, 3))
+    feats[..., 2] = crop(np.abs(gx)).mean(axis=(1, 3))
+    feats[..., 3] = crop(np.abs(gy)).mean(axis=(1, 3))
+    bands = np.digitize(cells, HIST_EDGES)
+    for b in range(HIST_CHANNELS):
+        feats[..., STAT_CHANNELS + b] = (bands == b).mean(axis=(1, 3))
+    u = (np.arange(grid) + 0.5) / grid
+    uu, vv = np.meshgrid(u, u)
+    pos = [
+        np.sin(np.pi * uu), np.cos(np.pi * uu),
+        np.sin(2 * np.pi * uu), np.cos(2 * np.pi * uu),
+        np.sin(np.pi * vv), np.cos(np.pi * vv),
+        np.sin(2 * np.pi * vv), np.cos(2 * np.pi * vv),
+    ]
+    feats[..., STAT_CHANNELS + HIST_CHANNELS :] = np.stack(pos, axis=-1)
+    return feats
+
+
+def test_augmented_training_with_the_encode_oracle_is_byte_equal(monkeypatch):
+    # Augmented steps encode every crop they train on.  Not under
+    # TestEncoder, whose tests run without scipy.
+    import dentdet.train as train_mod
+    from dentdet.data import generate_layout, project_level
+    from dentdet.diffusion import Schedule
+    from dentdet.train import StageConfig, TrainSample, train_stage
+    from helpers import truth_arrays
+
+    cfg = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)
+    schedule = Schedule.cosine(1000, 0.008)
+    level = HierarchyLevel.QUADRANT_ENUM
+    samples = []
+    for i in range(3):
+        img, layout = generate_layout(700 + i)
+        gt_boxes, gt_classes = truth_arrays(project_level(layout, level))
+        samples.append(TrainSample(
+            image_id=f"s{i}", image=img, grid_feats=encode_image(img, cfg.grid),
+            gt_boxes=gt_boxes, gt_classes=gt_classes, width=256, height=256,
+        ))
+    stage = StageConfig(level=level, iterations=6, batch_size=3, lr=1e-2,
+                        n_proposals=24, seed=5, augment=True)
+    calls = []
+
+    def oracle(img, grid):
+        calls.append(1)
+        return _encode_image_oracle(img, grid)
+
+    got, _ = train_stage(stage, samples, cfg, schedule)
+    monkeypatch.setattr(train_mod, "encode_image", oracle)
+    want, _ = train_stage(stage, samples, cfg, schedule)
+    assert len(calls) == stage.iterations * stage.batch_size
+    assert got.keys() == want.keys()
+    for name in got:
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def _axis_weights(lo, hi, pool, grid):
