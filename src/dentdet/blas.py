@@ -1,4 +1,5 @@
-"""Run dentdet's matrix products on one OpenBLAS thread.
+"""Run dentdet's matrix products on one OpenBLAS thread per caller, and
+split a training step over two callers.
 
 The products are small: a decoder pass multiplies 64 proposals by weights a
 few hundred columns wide, and RoI pooling multiplies 256 bin rows by the
@@ -14,6 +15,17 @@ throughput differ by a quarter from one process to the next.
 restores it afterwards.  Results are unchanged: OpenBLAS splits a product
 by output blocks, so each entry is summed in the same order either way.
 With a BLAS other than OpenBLAS it does nothing.
+
+The thread count is one setting for the whole process, so a second thread
+that calls numpy inside ``one_thread`` runs its products on one thread too.
+:func:`in_parallel` uses that to put the second core to work: it runs one
+share of a training step on the step worker, a single persistent thread
+started by the first call (never at import), while the caller runs the
+other share.  numpy drops the GIL inside each product, so the two shares'
+products run at the same time.  The shares write into disjoint arrays the
+caller owns, so what they compute does not depend on which runs first, and
+the call returns only after both have finished.  Inference keeps to the
+calling thread.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ import contextlib
 import ctypes
 import functools
 import importlib
+import os
 
 # (get, set) thread-count symbols: numpy 2 wheels, numpy 1 wheels, a system
 # OpenBLAS.
@@ -69,3 +82,36 @@ def one_thread():
         yield
     finally:
         set_(before)
+
+
+_worker = None  # a one-thread concurrent.futures.ThreadPoolExecutor
+
+
+def _forget_worker() -> None:
+    # A forked child has no copy of the thread; its first call starts one.
+    global _worker
+    _worker = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def in_parallel(here, there):
+    """``(here(), there())``, with ``there`` run on the step worker while
+    ``here`` runs on the calling thread.
+
+    Returns, or raises, only after both have finished, so neither share
+    outlives the caller's buffers.  An exception from ``here`` wins;
+    otherwise one from ``there`` reaches the caller as it was raised.
+    """
+    from concurrent import futures  # only training imports it
+
+    global _worker
+    if _worker is None:
+        _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="dentdet-step")
+    pending = _worker.submit(there)
+    try:
+        mine = here()
+    finally:
+        futures.wait((pending,))
+    return mine, pending.result()

@@ -151,7 +151,7 @@ def _samples(data_dir: Path, level: HierarchyLevel, model_cfg: ModelConfig):
         _check_grid(model_cfg, info.width, info.height, path)
     try:
         return prepare_samples(aset, images, model_cfg)
-    except ValueError as e:  # read_pgm names the file
+    except ValueError as e:  # read_pgm and the size check name the file
         raise CliError(EXIT_INVALID, f"invalid image: {e}")
 
 
@@ -397,7 +397,12 @@ def cmd_render(args, cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     by_image = aset.by_image()
     for info in aset.images:
-        img = _read_image(data_dir / "images" / info.file_name)
+        path = data_dir / "images" / info.file_name
+        img = _read_image(path)
+        try:
+            info.check_size(img, path)
+        except ValueError as e:
+            raise CliError(EXIT_INVALID, f"invalid image: {e}")
         items = [(a.box, caption(a.label)) for a in by_image[info.id]]
         canvas = render_overlay(img, items)
         write_ppm(out_dir / f"{info.id}.ppm", canvas)

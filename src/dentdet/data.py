@@ -199,6 +199,15 @@ class ImageInfo:
     height: int
     file_name: str
 
+    def check_size(self, image: np.ndarray, path) -> None:
+        """ValueError naming ``path`` unless ``image`` has this record's size."""
+        h, w = image.shape
+        if (w, h) != (self.width, self.height):
+            raise ValueError(
+                f"{path}: image is {w}x{h}, but its annotation record says "
+                f"{self.width}x{self.height}"
+            )
+
 
 @dataclass(frozen=True)
 class Annotation:

@@ -29,12 +29,14 @@ class LossBreakdown:
 
 
 def _cost_matrix(probs, boxes01, gt_boxes, gt_classes, level: HierarchyLevel, cfg):
-    n = boxes01.shape[0]
-    m = gt_boxes.shape[0]
-    cost = np.zeros((n, m))
+    """(..., N, M) assignment costs of (..., N, 4) proposals, with (..., N, K)
+    probabilities per head, against (..., M, 4) ground-truth boxes with
+    (..., M, 3) classes; leading axes index images."""
+    cost = np.zeros(boxes01.shape[:-1] + gt_boxes.shape[-2:-1])
     for col, head in enumerate(level.heads):
-        cost += cfg.cls_weight * (1.0 - probs[head][:, gt_classes[:, col]])
-    l1 = np.abs(boxes01[:, None, :] - gt_boxes[None, :, :]).sum(axis=2)
+        p_gt = np.take_along_axis(probs[head], gt_classes[..., None, :, col], axis=-1)
+        cost += cfg.cls_weight * (1.0 - p_gt)
+    l1 = np.abs(boxes01[..., :, None, :] - gt_boxes[..., None, :, :]).sum(axis=-1)
     cost += cfg.l1_weight * l1
     cost += cfg.giou_weight * (1.0 - giou_matrix(boxes01, gt_boxes))
     return cost
@@ -74,11 +76,41 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     return sorted(zip(rows.tolist(), cols.tolist()), key=lambda p: p[1])
 
 
+# Proposal rows whose costs are built at once: a 64-proposal training batch
+# builds its cost tensor four images at a time.  The GIoU and L1 terms hold
+# about a dozen (rows, M) temporaries, so a whole 8-image batch at once would
+# raise the step's peak memory by about half a head input.
+COST_SLICE_ROWS = 256
+
+
 def match_arrays(probs, boxes01, gt_boxes, gt_classes, level: HierarchyLevel, cfg):
-    """Assignment of one image's (M, 4) ground-truth boxes, with (M, 3)
-    ``labels.class_array`` classes, to its proposals."""
-    cost = _cost_matrix(probs, boxes01, gt_boxes, gt_classes, level, cfg)
-    return solve_assignment(cost)
+    """Assignment of ground truth to proposals.
+
+    One image's (N, 4) proposals and (M, 4) ground-truth boxes, with (M, 3)
+    ``labels.class_array`` classes, give its (proposal, gt) pairs.  A
+    lockstep block's (B, N, 4) proposals and B per-image ground-truth
+    arrays give B pair lists: the block's costs are one (B, N, M_max)
+    tensor, built :data:`COST_SLICE_ROWS` rows at a time with ground truth
+    padded to the largest M, and each image is solved on its own M columns.
+    """
+    if np.ndim(boxes01) == 2:
+        one = {head: p[None] for head, p in probs.items()}
+        return match_arrays(one, boxes01[None], [gt_boxes], [gt_classes], level, cfg)[0]
+    b, n = boxes01.shape[:2]
+    counts = [len(g) for g in gt_boxes]
+    boxes = np.zeros((b, max(counts, default=0), 4))
+    classes = np.zeros(boxes.shape[:2] + (len(HEAD_NAMES),), dtype=np.int64)
+    for i, (g, c) in enumerate(zip(gt_boxes, gt_classes)):
+        boxes[i, : len(g)], classes[i, : len(c)] = g, c
+    cost = np.empty(boxes01.shape[:2] + boxes.shape[1:2])
+    step = max(1, COST_SLICE_ROWS // max(n, 1))
+    for lo in range(0, b, step):
+        part = slice(lo, lo + step)
+        cost[part] = _cost_matrix(
+            {head: p[part] for head, p in probs.items()}, boxes01[part],
+            boxes[part], classes[part], level, cfg,
+        )
+    return [solve_assignment(c[:, :m]) for c, m in zip(cost, counts)]
 
 
 def _focal(p_t: np.ndarray, gamma: float):

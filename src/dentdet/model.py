@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .diffusion import MIN_SIZE, signal_decode
 from .labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel
 
@@ -341,20 +343,25 @@ def forward_features(
     cfg: ModelConfig,
     grid_feats: np.ndarray,
     z: np.ndarray,
-    t: float,
+    t,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Head input with the per-proposal decoder input in its last D columns:
     pooled RoI features of the decoded noisy box followed by the timestep
     embedding.  (N, H + D) for (N, 4) proposals or (B, N, H + D) for
     (B, N, 4), written into ``out`` if given; the first H columns are left
-    for :func:`forward_net`'s trunk output."""
+    for :func:`forward_net`'s trunk output.  ``t`` is one timestep for every
+    image, or a sequence of B, one per image."""
     boxes01 = signal_decode(np.asarray(z, dtype=np.float64), cfg.scale)
     if out is None:
         out = np.empty(boxes01.shape[:-1] + (cfg.hidden + cfg.feat_dim,))
     roi_end = cfg.hidden + cfg.feat_dim - cfg.time_dim
     roi_pool_batch(grid_feats, boxes01, cfg.pool, out=out[..., cfg.hidden : roi_end])
-    out[..., roi_end:] = time_embedding(t, cfg.time_dim)
+    if np.ndim(t) == 0:
+        out[..., roi_end:] = time_embedding(t, cfg.time_dim)
+    else:
+        for rows, ti in zip(out, t):
+            rows[:, roi_end:] = time_embedding(ti, cfg.time_dim)
     return out
 
 
@@ -405,23 +412,38 @@ def backward_net(
     dz0_pred: np.ndarray,
     dlogits: dict[str, np.ndarray],
     grads: ParamStore,
+    first_layer=None,
 ) -> None:
-    """Accumulate parameter gradients for upstream gradients on the decoder
-    outputs.  Heads absent from ``dlogits`` receive exactly zero gradient."""
+    """Accumulate parameter gradients for upstream gradients on one image's
+    (N, ...) decoder outputs.  Heads absent from ``dlogits`` receive exactly
+    zero gradient.
+
+    ``first_layer``, if given, takes the first layer's share: it is called
+    with the decoder input and the gradient on the first hidden layer as
+    soon as that is known, in place of adding to ``trunk.w1`` and
+    ``trunk.b1`` here."""
     h1, h2x = cache.h1, cache.x
     width = h1.shape[1]
     h2, x = h2x[:, :width], h2x[:, width:]
     dh2 = dz0_pred @ params["box.w"].T
+    for head, dl in dlogits.items():
+        dh2 += dl @ params[f"head_{head}.w"][:width].T
+    dh2 = dh2 * (h2 > 0)
+    dh1 = (dh2 @ params["trunk.w2"].T) * (h1 > 0)
+    if first_layer is None:
+        _first_layer_grads(grads, x, dh1)
+    else:
+        first_layer(x, dh1)
     grads["box.w"] += h2.T @ dz0_pred
     grads["box.b"] += dz0_pred.sum(axis=0)
     for head, dl in dlogits.items():
-        dh2 += dl @ params[f"head_{head}.w"][:width].T
         grads[f"head_{head}.w"] += h2x.T @ dl
         grads[f"head_{head}.b"] += dl.sum(axis=0)
-    dh2 = dh2 * (h2 > 0)
-    dh1 = (dh2 @ params["trunk.w2"].T) * (h1 > 0)
     grads["trunk.w2"] += h1.T @ dh2
     grads["trunk.b2"] += dh2.sum(axis=0)
+
+
+def _first_layer_grads(grads: ParamStore, x: np.ndarray, dh1: np.ndarray) -> None:
     grads["trunk.w1"] += x.T @ dh1
     grads["trunk.b1"] += dh1.sum(axis=0)
 
@@ -499,6 +521,7 @@ class BatchItem:
     gt_classes: np.ndarray  # (M, 3) labels.class_array class indices
 
 
+@blas.one_thread()
 def loss_gradients(
     params: ParamStore,
     batch: list[BatchItem],
@@ -508,30 +531,95 @@ def loss_gradients(
     """Loss and exact analytic gradients over a batch of images.
 
     Returns (loss, grads, breakdown) with the loss mean-reduced over images
-    and the breakdown counting the matched pairs.  Gradients of heads
-    the level does not supervise are identically zero.  The trunk runs, and proposals
-    are matched, image by image; the loss runs once over the stacked rows.
+    and the breakdown counting the matched pairs.  Gradients of heads the
+    level does not supervise are identically zero.
+
+    Images run in lockstep, one (b, N, ...) block per run of consecutive
+    images with equal proposal counts.  The step worker
+    (:func:`blas.in_parallel`) runs the second half of the batch's forward
+    pass while this thread runs the first; proposals are matched from one
+    cost tensor per block, and the loss runs once over the stacked rows.
+    The backward pass is split by tensor: the worker adds the first layer's
+    gradients, this thread the others.  Each tensor is still summed image
+    by image in image order, so every gradient is the float sum a per-image
+    loop gives.
     """
+    from queue import SimpleQueue  # kept out of the inference imports
+
     check_shapes(params, cfg)
-    grads = zero_grads(cfg)
     offsets = np.cumsum([0] + [item.z.shape[0] for item in batch])
     x = np.empty((offsets[-1], cfg.hidden + cfg.feat_dim))
-    caches = []
-    for item, lo, hi in zip(batch, offsets, offsets[1:]):
-        forward_features(cfg, item.grid_feats, item.z, item.t, out=x[lo:hi])
-        caches.append(forward_net(params, x[lo:hi], item.z, level.heads))
-    bd, dz0_pred, dlogits = _output_gradients(caches, batch, offsets, level, cfg)
-    for cache, lo, hi in zip(caches, offsets, offsets[1:]):
-        backward_net(
-            params, cache, dz0_pred[lo:hi],
-            {head: dl[lo:hi] for head, dl in dlogits.items()}, grads,
-        )
+    half = (len(batch) + 1) // 2
+    first, second = blas.in_parallel(
+        lambda: _forward_blocks(params, batch, range(half), offsets, x, level, cfg),
+        lambda: _forward_blocks(
+            params, batch, range(half, len(batch)), offsets, x, level, cfg
+        ),
+    )
+    blocks = first + second
+    bd, dz0_pred, dlogits = _output_gradients(blocks, batch, offsets, level, cfg)
+    # Allocated only now, so the forward pass and matching peak lower.
+    grads = zero_grads(cfg)
+    handoff = SimpleQueue()
+
+    def first_layers():
+        while (share := handoff.get()) is not None:
+            _first_layer_grads(grads, *share)
+
+    def other_layers():
+        try:
+            for cache, lo, hi in zip(_images(blocks), offsets, offsets[1:]):
+                backward_net(
+                    params, cache, dz0_pred[lo:hi],
+                    {head: dl[lo:hi] for head, dl in dlogits.items()}, grads,
+                    first_layer=lambda *share: handoff.put(share),
+                )
+        finally:
+            handoff.put(None)
+
+    blas.in_parallel(other_layers, first_layers)
     return bd.total, grads, bd
 
 
-def _output_gradients(caches, batch, offsets, level: HierarchyLevel, cfg: ModelConfig):
-    """Match each image, then take the batch-mean loss and its gradients on
-    the stacked box predictions and full-width logits.
+def _runs(batch, images: range):
+    """Runs of consecutive ``images`` of ``batch`` with equal proposal
+    counts, as ranges of image indices."""
+    for _, run in itertools.groupby(images, key=lambda i: batch[i].z.shape[0]):
+        run = list(run)
+        yield range(run[0], run[-1] + 1)
+
+
+def _forward_blocks(params, batch, images: range, offsets, x, level, cfg):
+    """Forward ``images`` of ``batch`` in lockstep, each image's head input
+    in its rows of ``x``: one (b, N, ...) cache per run of equal proposal
+    counts."""
+    blocks = []
+    for run in _runs(batch, images):
+        items = batch[run.start : run.stop]
+        xb = x[offsets[run.start] : offsets[run.stop]]
+        xb = xb.reshape(len(items), items[0].z.shape[0], x.shape[1])
+        z = np.stack([item.z for item in items])
+        forward_features(
+            cfg, np.stack([item.grid_feats for item in items]), z,
+            [item.t for item in items], out=xb,
+        )
+        blocks.append(forward_net(params, xb, z, level.heads))
+    return blocks
+
+
+def _images(blocks):
+    """Each image's (N, ...) view of the lockstep caches, in image order."""
+    for c in blocks:
+        for i in range(len(c.x)):
+            yield ForwardCache(
+                c.x[i], c.h1[i], c.z0_pred[i], {h: lg[i] for h, lg in c.logits.items()}
+            )
+
+
+def _output_gradients(blocks, batch, offsets, level: HierarchyLevel, cfg: ModelConfig):
+    """Match each run of equal proposal counts, then take the batch-mean
+    loss and its gradients on the stacked box predictions and full-width
+    logits.
 
     Kept apart from :func:`loss_gradients` so the loss's intermediates are
     freed before the backward passes run.
@@ -539,15 +627,25 @@ def _output_gradients(caches, batch, offsets, level: HierarchyLevel, cfg: ModelC
     from .matching import loss_forward_backward, match_arrays
 
     b = len(batch)
-    z0_pred = np.concatenate([c.z0_pred for c in caches])
+    z0_pred = np.concatenate([c.z0_pred.reshape(-1, 4) for c in blocks])
     boxes01 = signal_decode(z0_pred, cfg.scale)
-    probs = [loss_probs_for_mask(c.logits, level) for c in caches]
-    pairs = [
-        match_arrays(p, boxes01[lo:hi], item.gt_boxes, item.gt_classes, level, cfg)
-        for p, item, lo, hi in zip(probs, batch, offsets, offsets[1:])
-    ]
+    probs = loss_probs_for_mask({
+        head: np.concatenate([c.logits[head].reshape(-1, _head_dim(head)) for c in blocks])
+        for head in level.heads
+    }, level)
+    pairs = []
+    for run in _runs(batch, range(b)):
+        items = batch[run.start : run.stop]
+        rows = slice(offsets[run.start], offsets[run.stop])
+        lockstep = (len(items), items[0].z.shape[0])
+        pairs += match_arrays(
+            {head: p[rows].reshape(*lockstep, -1) for head, p in probs.items()},
+            boxes01[rows].reshape(*lockstep, 4),
+            [item.gt_boxes for item in items], [item.gt_classes for item in items],
+            level, cfg,
+        )
     bd, dlogits, dboxes01 = loss_forward_backward(
-        {head: np.concatenate([p[head] for p in probs]) for head in level.heads},
+        probs,
         boxes01,
         offsets,
         pairs,

@@ -125,7 +125,9 @@ def prepare_samples(
     by_image = aset.by_image()
     samples = []
     for info in aset.images:
-        img = read_pgm(images_dir / info.file_name)
+        path = images_dir / info.file_name
+        img = read_pgm(path)
+        info.check_size(img, path)
         anns = by_image[info.id]
         samples.append(
             TrainSample(
@@ -155,6 +157,51 @@ class TrainingDiverged(RuntimeError):
 
 def _global_norm(grads: ParamStore, names) -> float:
     return float(np.sqrt(sum(float((grads[n] ** 2).sum()) for n in names)))
+
+
+class Adam:
+    """Adam with an L2 term, over the named tensors of a parameter store.
+
+    :meth:`step` runs, tensor by tensor, the float operations of the
+    textbook update in their order: the clipped gradient, both moments, the
+    bias corrections, then ``lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)``.
+    It writes every intermediate into two scratch buffers per tensor, so a
+    step allocates nothing.
+    """
+
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: ParamStore, names, weight_decay: float):
+        self.names = list(names)
+        self.weight_decay = weight_decay
+        self.m = {n: np.zeros_like(params[n]) for n in self.names}
+        self.v = {n: np.zeros_like(params[n]) for n in self.names}
+        self._scratch = {
+            n: (np.empty_like(params[n]), np.empty_like(params[n])) for n in self.names
+        }
+        self.steps = 0
+
+    def step(self, params: ParamStore, grads: ParamStore, lr: float, clip: float) -> None:
+        """Move ``params`` by one step of rate ``lr``; ``grads`` are scaled
+        by ``clip`` in place."""
+        self.steps += 1
+        b1, b2 = self.b1, self.b2
+        c1, c2 = 1 - b1**self.steps, 1 - b2**self.steps
+        for n in self.names:
+            g, m, v, p = grads[n], self.m[n], self.v[n], params[n]
+            s, u = self._scratch[n]
+            g *= clip
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=s)
+            v *= b2
+            np.multiply(g, 1 - b2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.sqrt(np.divide(v, c2, out=s), out=s)
+            s += self.eps
+            np.divide(np.divide(m, c1, out=u), s, out=u)
+            u += np.multiply(p, self.weight_decay, out=s)
+            u *= lr
+            p -= u
 
 
 @blas.one_thread()
@@ -190,9 +237,7 @@ def train_stage(
         params = {k: v.copy() for k, v in init.items()}
     rng = np.random.default_rng([cfg.seed, 1])
     trainable = level_params(cfg.level)
-    m = {n: np.zeros_like(params[n]) for n in trainable}
-    v = {n: np.zeros_like(params[n]) for n in trainable}
-    b1, b2, eps = 0.9, 0.999, 1e-8
+    adam = Adam(params, trainable, cfg.weight_decay)
     metrics: list[dict] = []
     out_dir = Path(out_dir) if out_dir is not None else None
     last_ckpt = None
@@ -249,16 +294,7 @@ def train_stage(
                 lr *= (it + 1) / cfg.warmup
             norm = _global_norm(grads, trainable)
             clip = min(1.0, cfg.grad_clip / norm) if norm > cfg.grad_clip else 1.0
-            step = it + 1
-            for n in trainable:
-                g = grads[n] * clip
-                m[n] = b1 * m[n] + (1 - b1) * g
-                v[n] = b2 * v[n] + (1 - b2) * g * g
-                mhat = m[n] / (1 - b1**step)
-                vhat = v[n] / (1 - b2**step)
-                params[n] -= lr * (
-                    mhat / (np.sqrt(vhat) + eps) + cfg.weight_decay * params[n]
-                )
+            adam.step(params, grads, lr, clip)
 
             if it % cfg.log_every == 0 or it == cfg.iterations - 1:
                 rec = {

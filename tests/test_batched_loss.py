@@ -2,16 +2,26 @@
 
 ``_image_loss`` and ``_oracle_loss_gradients`` are the per-image loss and
 the per-image gradient loop that ``model.loss_gradients`` ran before its
-loss was batched.  The batched step must equal them bit for bit: the same
-loss, breakdown and gradient bytes.
+loss was batched and its images ran in lockstep on two threads.  The step
+must equal them bit for bit: the same loss, breakdown and gradient bytes.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dentdet.model as model_mod
 import dentdet.train as train_mod
+from dentdet import blas
+from dentdet.config import ENV_CONFIG
 from dentdet.data import generate_layout, project_level
 from dentdet.diffusion import Schedule, signal_decode
 from dentdet.labels import (
@@ -330,3 +340,229 @@ def test_train_stage_with_oracle_is_byte_equal(level, monkeypatch, tmp_path):
         assert _same_bytes(params[name], want_params[name]), name
     assert metrics == want_metrics and records == want_records
     assert all(rec["matched_pairs"] > 0 for rec in records)
+
+
+# ---------------------------------------------------------------------------
+# The step worker runs the second half of the forward pass and the first
+# layer's gradients.  Its shares must finish before a step returns, and what
+# goes wrong there must reach the caller.
+
+
+class Injected(Exception):
+    pass
+
+
+def _on_worker():
+    return threading.current_thread().name.startswith("dentdet-step")
+
+
+def _on_worker_only(fn, before=None):
+    """``fn``, with ``before()`` run first whenever the worker calls it."""
+
+    def wrapped(*args, **kwargs):
+        if before is not None and _on_worker():
+            before()
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def _raise():
+    raise Injected("worker share failed")
+
+
+@pytest.mark.parametrize("share", ["forward_net", "_first_layer_grads"])
+def test_worker_exception_reaches_the_caller(share, monkeypatch):
+    rng = np.random.default_rng(44)
+    level = HierarchyLevel.FULL
+    params, batch = _params(rng), _batch(rng, level)
+    monkeypatch.setattr(model_mod, share, _on_worker_only(getattr(model_mod, share), _raise))
+    with pytest.raises(Injected, match="^worker share failed$"):
+        loss_gradients(params, batch, level, CFG)
+    monkeypatch.undo()
+    # The worker is free again, and the next step is whole.
+    loss, grads, _ = loss_gradients(params, batch, level, CFG)
+    want_loss, want_grads, _ = _oracle_loss_gradients(params, batch, level, CFG)
+    assert loss == want_loss
+    for name in grads:
+        assert _same_bytes(grads[name], want_grads[name]), name
+
+
+def test_in_parallel_waits_for_the_worker_and_raises_its_error():
+    done = []
+
+    def slow():
+        time.sleep(0.05)
+        done.append(threading.current_thread().name)
+        return "there"
+
+    assert blas.in_parallel(lambda: "here", slow) == ("here", "there")
+    with pytest.raises(RuntimeError, match="here failed"):
+        blas.in_parallel(lambda: _fail(RuntimeError("here failed")), slow)
+    assert len(done) == 2  # the second call waited although here() raised
+    assert all(name.startswith("dentdet-step") for name in done)
+    with pytest.raises(KeyError, match="there failed"):
+        blas.in_parallel(lambda: None, lambda: _fail(KeyError("there failed")))
+
+
+def _fail(error):
+    raise error
+
+
+def _slow_worker(monkeypatch):
+    """Delay each of the worker's forward and first-layer calls; returns the
+    list they append to once done."""
+    finished = []
+    for name in ("forward_net", "_first_layer_grads"):
+        real = getattr(model_mod, name)
+
+        def wrapped(*args, _real=real, _name=name, **kwargs):
+            if not _on_worker():
+                return _real(*args, **kwargs)
+            time.sleep(0.005)
+            out = _real(*args, **kwargs)
+            finished.append(_name)
+            return out
+
+        monkeypatch.setattr(model_mod, name, wrapped)
+    return finished
+
+
+def test_step_returns_after_the_worker_finished(monkeypatch):
+    rng = np.random.default_rng(45)
+    level = HierarchyLevel.QUADRANT_ENUM
+    params, batch = _params(rng), _batch(rng, level)
+    want_loss, want_grads, _ = _oracle_loss_gradients(params, batch, level, CFG)
+    finished = _slow_worker(monkeypatch)
+    loss, grads, _ = loss_gradients(params, batch, level, CFG)
+    # The worker forwards images 3 and 4 (two proposal counts, so two
+    # blocks) and adds the first layer's gradients of all five.
+    assert finished.count("forward_net") == 2
+    assert finished.count("_first_layer_grads") == len(batch)
+    assert loss == want_loss
+    for name in grads:
+        assert _same_bytes(grads[name], want_grads[name]), name
+
+
+def test_train_stage_returns_after_the_worker_finished(monkeypatch):
+    level = HierarchyLevel.QUADRANT_ONLY
+    cfg = StageConfig(level=level, iterations=3, batch_size=4, n_proposals=16, seed=2)
+    want, _ = train_stage(cfg, _samples(level), CFG, SCHED)
+    finished = _slow_worker(monkeypatch)
+    params, _ = train_stage(cfg, _samples(level), CFG, SCHED)
+    assert finished.count("forward_net") == cfg.iterations
+    assert finished.count("_first_layer_grads") == cfg.iterations * cfg.batch_size
+    for name in params:
+        assert _same_bytes(params[name], want[name]), name
+
+
+def test_second_identical_train_stage_is_byte_equal():
+    level = HierarchyLevel.FULL
+    samples = _samples(level)
+    cache = InferredBoxCache(0.5, {
+        s.image_id: inferred_boxes([(*row, 0.8) for row in s.gt_boxes[:4]])
+        for s in samples
+    })
+    cfg = StageConfig(level=level, iterations=5, batch_size=4, lr=1e-2,
+                      n_proposals=40, seed=8, augment=True, log_every=1)
+    runs = [train_stage(cfg, samples, CFG, SCHED, cache=cache) for _ in range(2)]
+    (first, first_metrics), (second, second_metrics) = runs
+    for name in first:
+        assert _same_bytes(first[name], second[name]), name
+    for rec in first_metrics + second_metrics:
+        rec.pop("wall_time")
+    assert first_metrics == second_metrics
+
+
+def test_concurrent_steps_share_the_worker_without_lost_updates():
+    # Three callers, more than the two cores, each run steps that put their
+    # shares on the one worker, with the interpreter switching threads
+    # every microsecond.  A gradient add lost or crossed between steps
+    # would break the byte equality.
+    level = HierarchyLevel.QUADRANT_ENUM
+    cases = []
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 46])
+        params, batch = _params(rng), _batch(rng, level)
+        cases.append((params, batch, _oracle_loss_gradients(params, batch, level, CFG)))
+    errors = []
+
+    def caller(params, batch, want):
+        try:
+            for _ in range(4):
+                loss, grads, bd = loss_gradients(params, batch, level, CFG)
+                assert (loss, bd) == (want[0], want[2])
+                for name in grads:
+                    assert _same_bytes(grads[name], want[1][name]), name
+        except BaseException as e:  # reported by the test thread below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=case) for case in cases]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_worker():
+    blas.in_parallel(lambda: None, lambda: None)  # this process's worker runs
+    pid = os.fork()
+    if pid == 0:  # the child has no copy of the worker thread
+        signal.alarm(20)  # a child left waiting on it dies
+        ok = False
+        try:
+            ok = blas.in_parallel(lambda: 1, lambda: 2) == (1, 2)
+        finally:
+            os._exit(0 if ok else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+_WORKER_START = """
+import threading
+
+import numpy as np
+
+from dentdet.diffusion import Schedule
+from dentdet.labels import HierarchyLevel
+from dentdet.model import BatchItem, ModelConfig, init_params, loss_gradients
+from dentdet.train import infer
+
+
+def step_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("dentdet-step")]
+
+
+cfg, level = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8), HierarchyLevel.QUADRANT_ONLY
+rng = np.random.default_rng(0)
+params = init_params(cfg, rng)
+grids = [rng.random((8, 8, cfg.channels)) for _ in range(2)]
+assert threading.active_count() == 1, threading.enumerate()
+infer(params, grids, level, cfg, Schedule.cosine(1000, 0.008), n_proposals=8, steps=2)
+assert threading.active_count() == 1, "inference started a thread"
+gt = np.array([[0.5, 0.5, 0.2, 0.2]])
+batch = [BatchItem(g, rng.standard_normal((8, 4)), 10.0, gt, np.zeros((1, 3), int))
+         for g in grids]
+loss_gradients(params, batch, level, cfg)
+loss_gradients(params, batch, level, cfg)
+assert len(step_threads()) == 1, step_threads()
+print("ok")
+"""
+
+
+def test_worker_starts_on_the_first_training_step():
+    src = Path(model_mod.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _WORKER_START], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"

@@ -673,6 +673,21 @@ def test_truncated_image_is_invalid_data(command, dataset, cfg_path, tmp_path, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [c for c in IMAGE_COMMANDS if c != "infer"])
+def test_image_of_another_size_than_its_record_is_invalid_data(
+    command, dataset, cfg_path, tmp_path, capsys
+):
+    # infer has no annotation record to compare with.
+    args, image = _image_command(command, dataset, tmp_path)
+    imageio.write_pgm(image, np.full((4, 256), 128, dtype=np.uint8))
+    capsys.readouterr()
+    assert main(["--config", cfg_path, *args]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert (f"error: invalid image: {image}: image is 256x4, but its annotation "
+            "record says 256x256") in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["infer", "eval", "eval --oracle", "train", "pipeline"])
 def test_image_under_two_pixels_is_usage_error(command, dataset, tmp_path, capsys):
     # At model.grid 1 the grid check passes a 1-pixel-wide image, but the

@@ -1,6 +1,7 @@
 """Footprint: inference and scoring run without scipy or numpy.ma, training
-loads its assignment solver on the first step, and a sampler pass holds
-about one head input's worth of memory."""
+loads its assignment solver on the first step, and a sampler pass and a
+training step each hold about one head input's worth of memory beyond
+what they must keep."""
 
 import os
 import subprocess
@@ -15,11 +16,18 @@ import pytest
 import dentdet
 from dentdet import matching, train
 from dentdet.config import ENV_CONFIG
-from dentdet.data import generate_dataset, level_tag, load_annotations
-from dentdet.diffusion import Schedule
+from dentdet.data import (
+    generate_dataset,
+    generate_layout,
+    level_tag,
+    load_annotations,
+    project_level,
+)
+from dentdet.diffusion import Schedule, forward_noise, pad_gt_boxes
 from dentdet.labels import HierarchyLevel
-from dentdet.model import ModelConfig, init_params
+from dentdet.model import BatchItem, ModelConfig, encode_image, init_params, loss_gradients
 from dentdet.train import StageConfig, infer, prepare_samples, train_stage
+from helpers import truth_arrays
 
 SRC = Path(dentdet.__file__).resolve().parent.parent
 
@@ -118,3 +126,34 @@ def test_sampler_pass_peaks_below_two_and_a_half_head_inputs():
         tracemalloc.stop()
     head_input = n_images * n_proposals * (cfg.hidden + cfg.feat_dim) * 8
     assert peak < 2.5 * head_input, f"{peak / head_input:.2f} head inputs"
+
+
+def test_training_step_peaks_at_most_two_and_a_half_head_inputs():
+    # One default-size step: level b, 8 images of 64 proposals, about 30
+    # ground-truth boxes each.  The head input, the first hidden layer and
+    # the gradients it must keep come to about 1.6 head inputs; the two
+    # halves' RoI pooling at once, or the matching costs of the whole batch
+    # built at once, would each add most of the rest.
+    pytest.importorskip("scipy.optimize")  # matching needs the solver
+    cfg, level, n_images, n_proposals = ModelConfig(), HierarchyLevel.QUADRANT_ENUM, 8, 64
+    schedule = Schedule.cosine(1000, 0.008)
+    rng = np.random.default_rng(0)
+    batch = []
+    for i in range(n_images):
+        img, layout = generate_layout(100 + i)
+        gt_boxes, gt_classes = truth_arrays(project_level(layout, level))
+        t = int(rng.integers(1, schedule.T + 1))
+        z0 = pad_gt_boxes(gt_boxes, n_proposals, rng, cfg.scale)
+        z = forward_noise(z0, t, schedule, rng)
+        batch.append(BatchItem(encode_image(img, cfg.grid), z, float(t), gt_boxes, gt_classes))
+    assert 25 <= np.mean([len(item.gt_boxes) for item in batch]) <= 35
+    params = init_params(cfg, rng, head_scale=0.3)
+    loss_gradients(params, batch, level, cfg)  # the solver's import and the worker stay out
+    tracemalloc.start()
+    try:
+        loss_gradients(params, batch, level, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    head_input = n_images * n_proposals * (cfg.hidden + cfg.feat_dim) * 8
+    assert peak <= 2.5 * head_input, f"{peak / head_input:.2f} head inputs"
