@@ -8,7 +8,6 @@ from .labels import (
     NUM_ENUMERATIONS,
     NUM_QUADRANTS,
     HierarchyLevel,
-    LabelTriple,
 )
 from .manipulate import InferredBoxCache, manipulate_boxes
 from .matching import LossBreakdown
@@ -34,7 +33,6 @@ __all__ = [
     "NUM_ENUMERATIONS",
     "HierarchyLevel",
     "InferredBoxCache",
-    "LabelTriple",
     "LossBreakdown",
     "ModelConfig",
     "NUM_QUADRANTS",

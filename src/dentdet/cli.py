@@ -395,16 +395,14 @@ def cmd_render(args, cfg: RunConfig) -> int:
     aset = _load_level(data_dir, level)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    by_image = aset.by_image()
-    for info in aset.images:
+    for info, boxes, classes in zip(aset.images, aset.boxes, aset.classes, strict=True):
         path = data_dir / "images" / info.file_name
         img = _read_image(path)
         try:
             info.check_size(img, path)
         except ValueError as e:
             raise CliError(EXIT_INVALID, f"invalid image: {e}")
-        items = [(a.box, caption(a.label)) for a in by_image[info.id]]
-        canvas = render_overlay(img, items)
+        canvas = render_overlay(img, boxes, [caption(row) for row in classes])
         write_ppm(out_dir / f"{info.id}.ppm", canvas)
     print(f"rendered {len(aset.images)} overlays to {out_dir}")
     return EXIT_OK
@@ -421,7 +419,7 @@ def cmd_validate(args, cfg: RunConfig) -> int:
             print(f"record {idx}: {msg}", file=sys.stderr)
         return EXIT_INVALID
     print(
-        f"ok: {len(aset.images)} images, {len(aset.annotations)} annotations "
+        f"ok: {len(aset.images)} images, {sum(map(len, aset.boxes))} annotations "
         f"at level {level.value}"
     )
     return EXIT_OK

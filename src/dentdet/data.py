@@ -21,11 +21,11 @@ import numpy as np
 
 from .geometry import Box, cxcywh_to_xyxy
 from .labels import (
+    HEAD_CLASS_COUNTS,
     HEAD_NAMES,
     NUM_ENUMERATIONS,
     NUM_QUADRANTS,
     HierarchyLevel,
-    LabelTriple,
 )
 
 DEFAULT_SIZE = 256
@@ -153,39 +153,36 @@ def generate_layout(seed: int, size: int = DEFAULT_SIZE):
 
 
 def project_level(layout: Layout, level: HierarchyLevel):
-    """Annotations visible at a hierarchy level: quadrant envelopes, all
-    present teeth, or diagnosed teeth only."""
-    out: list[tuple[Box, LabelTriple]] = []
+    """Ground truth visible at a hierarchy level: quadrant envelopes, all
+    present teeth, or diagnosed teeth only.
+
+    Returns (M, 4) boxes and (M, 3) classes, as ``load_annotations`` holds
+    an image's records."""
     if level is HierarchyLevel.QUADRANT_ONLY:
+        boxes, classes = [], []
         for q in range(NUM_QUADRANTS):
-            boxes = [t.box for t in layout.present() if t.quadrant == q]
-            if not boxes:
+            members = [t.box.to_array() for t in layout.present() if t.quadrant == q]
+            if not members:
                 continue
-            xs = [b.to_xyxy() for b in boxes]
-            x0 = min(b[0] for b in xs)
-            y0 = min(b[1] for b in xs)
-            x1 = max(b[2] for b in xs)
-            y1 = max(b[3] for b in xs)
-            out.append((Box.from_xyxy(x0, y0, x1, y1), LabelTriple(quadrant=q)))
-        return out
-    if level is HierarchyLevel.QUADRANT_ENUM:
-        return [
-            (t.box, LabelTriple(quadrant=t.quadrant, enumeration=t.enumeration))
-            for t in layout.present()
-        ]
-    if level is HierarchyLevel.FULL:
-        return [
-            (
-                t.box,
-                LabelTriple(
-                    quadrant=t.quadrant,
-                    enumeration=t.enumeration,
-                    diagnosis=t.diagnosis,
-                ),
-            )
-            for t in layout.diagnosed()
-        ]
-    raise ValueError(f"unknown level {level!r}")
+            corners = cxcywh_to_xyxy(np.array(members))
+            x0, y0 = corners[:, :2].min(axis=0)
+            x1, y1 = corners[:, 2:].max(axis=0)
+            boxes.append(((x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0))
+            classes.append((q, -1, -1))
+    elif level is HierarchyLevel.QUADRANT_ENUM:
+        teeth = layout.present()
+        boxes = [t.box.to_array() for t in teeth]
+        classes = [(t.quadrant, t.enumeration, -1) for t in teeth]
+    elif level is HierarchyLevel.FULL:
+        teeth = layout.diagnosed()
+        boxes = [t.box.to_array() for t in teeth]
+        classes = [(t.quadrant, t.enumeration, t.diagnosis) for t in teeth]
+    else:
+        raise ValueError(f"unknown level {level!r}")
+    return (
+        np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        np.array(classes, dtype=np.int64).reshape(-1, len(HEAD_NAMES)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +206,19 @@ class ImageInfo:
             )
 
 
-@dataclass(frozen=True)
-class Annotation:
-    image_id: str
-    box: Box  # normalized center-size
-    label: LabelTriple
-
-
 @dataclass
 class AnnotationSet:
+    """One level's ground truth as per-image arrays.
+
+    ``boxes[i]`` (M_i, 4) normalized center-size and ``classes[i]`` (M_i, 3)
+    class indices, one column per head in ``HEAD_NAMES`` order with -1 where
+    a head carries no label, belong to ``images[i]``; rows keep file order.
+    """
+
     level: HierarchyLevel
     images: list[ImageInfo] = field(default_factory=list)
-    annotations: list[Annotation] = field(default_factory=list)
-
-    def by_image(self) -> dict[str, list[Annotation]]:
-        out: dict[str, list[Annotation]] = {info.id: [] for info in self.images}
-        for ann in self.annotations:
-            out[ann.image_id].append(ann)
-        return out
+    boxes: list[np.ndarray] = field(default_factory=list)
+    classes: list[np.ndarray] = field(default_factory=list)
 
 
 # Each head's label field in an annotation record, shallow to deep.
@@ -248,31 +240,59 @@ def write_annotations(aset: AnnotationSet, path) -> None:
         {"id": i.id, "width": i.width, "height": i.height, "file_name": i.file_name}
         for i in aset.images
     ]
-    dims = {i.id: (i.width, i.height) for i in aset.images}
     annotations = []
-    for ann in aset.annotations:
-        w_img, h_img = dims[ann.image_id]
-        x1, y1, x2, y2 = ann.box.to_xyxy()
-        rec = {
-            "image_id": ann.image_id,
-            "bbox": [x1 * w_img, y1 * h_img, (x2 - x1) * w_img, (y2 - y1) * h_img],
-        }
-        for head, key in CATEGORY_KEYS.items():
-            if getattr(ann.label, head) is not None:
-                rec[key] = getattr(ann.label, head)
-        annotations.append(rec)
+    for info, boxes, classes in zip(aset.images, aset.boxes, aset.classes, strict=True):
+        w_img, h_img = info.width, info.height
+        corners = cxcywh_to_xyxy(boxes).tolist()
+        for (x1, y1, x2, y2), row in zip(corners, classes.tolist()):
+            rec = {
+                "image_id": info.id,
+                "bbox": [x1 * w_img, y1 * h_img, (x2 - x1) * w_img, (y2 - y1) * h_img],
+            }
+            rec.update((key, c) for key, c in zip(CATEGORY_KEYS.values(), row) if c >= 0)
+            annotations.append(rec)
     doc = {"level": aset.level.value, "images": images, "annotations": annotations}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
 
 
+def _is_int(value) -> bool:
+    """An integer, not a bool, that converts to a float: a JSON integer can
+    have any number of digits."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, float) or _is_int(value)  # NaN fails the box checks
 
 
 def _is_size(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+    return _is_int(value) and value > 0
+
+
+def _label_error(values) -> str | None:
+    """The first fault, in head order, of one record's labels, or None.
+
+    ``values`` holds the level's heads shallow to deep, None where a label
+    is missing."""
+    missing = None  # the shallowest head without a label
+    for head, value in zip(HEAD_NAMES, values):
+        if value is None:
+            missing = missing or head
+        elif missing is not None:
+            return f"{head} present without {missing}"
+        elif isinstance(value, bool) or not isinstance(value, int):
+            return f"{head} index is not an integer: {value!r}"
+        elif not 0 <= value < HEAD_CLASS_COUNTS[head]:
+            return f"{head} index out of range: {value}"
+    return None
 
 
 def load_annotations(path, level: HierarchyLevel) -> AnnotationSet:
@@ -283,7 +303,7 @@ def load_annotations(path, level: HierarchyLevel) -> AnnotationSet:
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except ValueError as e:  # also an integer past Python's digit limit
             raise AnnotationError([(-1, f"not a JSON file: {e}")])
     if not isinstance(doc, dict):
         raise AnnotationError([(-1, "top level must be an object")])
@@ -315,8 +335,10 @@ def load_annotations(path, level: HierarchyLevel) -> AnnotationSet:
             continue
         images.append(info)
         dims[info.id] = (info.width, info.height)
+    # Each image's box rows and class rows, in file order.
+    box_rows = {image_id: [] for image_id in dims}
+    class_rows = {image_id: [] for image_id in dims}
     heads = level.heads
-    annotations = []
     for i, rec in enumerate(doc.get("annotations", [])):
         if not isinstance(rec, dict):
             errors.append((i, "annotation record is not an object"))
@@ -340,27 +362,36 @@ def load_annotations(path, level: HierarchyLevel) -> AnnotationSet:
         if not (x >= 0 and y >= 0 and x + w <= w_img + 1e-6 and y + h <= h_img + 1e-6):
             errors.append((i, "box outside image bounds"))
             continue
-        classes = {}
+        labels = []  # the supervised heads' values, None where missing
         for head, key in CATEGORY_KEYS.items():
             value = rec.get(key)
             if head in heads:
                 if value is None:
                     errors.append((i, f"missing {head} label for level {level.value}"))
-                classes[head] = value
+                labels.append(value)
             elif value is not None:
                 errors.append((i, f"{head} label not allowed at level {level.value}"))
-        try:
-            label = LabelTriple(**classes)
-        except ValueError as e:
-            errors.append((i, str(e)))
+        fault = _label_error(labels)
+        if fault:
+            errors.append((i, fault))
             continue
-        box = Box(
-            (x + w / 2) / w_img, (y + h / 2) / h_img, w / w_img, h / h_img
+        box_rows[image_id].append(
+            ((x + w / 2) / w_img, (y + h / 2) / h_img, w / w_img, h / h_img)
         )
-        annotations.append(Annotation(image_id=image_id, box=box, label=label))
+        class_rows[image_id].append(labels + [-1] * (len(HEAD_NAMES) - len(labels)))
     if errors:
         raise AnnotationError(errors)
-    return AnnotationSet(level=level, images=images, annotations=annotations)
+    return AnnotationSet(
+        level=level,
+        images=images,
+        boxes=[
+            np.array(box_rows[i.id], dtype=np.float64).reshape(-1, 4) for i in images
+        ],
+        classes=[
+            np.array(class_rows[i.id], dtype=np.int64).reshape(-1, len(HEAD_NAMES))
+            for i in images
+        ],
+    )
 
 
 def split_manifest(aset: AnnotationSet, fractions, seed: int):
@@ -447,9 +478,10 @@ def generate_dataset(out_dir, count: int, seed: int, size: int = DEFAULT_SIZE):
             image_id = f"{tag}_{i:05d}"
             file_name = f"{image_id}.pgm"
             write_pgm(img_dir / file_name, img)
+            boxes, classes = project_level(layout, level)
             aset.images.append(ImageInfo(image_id, size, size, file_name))
-            for box, label in project_level(layout, level):
-                aset.annotations.append(Annotation(image_id, box, label))
+            aset.boxes.append(boxes)
+            aset.classes.append(classes)
         path = out_dir / f"annotations_{level_tag(level)}.json"
         write_annotations(aset, path)
         paths[level] = path

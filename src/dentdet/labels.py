@@ -1,17 +1,14 @@
-"""FDI label hierarchy: the levels, the heads each supervises, and label
-triples.
+"""FDI label hierarchy: the levels and the heads each supervises.
 
 Three annotation regimes exist, nested: quadrant only, quadrant+enumeration,
 and quadrant+enumeration+diagnosis.  Each regime supervises a prefix of the
-three classification heads.
+three classification heads.  Ground truth holds one class row per box: an
+index per head in ``HEAD_NAMES`` order, -1 where the head carries no label.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-import numpy as np
 
 NUM_QUADRANTS = 4
 NUM_ENUMERATIONS = 8
@@ -43,34 +40,3 @@ class HierarchyLevel(enum.Enum):
     @property
     def deepest_head(self) -> str:
         return self.heads[-1]
-
-
-@dataclass(frozen=True)
-class LabelTriple:
-    """Zero-based class indices; a field is present iff its head is supervised."""
-
-    quadrant: int | None = None
-    enumeration: int | None = None
-    diagnosis: int | None = None
-
-    def __post_init__(self):
-        missing = None  # the shallowest head without a label
-        for head in HEAD_NAMES:
-            value = getattr(self, head)
-            if value is None:
-                missing = missing or head
-            elif missing is not None:
-                raise ValueError(f"{head} present without {missing}")
-            elif isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{head} index is not an integer: {value!r}")
-            elif not 0 <= value < HEAD_CLASS_COUNTS[head]:
-                raise ValueError(f"{head} index out of range: {value}")
-
-
-def class_array(labels) -> np.ndarray:
-    """(M, 3) integer class indices of M label triples, one column per head
-    in ``HEAD_NAMES`` order; -1 where a head carries no label."""
-    rows = [[getattr(lab, head) for head in HEAD_NAMES] for lab in labels]
-    return np.array(
-        [[-1 if c is None else c for c in row] for row in rows], dtype=np.int64
-    ).reshape(-1, len(HEAD_NAMES))

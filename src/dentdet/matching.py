@@ -87,7 +87,7 @@ def match_arrays(probs, boxes01, gt_boxes, gt_classes, level: HierarchyLevel, cf
     """Assignment of ground truth to proposals.
 
     One image's (N, 4) proposals and (M, 4) ground-truth boxes, with (M, 3)
-    ``labels.class_array`` classes, give its (proposal, gt) pairs.  A
+    classes (-1 where a head has no label), give its (proposal, gt) pairs.  A
     lockstep block's (B, N, 4) proposals and B per-image ground-truth
     arrays give B pair lists: the block's costs are one (B, N, M_max)
     tensor, built :data:`COST_SLICE_ROWS` rows at a time with ground truth

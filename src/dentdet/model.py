@@ -518,7 +518,7 @@ class BatchItem:
     z: np.ndarray  # (N, 4) signal-space proposals
     t: float
     gt_boxes: np.ndarray  # (M, 4) normalized center-size
-    gt_classes: np.ndarray  # (M, 3) labels.class_array class indices
+    gt_classes: np.ndarray  # (M, 3) class indices, -1 where a head has no label
 
 
 @blas.one_thread()

@@ -28,7 +28,7 @@ from .diffusion import (
 )
 from .evalmetrics import EvalReport, build_report
 from .geometry import Box, iou, nms  # noqa: F401  (perfbench counts iou calls)
-from .labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel, class_array
+from .labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel
 from .manipulate import (
     InferredBoxCache,
     inference_proposals,
@@ -103,8 +103,8 @@ class TrainSample:
     """One image prepared for training or evaluation.
 
     Its ground truth is ``gt_boxes`` (M, 4), normalized center-size, and
-    ``gt_classes`` (M, 3), ``labels.class_array`` indices with -1 where a
-    head carries no label.
+    ``gt_classes`` (M, 3), class indices in ``HEAD_NAMES`` order with -1
+    where a head carries no label: an image's ``AnnotationSet`` arrays.
     """
 
     image_id: str
@@ -122,22 +122,18 @@ def prepare_samples(
     from .imageio import read_pgm
 
     images_dir = Path(images_dir)
-    by_image = aset.by_image()
     samples = []
-    for info in aset.images:
+    for info, boxes, classes in zip(aset.images, aset.boxes, aset.classes, strict=True):
         path = images_dir / info.file_name
         img = read_pgm(path)
         info.check_size(img, path)
-        anns = by_image[info.id]
         samples.append(
             TrainSample(
                 image_id=info.id,
                 image=img,
                 grid_feats=encode_image(img, cfg.grid),
-                gt_boxes=np.array(
-                    [a.box.to_array() for a in anns], dtype=np.float64
-                ).reshape(-1, 4),
-                gt_classes=class_array([a.label for a in anns]),
+                gt_boxes=boxes,
+                gt_classes=classes,
                 width=info.width,
                 height=info.height,
             )
@@ -225,7 +221,7 @@ def train_stage(
     """
     if not samples:
         raise ValueError("no training samples")
-    supervised = len(cfg.level.heads)  # class_array columns the level labels
+    supervised = len(cfg.level.heads)  # gt_classes columns the level labels
     for s in samples:
         if (s.gt_classes[:, :supervised] < 0).any():
             raise ValueError(

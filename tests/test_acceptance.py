@@ -19,7 +19,7 @@ from dentdet.diffusion import (
     signal_encode,
 )
 from dentdet.geometry import Box, iou
-from dentdet.labels import HierarchyLevel, LabelTriple, class_array
+from dentdet.labels import HierarchyLevel
 from dentdet.manipulate import inferred_boxes, manipulate_boxes
 from dentdet.matching import solve_assignment
 from dentdet.model import (
@@ -40,7 +40,7 @@ from dentdet.train import (
     prepare_samples,
     run_pipeline,
 )
-from helpers import EvalInstance, score, truth_arrays
+from helpers import EvalInstance, class_row, class_rows, score
 
 SCHED = Schedule.cosine(1000, 0.008)
 
@@ -138,7 +138,7 @@ PARAM_GROUPS = {
 
 def _grad_batch(rng, level):
     def triple(i):
-        return LabelTriple(*(i, i + 2, i)[: len(level.heads)])
+        return class_row(*(i, i + 2, i)[: len(level.heads)])
 
     grid = rng.normal(size=(GRAD_CFG.grid, GRAD_CFG.grid, GRAD_CFG.channels))
     gts = [
@@ -154,7 +154,7 @@ def _grad_batch(rng, level):
         z=z,
         t=300.0,
         gt_boxes=np.stack([b.to_array() for b, _ in gts]),
-        gt_classes=class_array([lab for _, lab in gts]),
+        gt_classes=class_rows(lab for _, lab in gts),
     )
 
 
@@ -442,7 +442,7 @@ def _tiny_datasets():
         samples = []
         for i in range(2):
             img, layout = generate_layout(900 + i)
-            gt_boxes, gt_classes = truth_arrays(project_level(layout, level))
+            gt_boxes, gt_classes = project_level(layout, level)
             samples.append(
                 TrainSample(
                     image_id=f"im{i}",

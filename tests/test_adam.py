@@ -14,7 +14,6 @@ from dentdet.diffusion import Schedule
 from dentdet.labels import HierarchyLevel
 from dentdet.model import ModelConfig, encode_image, init_params, level_params, param_shapes
 from dentdet.train import Adam, StageConfig, TrainSample, _global_norm, train_stage
-from helpers import truth_arrays
 
 CFG = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)
 SCHED = Schedule.cosine(1000, 0.008)
@@ -90,7 +89,7 @@ def _samples(level, n=3):
     out = []
     for i in range(n):
         img, layout = generate_layout(720 + i)
-        gt_boxes, gt_classes = truth_arrays(project_level(layout, level))
+        gt_boxes, gt_classes = project_level(layout, level)
         out.append(TrainSample(
             image_id=f"s{i}", image=img, grid_feats=encode_image(img, CFG.grid),
             gt_boxes=gt_boxes, gt_classes=gt_classes, width=256, height=256,

@@ -28,8 +28,6 @@ from dentdet.labels import (
     HEAD_CLASS_COUNTS,
     HEAD_NAMES,
     HierarchyLevel,
-    LabelTriple,
-    class_array,
 )
 from dentdet.manipulate import InferredBoxCache, inferred_boxes, manipulate_boxes
 from dentdet.matching import (
@@ -55,7 +53,7 @@ from dentdet.model import (
     zero_grads,
 )
 from dentdet.train import StageConfig, TrainSample, train_stage
-from helpers import truth_arrays
+from helpers import class_row, class_rows
 
 # A scale that is no power of two makes the decode mask round, so the order
 # of the mean and the mask shows in the gradient bits.
@@ -182,10 +180,10 @@ def _oracle_loss_gradients(params, batch, level, cfg):
 
 
 def _triple(rng, level):
-    return LabelTriple(
+    return class_row(
         int(rng.integers(4)),
-        int(rng.integers(8)) if "enumeration" in level.heads else None,
-        int(rng.integers(4)) if "diagnosis" in level.heads else None,
+        int(rng.integers(8)) if "enumeration" in level.heads else -1,
+        int(rng.integers(4)) if "diagnosis" in level.heads else -1,
     )
 
 
@@ -207,7 +205,7 @@ def _batch(rng, level, shapes=((5, 2), (9, 0), (3, 3), (7, 4), (6, 1))):
                 z=z,
                 t=float(rng.integers(1, SCHED.T + 1)),
                 gt_boxes=gt,
-                gt_classes=class_array([_triple(rng, level) for _ in range(m)]),
+                gt_classes=class_rows(_triple(rng, level) for _ in range(m)),
             )
         )
     return items
@@ -255,7 +253,7 @@ def test_loss_rows_equal_per_image_oracle(level):
             p[head] = softmax(rng.normal(size=(n, k)))
         b01 = np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(0.01, 0.5, (n, 2))])
         gt = np.column_stack([rng.uniform(0, 1, (m, 2)), rng.uniform(0.01, 0.5, (m, 2))])
-        cls = class_array([_triple(rng, level) for _ in range(m)])
+        cls = class_rows(_triple(rng, level) for _ in range(m))
         sizes.append(n)
         probs.append(p)
         boxes.append(b01)
@@ -301,7 +299,7 @@ def _samples(level, n=3, seed0=700):
     out = []
     for i in range(n):
         img, layout = generate_layout(seed0 + i)
-        gt_boxes, gt_classes = truth_arrays(project_level(layout, level))
+        gt_boxes, gt_classes = project_level(layout, level)
         out.append(
             TrainSample(
                 image_id=f"s{i}", image=img, grid_feats=encode_image(img, CFG.grid),

@@ -10,7 +10,6 @@ from dentdet.diffusion import Schedule
 from dentdet.labels import HierarchyLevel
 from dentdet.model import ModelConfig, encode_image, init_params
 from dentdet.train import StageConfig, TrainSample, infer, train_stage
-from helpers import truth_arrays
 
 needs_openblas = pytest.mark.skipif(
     blas._openblas() is None, reason="numpy is not linked to OpenBLAS"
@@ -69,7 +68,7 @@ def test_training_and_inference_run_on_one_thread(monkeypatch):
     samples = []
     for i in range(2):
         img, layout = generate_layout(700 + i)
-        gt_boxes, gt_classes = truth_arrays(project_level(layout, level))
+        gt_boxes, gt_classes = project_level(layout, level)
         samples.append(TrainSample(
             image_id=f"s{i}", image=img, grid_feats=encode_image(img, cfg.grid),
             gt_boxes=gt_boxes, gt_classes=gt_classes, width=256, height=256,

@@ -142,10 +142,12 @@ def test_eval_takes_one_of_checkpoint_and_oracle(given, dataset, capsys):
     assert "--checkpoint" in err and "--oracle" in err and "Traceback" not in err
 
 
-# Image sizes that are not positive integers, each in the first image record.
+# Image sizes that are not positive integers that convert to floats, each in
+# the first image record.
 BAD_SIZES = {
     "width fraction": ("width", 100.7), "height bool": ("height", True),
     "width text": ("width", "256"), "height zero": ("height", 0),
+    "width huge": ("width", 10**400),
 }
 
 
@@ -160,6 +162,8 @@ def _malformed(case, doc):
         doc["annotations"][0] = [record]
     elif case == "bbox not numbers":
         record["bbox"][0] = "x"
+    elif case == "bbox huge":  # an integer too large for a float
+        record["bbox"][0] = 10**400
     elif case in BAD_SIZES:
         key, value = BAD_SIZES[case]
         doc["images"][0][key] = value
@@ -173,7 +177,7 @@ def _malformed(case, doc):
 @pytest.mark.parametrize("command", ["validate", "eval --oracle", "train", "render"])
 @pytest.mark.parametrize("case", [
     "not JSON", "top-level list", "record not an object", "bbox not numbers",
-    "text", "fraction", "bool", *BAD_SIZES, "duplicate image id",
+    "bbox huge", "text", "fraction", "bool", *BAD_SIZES, "duplicate image id",
 ])
 def test_malformed_annotations_are_invalid_data(command, case, dataset, cfg_path,
                                                 tmp_path, capsys):
@@ -199,6 +203,33 @@ def test_render_writes_overlays(dataset, cfg_path, tmp_path):
     ppms = list(out.glob("*.ppm"))
     assert len(ppms) == 2
     assert ppms[0].read_bytes().startswith(b"P6")
+
+
+# SHA-256 prefixes of default ``datagen --count 2`` (seed 0) and ``render
+# --level b`` outputs, taken with numpy 2.4.6.  They hold across changes to
+# the code that keep its outputs byte-equal; a numpy release that changes
+# the random Generator's streams changes them too.
+PINNED_SHA256 = {
+    "data/annotations_quadrant.json": "b04dbb960e227a0a",
+    "data/annotations_quadrant_enumeration.json": "347901297e8e1e71",
+    "data/annotations_quadrant_enumeration_diagnosis.json": "cedededc39c90b5c",
+    "vis/qe_00000.ppm": "e0790cba42662bb7",
+    "vis/qe_00001.ppm": "0be02779c20f55b8",
+}
+
+
+def test_datagen_and_render_bytes_are_pinned(tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
+    assert main(["datagen", "--count", "2", "--out", str(tmp_path / "data")]) == EXIT_OK
+    assert main(["render", "--data", str(tmp_path / "data"), "--level", "b",
+                 "--out", str(tmp_path / "vis")]) == EXIT_OK
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+        for name in PINNED_SHA256
+    }
+    assert got == PINNED_SHA256
 
 
 def test_split_manifests(dataset, cfg_path, tmp_path):

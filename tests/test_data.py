@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dentdet.data import (
-    Annotation,
     AnnotationError,
     AnnotationSet,
     ImageInfo,
@@ -19,10 +18,10 @@ from dentdet.data import (
     split_manifest,
     write_annotations,
 )
-from dentdet.geometry import Box, iou
+from dentdet.geometry import Box, cxcywh_to_xyxy
 from dentdet.imageio import read_pgm, write_pgm
-from dentdet.labels import NUM_ENUMERATIONS, NUM_QUADRANTS, HierarchyLevel, LabelTriple
-from helpers import truth_arrays
+from dentdet.labels import NUM_ENUMERATIONS, NUM_QUADRANTS, HierarchyLevel
+from helpers import class_row, class_rows
 
 
 def check_layout(layout: Layout) -> None:
@@ -90,12 +89,11 @@ def layout():
 class TestProjection:
 
     def test_quadrant_envelopes_cover_member_teeth(self, layout):
-        anns = project_level(layout, HierarchyLevel.QUADRANT_ONLY)
-        assert 1 <= len(anns) <= 4
-        for env, lab in anns:
-            assert lab.enumeration is None
-            ex1, ey1, ex2, ey2 = env.to_xyxy()
-            members = [t for t in layout.present() if t.quadrant == lab.quadrant]
+        boxes, classes = project_level(layout, HierarchyLevel.QUADRANT_ONLY)
+        assert 1 <= len(boxes) <= 4
+        assert (classes[:, 1:] == -1).all()
+        for (ex1, ey1, ex2, ey2), (q, _, _) in zip(cxcywh_to_xyxy(boxes), classes):
+            members = [t for t in layout.present() if t.quadrant == q]
             assert members
             for t in members:
                 x1, y1, x2, y2 = t.box.to_xyxy()
@@ -103,30 +101,38 @@ class TestProjection:
                 assert x2 <= ex2 + 1e-9 and y2 <= ey2 + 1e-9
 
     def test_enum_level_lists_every_present_tooth(self, layout):
-        anns = project_level(layout, HierarchyLevel.QUADRANT_ENUM)
-        assert len(anns) == len(layout.present())
-        for _, lab in anns:
-            assert lab.enumeration is not None and lab.diagnosis is None
+        boxes, classes = project_level(layout, HierarchyLevel.QUADRANT_ENUM)
+        assert boxes.shape == (len(layout.present()), 4)
+        assert (classes[:, :2] >= 0).all() and (classes[:, 2] == -1).all()
 
     def test_full_level_lists_only_diagnosed(self, layout):
-        anns = project_level(layout, HierarchyLevel.FULL)
-        assert len(anns) == len(layout.diagnosed())
-        for _, lab in anns:
-            assert lab.diagnosis is not None
+        boxes, classes = project_level(layout, HierarchyLevel.FULL)
+        assert boxes.shape == (len(layout.diagnosed()), 4)
+        assert (classes >= 0).all()
+
+    @pytest.mark.parametrize("level", list(HierarchyLevel))
+    def test_arrays_have_loaded_dtypes(self, layout, level):
+        boxes, classes = project_level(layout, level)
+        assert boxes.dtype == np.float64 and classes.dtype == np.int64
+        assert classes.shape == (len(boxes), 3)
 
 
 def _tiny_set(level=HierarchyLevel.FULL):
     aset = AnnotationSet(level=level)
     aset.images.append(ImageInfo("im0", 256, 256, "im0.pgm"))
-    labels = {
-        HierarchyLevel.QUADRANT_ONLY: LabelTriple(2),
-        HierarchyLevel.QUADRANT_ENUM: LabelTriple(2, 5),
-        HierarchyLevel.FULL: LabelTriple(2, 5, 1),
-    }
-    aset.annotations.append(
-        Annotation("im0", Box(0.25, 0.5, 0.125, 0.25), labels[level])
-    )
+    aset.boxes.append(np.array([[0.25, 0.5, 0.125, 0.25]]))
+    aset.classes.append(class_rows([class_row(*(2, 5, 1)[: len(level.heads)])]))
     return aset
+
+
+def assert_same_truth(got: AnnotationSet, want: AnnotationSet) -> None:
+    """Equal images, and per image equal box and class arrays and dtypes."""
+    assert got.images == want.images
+    assert len(got.boxes) == len(got.classes) == len(want.images)
+    for pairs in (zip(got.boxes, want.boxes), zip(got.classes, want.classes)):
+        for a, b in pairs:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 class TestAnnotationIO:
@@ -135,9 +141,7 @@ class TestAnnotationIO:
         aset = _tiny_set(level)
         path = tmp_path / "ann.json"
         write_annotations(aset, path)
-        back = load_annotations(path, level)
-        assert back.images == aset.images
-        assert back.annotations == aset.annotations
+        assert_same_truth(load_annotations(path, level), aset)
 
     def test_generated_dataset_round_trips(self, tmp_path):
         generate_dataset(tmp_path, 3, 9)
@@ -146,8 +150,7 @@ class TestAnnotationIO:
             aset = load_annotations(path, level)
             out = tmp_path / "rewritten.json"
             write_annotations(aset, out)
-            back = load_annotations(out, level)
-            assert back.annotations == aset.annotations
+            assert_same_truth(load_annotations(out, level), aset)
 
     def test_pixel_bbox_convention(self, tmp_path):
         # cx 0.25, w 0.125 on a 256-px image -> bbox x = 48, w = 32.
@@ -216,6 +219,39 @@ class TestAnnotationIO:
             (1, f"image size {width!r}x{height!r} is not two positive integers")
         ]
 
+    def test_integer_too_long_to_parse_is_not_json(self, tmp_path):
+        # Python refuses to parse integers of over 4300 digits.
+        path = tmp_path / "long.json"
+        path.write_text('{"images": [], "annotations": [%s]}' % ("9" * 5000))
+        with pytest.raises(AnnotationError) as exc:
+            load_annotations(path, HierarchyLevel.QUADRANT_ONLY)
+        [(record, message)] = exc.value.errors
+        assert record == -1 and message.startswith("not a JSON file: ")
+
+    def test_images_keep_their_records_in_file_order(self, tmp_path):
+        import json
+
+        doc = {
+            "images": [{"id": "a", "width": 100, "height": 100},
+                       {"id": "b", "width": 50, "height": 100},
+                       {"id": "c", "width": 100, "height": 100}],
+            "annotations": [
+                {"image_id": "b", "bbox": [0, 0, 10, 10], "category_id_1": 1},
+                {"image_id": "a", "bbox": [0, 0, 10, 10], "category_id_1": 2},
+                {"image_id": "b", "bbox": [10, 20, 10, 10], "category_id_1": 3},
+            ],
+        }
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(doc))
+        aset = load_annotations(path, HierarchyLevel.QUADRANT_ONLY)
+        assert [i.id for i in aset.images] == ["a", "b", "c"]
+        assert aset.boxes[0].tolist() == [[0.05, 0.05, 0.1, 0.1]]
+        assert aset.boxes[1].tolist() == [[0.1, 0.05, 0.2, 0.1], [0.3, 0.25, 0.2, 0.1]]
+        assert aset.boxes[2].shape == (0, 4) and aset.classes[2].shape == (0, 3)
+        assert [c.tolist() for c in aset.classes[:2]] == [
+            [[2, -1, -1]], [[1, -1, -1], [3, -1, -1]]
+        ]
+
     def test_duplicate_image_id_rejected(self, tmp_path):
         import json
 
@@ -231,6 +267,74 @@ class TestAnnotationIO:
             load_annotations(path, HierarchyLevel.QUADRANT_ONLY)
         # Only the second "a" is at fault; the box lies inside the first.
         assert exc.value.errors == [(2, "duplicate image id 'a'")]
+
+
+def _label_record(**labels):
+    """An in-bounds annotation record of image "a" with the given labels."""
+    keys = {"q": "category_id_1", "e": "category_id_2", "d": "category_id_3"}
+    rec = {"image_id": "a", "bbox": [10, 10, 20, 20]}
+    rec.update((keys[head], value) for head, value in labels.items())
+    return rec
+
+
+A, B, C = HierarchyLevel
+
+
+# Each label message, and how messages combine: at most one label-value
+# error per record, the first in head order, after its missing and
+# not-allowed messages.
+LABEL_CASES = {
+    "gap": (C, [_label_record(q=1, d=2)], [
+        (0, "missing enumeration label for level quadrant_enumeration_diagnosis"),
+        (0, "diagnosis present without enumeration"),
+    ]),
+    "bool": (B, [_label_record(q=True, e=1)], [
+        (0, "quadrant index is not an integer: True"),
+    ]),
+    "float": (B, [_label_record(q=0, e=1.0)], [
+        (0, "enumeration index is not an integer: 1.0"),
+    ]),
+    "out of range": (B, [_label_record(q=0, e=8)], [
+        (0, "enumeration index out of range: 8"),
+    ]),
+    "missing": (B, [_label_record(q=0)], [
+        (0, "missing enumeration label for level quadrant_enumeration"),
+    ]),
+    "not allowed": (A, [_label_record(q=0, e=1)], [
+        (0, "enumeration label not allowed at level quadrant"),
+    ]),
+    "not allowed, then value": (A, [_label_record(q=True, e=3)], [
+        (0, "enumeration label not allowed at level quadrant"),
+        (0, "quadrant index is not an integer: True"),
+    ]),
+    "first fault only": (C, [_label_record(q=4, e=1.5, d=True)], [
+        (0, "quadrant index out of range: 4"),
+    ]),
+    "several records": (B, [
+        _label_record(e=3), _label_record(q=True, e=1), _label_record(q=0, e=1.0),
+    ], [
+        (0, "missing quadrant label for level quadrant_enumeration"),
+        (0, "enumeration present without quadrant"),
+        (1, "quadrant index is not an integer: True"),
+        (2, "enumeration index is not an integer: 1.0"),
+    ]),
+}
+
+
+class TestLabelMessages:
+    @pytest.mark.parametrize("case", LABEL_CASES)
+    def test_errors_list(self, tmp_path, case):
+        import json
+
+        level, records, want = LABEL_CASES[case]
+        doc = {"images": [{"id": "a", "width": 100, "height": 100}],
+               "annotations": records}
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(AnnotationError) as exc:
+            load_annotations(path, level)
+        assert exc.value.errors == want
+
 
 class TestSplit:
     def _set_of(self, n, level=HierarchyLevel.FULL):
@@ -307,7 +411,7 @@ class TestAugmentation:
     def test_shape_preserved_and_boxes_valid(self):
         rng = np.random.default_rng(0)
         img, layout = generate_layout(11)
-        boxes, classes = truth_arrays(project_level(layout, HierarchyLevel.QUADRANT_ENUM))
+        boxes, classes = project_level(layout, HierarchyLevel.QUADRANT_ENUM)
         for _ in range(20):
             out_img, out_boxes, out_classes = random_crop_resize(img, boxes, classes, rng)
             assert out_img.shape == img.shape
@@ -320,7 +424,7 @@ class TestAugmentation:
     def test_identity_crop_possible(self):
         rng = np.random.default_rng(1)
         img = np.arange(64 * 64, dtype=np.uint8).reshape(64, 64)
-        boxes, classes = truth_arrays([(Box(0.5, 0.5, 0.25, 0.25), LabelTriple(0))])
+        boxes, classes = np.array([[0.5, 0.5, 0.25, 0.25]]), class_rows([class_row(0)])
         out_img, out_boxes, out_classes = random_crop_resize(
             img, boxes, classes, rng, min_area=1.0
         )
@@ -337,7 +441,7 @@ class TestAugmentation:
             rng = np.random.default_rng(seed)
             img, layout = generate_layout(seed, size=64)
             level = list(HierarchyLevel)[seed % 3]
-            boxes, classes = truth_arrays(project_level(layout, level))
+            boxes, classes = project_level(layout, level)
             k = 8
             grid = rng.integers(0, 65, (k, 2)) / 64
             sizes = rng.integers(1, 40, (k, 2)) / 64
@@ -369,7 +473,7 @@ class TestAugmentation:
         samples = []
         for i in range(3):
             img, layout = generate_layout(600 + i)
-            gt_boxes, gt_classes = truth_arrays(project_level(layout, level))
+            gt_boxes, gt_classes = project_level(layout, level)
             samples.append(TrainSample(
                 image_id=f"s{i}", image=img, grid_feats=encode_image(img, cfg.grid),
                 gt_boxes=gt_boxes, gt_classes=gt_classes, width=256, height=256,

@@ -28,10 +28,10 @@ from dentdet.evalmetrics import (
     task_ground_truth,
 )
 from dentdet.geometry import Box, iou, iou_matrix
-from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel, LabelTriple
+from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel
 from dentdet.model import ModelConfig, encode_image, init_params
 from dentdet.train import DETECTED, Detection, _sample, infer
-from helpers import EvalInstance, eval_arrays, score, truth_arrays
+from helpers import EvalInstance, box_array, class_row, class_rows, eval_arrays, score
 
 # ---------------------------------------------------------------------------
 # Scalar oracle: the scorer as first written, one (class, IoU threshold,
@@ -633,13 +633,14 @@ def _detected(dets) -> np.recarray:
 
 
 class TestReport:
-    def _oracle_detection(self, box, lab):
+    def _oracle_detection(self, box, row):
+        q, e, d = row
         probs_q = np.zeros(4)
-        probs_q[lab.quadrant] = 1.0
+        probs_q[q] = 1.0
         probs_e = np.zeros(8)
-        probs_e[lab.enumeration] = 1.0
+        probs_e[e] = 1.0
         probs_d = np.zeros(4)
-        probs_d[lab.diagnosis] = 1.0
+        probs_d[d] = 1.0
         return Detection(box=box, probs_q=probs_q, probs_e=probs_e,
                          probs_d=probs_d, score=1.0)
 
@@ -649,11 +650,12 @@ class TestReport:
         for _ in range(3):
             img_gts = [
                 (Box(*rng.uniform(0.3, 0.7, 2), *rng.uniform(0.2, 0.4, 2)),
-                 LabelTriple(int(rng.integers(4)), int(rng.integers(8)),
-                             int(rng.integers(4))))
+                 class_row(int(rng.integers(4)), int(rng.integers(8)),
+                           int(rng.integers(4))))
                 for _ in range(3)
             ]
-            gts.append(truth_arrays(img_gts))
+            gts.append((box_array(b for b, _ in img_gts),
+                        class_rows(row for _, row in img_gts)))
             dets.append(_detected([self._oracle_detection(b, lab) for b, lab in img_gts]))
             sizes.append((256, 256))
         report = build_report(dets, gts, sizes)
@@ -662,16 +664,16 @@ class TestReport:
             assert tm.ar == pytest.approx(1.0), task
 
     def test_report_requires_task_labels(self):
-        gts = [truth_arrays([(Box(0.5, 0.5, 0.2, 0.2), LabelTriple(1))])]
+        gts = [(box_array([Box(0.5, 0.5, 0.2, 0.2)]), class_rows([class_row(1)]))]
         dets = [_detected([self._oracle_detection(Box(0.5, 0.5, 0.2, 0.2),
-                                                  LabelTriple(1, 0, 0))])]
+                                                  class_row(1, 0, 0))])]
         with pytest.raises(ValueError, match="fully labeled"):
             build_report(dets, gts, [(256, 256)], tasks=("quadrant", "diagnosis"))
 
     def test_table_formats_exclusions(self):
         gt = Box(0.5, 0.5, 0.5, 0.5)
-        inst_dets = [_detected([self._oracle_detection(gt, LabelTriple(0, 0, 0))])]
-        gts = [truth_arrays([(gt, LabelTriple(0, 0, 0))])]
+        inst_dets = [_detected([self._oracle_detection(gt, class_row(0, 0, 0))])]
+        gts = [(box_array([gt]), class_rows([class_row(0, 0, 0)]))]
         report = build_report(inst_dets, gts, [(256, 256)], tasks=("quadrant",))
         text = report.table()
         assert "quadrant" in text
@@ -875,7 +877,7 @@ def _level_images(level, n, seed0=500):
     for i in range(n):
         img, layout = generate_layout(seed0 + i)
         grids.append(encode_image(img, cfg.grid))
-        gts.append(truth_arrays(project_level(layout, level)))
+        gts.append(project_level(layout, level))
     return cfg, grids, gts
 
 

@@ -27,7 +27,6 @@ from dentdet.diffusion import Schedule, forward_noise, pad_gt_boxes
 from dentdet.labels import HierarchyLevel
 from dentdet.model import BatchItem, ModelConfig, encode_image, init_params, loss_gradients
 from dentdet.train import StageConfig, infer, prepare_samples, train_stage
-from helpers import truth_arrays
 
 SRC = Path(dentdet.__file__).resolve().parent.parent
 
@@ -141,7 +140,7 @@ def test_training_step_peaks_at_most_two_and_a_half_head_inputs():
     batch = []
     for i in range(n_images):
         img, layout = generate_layout(100 + i)
-        gt_boxes, gt_classes = truth_arrays(project_level(layout, level))
+        gt_boxes, gt_classes = project_level(layout, level)
         t = int(rng.integers(1, schedule.T + 1))
         z0 = pad_gt_boxes(gt_boxes, n_proposals, rng, cfg.scale)
         z = forward_noise(z0, t, schedule, rng)

@@ -1,15 +1,12 @@
-"""Label hierarchy: levels and their heads, triples, and per-head class arrays."""
+"""Label hierarchy: levels and their heads, and the loader's label checks."""
+
+import json
 
 import numpy as np
 import pytest
 
-from dentdet.labels import (
-    HEAD_CLASS_COUNTS,
-    HEAD_NAMES,
-    HierarchyLevel,
-    LabelTriple,
-    class_array,
-)
+from dentdet.data import CATEGORY_KEYS, AnnotationError, load_annotations
+from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel
 from dentdet.model import level_params
 
 
@@ -52,11 +49,33 @@ def test_active_and_deepest_heads():
     assert HierarchyLevel.FULL.deepest_head == "diagnosis"
 
 
-def test_triple_rejects_gaps():
-    with pytest.raises(ValueError):
-        LabelTriple(None, 3)
-    with pytest.raises(ValueError):
-        LabelTriple(1, None, 2)
+# A label triple is one box's class row.  The annotation loader checks each
+# record's labels: the supervised heads, shallow to deep, carry integer
+# indices in range, and no head is labelled below a missing one.
+
+
+def _label_errors(tmp_path, **labels):
+    """The loader's messages for one record with these labels, at the level
+    of the deepest head given."""
+    level = list(HierarchyLevel)[max(HEAD_NAMES.index(h) for h in labels)]
+    rec = {"image_id": "a", "bbox": [10, 10, 20, 20]}
+    rec.update((CATEGORY_KEYS[head], value) for head, value in labels.items())
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(
+        {"images": [{"id": "a", "width": 100, "height": 100}], "annotations": [rec]}
+    ))
+    with pytest.raises(AnnotationError) as exc:
+        load_annotations(path, level)
+    return [msg for _, msg in exc.value.errors]
+
+
+def test_triple_rejects_gaps(tmp_path):
+    assert "enumeration present without quadrant" in _label_errors(
+        tmp_path, enumeration=3
+    )
+    assert "diagnosis present without enumeration" in _label_errors(
+        tmp_path, quadrant=1, diagnosis=2
+    )
 
 
 @pytest.mark.parametrize(
@@ -68,9 +87,9 @@ def test_triple_rejects_gaps():
         {"quadrant": 0, "enumeration": 0, "diagnosis": 4},
     ],
 )
-def test_triple_rejects_out_of_range(kwargs):
-    with pytest.raises(ValueError):
-        LabelTriple(**kwargs)
+def test_triple_rejects_out_of_range(tmp_path, kwargs):
+    [msg] = _label_errors(tmp_path, **kwargs)
+    assert "index out of range" in msg
 
 
 @pytest.mark.parametrize(
@@ -84,19 +103,28 @@ def test_triple_rejects_out_of_range(kwargs):
         {"quadrant": 0, "enumeration": 0, "diagnosis": False},
     ],
 )
-def test_triple_rejects_non_integers(kwargs):
-    # class_array would truncate 1.5 and True to quadrant 1.
-    with pytest.raises(ValueError, match="not an integer"):
-        LabelTriple(**kwargs)
+def test_triple_rejects_non_integers(tmp_path, kwargs):
+    # Stored as int64, 1.5 and True would both read as class 1.
+    [msg] = _label_errors(tmp_path, **kwargs)
+    assert "not an integer" in msg
 
 
-def test_triple_accepts_numpy_integers():
-    assert class_array([LabelTriple(np.int64(3), np.int32(7))]).tolist() == [[3, 7, -1]]
-
-
-def test_class_for():
-    # Each head's class is its column of class_array, -1 where it has no label.
-    classes = class_array([LabelTriple(2, 5, 1), LabelTriple(2), LabelTriple(0, 7)])
-    assert classes.dtype == np.int64
-    assert classes.tolist() == [[2, 5, 1], [2, -1, -1], [0, 7, -1]]
-    assert class_array([]).shape == (0, len(HEAD_NAMES))
+def test_class_for(tmp_path):
+    # Each head's class is its column of the loaded classes, -1 where the
+    # level gives the head no label.
+    doc = {
+        "images": [{"id": "a", "width": 100, "height": 100},
+                   {"id": "b", "width": 100, "height": 100}],
+        "annotations": [
+            {"image_id": "a", "bbox": [10, 10, 20, 20], "category_id_1": 2,
+             "category_id_2": 5},
+            {"image_id": "a", "bbox": [50, 50, 20, 20], "category_id_1": 0,
+             "category_id_2": 7},
+        ],
+    }
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps(doc))
+    classes = load_annotations(path, HierarchyLevel.QUADRANT_ENUM).classes
+    assert classes[0].dtype == np.int64
+    assert classes[0].tolist() == [[2, 5, -1], [0, 7, -1]]
+    assert classes[1].shape == (0, len(HEAD_NAMES))

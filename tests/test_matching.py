@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dentdet.geometry import Box, cxcywh_to_xyxy, giou_matrix
-from dentdet.labels import HierarchyLevel, LabelTriple, class_array
+from dentdet.labels import HierarchyLevel
 from dentdet.matching import (
     LossBreakdown,
     _cost_matrix,
@@ -17,6 +17,7 @@ from dentdet.matching import (
     solve_assignment,
 )
 from dentdet.model import ModelConfig
+from helpers import class_row, class_rows
 
 CFG = ModelConfig()
 
@@ -47,7 +48,7 @@ def _arrays(preds, gts, level):
     gt_boxes = (
         np.stack([b.to_array() for b, _ in gts]) if gts else np.zeros((0, 4))
     )
-    return probs, boxes01, gt_boxes, class_array([lab for _, lab in gts])
+    return probs, boxes01, gt_boxes, class_rows(lab for _, lab in gts)
 
 
 def match(preds, gts, level, cfg=CFG) -> MatchResult:
@@ -128,7 +129,7 @@ class TestAssignment:
 class TestMatch:
     def test_one_gt_one_pred(self):
         preds = [_det(Box(0.5, 0.5, 0.2, 0.2), q=1, level=HierarchyLevel.QUADRANT_ONLY)]
-        gts = [(Box(0.5, 0.5, 0.2, 0.2), LabelTriple(1))]
+        gts = [(Box(0.5, 0.5, 0.2, 0.2), class_row(1))]
         res = match(preds, gts, HierarchyLevel.QUADRANT_ONLY)
         assert res.pairs == ((0, 0),)
         assert res.unmatched_preds == ()
@@ -139,7 +140,7 @@ class TestMatch:
             _det(Box(0.2, 0.2, 0.1, 0.1), q=0, level=level),
             _det(Box(0.8, 0.8, 0.1, 0.1), q=0, level=level),
         ]
-        gts = [(Box(0.78, 0.81, 0.1, 0.1), LabelTriple(0))]
+        gts = [(Box(0.78, 0.81, 0.1, 0.1), class_row(0))]
         res = match(preds, gts, level)
         assert res.pairs == ((1, 0),)
         assert res.unmatched_preds == (0,)
@@ -148,13 +149,13 @@ class TestMatch:
         level = HierarchyLevel.QUADRANT_ONLY
         b = Box(0.5, 0.5, 0.2, 0.2)
         preds = [_det(b, q=2, level=level), _det(b, q=2, level=level)]
-        gts = [(b, LabelTriple(2))]
+        gts = [(b, class_row(2))]
         assert match(preds, gts, level).pairs == ((0, 0),)
 
     def test_rejects_excess_gts(self):
         level = HierarchyLevel.QUADRANT_ONLY
         preds = [_det(Box(0.5, 0.5, 0.1, 0.1), level=level)]
-        gts = [(Box(0.4, 0.4, 0.1, 0.1), LabelTriple(0))] * 2
+        gts = [(Box(0.4, 0.4, 0.1, 0.1), class_row(0))] * 2
         with pytest.raises(ValueError):
             match(preds, gts, level)
 
@@ -166,7 +167,7 @@ class TestMatch:
         probs = {"quadrant": np.stack([pred.loss_probs["quadrant"]])}
         cost = _cost_matrix(
             probs, pb.to_array()[None], gb.to_array()[None],
-            class_array([LabelTriple(1)]), level, CFG,
+            class_rows([class_row(1)]), level, CFG,
         )
         # Overlap 0.1 x 0.2 of two 0.04 boxes: IoU 0.02 / 0.06, and the
         # 0.3 x 0.2 hull equals the union, so GIoU = IoU = 1/3.
@@ -176,7 +177,7 @@ class TestMatch:
     def test_masked_head_probs_do_not_affect_matching(self):
         level = HierarchyLevel.QUADRANT_ONLY
         b1, b2 = Box(0.3, 0.3, 0.2, 0.2), Box(0.7, 0.7, 0.2, 0.2)
-        gts = [(b1, LabelTriple(0)), (b2, LabelTriple(1))]
+        gts = [(b1, class_row(0)), (b2, class_row(1))]
         base = [_det(b1, q=0, level=level), _det(b2, q=1, level=level)]
         alt = [_det(b1, q=0, e=5, d=3, level=level),
                _det(b2, q=1, e=1, d=0, level=level)]
@@ -188,7 +189,7 @@ class TestComputeLoss:
         level = HierarchyLevel.FULL
         b = Box(0.5, 0.5, 0.25, 0.25)
         preds = [_det(b, q=1, e=3, d=2, level=level)]
-        gts = [(b, LabelTriple(1, 3, 2))]
+        gts = [(b, class_row(1, 3, 2))]
         res = match(preds, gts, level)
         bd = compute_loss(preds, gts, res, level)
         assert bd.total == pytest.approx(0.0, abs=1e-9)
@@ -201,7 +202,7 @@ class TestComputeLoss:
         level = HierarchyLevel.QUADRANT_ONLY
         b = Box(0.5, 0.5, 0.2, 0.2)
         preds = [_det(b, level=level)]  # uniform
-        gts = [(b, LabelTriple(3))]
+        gts = [(b, class_row(3))]
         bd = compute_loss(preds, gts, MatchResult(((0, 0),), ()), level)
         want = (1 - 0.2) ** 2 * -np.log(0.2)
         assert bd.cls_q == pytest.approx(want, rel=1e-12)
@@ -212,7 +213,7 @@ class TestComputeLoss:
         level = HierarchyLevel.QUADRANT_ONLY
         b = Box(0.4, 0.4, 0.2, 0.2)
         preds = [_det(b, q=2, e=7, d=3, level=level)]
-        gts = [(b, LabelTriple(2))]
+        gts = [(b, class_row(2))]
         bd = compute_loss(preds, gts, match(preds, gts, level), level)
         assert bd.cls_e == 0.0
         assert bd.cls_d == 0.0
@@ -230,7 +231,7 @@ class TestComputeLoss:
         ]
         gts = [
             (Box(*rng.uniform(0.2, 0.8, 2), *rng.uniform(0.1, 0.3, 2)),
-             LabelTriple(int(rng.integers(4)), int(rng.integers(8)),
+             class_row(int(rng.integers(4)), int(rng.integers(8)),
                          int(rng.integers(4))))
             for _ in range(3)
         ]
@@ -251,7 +252,7 @@ class TestComputeLoss:
         ]
         gts = [
             (Box(*rng.uniform(0.2, 0.8, 2), *rng.uniform(0.1, 0.3, 2)),
-             LabelTriple(int(rng.integers(4)), int(rng.integers(8))))
+             class_row(int(rng.integers(4)), int(rng.integers(8))))
             for _ in range(2)
         ]
         bd1 = compute_loss(preds, gts, match(preds, gts, level), level)

@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 
 from dentdet.diffusion import signal_decode, signal_encode
 from dentdet.geometry import Box
-from dentdet.labels import (
-    HEAD_CLASS_COUNTS,
-    HEAD_NAMES,
-    HierarchyLevel,
-    LabelTriple,
-    class_array,
-)
+from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel
 from dentdet.model import (
     HIST_CHANNELS,
     HIST_EDGES,
@@ -46,6 +40,7 @@ from dentdet.model import (
     transfer_weights,
     zero_grads,
 )
+from helpers import class_row, class_rows
 
 SMALL = ModelConfig(grid=4, pool=2, hidden=8, time_dim=4)
 
@@ -185,7 +180,6 @@ def test_augmented_training_with_the_encode_oracle_is_byte_equal(monkeypatch):
     from dentdet.data import generate_layout, project_level
     from dentdet.diffusion import Schedule
     from dentdet.train import StageConfig, TrainSample, train_stage
-    from helpers import truth_arrays
 
     cfg = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)
     schedule = Schedule.cosine(1000, 0.008)
@@ -193,7 +187,7 @@ def test_augmented_training_with_the_encode_oracle_is_byte_equal(monkeypatch):
     samples = []
     for i in range(3):
         img, layout = generate_layout(700 + i)
-        gt_boxes, gt_classes = truth_arrays(project_level(layout, level))
+        gt_boxes, gt_classes = project_level(layout, level)
         samples.append(TrainSample(
             image_id=f"s{i}", image=img, grid_feats=encode_image(img, cfg.grid),
             gt_boxes=gt_boxes, gt_classes=gt_classes, width=256, height=256,
@@ -675,12 +669,12 @@ def _small_batch(rng, level):
         z=z,
         t=300.0,
         gt_boxes=np.stack([b.to_array() for b, _ in gts]),
-        gt_classes=class_array([lab for _, lab in gts]),
+        gt_classes=class_rows(lab for _, lab in gts),
     )
 
 
 def _triple_for(level, i):
-    return LabelTriple(*(i, i + 2, i)[: len(level.heads)])
+    return class_row(*(i, i + 2, i)[: len(level.heads)])
 
 
 @pytest.mark.parametrize("level", list(HierarchyLevel), ids=["q", "qe", "qed"])

@@ -15,7 +15,8 @@ def test_every_exported_name_resolves():
 
 @pytest.mark.parametrize(
     "name",
-    ["match", "compute_loss", "giou", "NoisyBoxes", "InferredBox", "HeadMask", "mask_for"],
+    ["match", "compute_loss", "giou", "NoisyBoxes", "InferredBox", "HeadMask", "mask_for",
+     "LabelTriple", "Annotation", "class_array"],
 )
 def test_test_only_helpers_are_not_exported(name):
     assert name not in dentdet.__all__

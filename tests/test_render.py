@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from dentdet.geometry import Box
-from dentdet.labels import LabelTriple
 from dentdet.render import (
     FONT_5X7,
     caption,
@@ -14,9 +12,10 @@ from dentdet.render import (
 
 
 def test_caption_levels():
-    assert caption(LabelTriple(0)) == "Q1"
-    assert caption(LabelTriple(2, 5)) == "Q3 N36"
-    assert caption(LabelTriple(1, 0, 2)) == "Q2 N21 DPERIAPICAL LESION"
+    # One class row per box, -1 where a head carries no label.
+    assert caption((0, -1, -1)) == "Q1"
+    assert caption(np.array([2, 5, -1])) == "Q3 N36"
+    assert caption((1, 0, 2)) == "Q2 N21 DPERIAPICAL LESION"
 
 
 def test_font_covers_needed_glyphs():
@@ -42,7 +41,7 @@ def test_draw_text_marks_pixels_in_bounds():
 def test_draw_box_outline_only():
     img = np.zeros((64, 64, 3), dtype=np.uint8)
     color = np.array([0, 255, 0], dtype=np.uint8)
-    draw_box(img, Box(0.5, 0.5, 0.5, 0.5), color)
+    draw_box(img, (0.25, 0.25, 0.75, 0.75), color)
     ys, xs = np.nonzero(img[..., 1])
     assert len(ys) > 0
     # Interior pixel untouched.
@@ -53,11 +52,11 @@ def test_draw_box_outline_only():
 
 def test_render_overlay_shapes_and_colors():
     img = np.full((64, 64), 90, dtype=np.uint8)
-    items = [
-        (Box(0.5, 0.5, 0.4, 0.4), "Q1"),
-        (Box(0.2, 0.1, 0.2, 0.15), "Q2"),  # caption flips below the box
-    ]
-    out = render_overlay(img, items)
+    boxes = np.array([
+        [0.5, 0.5, 0.4, 0.4],
+        [0.2, 0.1, 0.2, 0.15],  # caption flips below the box
+    ])
+    out = render_overlay(img, boxes, ["Q1", "Q2"])
     assert out.shape == (64, 64, 3)
     assert out.dtype == np.uint8
     greens = (out == np.array([0, 255, 0])).all(axis=-1)

@@ -46,7 +46,6 @@ from dentdet.train import (
     run_pipeline,
     train_stage,
 )
-from helpers import truth_arrays
 
 CFG = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8)
 SCHED = Schedule.cosine(1000, 0.008)
@@ -56,7 +55,7 @@ def _samples(level, n=4, seed0=500):
     out = []
     for i in range(n):
         img, layout = generate_layout(seed0 + i)
-        gt_boxes, gt_classes = truth_arrays(project_level(layout, level))
+        gt_boxes, gt_classes = project_level(layout, level)
         out.append(
             TrainSample(
                 image_id=f"s{i}",
