@@ -1,5 +1,5 @@
 """Run dentdet's matrix products on one OpenBLAS thread per caller, and
-split a training step over two callers.
+split a training step or a sampler pass over two callers.
 
 The products are small: a decoder pass multiplies 64 proposals by weights a
 few hundred columns wide, and RoI pooling multiplies 256 bin rows by the
@@ -19,13 +19,15 @@ With a BLAS other than OpenBLAS it does nothing.
 The thread count is one setting for the whole process, so a second thread
 that calls numpy inside ``one_thread`` runs its products on one thread too.
 :func:`in_parallel` uses that to put the second core to work: it runs one
-share of a training step on the step worker, a single persistent thread
-started by the first call (never at import), while the caller runs the
-other share.  numpy drops the GIL inside each product, so the two shares'
-products run at the same time.  The shares write into disjoint arrays the
-caller owns, so what they compute does not depend on which runs first, and
-the call returns only after both have finished.  Inference keeps to the
-calling thread.
+share of a training step, or one half of a sampler pass's images, on the
+step worker, a single persistent daemon thread started by the first call
+(never at import), while the caller runs the other share.  A plain thread
+and a queue serve it: an executor would import ``concurrent.futures`` and
+``logging``, which raised the sampler's peak RSS.  numpy drops the GIL
+inside each product, so the two shares' products run at the same time.
+The shares write into disjoint arrays the caller owns, so what they compute
+does not depend on which runs first, and the call returns only after both
+have finished.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import ctypes
 import functools
 import importlib
 import os
+import threading
 
 # (get, set) thread-count symbols: numpy 2 wheels, numpy 1 wheels, a system
 # OpenBLAS.
@@ -84,16 +87,31 @@ def one_thread():
         set_(before)
 
 
-_worker = None  # a one-thread concurrent.futures.ThreadPoolExecutor
+_jobs = None  # the step worker's queue of (share, reply queue), once it runs
 
 
 def _forget_worker() -> None:
     # A forked child has no copy of the thread; its first call starts one.
-    global _worker
-    _worker = None
+    global _jobs
+    _jobs = None
 
 
 os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _serve(jobs) -> None:
+    while True:
+        _run(*jobs.get())
+
+
+def _run(there, reply) -> None:
+    # Its own frame, so the worker keeps no reference to a share, nor to
+    # what it returned, while it waits for the next: those hold the
+    # caller's buffers.
+    try:
+        reply.put((there(), None))
+    except BaseException as error:  # raised again on the caller's thread
+        reply.put((None, error))
 
 
 def in_parallel(here, there):
@@ -104,14 +122,20 @@ def in_parallel(here, there):
     outlives the caller's buffers.  An exception from ``here`` wins;
     otherwise one from ``there`` reaches the caller as it was raised.
     """
-    from concurrent import futures  # only training imports it
+    from queue import SimpleQueue  # imported by the first call, not at import
 
-    global _worker
-    if _worker is None:
-        _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="dentdet-step")
-    pending = _worker.submit(there)
+    global _jobs
+    if _jobs is None:
+        _jobs = SimpleQueue()
+        threading.Thread(
+            target=_serve, args=(_jobs,), name="dentdet-step", daemon=True
+        ).start()
+    reply = SimpleQueue()
+    _jobs.put((there, reply))
     try:
         mine = here()
     finally:
-        futures.wait((pending,))
-    return mine, pending.result()
+        theirs, error = reply.get()
+    if error is not None:
+        raise error
+    return mine, theirs

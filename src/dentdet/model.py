@@ -475,9 +475,11 @@ def decode(
     level: HierarchyLevel,
     cfg: ModelConfig,
     heads: tuple[str, ...] = HEAD_NAMES,
+    out: np.ndarray | None = None,
 ):
     """Run the decoder on (N, 4) proposals over a (G, G, C) grid, or on
-    (B, N, 4) proposals over B stacked (B, G, G, C) grids.
+    (B, N, 4) proposals over B stacked (B, G, G, C) grids.  The head input
+    is built in ``out``, an (..., N, H + D) buffer, if given.
 
     Returns (z0_pred, probs, scores, logits): the signal-space box
     prediction shaped like ``z``; for each head in ``heads``, the (..., N, K)
@@ -491,7 +493,7 @@ def decode(
     z = np.asarray(z, dtype=np.float64)
     if z.ndim not in (2, 3) or z.shape[-1] != 4:
         raise ValueError("proposals must be an (N, 4) or (B, N, 4) array")
-    cache = forward_net(params, forward_features(cfg, grid_feats, z, t), z, heads)
+    cache = forward_net(params, forward_features(cfg, grid_feats, z, t, out), z, heads)
     probs = {
         head: softmax(cache.logits[head][..., : HEAD_CLASS_COUNTS[head]])
         for head in heads

@@ -8,6 +8,7 @@ of :data:`ARMS` toggle those two mechanisms independently.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -355,12 +356,14 @@ DETECTED = np.dtype([
 
 
 # Proposal rows the sampler decodes in one pass: images run in lockstep,
-# max(1, INFER_PASS_ROWS // n_proposals) at a time.  A pass holds one
-# (rows, H + D) head input; no activation outlives its decode, and RoI
-# pooling keeps the bin weights and bin rows of one image at a time.  At 512
-# rows, 8 images of 64 proposals at the default ModelConfig, one 4-step infer
-# call peaks at 1.8 head inputs (3.1 MB traced), against 5.9 (10.4 MB) when
-# each decode kept its activations and pooled the whole pass at once.
+# max(1, INFER_PASS_ROWS // n_proposals) at a time, each pass split into two
+# halves that run at once.  The call holds one (rows, H + D) head input, each
+# half decoding into its own images' rows; no activation outlives its decode,
+# and RoI pooling keeps the bin weights and bin rows of one image at a time.
+# At 512 rows, 8 images of 64 proposals at the default ModelConfig, a head
+# input is 1.8 MB, and a 4-step infer call peaks at 2.3 head inputs (traced)
+# over one pass and 2.4 (4.2 MB) over four.  With the halves run one after
+# the other it peaked at 1.8 and 2.0; two whole passes at once reach 3.8.
 INFER_PASS_ROWS = 512
 
 
@@ -383,8 +386,14 @@ def _sample(
 
     Deterministic for a fixed seed and eta = 0; per-image rng streams make
     results independent of processing order and of how images are grouped
-    into passes.  The decoder, NMS and the readout run over a pass's images
-    at once; the DDIM step and renewal run per image.
+    into passes.  Each pass of several images is split in two: this thread
+    runs the first half's whole chain, the decodes, the DDIM steps and
+    renewal, the readout, NMS and the records, while the step worker
+    (:func:`blas.in_parallel`) runs the second half's.  Within a half, the
+    decoder, NMS and the readout run over its images at once, and the DDIM
+    step and renewal per image.  Both halves decode into their own rows of
+    one head input, allocated here once per call, and this thread joins their
+    records in image order.  A pass of one image runs on this thread alone.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -393,9 +402,12 @@ def _sample(
         np.round(np.linspace(schedule.T, 0, steps + 1)).astype(int).tolist()
     ))
     per_pass = max(1, INFER_PASS_ROWS // n_proposals)
-    results = []
-    for first in range(0, len(grids), per_pass):
-        images = range(first, min(first + per_pass, len(grids)))
+    width = model_cfg.hidden + model_cfg.feat_dim
+    x = np.empty((min(per_pass, len(grids)), n_proposals, width))
+
+    def chain(images: range, x: np.ndarray) -> tuple[np.recarray, np.ndarray]:
+        """The records of ``images``, decoded in ``x``, image by image, and
+        each image's count of them."""
         grid = np.stack([grids[i] for i in images])
         rngs = [np.random.default_rng([seed, i]) for i in images]
         z = np.stack([inference_proposals(n_proposals, rng) for rng in rngs])
@@ -404,7 +416,7 @@ def _sample(
             renew = si < len(times) - 2
             z0_pred, _, scores, _ = decode(
                 params, grid, z, float(t), level, model_cfg,
-                heads=(level.deepest_head,) if renew else (),
+                heads=(level.deepest_head,) if renew else (), out=x,
             )
             for b, rng in enumerate(rngs):
                 z[b] = ddim_step(z[b], z0_pred[b], t, t_next, schedule, eta, rng)
@@ -415,8 +427,10 @@ def _sample(
         # correct sizes after observing the content under the denoised
         # window), then decode the refined boxes so every head scores the
         # window it would actually report.
-        z0_pred = decode(params, grid, z, 0.0, level, model_cfg, heads=())[0]
-        z0_pred, probs, scores, logits = decode(params, grid, z0_pred, 0.0, level, model_cfg)
+        z0_pred = decode(params, grid, z, 0.0, level, model_cfg, heads=(), out=x)[0]
+        z0_pred, probs, scores, logits = decode(
+            params, grid, z0_pred, 0.0, level, model_cfg, out=x
+        )
         boxes01 = signal_decode(z0_pred, model_cfg.scale)
         kept = nms(boxes01, scores, nms_iou)  # (image, row) pairs
         out = np.recarray(len(kept[0]), dtype=DETECTED)
@@ -425,7 +439,19 @@ def _sample(
             out[f"probs_{head}"] = probs[head][kept]
         out.score = scores[kept]
         out.objectness = 1.0 - softmax(logits[level.deepest_head][kept])[:, -1]
-        results += np.split(out, np.cumsum(np.bincount(kept[0], minlength=len(grid)))[:-1])
+        return out, np.bincount(kept[0], minlength=len(images))
+
+    results = []
+    for first in range(0, len(grids), per_pass):
+        n = min(per_pass, len(grids) - first)
+        half = (n + 1) // 2
+        here = functools.partial(chain, range(first, first + half), x[:half])
+        there = functools.partial(chain, range(first + half, first + n), x[half:n])
+        outs, counts = zip(*([here()] if n == 1 else blas.in_parallel(here, there)))
+        # Joined on this thread, so no record array the caller keeps holds
+        # memory in the worker's heap between calls.
+        records = np.concatenate(outs).view(np.recarray)
+        results += np.split(records, np.cumsum(np.concatenate(counts))[:-1])
     return results
 
 

@@ -6,6 +6,7 @@ loss was batched and its images ran in lockstep on two threads.  The step
 must equal them bit for bit: the same loss, breakdown and gradient bytes.
 """
 
+import functools
 import json
 import os
 import signal
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +409,26 @@ def _fail(error):
     raise error
 
 
+class _Held:
+    pass
+
+
+def test_worker_keeps_nothing_of_a_finished_share():
+    # A share and its result hold the caller's buffers; the worker must not
+    # keep them alive while it waits for the next share.
+    share, result = _Held(), _Held()
+    refs = weakref.ref(share), weakref.ref(result)
+    there = functools.partial(lambda held, out: out, share, result)
+    _, got = blas.in_parallel(lambda: None, there)
+    assert got is result
+    del share, result, there, got
+    # The worker may still be leaving its frame when the caller resumes.
+    deadline = time.monotonic() + 5
+    while any(ref() is not None for ref in refs) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert [ref() for ref in refs] == [None, None]
+
+
 def _slow_worker(monkeypatch):
     """Delay each of the worker's forward and first-layer calls; returns the
     list they append to once done."""
@@ -536,27 +558,32 @@ from dentdet.train import infer
 
 
 def step_threads():
-    return [t.name for t in threading.enumerate() if t.name.startswith("dentdet-step")]
+    return [t for t in threading.enumerate() if t.name.startswith("dentdet-step")]
 
 
+assert threading.active_count() == 1, "import started a thread"
 cfg, level = ModelConfig(grid=8, pool=2, hidden=16, time_dim=8), HierarchyLevel.QUADRANT_ONLY
+schedule = Schedule.cosine(1000, 0.008)
 rng = np.random.default_rng(0)
 params = init_params(cfg, rng)
 grids = [rng.random((8, 8, cfg.channels)) for _ in range(2)]
-assert threading.active_count() == 1, threading.enumerate()
-infer(params, grids, level, cfg, Schedule.cosine(1000, 0.008), n_proposals=8, steps=2)
-assert threading.active_count() == 1, "inference started a thread"
+infer(params, grids[:1], level, cfg, schedule, n_proposals=8, steps=2)
+assert threading.active_count() == 1, "a one-image pass started a thread"
+infer(params, grids, level, cfg, schedule, n_proposals=8, steps=2)
+worker = step_threads()
+assert len(worker) == 1 and threading.active_count() == 2, threading.enumerate()
 gt = np.array([[0.5, 0.5, 0.2, 0.2]])
 batch = [BatchItem(g, rng.standard_normal((8, 4)), 10.0, gt, np.zeros((1, 3), int))
          for g in grids]
 loss_gradients(params, batch, level, cfg)
-loss_gradients(params, batch, level, cfg)
-assert len(step_threads()) == 1, step_threads()
+assert step_threads() == worker and threading.active_count() == 2, threading.enumerate()
 print("ok")
 """
 
 
-def test_worker_starts_on_the_first_training_step():
+def test_worker_starts_on_the_first_split_pass():
+    # No thread at import or for a one-image pass; a pass of two images
+    # starts the step worker, and a later training step reuses it.
     src = Path(model_mod.__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))

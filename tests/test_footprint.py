@@ -1,7 +1,7 @@
 """Footprint: inference and scoring run without scipy or numpy.ma, training
-loads its assignment solver on the first step, and a sampler pass and a
-training step each hold about one head input's worth of memory beyond
-what they must keep."""
+loads its assignment solver on the first step, and a sampler call of one
+pass or of several and a training step each hold about one head input's
+worth of memory beyond what they must keep."""
 
 import os
 import subprocess
@@ -105,26 +105,40 @@ def test_training_solves_with_scipy(tmp_path):
         assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
 
-def test_sampler_pass_peaks_below_two_and_a_half_head_inputs():
-    # One infer call that is exactly one pass: 8 images of 64 proposals.
-    # Each decode holds one (rows, H + D) head input; a decode output that
-    # kept it alive into the next decode would hold two.
-    cfg, n_images, n_proposals = ModelConfig(), 8, 64
-    assert n_images * n_proposals == train.INFER_PASS_ROWS == 512
+def _infer_peak(n_images: int) -> float:
+    """Traced peak of a default-size, 4-step infer call over ``n_images``
+    images of 64 proposals, in head inputs of one 512-row pass."""
+    cfg, n_proposals = ModelConfig(), 64
+    assert 8 * n_proposals == train.INFER_PASS_ROWS == 512
     rng = np.random.default_rng(0)
     params = init_params(cfg, rng, head_scale=0.3)
     grids = [rng.normal(size=(cfg.grid, cfg.grid, cfg.channels)) for _ in range(n_images)]
     args = (params, grids, HierarchyLevel.FULL, cfg, Schedule.cosine(1000, 0.008))
     kw = dict(n_proposals=n_proposals, steps=4, eta=1.0, renewal_threshold=0.3)
-    infer(*args, **kw)  # first-call imports and caches stay out of the trace
+    infer(*args, **kw)  # first-call imports, caches and the worker stay out of the trace
     tracemalloc.start()
     try:
         infer(*args, **kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    head_input = n_images * n_proposals * (cfg.hidden + cfg.feat_dim) * 8
-    assert peak < 2.5 * head_input, f"{peak / head_input:.2f} head inputs"
+    return peak / (train.INFER_PASS_ROWS * (cfg.hidden + cfg.feat_dim) * 8)
+
+
+def test_sampler_pass_peaks_below_two_and_a_half_head_inputs():
+    # One infer call that is exactly one pass: 8 images of 64 proposals.
+    # Each decode holds one (rows, H + D) head input; a decode output that
+    # kept it alive into the next decode would hold two.
+    peak = _infer_peak(8)
+    assert peak < 2.5, f"{peak:.2f} head inputs"
+
+
+def test_sampler_passes_peak_below_two_and_a_half_head_inputs():
+    # Four passes of 8 images, each split 4 + 4 over two threads that
+    # decode into one head input: about 2.4.  Two whole passes at once,
+    # each with its own head input, peak at about 3.8.
+    peak = _infer_peak(32)
+    assert peak < 2.5, f"{peak:.2f} head inputs"
 
 
 def test_training_step_peaks_at_most_two_and_a_half_head_inputs():

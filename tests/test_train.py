@@ -1,6 +1,7 @@
 """Training loop, inference, cache building, and the staged pipeline."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -134,6 +135,12 @@ def _oracle_infer(params, grids, level, model_cfg, schedule, n_proposals=64,
         dets, _ = _oracle_decode(params, grid, z0_pred, 0.0, level, model_cfg)
         results.append(_nms_detections(dets, nms_iou))
     return results
+
+
+def _thread():
+    """Which of the sampler's two threads is running."""
+    on_worker = threading.current_thread().name.startswith("dentdet-step")
+    return "worker" if on_worker else "caller"
 
 
 def _same_detection(a, b):
@@ -395,19 +402,30 @@ class TestInfer:
         grids = [s.grid_feats for s in _samples(level, n=n_images)]
         kw = dict(n_proposals=n_proposals, steps=2, seed=4, eta=1.0,
                   renewal_threshold=0.3, nms_iou=0.5)
-        decoded = []
+        decoded = {"caller": [], "worker": []}
 
-        def counting(params, grid_feats, z, *args, **kwargs):
-            decoded.append(len(z))
-            return decode(params, grid_feats, z, *args, **kwargs)
+        def counting(params, grid_feats, z, *args, out=None, **kwargs):
+            decoded[_thread()].append((len(z), out))
+            return decode(params, grid_feats, z, *args, out=out, **kwargs)
 
         monkeypatch.setattr(train_mod, "INFER_PASS_ROWS", pass_rows)
         monkeypatch.setattr(train_mod, "decode", counting)
         got = infer(params, grids, level, CFG, SCHED, **kw)
         want = _oracle_infer(params, grids, level, CFG, SCHED, **kw)
-        # Each pass decodes its images in two sampler steps and two readouts.
-        assert decoded == [size for size in sizes for _ in range(4)]
-        assert sum(decoded) == 4 * n_images
+        # Each pass decodes each half of its images in two sampler steps and
+        # two readouts: the first half on the calling thread, the second on
+        # the step worker.  A pass of one image has no second half.
+        firsts = [(size + 1) // 2 for size in sizes]
+        seconds = [size // 2 for size in sizes if size > 1]
+        assert [n for n, _ in decoded["caller"]] == [n for n in firsts for _ in range(4)]
+        assert [n for n, _ in decoded["worker"]] == [n for n in seconds for _ in range(4)]
+        # Each half decodes into its own images' rows of one head input.
+        buffers = decoded["caller"] + decoded["worker"]
+        assert len({id(out.base) for _, out in buffers}) <= 1
+        width = CFG.hidden + CFG.feat_dim
+        assert all(out.shape == (n, n_proposals, width) for n, out in buffers)
+        assert not any(np.shares_memory(a, b)
+                       for _, a in decoded["caller"] for _, b in decoded["worker"])
         assert len(got) == len(want) == n_images
         assert [len(d) for d in got] == [len(d) for d in want]
         for dg, dw in zip(got, want):
@@ -434,16 +452,17 @@ class TestInfer:
         level = HierarchyLevel.FULL
         params = init_params(CFG, np.random.default_rng(9))
         grids = [s.grid_feats for s in _samples(level, n=2)]
-        heads = []
+        heads = {"caller": [], "worker": []}
 
         def recording(*args, **kwargs):
-            heads.append(kwargs.get("heads", HEAD_NAMES))
+            heads[_thread()].append(kwargs.get("heads", HEAD_NAMES))
             return decode(*args, **kwargs)
 
         monkeypatch.setattr(train_mod, "decode", recording)
         infer(params, grids, level, CFG, SCHED, n_proposals=8, steps=steps)
+        # One pass of two images: each half decodes in the same order.
         renewing = [(level.deepest_head,)] * (steps - 1)
-        assert heads == [*renewing, (), (), HEAD_NAMES]
+        assert heads["caller"] == heads["worker"] == [*renewing, (), (), HEAD_NAMES]
 
     def test_untrained_scores_uniform(self):
         params = init_params(CFG, np.random.default_rng(5), head_scale=0.0)
