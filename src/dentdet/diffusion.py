@@ -87,6 +87,10 @@ def forward_noise(
     return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
 
 
+# pad_gt_boxes's per-column lower bounds: centers 0, sizes 0.01.
+_PAD_LOWER = np.array([0.0, 0.0, 0.01, 0.01])
+
+
 def pad_gt_boxes(
     gt: np.ndarray, n: int, rng: np.random.Generator, scale: float
 ) -> np.ndarray:
@@ -111,8 +115,8 @@ def pad_gt_boxes(
     n_pad = n - n_gt
     if n_pad:
         pad = rng.normal(0.5, 1.0 / 6.0, size=(n_pad, 4))
-        pad[:, :2] = np.clip(pad[:, :2], 0.0, 1.0)
-        pad[:, 2:] = np.clip(pad[:, 2:], 0.01, 1.0)
+        # np.clip's bounds, without the cost of its wrapper.
+        np.minimum(np.maximum(pad, _PAD_LOWER, out=pad), 1.0, out=pad)
         arr[n_gt:] = pad
     return signal_encode(arr, scale)
 

@@ -9,11 +9,12 @@ the deepest supervised head only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import giou_matrix, overlap
+from .geometry import _area, cxcywh_to_xyxy, overlap
 from .labels import HEAD_NAMES, HierarchyLevel
 
 
@@ -31,15 +32,70 @@ class LossBreakdown:
 def _cost_matrix(probs, boxes01, gt_boxes, gt_classes, level: HierarchyLevel, cfg):
     """(..., N, M) assignment costs of (..., N, 4) proposals, with (..., N, K)
     probabilities per head, against (..., M, 4) ground-truth boxes with
-    (..., M, 3) classes; leading axes index images."""
+    (..., M, 3) classes; leading axes index images.
+
+    The cost is ``cls_weight * (1 - p_gt)`` summed over the level's heads,
+    plus ``l1_weight * |pred - gt|.sum(-1)``, plus ``giou_weight * (1 -
+    GIoU)``.  Each term is built in place in a few (..., N, M) buffers, with
+    the float operations of that formula in its order, so the costs are the
+    bits it gives.
+    """
     cost = np.zeros(boxes01.shape[:-1] + gt_boxes.shape[-2:-1])
+    term = np.empty(cost.shape)
     for col, head in enumerate(level.heads):
-        p_gt = np.take_along_axis(probs[head], gt_classes[..., None, :, col], axis=-1)
-        cost += cfg.cls_weight * (1.0 - p_gt)
-    l1 = np.abs(boxes01[..., :, None, :] - gt_boxes[..., None, :, :]).sum(axis=-1)
-    cost += cfg.l1_weight * l1
-    cost += cfg.giou_weight * (1.0 - giou_matrix(boxes01, gt_boxes))
+        for i in np.ndindex(cost.shape[:-2]):
+            # Each gt's class column of the image's (N, K) probabilities.
+            term[i] = probs[head][i].T[gt_classes[i][:, col]].T
+        np.subtract(1.0, term, out=term)
+        term *= cfg.cls_weight
+        cost += term
+    pred, gt = boxes01[..., :, None, :], gt_boxes[..., None, :, :]
+    # |d0| + |d1| + |d2| + |d3|, the order of numpy's sum over four values.
+    l1 = np.abs(pred[..., 0] - gt[..., 0])
+    for k in range(1, 4):
+        l1 += np.abs(np.subtract(pred[..., k], gt[..., k], out=term), out=term)
+    l1 *= cfg.l1_weight
+    cost += l1
+    giou = _giou_pairs(boxes01, gt_boxes, l1, term)
+    np.subtract(1.0, giou, out=giou)
+    giou *= cfg.giou_weight
+    cost += giou
     return cost
+
+
+def _giou_pairs(boxes01, gt_boxes, iw, ih):
+    """GIoU of every (..., N, 4) proposal with every (..., M, 4) ground-truth
+    box, as :func:`geometry.giou_matrix` gives it: the float operations of
+    :func:`geometry.overlap` and :meth:`geometry.Overlap.giou`, in their
+    order, on each box's corners.  ``iw`` and ``ih`` are (..., N, M) scratch
+    buffers, overwritten; returns a new (..., N, M) array."""
+    a, b = cxcywh_to_xyxy(boxes01)[..., :, None, :], cxcywh_to_xyxy(gt_boxes)[..., None, :, :]
+    ax1, ay1, ax2, ay2 = (a[..., k] for k in range(4))
+    bx1, by1, bx2, by2 = (b[..., k] for k in range(4))
+    inter, union, iou = np.zeros(iw.shape), np.empty(iw.shape), np.zeros(iw.shape)
+    np.minimum(ax2, bx2, out=iw)
+    iw -= np.maximum(ax1, bx1, out=union)
+    np.minimum(ay2, by2, out=ih)
+    ih -= np.maximum(ay1, by1, out=union)
+    has = iw > 0
+    has &= ih > 0
+    np.multiply(iw, ih, out=inter, where=has)
+    np.add(_area(boxes01)[..., :, None], _area(gt_boxes)[..., None, :], out=union)
+    union -= inter
+    has &= union > 0
+    np.divide(inter, union, out=iou, where=has)
+    # The enclosing box's sides and area, in the spent buffers.
+    hull = np.maximum(ax2, bx2, out=iw)
+    hull -= np.minimum(ax1, bx1, out=inter)
+    np.maximum(ay2, by2, out=ih)
+    ih -= np.minimum(ay1, by1, out=inter)
+    hull *= ih
+    np.subtract(hull, union, out=union)
+    penalty = ih
+    penalty.fill(0.0)
+    np.divide(union, hull, out=penalty, where=hull > 0)
+    iou -= penalty
+    return iou
 
 
 _scipy_solver = None
@@ -58,28 +114,42 @@ def linear_sum_assignment(cost: np.ndarray):
     return _scipy_solver(cost)
 
 
+@functools.lru_cache(maxsize=64)
+def _tie_break_grid(n: int, m: int) -> np.ndarray:
+    """The read-only (n, m) grid ``i * m + j``: each pair's place in
+    lexicographic order."""
+    grid = (np.arange(n)[:, None] * m + np.arange(m)[None, :]).astype(np.float64)
+    grid.flags.writeable = False
+    return grid
+
+
 def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     """Optimal assignment of every column (gt) to a distinct row (pred),
-    with ties broken toward lexicographically smallest pairs."""
+    with ties broken toward lexicographically smallest pairs.  A non-finite
+    cost raises ``FloatingPointError``."""
     n, m = cost.shape
     if m > n:
         raise ValueError(f"more ground-truth boxes ({m}) than proposals ({n})")
     if m == 0:
         return []
+    top = np.abs(cost).max()
+    if not np.isfinite(top):
+        bad = cost.size - np.count_nonzero(np.isfinite(cost))
+        raise FloatingPointError(f"non-finite assignment costs: {bad} of {cost.size}")
     # Tiny index-dependent perturbation fixes the tie-break without moving
     # the optimum on generic instances.
-    scale = max(1.0, np.abs(cost).max())
-    tweak = scale * 1e-12 * (
-        np.arange(n)[:, None] * m + np.arange(m)[None, :]
-    )
-    rows, cols = linear_sum_assignment(cost + tweak)
-    return sorted(zip(rows.tolist(), cols.tolist()), key=lambda p: p[1])
+    tweaked = np.multiply(_tie_break_grid(n, m), max(1.0, top) * 1e-12)
+    tweaked += cost
+    rows, cols = linear_sum_assignment(tweaked)
+    order = np.argsort(cols)
+    return list(zip(rows[order].tolist(), cols[order].tolist()))
 
 
 # Proposal rows whose costs are built at once: a 64-proposal training batch
-# builds its cost tensor four images at a time.  The GIoU and L1 terms hold
-# about a dozen (rows, M) temporaries, so a whole 8-image batch at once would
-# raise the step's peak memory by about half a head input.
+# builds its cost tensor four images at a time.  A slice holds at most six
+# (rows, M) float64 buffers at once (the cost, two scratch buffers and three
+# GIoU terms) and two boolean masks, so it stays below the step's peak
+# memory, which the forward pass sets.
 COST_SLICE_ROWS = 256
 
 
@@ -187,48 +257,53 @@ def loss_forward_backward(
     n_rows = offsets[-1]
     gamma = cfg.focal_gamma
     deepest = level.deepest_head
-    idx = [np.array(p, dtype=np.int64).reshape(-1, 2) for p in pairs]
-    n_pairs = np.array([len(p) for p in idx])
+    n_pairs = np.array([len(p) for p in pairs], dtype=np.int64)
     pair_bounds = np.concatenate([[0], np.cumsum(n_pairs)])
-    pred_idx = np.concatenate([lo + p[:, 0] for lo, p in zip(offsets, idx)])
+    idx = np.array([ij for p in pairs for ij in p], dtype=np.int64).reshape(-1, 2)
+    pred_idx = np.repeat(offsets[:-1], n_pairs) + idx[:, 0]
+    gt_starts = np.cumsum([0] + [len(g) for g in gt_boxes[:-1]])
+    gt_idx = np.repeat(gt_starts, n_pairs) + idx[:, 1]
+    gb = np.concatenate(gt_boxes)[gt_idx]
+    gc = np.concatenate(gt_classes)[gt_idx]
     per_pair = np.repeat(n_pairs, n_pairs)  # pair count of each pair's image
-    gb = np.concatenate([g[p[:, 1]] for g, p in zip(gt_boxes, idx)])
-    gc = np.concatenate([c[p[:, 1]] for c, p in zip(gt_classes, idx)])
+    by_row = np.argsort(pred_idx)  # matched rows are distinct
 
     terms = [[0.0] * b for _ in HEAD_NAMES]  # per head, each image's term
     dlogits: dict[str, np.ndarray] = {}
     for col, head in enumerate(level.heads):
         p = probs[head]
-        targets = np.full(n_rows, -1, dtype=np.int64)
-        if head == deepest:
-            targets[:] = p.shape[1] - 1  # background
+        if head == deepest:  # every row: its match's class, else background
+            rows = np.arange(n_rows)
             sizes = np.diff(offsets)
             scale = np.repeat(1.0 / sizes, sizes)
+            tgt = np.full(n_rows, p.shape[1] - 1, dtype=np.int64)
+            tgt[pred_idx] = gc[:, col]
             bounds = offsets
-        else:
-            scale = np.zeros(n_rows)
-            scale[pred_idx] = 1.0 / per_pair
-            bounds = pair_bounds  # matched rows, in row order per image
-        targets[pred_idx] = gc[:, col]
-        rows = np.nonzero(scale > 0)[0]
-        tgt = targets[rows]
+        else:  # matched rows, in row order per image
+            rows = pred_idx[by_row]
+            scale = (1.0 / per_pair)[by_row]
+            tgt = gc[by_row, col]
+            bounds = pair_bounds
         p_t = p[rows, tgt]
         val, dval = _focal(p_t, gamma)
-        terms[col] = _segment_sums(val * scale[rows], bounds)
+        terms[col] = _segment_sums(val * scale, bounds)
         # Softmax backward: dL/dl_j = dL/dp_t * p_t * (delta_tj - p_j)
-        coef = dval * scale[rows] * p_t
+        coef = dval * scale * p_t
         dl = np.zeros(p.shape)
         dl[rows] = -coef[:, None] * p[rows]
         dl[rows, tgt] += coef
         dl *= cfg.cls_weight
         dlogits[head] = dl
 
-    dboxes01 = np.zeros_like(boxes01)
     pb = boxes01[pred_idx]
     diff = pb - gb
-    np.add.at(dboxes01, pred_idx, cfg.l1_weight * np.sign(diff) / per_pair[:, None])
     gv, gd = giou_pair_grad(pb, gb)
-    np.add.at(dboxes01, pred_idx, -cfg.giou_weight * gd / per_pair[:, None])
+    # Each matched row's gradient, summed from 0 as the unmatched rows' is.
+    grad = np.zeros(pb.shape)
+    grad += cfg.l1_weight * np.sign(diff) / per_pair[:, None]
+    grad += -cfg.giou_weight * gd / per_pair[:, None]
+    dboxes01 = np.zeros_like(boxes01)
+    dboxes01[pred_idx] = grad
     l1_sums = _segment_sums(np.abs(diff), pair_bounds)
     giou_sums = _segment_sums(1.0 - gv, pair_bounds)
 

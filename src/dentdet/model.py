@@ -413,18 +413,24 @@ def backward_net(
     dlogits: dict[str, np.ndarray],
     grads: ParamStore,
     first_layer=None,
+    output_layers=None,
 ) -> None:
     """Accumulate parameter gradients for upstream gradients on one image's
     (N, ...) decoder outputs.  Heads absent from ``dlogits`` receive exactly
     zero gradient.
 
-    ``first_layer``, if given, takes the first layer's share: it is called
-    with the decoder input and the gradient on the first hidden layer as
-    soon as that is known, in place of adding to ``trunk.w1`` and
-    ``trunk.b1`` here."""
+    ``output_layers`` and ``first_layer``, if given, take those layers'
+    shares in place of adding to their tensors here.  ``output_layers`` is
+    called first, with the head input and the gradients on the box
+    prediction and on the logits; ``first_layer`` with the decoder input
+    and the gradient on the first hidden layer as soon as that is known."""
     h1, h2x = cache.h1, cache.x
     width = h1.shape[1]
     h2, x = h2x[:, :width], h2x[:, width:]
+    if output_layers is None:
+        _output_layer_grads(grads, h2x, dz0_pred, dlogits)
+    else:
+        output_layers(h2x, dz0_pred, dlogits)
     dh2 = dz0_pred @ params["box.w"].T
     for head, dl in dlogits.items():
         dh2 += dl @ params[f"head_{head}.w"][:width].T
@@ -434,13 +440,19 @@ def backward_net(
         _first_layer_grads(grads, x, dh1)
     else:
         first_layer(x, dh1)
-    grads["box.w"] += h2.T @ dz0_pred
+    grads["trunk.w2"] += h1.T @ dh2
+    grads["trunk.b2"] += dh2.sum(axis=0)
+
+
+def _output_layer_grads(grads: ParamStore, h2x: np.ndarray, dz0_pred: np.ndarray,
+                        dlogits: dict[str, np.ndarray]) -> None:
+    """The box head's and the classification heads' gradients, from the
+    (N, H + D) head input and the gradients on their outputs."""
+    grads["box.w"] += h2x[:, : grads["box.w"].shape[0]].T @ dz0_pred
     grads["box.b"] += dz0_pred.sum(axis=0)
     for head, dl in dlogits.items():
         grads[f"head_{head}.w"] += h2x.T @ dl
         grads[f"head_{head}.b"] += dl.sum(axis=0)
-    grads["trunk.w2"] += h1.T @ dh2
-    grads["trunk.b2"] += dh2.sum(axis=0)
 
 
 def _first_layer_grads(grads: ParamStore, x: np.ndarray, dh1: np.ndarray) -> None:
@@ -541,10 +553,11 @@ def loss_gradients(
     (:func:`blas.in_parallel`) runs the second half of the batch's forward
     pass while this thread runs the first; proposals are matched from one
     cost tensor per block, and the loss runs once over the stacked rows.
-    The backward pass is split by tensor: the worker adds the first layer's
-    gradients, this thread the others.  Each tensor is still summed image
-    by image in image order, so every gradient is the float sum a per-image
-    loop gives.
+    The backward pass is split by tensor: the worker adds the box head's,
+    the classification heads' and the first layer's gradients, this thread
+    works back through the trunk and adds the second layer's.  Each tensor
+    is still summed by one thread, image by image in image order, so every
+    gradient is the float sum a per-image loop gives.
     """
     from queue import SimpleQueue  # kept out of the inference imports
 
@@ -564,22 +577,24 @@ def loss_gradients(
     grads = zero_grads(cfg)
     handoff = SimpleQueue()
 
-    def first_layers():
+    def worker_layers():
         while (share := handoff.get()) is not None:
-            _first_layer_grads(grads, *share)
+            layer, args = share
+            layer(grads, *args)
 
-    def other_layers():
+    def caller_layers():
         try:
             for cache, lo, hi in zip(_images(blocks), offsets, offsets[1:]):
                 backward_net(
                     params, cache, dz0_pred[lo:hi],
                     {head: dl[lo:hi] for head, dl in dlogits.items()}, grads,
-                    first_layer=lambda *share: handoff.put(share),
+                    first_layer=lambda *args: handoff.put((_first_layer_grads, args)),
+                    output_layers=lambda *args: handoff.put((_output_layer_grads, args)),
                 )
         finally:
             handoff.put(None)
 
-    blas.in_parallel(other_layers, first_layers)
+    blas.in_parallel(caller_layers, worker_layers)
     return bd.total, grads, bd
 
 

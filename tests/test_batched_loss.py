@@ -343,9 +343,9 @@ def test_train_stage_with_oracle_is_byte_equal(level, monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The step worker runs the second half of the forward pass and the first
-# layer's gradients.  Its shares must finish before a step returns, and what
-# goes wrong there must reach the caller.
+# The step worker runs the second half of the forward pass and the output
+# layers' and first layer's gradients.  Its shares must finish before a step
+# returns, and what goes wrong there must reach the caller.
 
 
 class Injected(Exception):
@@ -371,7 +371,7 @@ def _raise():
     raise Injected("worker share failed")
 
 
-@pytest.mark.parametrize("share", ["forward_net", "_first_layer_grads"])
+@pytest.mark.parametrize("share", ["forward_net", "_output_layer_grads", "_first_layer_grads"])
 def test_worker_exception_reaches_the_caller(share, monkeypatch):
     rng = np.random.default_rng(44)
     level = HierarchyLevel.FULL
@@ -430,10 +430,10 @@ def test_worker_keeps_nothing_of_a_finished_share():
 
 
 def _slow_worker(monkeypatch):
-    """Delay each of the worker's forward and first-layer calls; returns the
+    """Delay each of the worker's forward and backward calls; returns the
     list they append to once done."""
     finished = []
-    for name in ("forward_net", "_first_layer_grads"):
+    for name in ("forward_net", "_output_layer_grads", "_first_layer_grads"):
         real = getattr(model_mod, name)
 
         def wrapped(*args, _real=real, _name=name, **kwargs):
@@ -456,8 +456,9 @@ def test_step_returns_after_the_worker_finished(monkeypatch):
     finished = _slow_worker(monkeypatch)
     loss, grads, _ = loss_gradients(params, batch, level, CFG)
     # The worker forwards images 3 and 4 (two proposal counts, so two
-    # blocks) and adds the first layer's gradients of all five.
+    # blocks) and adds the output and first layers' gradients of all five.
     assert finished.count("forward_net") == 2
+    assert finished.count("_output_layer_grads") == len(batch)
     assert finished.count("_first_layer_grads") == len(batch)
     assert loss == want_loss
     for name in grads:
@@ -471,6 +472,7 @@ def test_train_stage_returns_after_the_worker_finished(monkeypatch):
     finished = _slow_worker(monkeypatch)
     params, _ = train_stage(cfg, _samples(level), CFG, SCHED)
     assert finished.count("forward_net") == cfg.iterations
+    assert finished.count("_output_layer_grads") == cfg.iterations * cfg.batch_size
     assert finished.count("_first_layer_grads") == cfg.iterations * cfg.batch_size
     for name in params:
         assert _same_bytes(params[name], want[name]), name

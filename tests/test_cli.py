@@ -10,6 +10,7 @@ import pytest
 
 from dentdet import cli, imageio
 from dentdet.cli import (
+    EXIT_DIVERGED,
     EXIT_INVALID,
     EXIT_MISSING,
     EXIT_OK,
@@ -116,6 +117,18 @@ def test_train_missing_checkpoint(dataset, cfg_path, tmp_path):
     assert main(["--config", cfg_path, "train", "--data", str(dataset),
                  "--level", "a", "--out", str(tmp_path / "x"),
                  "--init", "/nope.bin"]) == EXIT_MISSING
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow as it diverges
+def test_diverging_train_exits_5_without_a_traceback(dataset, tmp_path, capsys):
+    # Decoder outputs go non-finite and reach the assignment costs first.
+    diverge = tmp_path / "diverge.yaml"
+    diverge.write_text(SMALL_CFG.replace("train:\n", "train:\n  lr: 1.0e+12\n  grad_clip: 1.0e+300\n"))
+    code = main(["--config", str(diverge), "train", "--data", str(dataset), "--level", "b",
+                 "--out", str(tmp_path / "run"), "--iterations", "30"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DIVERGED
+    assert "error: non-finite loss at iteration" in err and "Traceback" not in err
 
 
 def test_eval_oracle_is_perfect(dataset, cfg_path, tmp_path, capsys):

@@ -118,6 +118,31 @@ def _arr(boxes):
     return np.stack([b.to_array() for b in boxes])
 
 
+class _Draws:
+    """A generator stand-in whose normal draws are the given rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def permutation(self, n):
+        return np.arange(n)
+
+    def normal(self, loc, scale, size):
+        assert size == self.rows.shape
+        return self.rows.copy()
+
+
+def _clip_oracle(gt, n, rng, scale):
+    """``pad_gt_boxes`` as first written, clamping with two np.clip calls."""
+    arr = np.empty((n, 4))
+    arr[: len(gt)] = gt[rng.permutation(len(gt))]
+    pad = rng.normal(0.5, 1.0 / 6.0, size=(n - len(gt), 4))
+    pad[:, :2] = np.clip(pad[:, :2], 0.0, 1.0)
+    pad[:, 2:] = np.clip(pad[:, 2:], 0.01, 1.0)
+    arr[len(gt):] = pad
+    return signal_encode(arr, scale)
+
+
 class TestPadGtBoxes:
     def test_full_gt_is_permutation(self):
         gt = [Box(0.1 * i + 0.1, 0.2, 0.1, 0.1) for i in range(4)]
@@ -143,6 +168,20 @@ class TestPadGtBoxes:
         for b in gt:
             hits += any(np.allclose(row, b.to_array(), atol=1e-12) for row in decoded)
         assert hits == 3
+
+    @pytest.mark.parametrize("n_gt", [0, 3])
+    def test_padded_rows_equal_the_clip_oracle(self, n_gt):
+        # Draws past and on both bounds of each column, signed zeros, NaN
+        # and infinities, then seeded draws: the clamp gives np.clip's bytes.
+        edge = [np.nan, np.inf, -np.inf, -0.0, 0.0, 0.01, 1.0, -0.5, 0.005, 1.5]
+        drawn = np.array([np.roll(edge, k) for k in (0, 3, 5, 8)]).T
+        gt = np.arange(n_gt * 4, dtype=np.float64).reshape(n_gt, 4) / 16
+        n = n_gt + len(drawn)
+        makers = [lambda: _Draws(drawn)]
+        makers += [lambda seed=seed: np.random.default_rng(seed) for seed in range(5)]
+        for make in makers:
+            want = _clip_oracle(gt, n, make(), 1.5)
+            assert pad_gt_boxes(gt, n, make(), 1.5).tobytes() == want.tobytes()
 
     def test_rejects_more_boxes_than_proposals(self):
         gt = [Box(0.1 * i + 0.05, 0.5, 0.05, 0.05) for i in range(9)]

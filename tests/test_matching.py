@@ -5,19 +5,22 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dentdet.geometry import Box, cxcywh_to_xyxy, giou_matrix
-from dentdet.labels import HierarchyLevel
+from dentdet.geometry import MIN_SIZE, Box, cxcywh_to_xyxy, giou_matrix
+from dentdet.labels import HEAD_CLASS_COUNTS, HierarchyLevel
 from dentdet.matching import (
     LossBreakdown,
     _cost_matrix,
     giou_pair_grad,
+    _tie_break_grid,
     loss_forward_backward,
     match_arrays,
     solve_assignment,
 )
 from dentdet.model import ModelConfig
-from helpers import class_row, class_rows
+from helpers import class_row, class_rows, oracle_cost_matrix, oracle_solve_assignment
 
 CFG = ModelConfig()
 
@@ -124,6 +127,20 @@ class TestAssignment:
         # All-equal costs: gt j should take pred j.
         pairs = solve_assignment(np.ones((4, 3)))
         assert pairs == [(0, 0), (1, 1), (2, 2)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_raises_floating_point_error(self, bad):
+        # A diverged decoder's costs must stop training as a divergence,
+        # not as the solver's ValueError.
+        cost = np.ones((4, 3))
+        cost[2, 1] = bad
+        with pytest.raises(FloatingPointError, match="non-finite assignment costs: 1 of 12"):
+            solve_assignment(cost)
+
+    def test_tie_break_grid_is_read_only(self):
+        solve_assignment(np.ones((5, 2)))
+        with pytest.raises(ValueError):
+            _tie_break_grid(5, 2)[0, 0] = 1.0
 
 
 class TestMatch:
@@ -336,3 +353,82 @@ def test_giou_pair_grad_matches_finite_differences():
             fd[k] = (plus[0] - minus[0]) / (2 * eps)
         # Central differences carry ~1e-16 / eps ~ 1e-10 of rounding.
         np.testing.assert_allclose(grad[0], fd, rtol=1e-6, atol=1e-7, err_msg=kind)
+
+
+# ---------------------------------------------------------------------------
+# The cost kernel and the solver against the plain formulas they replaced
+# (``helpers.oracle_cost_matrix``, ``helpers.oracle_solve_assignment``).
+# The batched-loss oracle matches through the package's own kernel, so only
+# this pins the costs.  Boxes come from a grid of centers and sizes as well
+# as from the unit interval, so that zero-size, identical, disjoint,
+# edge-touching and border-clamped boxes (centers on 0 or 1, sizes from
+# MIN_SIZE to 1) all come up, and with them exact cost ties.
+
+_GRID = (0.0, 0.125, 0.25, 0.5, 0.75, 1.0)
+_COORD = st.one_of(st.sampled_from(_GRID), st.floats(0.0, 1.0))
+_SIZE = st.one_of(st.sampled_from((0.0, MIN_SIZE) + _GRID[1:]), st.floats(0.0, 1.0))
+_WEIGHT = st.sampled_from((0.0, 0.5, 2.0, 5.0))
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _draw_boxes(data, n):
+    rows = data.draw(st.lists(st.tuples(_COORD, _COORD, _SIZE, _SIZE), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.float64).reshape(n, 4)
+
+
+def _draw_image(data, rng, level, n, m):
+    """One image's loss probabilities, proposals, gt boxes and gt classes."""
+    probs = {}
+    for head in level.heads:
+        k = HEAD_CLASS_COUNTS[head] + (head == level.deepest_head)
+        probs[head] = rng.dirichlet(np.ones(k), size=n)
+    classes = class_rows(
+        class_row(*(int(rng.integers(HEAD_CLASS_COUNTS[h])) for h in level.heads))
+        for _ in range(m)
+    )
+    return probs, _draw_boxes(data, n), _draw_boxes(data, m), classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cost_matrix_and_assignment_equal_oracles(data):
+    level = data.draw(st.sampled_from(list(HierarchyLevel)), label="level")
+    cfg = ModelConfig(cls_weight=data.draw(_WEIGHT), l1_weight=data.draw(_WEIGHT),
+                      giou_weight=data.draw(_WEIGHT))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(1, 7), label="proposals")
+    counts = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=3), label="gt counts")
+    images = [_draw_image(data, rng, level, n, m) for m in counts]
+
+    # One image: (N, 4) proposals against its own M boxes.
+    for probs, boxes01, gt, classes in images:
+        cost = _cost_matrix(probs, boxes01, gt, classes, level, cfg)
+        want = oracle_cost_matrix(probs, boxes01, gt, classes, level, cfg)
+        assert _same_bytes(cost, want)
+        assert solve_assignment(cost) == oracle_solve_assignment(want)
+
+    # A lockstep block: (B, N, 4) proposals against ground truth padded with
+    # zero rows to the largest M, as match_arrays pads it.
+    m_max = max(counts)
+    gt = np.zeros((len(images), m_max, 4))
+    classes = np.zeros((len(images), m_max, 3), dtype=np.int64)
+    for i, (_, _, g, c) in enumerate(images):
+        gt[i, : len(g)], classes[i, : len(c)] = g, c
+    probs = {h: np.stack([im[0][h] for im in images]) for h in level.heads}
+    boxes01 = np.stack([im[1] for im in images])
+    cost = _cost_matrix(probs, boxes01, gt, classes, level, cfg)
+    assert _same_bytes(cost, oracle_cost_matrix(probs, boxes01, gt, classes, level, cfg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_assignment_equals_oracle_on_ties(data):
+    # Small integer costs: most instances have several optimal assignments.
+    n = data.draw(st.integers(1, 8))
+    m = data.draw(st.integers(0, n))
+    values = data.draw(st.lists(st.integers(-3, 3), min_size=n * m, max_size=n * m))
+    cost = np.array(values, dtype=np.float64).reshape(n, m)
+    assert solve_assignment(cost) == oracle_solve_assignment(cost)

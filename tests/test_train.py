@@ -31,6 +31,7 @@ from dentdet.model import (
     forward_net,
     init_params,
     level_params,
+    load_checkpoint,
     loss_probs_for_mask,
     softmax,
 )
@@ -315,6 +316,22 @@ class TestTrainStage:
         assert exc.value.iteration == 2
         assert exc.value.last_checkpoint is not None
         assert (tmp_path / exc.value.last_checkpoint.split("/")[-1]).exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow as it diverges
+    def test_diverging_run_raises_and_keeps_its_last_checkpoint(self, tmp_path):
+        # Non-finite decoder outputs reach the assignment costs before the
+        # loss sees them; that too must end the stage as a divergence.
+        level = HierarchyLevel.QUADRANT_ENUM
+        cfg = _stage(level, iterations=30, lr=1e12, grad_clip=1e300, checkpoint_every=1)
+        with pytest.raises(TrainingDiverged) as exc:
+            train_stage(cfg, _samples(level), CFG, SCHED, out_dir=tmp_path)
+        assert isinstance(exc.value.__cause__, FloatingPointError)
+        assert "non-finite assignment costs" in str(exc.value.__cause__)
+        it = exc.value.iteration
+        assert 0 < it < cfg.iterations
+        assert exc.value.last_checkpoint == str(tmp_path / f"ckpt_{it:06d}.bin")
+        params, _ = load_checkpoint(exc.value.last_checkpoint)  # refuses non-finite
+        assert params.keys() == init_params(CFG, np.random.default_rng(0)).keys()
 
     def test_metrics_and_checkpoints_on_disk(self, tmp_path):
         samples = _samples(HierarchyLevel.QUADRANT_ONLY)
