@@ -139,9 +139,45 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise GIoU between (..., N, 4) and (..., M, 4) center-size arrays,
-    as :meth:`Overlap.giou`; shapes as in :func:`iou_matrix`."""
-    return _pairs(a, b).giou()
+    """Pairwise GIoU between (..., N, 4) and (..., M, 4) center-size arrays;
+    shapes as in :func:`iou_matrix`.
+
+    Runs the float operations of :func:`overlap` and :meth:`Overlap.giou`,
+    in their order, so each value is the one those give; the terms are built
+    in place in five (..., N, M) buffers, which matching's cost slices
+    count on.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ac, bc = cxcywh_to_xyxy(a)[..., :, None, :], cxcywh_to_xyxy(b)[..., None, :, :]
+    ax1, ay1, ax2, ay2 = (ac[..., k] for k in range(4))
+    bx1, by1, bx2, by2 = (bc[..., k] for k in range(4))
+    shape = np.broadcast_shapes(ax1.shape, bx1.shape)
+    iw, ih, union = np.empty(shape), np.empty(shape), np.empty(shape)
+    inter, iou = np.zeros(shape), np.zeros(shape)
+    np.minimum(ax2, bx2, out=iw)
+    iw -= np.maximum(ax1, bx1, out=union)
+    np.minimum(ay2, by2, out=ih)
+    ih -= np.maximum(ay1, by1, out=union)
+    has = iw > 0
+    has &= ih > 0
+    np.multiply(iw, ih, out=inter, where=has)
+    np.add(_area(a)[..., :, None], _area(b)[..., None, :], out=union)
+    union -= inter
+    has &= union > 0
+    np.divide(inter, union, out=iou, where=has)
+    # The enclosing box's sides and area, in the spent buffers.
+    hull = np.maximum(ax2, bx2, out=iw)
+    hull -= np.minimum(ax1, bx1, out=inter)
+    np.maximum(ay2, by2, out=ih)
+    ih -= np.minimum(ay1, by1, out=inter)
+    hull *= ih
+    np.subtract(hull, union, out=union)
+    penalty = ih
+    penalty.fill(0.0)
+    np.divide(union, hull, out=penalty, where=hull > 0)
+    iou -= penalty
+    return iou
 
 
 def nms(

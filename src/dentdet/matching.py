@@ -9,12 +9,11 @@ the deepest supervised head only.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import _area, cxcywh_to_xyxy, overlap
+from .geometry import giou_matrix, overlap
 from .labels import HEAD_NAMES, HierarchyLevel
 
 
@@ -56,46 +55,12 @@ def _cost_matrix(probs, boxes01, gt_boxes, gt_classes, level: HierarchyLevel, cf
         l1 += np.abs(np.subtract(pred[..., k], gt[..., k], out=term), out=term)
     l1 *= cfg.l1_weight
     cost += l1
-    giou = _giou_pairs(boxes01, gt_boxes, l1, term)
+    del l1, term  # giou_matrix builds its terms in buffers of its own
+    giou = giou_matrix(boxes01, gt_boxes)
     np.subtract(1.0, giou, out=giou)
     giou *= cfg.giou_weight
     cost += giou
     return cost
-
-
-def _giou_pairs(boxes01, gt_boxes, iw, ih):
-    """GIoU of every (..., N, 4) proposal with every (..., M, 4) ground-truth
-    box, as :func:`geometry.giou_matrix` gives it: the float operations of
-    :func:`geometry.overlap` and :meth:`geometry.Overlap.giou`, in their
-    order, on each box's corners.  ``iw`` and ``ih`` are (..., N, M) scratch
-    buffers, overwritten; returns a new (..., N, M) array."""
-    a, b = cxcywh_to_xyxy(boxes01)[..., :, None, :], cxcywh_to_xyxy(gt_boxes)[..., None, :, :]
-    ax1, ay1, ax2, ay2 = (a[..., k] for k in range(4))
-    bx1, by1, bx2, by2 = (b[..., k] for k in range(4))
-    inter, union, iou = np.zeros(iw.shape), np.empty(iw.shape), np.zeros(iw.shape)
-    np.minimum(ax2, bx2, out=iw)
-    iw -= np.maximum(ax1, bx1, out=union)
-    np.minimum(ay2, by2, out=ih)
-    ih -= np.maximum(ay1, by1, out=union)
-    has = iw > 0
-    has &= ih > 0
-    np.multiply(iw, ih, out=inter, where=has)
-    np.add(_area(boxes01)[..., :, None], _area(gt_boxes)[..., None, :], out=union)
-    union -= inter
-    has &= union > 0
-    np.divide(inter, union, out=iou, where=has)
-    # The enclosing box's sides and area, in the spent buffers.
-    hull = np.maximum(ax2, bx2, out=iw)
-    hull -= np.minimum(ax1, bx1, out=inter)
-    np.maximum(ay2, by2, out=ih)
-    ih -= np.minimum(ay1, by1, out=inter)
-    hull *= ih
-    np.subtract(hull, union, out=union)
-    penalty = ih
-    penalty.fill(0.0)
-    np.divide(union, hull, out=penalty, where=hull > 0)
-    iou -= penalty
-    return iou
 
 
 _scipy_solver = None
@@ -114,15 +79,6 @@ def linear_sum_assignment(cost: np.ndarray):
     return _scipy_solver(cost)
 
 
-@functools.lru_cache(maxsize=64)
-def _tie_break_grid(n: int, m: int) -> np.ndarray:
-    """The read-only (n, m) grid ``i * m + j``: each pair's place in
-    lexicographic order."""
-    grid = (np.arange(n)[:, None] * m + np.arange(m)[None, :]).astype(np.float64)
-    grid.flags.writeable = False
-    return grid
-
-
 def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     """Optimal assignment of every column (gt) to a distinct row (pred),
     with ties broken toward lexicographically smallest pairs.  A non-finite
@@ -138,7 +94,8 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
         raise FloatingPointError(f"non-finite assignment costs: {bad} of {cost.size}")
     # Tiny index-dependent perturbation fixes the tie-break without moving
     # the optimum on generic instances.
-    tweaked = np.multiply(_tie_break_grid(n, m), max(1.0, top) * 1e-12)
+    tweaked = np.arange(n * m, dtype=np.float64).reshape(n, m)  # i * m + j
+    tweaked *= max(1.0, top) * 1e-12
     tweaked += cost
     rows, cols = linear_sum_assignment(tweaked)
     order = np.argsort(cols)
@@ -147,9 +104,9 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
 
 # Proposal rows whose costs are built at once: a 64-proposal training batch
 # builds its cost tensor four images at a time.  A slice holds at most six
-# (rows, M) float64 buffers at once (the cost, two scratch buffers and three
-# GIoU terms) and two boolean masks, so it stays below the step's peak
-# memory, which the forward pass sets.
+# (rows, M) float64 buffers at once (the cost and giou_matrix's five terms)
+# and two boolean masks, so it stays below the step's peak memory, which the
+# forward pass sets.
 COST_SLICE_ROWS = 256
 
 

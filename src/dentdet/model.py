@@ -412,34 +412,31 @@ def backward_net(
     dz0_pred: np.ndarray,
     dlogits: dict[str, np.ndarray],
     grads: ParamStore,
-    first_layer=None,
-    output_layers=None,
+    defer=None,
 ) -> None:
     """Accumulate parameter gradients for upstream gradients on one image's
     (N, ...) decoder outputs.  Heads absent from ``dlogits`` receive exactly
     zero gradient.
 
-    ``output_layers`` and ``first_layer``, if given, take those layers'
-    shares in place of adding to their tensors here.  ``output_layers`` is
-    called first, with the head input and the gradients on the box
-    prediction and on the logits; ``first_layer`` with the decoder input
-    and the gradient on the first hidden layer as soon as that is known."""
+    ``defer``, if given, takes the output layers' and the first layer's
+    shares in place of running them here: it is called as ``defer(fn,
+    *args)``, where ``fn(grads, *args)`` adds the share.  The output layers'
+    share comes first, with the head input and the gradients on the box
+    prediction and on the logits; the first layer's as soon as the gradient
+    on the first hidden layer is known."""
+    if defer is None:
+        def defer(fn, *args):
+            fn(grads, *args)
     h1, h2x = cache.h1, cache.x
     width = h1.shape[1]
     h2, x = h2x[:, :width], h2x[:, width:]
-    if output_layers is None:
-        _output_layer_grads(grads, h2x, dz0_pred, dlogits)
-    else:
-        output_layers(h2x, dz0_pred, dlogits)
+    defer(_output_layer_grads, h2x, dz0_pred, dlogits)
     dh2 = dz0_pred @ params["box.w"].T
     for head, dl in dlogits.items():
         dh2 += dl @ params[f"head_{head}.w"][:width].T
     dh2 = dh2 * (h2 > 0)
     dh1 = (dh2 @ params["trunk.w2"].T) * (h1 > 0)
-    if first_layer is None:
-        _first_layer_grads(grads, x, dh1)
-    else:
-        first_layer(x, dh1)
+    defer(_first_layer_grads, x, dh1)
     grads["trunk.w2"] += h1.T @ dh2
     grads["trunk.b2"] += dh2.sum(axis=0)
 
@@ -588,8 +585,7 @@ def loss_gradients(
                 backward_net(
                     params, cache, dz0_pred[lo:hi],
                     {head: dl[lo:hi] for head, dl in dlogits.items()}, grads,
-                    first_layer=lambda *args: handoff.put((_first_layer_grads, args)),
-                    output_layers=lambda *args: handoff.put((_output_layer_grads, args)),
+                    defer=lambda fn, *args: handoff.put((fn, args)),
                 )
         finally:
             handoff.put(None)

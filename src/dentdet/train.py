@@ -149,6 +149,8 @@ class TrainingDiverged(RuntimeError):
         msg = f"non-finite loss at iteration {iteration}"
         if last_checkpoint:
             msg += f"; last good checkpoint: {last_checkpoint}"
+        else:
+            msg += "; no checkpoint was written before it"
         super().__init__(msg)
 
 

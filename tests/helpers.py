@@ -15,7 +15,7 @@ import numpy as np
 
 from dentdet import matching
 from dentdet.evalmetrics import evaluate
-from dentdet.geometry import giou_matrix
+from dentdet.geometry import overlap
 from dentdet.labels import HEAD_NAMES
 
 
@@ -87,7 +87,8 @@ def oracle_cost_matrix(probs, boxes01, gt_boxes, gt_classes, level, cfg):
         cost += cfg.cls_weight * (1.0 - p_gt)
     l1 = np.abs(boxes01[..., :, None, :] - gt_boxes[..., None, :, :]).sum(axis=-1)
     cost += cfg.l1_weight * l1
-    cost += cfg.giou_weight * (1.0 - giou_matrix(boxes01, gt_boxes))
+    giou = overlap(boxes01[..., :, None, :], gt_boxes[..., None, :, :]).giou()
+    cost += cfg.giou_weight * (1.0 - giou)
     return cost
 
 

@@ -129,6 +129,8 @@ def test_diverging_train_exits_5_without_a_traceback(dataset, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_DIVERGED
     assert "error: non-finite loss at iteration" in err and "Traceback" not in err
+    # It diverges before its first checkpoint is due, and says so.
+    assert err.rstrip().endswith("; no checkpoint was written before it")
 
 
 def test_eval_oracle_is_perfect(dataset, cfg_path, tmp_path, capsys):

@@ -14,7 +14,6 @@ from dentdet.matching import (
     LossBreakdown,
     _cost_matrix,
     giou_pair_grad,
-    _tie_break_grid,
     loss_forward_backward,
     match_arrays,
     solve_assignment,
@@ -136,11 +135,6 @@ class TestAssignment:
         cost[2, 1] = bad
         with pytest.raises(FloatingPointError, match="non-finite assignment costs: 1 of 12"):
             solve_assignment(cost)
-
-    def test_tie_break_grid_is_read_only(self):
-        solve_assignment(np.ones((5, 2)))
-        with pytest.raises(ValueError):
-            _tie_break_grid(5, 2)[0, 0] = 1.0
 
 
 class TestMatch:
