@@ -21,7 +21,7 @@ from .model import (
     save_checkpoint,
     transfer_weights,
 )
-from .train import Detection
+from .train import Detection, encode_images
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,7 @@ __all__ = [
     "ddim_step",
     "decode",
     "encode_image",
+    "encode_images",
     "forward_noise",
     "init_params",
     "iou",

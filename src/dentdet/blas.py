@@ -19,9 +19,11 @@ With a BLAS other than OpenBLAS it does nothing.
 The thread count is one setting for the whole process, so a second thread
 that calls numpy inside ``one_thread`` runs its products on one thread too.
 :func:`in_parallel` uses that to put the second core to work: it runs one
-share of a training step, or one half of a sampler pass's images, on the
-step worker, a single persistent daemon thread started by the first call
-(never at import), while the caller runs the other share.  A plain thread
+share of a training step, one half of a sampler pass's images, or one half
+of the images ``train.encode_images`` encodes, on the step worker, a single
+persistent daemon thread started by the first call (never at import), while
+the caller runs the other share.  The encoder makes no matrix product; its
+ufuncs, like the products, drop the GIL.  A plain thread
 and a queue serve it: an executor would import ``concurrent.futures`` and
 ``logging``, which raised the sampler's peak RSS.  numpy drops the GIL
 inside each product, so the two shares' products run at the same time.

@@ -331,16 +331,18 @@ def cmd_infer(args, cfg: RunConfig) -> int:
     _check_out(args.out, directory=False)
     level = _level(args.level)
     params = _load_params(args.checkpoint, cfg.model)
-    from .model import encode_image
-    from .train import _sample
+    from .train import _sample, encode_images
 
-    grids, ids = [], []
+    images, ids = [], []
     for p in args.images:
         path = Path(p)
-        image = _read_image(path)
-        _check_grid(cfg.model, image.shape[1], image.shape[0], path)
-        grids.append(encode_image(image, cfg.model.grid))
+        images.append(_read_image(path))
+        _check_grid(cfg.model, images[-1].shape[1], images[-1].shape[0], path)
         ids.append(path.stem)
+    # Every image is read and checked before any is encoded; the images are
+    # let go once encoded, so sampling holds only their grids.
+    grids = encode_images(images, cfg.model.grid)
+    del images
     schedule = Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s)
     records = _sample(params, grids, level, cfg.model, schedule, **_sampler(cfg))
     doc = _detections_doc(ids, records)

@@ -66,8 +66,11 @@ class ModelConfig:
 # Frozen encoder
 
 
-def encode_image(img: np.ndarray, grid: int = 16) -> np.ndarray:
-    """Deterministic (G, G, C) feature grid from a grayscale image.
+def encode_image(
+    img: np.ndarray, grid: int = 16, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Deterministic (G, G, C) feature grid from a grayscale image, written
+    into ``out`` if given and returned.
 
     Per cell: mean intensity, intensity std, mean horizontal and vertical
     gradient magnitudes, the occupancy fractions of six fixed intensity
@@ -102,7 +105,7 @@ def encode_image(img: np.ndarray, grid: int = 16) -> np.ndarray:
     n = ch * cw
     crop = lambda a: a[: grid * ch, : grid * cw].reshape(grid, ch, grid, cw)
     cells = crop(x)
-    feats = np.empty((grid, grid, NUM_CHANNELS), dtype=np.float64)
+    feats = np.empty((grid, grid, NUM_CHANNELS), dtype=np.float64) if out is None else out
     # One scratch image holds the deviations, then each gradient, then the
     # band keys, so a call allocates two image-sized arrays, not five.  It
     # takes x's memory order, as np.gradient's output does: the order of

@@ -37,6 +37,7 @@ from .manipulate import (
     manipulate_boxes,
 )
 from .model import (
+    NUM_CHANNELS,
     BatchItem,
     ModelConfig,
     ParamStore,
@@ -123,23 +124,29 @@ def prepare_samples(
     from .imageio import read_pgm
 
     images_dir = Path(images_dir)
-    samples = []
-    for info, boxes, classes in zip(aset.images, aset.boxes, aset.classes, strict=True):
+    images = []
+    for info in aset.images:
         path = images_dir / info.file_name
         img = read_pgm(path)
         info.check_size(img, path)
-        samples.append(
-            TrainSample(
-                image_id=info.id,
-                image=img,
-                grid_feats=encode_image(img, cfg.grid),
-                gt_boxes=boxes,
-                gt_classes=classes,
-                width=info.width,
-                height=info.height,
-            )
+        images.append(img)
+    # Every image is read and checked before any is encoded, and all are
+    # encoded in one call, which splits them over two threads.
+    grids = encode_images(images, cfg.grid)
+    return [
+        TrainSample(
+            image_id=info.id,
+            image=img,
+            grid_feats=grid,
+            gt_boxes=boxes,
+            gt_classes=classes,
+            width=info.width,
+            height=info.height,
         )
-    return samples
+        for info, img, grid, boxes, classes in zip(
+            aset.images, images, grids, aset.boxes, aset.classes, strict=True
+        )
+    ]
 
 
 class TrainingDiverged(RuntimeError):
@@ -249,7 +256,7 @@ def train_stage(
         for it in range(cfg.iterations):
             replace_draw = cfg.batch_size > len(samples)
             idx = rng.choice(len(samples), size=cfg.batch_size, replace=replace_draw)
-            batch = []
+            batch, crops = [], []
             for i in idx:
                 s = samples[i]
                 gt_boxes, gt_classes = s.gt_boxes, s.gt_classes
@@ -257,9 +264,7 @@ def train_stage(
                     img, gt_boxes, gt_classes = random_crop_resize(
                         s.image, gt_boxes, gt_classes, rng
                     )
-                    grid = encode_image(img, model_cfg.grid)
-                else:
-                    grid = s.grid_feats
+                    crops.append(img)
                 if len(gt_boxes) > cfg.n_proposals:
                     # More targets than proposals: supervise a random subset
                     # so the one-to-one assignment stays feasible.
@@ -277,10 +282,16 @@ def train_stage(
                     )
                 batch.append(
                     BatchItem(
-                        grid_feats=grid, z=z, t=float(t),
+                        grid_feats=s.grid_feats, z=z, t=float(t),
                         gt_boxes=gt_boxes, gt_classes=gt_classes,
                     )
                 )
+            if cfg.augment:
+                # Encoding draws nothing, so encoding the batch's crops in
+                # one call after the draw loop leaves the rng stream as is.
+                grids = encode_images(crops, model_cfg.grid)
+                for item, grid in zip(batch, grids, strict=True):
+                    item.grid_feats = grid
             try:
                 loss, grads, bd = loss_gradients(params, batch, cfg.level, model_cfg)
             except FloatingPointError as e:
@@ -455,6 +466,32 @@ def _sample(
         records = np.concatenate(outs).view(np.recarray)
         results += np.split(records, np.cumsum(np.concatenate(counts))[:-1])
     return results
+
+
+def encode_images(images, grid: int = 16) -> list[np.ndarray]:
+    """The :func:`encode_image` grids of a list of grayscale images.
+
+    Split as a sampler pass is: this thread encodes the first half of the
+    list while the step worker (:func:`blas.in_parallel`) encodes the
+    second, and a list of one image is encoded here alone.  This thread
+    allocates the output grids, so no grid the caller keeps holds memory in
+    the worker's heap.  An image that ``encode_image`` refuses raises its
+    ``ValueError`` here once both halves have finished.
+    """
+    images = [np.asarray(img) for img in images]
+    grids = [np.empty((grid, grid, NUM_CHANNELS)) for _ in images]
+
+    def encode(share: range) -> None:
+        for i in share:
+            encode_image(images[i], grid, out=grids[i])
+
+    half = (len(images) + 1) // 2
+    here = functools.partial(encode, range(half))
+    if len(images) > 1:
+        blas.in_parallel(here, functools.partial(encode, range(half, len(images))))
+    else:
+        here()
+    return grids
 
 
 def infer(

@@ -549,14 +549,17 @@ def test_forked_child_starts_its_own_worker():
 
 
 _WORKER_START = """
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 
+from dentdet.data import AnnotationSet, generate_dataset, level_tag, load_annotations
 from dentdet.diffusion import Schedule
 from dentdet.labels import HierarchyLevel
 from dentdet.model import BatchItem, ModelConfig, init_params, loss_gradients
-from dentdet.train import infer
+from dentdet.train import infer, prepare_samples
 
 
 def step_threads():
@@ -571,9 +574,18 @@ params = init_params(cfg, rng)
 grids = [rng.random((8, 8, cfg.channels)) for _ in range(2)]
 infer(params, grids[:1], level, cfg, schedule, n_proposals=8, steps=2)
 assert threading.active_count() == 1, "a one-image pass started a thread"
-infer(params, grids, level, cfg, schedule, n_proposals=8, steps=2)
+with tempfile.TemporaryDirectory() as tmp:
+    generate_dataset(Path(tmp), 2, 0)
+    aset = load_annotations(Path(tmp) / f"annotations_{level_tag(level)}.json", level)
+    one = AnnotationSet(level, aset.images[:1], aset.boxes[:1], aset.classes[:1])
+    prepare_samples(one, Path(tmp) / "images", cfg)
+    assert threading.active_count() == 1, "encoding one image started a thread"
+    samples = prepare_samples(aset, Path(tmp) / "images", cfg)
 worker = step_threads()
 assert len(worker) == 1 and threading.active_count() == 2, threading.enumerate()
+grids = [s.grid_feats for s in samples]
+infer(params, grids, level, cfg, schedule, n_proposals=8, steps=2)
+assert step_threads() == worker and threading.active_count() == 2, threading.enumerate()
 gt = np.array([[0.5, 0.5, 0.2, 0.2]])
 batch = [BatchItem(g, rng.standard_normal((8, 4)), 10.0, gt, np.zeros((1, 3), int))
          for g in grids]
@@ -584,8 +596,9 @@ print("ok")
 
 
 def test_worker_starts_on_the_first_split_pass():
-    # No thread at import or for a one-image pass; a pass of two images
-    # starts the step worker, and a later training step reuses it.
+    # No thread at import, for a one-image pass or for encoding one image.
+    # Encoding two images starts the step worker, and a later sampler pass
+    # and training step reuse it.
     src = Path(model_mod.__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))

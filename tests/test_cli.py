@@ -719,6 +719,42 @@ def test_truncated_image_is_invalid_data(command, dataset, cfg_path, tmp_path, c
     assert "Traceback" not in err
 
 
+def test_infer_encodes_every_image_before_sampling(dataset, cfg_path, tmp_path, capsys):
+    # Three images, not in file order: the JSON keeps argument order, and its
+    # records are those of encoding each image alone and sampling them all.
+    from dentdet.model import encode_image
+    from dentdet.train import _sample
+
+    ckpt = _small_checkpoint(tmp_path)
+    images = [dataset / "images" / name
+              for name in ("q_00001.pgm", "qed_00000.pgm", "q_00000.pgm")]
+    out = tmp_path / "dets.json"
+    infer = ["--config", cfg_path, "infer", "--checkpoint", str(ckpt), "--level", "b",
+             "--images", *map(str, images)]
+    assert main([*infer, "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert [im["id"] for im in doc["images"]] == [path.stem for path in images]
+    cfg = load_config(cfg_path)
+    grids = [encode_image(imageio.read_pgm(path), cfg.model.grid) for path in images]
+    records = _sample(load_checkpoint(ckpt)[0], grids, HierarchyLevel.QUADRANT_ENUM, cfg.model,
+                      Schedule.cosine(cfg.schedule.timesteps, cfg.schedule.s),
+                      **cli._sampler(cfg))
+    assert doc == cli._detections_doc([path.stem for path in images], records)
+
+    # A missing second image exits 3 and a malformed one 4, each naming it.
+    second = images[1]
+    second.rename(tmp_path / "moved.pgm")
+    capsys.readouterr()
+    assert main(infer) == EXIT_MISSING
+    err = capsys.readouterr().err
+    assert f"error: missing image: {second}" in err and "Traceback" not in err
+    second.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
+    assert main(infer) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"error: invalid image: {second}: truncated pixel data" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [c for c in IMAGE_COMMANDS if c != "infer"])
 def test_image_of_another_size_than_its_record_is_invalid_data(
     command, dataset, cfg_path, tmp_path, capsys

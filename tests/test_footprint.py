@@ -1,7 +1,8 @@
 """Footprint: inference and scoring run without scipy or numpy.ma, training
-loads its assignment solver on the first step, and a sampler call of one
-pass or of several and a training step each hold about one head input's
-worth of memory beyond what they must keep."""
+loads its assignment solver on the first step, a sampler call of one pass
+or of several and a training step each hold about one head input's worth of
+memory beyond what they must keep, and encoding more images holds no more
+scratch."""
 
 import os
 import subprocess
@@ -17,6 +18,7 @@ import dentdet
 from dentdet import matching, train
 from dentdet.config import ENV_CONFIG
 from dentdet.data import (
+    AnnotationSet,
     generate_dataset,
     generate_layout,
     level_tag,
@@ -170,3 +172,34 @@ def test_training_step_peaks_at_most_two_and_a_half_head_inputs():
         tracemalloc.stop()
     head_input = n_images * n_proposals * (cfg.hidden + cfg.feat_dim) * 8
     assert peak <= 2.5 * head_input, f"{peak / head_input:.2f} head inputs"
+
+
+def test_encoding_more_images_holds_no_more_scratch(tmp_path):
+    # prepare_samples encodes every image in one call on two threads, each
+    # freeing an image's two image-sized arrays before its next image, so
+    # the scratch held at once is two images' worth however many there are.
+    # Beyond the images it reads and keeps, 16 images may peak above 4 only
+    # by the 12 extra output grids, plus 256 KiB: each thread's 256x256 band
+    # counts and band comparison, which may or may not peak together, and
+    # the samples' small objects.  Scratch kept per image would add 1 MiB
+    # per image.
+    level, cfg = HierarchyLevel.QUADRANT_ONLY, ModelConfig()
+    generate_dataset(tmp_path, 16, 0)
+    aset = load_annotations(tmp_path / f"annotations_{level_tag(level)}.json", level)
+
+    def peak_beyond_images(n_images: int) -> int:
+        first = AnnotationSet(
+            level, aset.images[:n_images], aset.boxes[:n_images], aset.classes[:n_images]
+        )
+        tracemalloc.start()
+        try:
+            samples = prepare_samples(first, tmp_path / "images", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(s.image.nbytes for s in samples)
+
+    peak_beyond_images(2)  # the step worker starts outside the trace
+    grid_bytes = cfg.grid * cfg.grid * cfg.channels * 8
+    growth = peak_beyond_images(16) - peak_beyond_images(4)
+    assert growth <= 12 * grid_bytes + 256 * 1024, f"{growth} bytes"

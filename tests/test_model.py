@@ -1,6 +1,7 @@
 """Encoder determinism, RoI pooling, decoder gradients, transfer, checkpoints."""
 
 import re
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dentdet.train as train_mod
 from dentdet.diffusion import signal_decode, signal_encode
 from dentdet.geometry import Box
 from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel
@@ -40,6 +42,7 @@ from dentdet.model import (
     transfer_weights,
     zero_grads,
 )
+from dentdet.train import encode_images
 from helpers import class_row, class_rows
 
 SMALL = ModelConfig(grid=4, pool=2, hidden=8, time_dim=4)
@@ -139,6 +142,64 @@ class TestEncoder:
         encode_image(img, 4)[...] = -1.0
         assert encode_image(img, 4).tobytes() == _encode_image_oracle(img, 4).tobytes()
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 9])
+    def test_encode_images_equals_oracle(self, count):
+        rng = np.random.default_rng(count)
+        images = [rng.integers(0, 256, (64, 80)).astype(np.uint8) for _ in range(count)]
+        grids = encode_images(images, 8)
+        assert len(grids) == count
+        for img, got in zip(images, grids):
+            assert got.tobytes() == _encode_image_oracle(img, 8).tobytes()
+
+    def test_encode_images_of_several_sizes_equal_oracle(self):
+        # Each half meets images of several sizes, odd pixel counts among them.
+        rng = np.random.default_rng(5)
+        shapes = [(256, 256), (96, 64), (256, 256), (37, 41), (45, 33)]
+        images = [rng.integers(0, 256, shape).astype(np.uint8) for shape in shapes]
+        for got, img in zip(encode_images(images, 16), images):
+            assert got.tobytes() == _encode_image_oracle(img, 16).tobytes()
+
+    def test_encode_images_of_every_layout_equal_oracle(self):
+        # uint8, float64 and float32 inputs, C-ordered, Fortran-ordered and
+        # strided, mixed in one list so each half meets several.
+        rng = np.random.default_rng(6)
+        big = rng.normal(0.5, 0.4, (150, 260))
+        pixels = rng.integers(0, 256, (150, 260)).astype(np.uint8)
+        before = big.copy()
+        images = [
+            pixels, big, np.asfortranarray(pixels), np.asfortranarray(big),
+            big[::2, ::3], pixels[1:, 3:], big.T, big.astype(np.float32),
+            np.asfortranarray(big.astype(np.float32)), pixels[::-1],
+        ]
+        for got, img in zip(encode_images(images, 8), images):
+            assert got.tobytes() == _encode_image_oracle(img, 8).tobytes()
+        assert big.tobytes() == before.tobytes()  # read in place, never written
+
+    def test_encode_images_raises_the_second_halfs_error_after_the_first_half(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(7)
+        good = [rng.integers(0, 256, (32, 32)).astype(np.uint8) for _ in range(3)]
+        done = []
+
+        def recording(img, grid, **kw):
+            out = encode_image(img, grid, **kw)
+            done.append(threading.current_thread() is threading.main_thread())
+            return out
+
+        monkeypatch.setattr(train_mod, "encode_image", recording)
+        # Two images per half; the second half's last is smaller than the grid.
+        with pytest.raises(ValueError, match="image 4x4 smaller than feature grid 8"):
+            encode_images([*good, np.zeros((4, 4), np.uint8)], 8)
+        # Both of the first half's images were encoded here, and the second
+        # half's first one on the worker, before the error reached the caller.
+        assert sorted(done) == [False, True, True]
+        monkeypatch.undo()
+        # The worker survives, and the next call is whole.
+        grids = encode_images(good, 8)
+        for img, got in zip(good, grids):
+            assert got.tobytes() == _encode_image_oracle(img, 8).tobytes()
+
 
 def _encode_image_oracle(img, grid):
     """The encoder as first written: np.gradient, np.mean, np.std, and one
@@ -174,9 +235,10 @@ def _encode_image_oracle(img, grid):
 
 
 def test_augmented_training_with_the_encode_oracle_is_byte_equal(monkeypatch):
-    # Augmented steps encode every crop they train on.  Not under
-    # TestEncoder, whose tests run without scipy.
-    import dentdet.train as train_mod
+    # Augmented steps encode every crop they train on, in one encode_images
+    # call per batch that splits the crops over two threads; each thread's
+    # encode_image is the oracle here.  Not under TestEncoder, whose tests
+    # run without scipy.
     from dentdet.data import generate_layout, project_level
     from dentdet.diffusion import Schedule
     from dentdet.train import StageConfig, TrainSample, train_stage
@@ -196,9 +258,10 @@ def test_augmented_training_with_the_encode_oracle_is_byte_equal(monkeypatch):
                         n_proposals=24, seed=5, augment=True)
     calls = []
 
-    def oracle(img, grid):
+    def oracle(img, grid, *, out):
         calls.append(1)
-        return _encode_image_oracle(img, grid)
+        out[...] = _encode_image_oracle(img, grid)
+        return out
 
     got, _ = train_stage(stage, samples, cfg, schedule)
     monkeypatch.setattr(train_mod, "encode_image", oracle)
