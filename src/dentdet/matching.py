@@ -111,18 +111,15 @@ COST_SLICE_ROWS = 256
 
 
 def match_arrays(probs, boxes01, gt_boxes, gt_classes, level: HierarchyLevel, cfg):
-    """Assignment of ground truth to proposals.
+    """Assignment of ground truth to proposals, image by image.
 
-    One image's (N, 4) proposals and (M, 4) ground-truth boxes, with (M, 3)
-    classes (-1 where a head has no label), give its (proposal, gt) pairs.  A
-    lockstep block's (B, N, 4) proposals and B per-image ground-truth
-    arrays give B pair lists: the block's costs are one (B, N, M_max)
-    tensor, built :data:`COST_SLICE_ROWS` rows at a time with ground truth
-    padded to the largest M, and each image is solved on its own M columns.
+    A batch's (B, N, 4) proposals, with (B, N, K) probabilities per head,
+    and B per-image (M_i, 4) ground-truth boxes with (M_i, 3) classes (-1
+    where a head has no label) give B lists of (proposal, gt) pairs.  The
+    costs are one (B, N, M_max) tensor, built :data:`COST_SLICE_ROWS` rows
+    at a time with ground truth padded to the largest M, and each image is
+    solved on its own M columns.
     """
-    if np.ndim(boxes01) == 2:
-        one = {head: p[None] for head, p in probs.items()}
-        return match_arrays(one, boxes01[None], [gt_boxes], [gt_classes], level, cfg)[0]
     b, n = boxes01.shape[:2]
     counts = [len(g) for g in gt_boxes]
     boxes = np.zeros((b, max(counts, default=0), 4))
@@ -190,7 +187,6 @@ def _segment_sums(values: np.ndarray, bounds) -> list[float]:
 def loss_forward_backward(
     probs: dict[str, np.ndarray],
     boxes01: np.ndarray,
-    offsets: np.ndarray,
     pairs: list[list[tuple[int, int]]],
     gt_boxes: list[np.ndarray],
     gt_classes: list[np.ndarray],
@@ -199,19 +195,20 @@ def loss_forward_backward(
 ):
     """Masked multi-task loss of a batch of images, with gradients.
 
-    The rows of ``probs`` (from :func:`model.loss_probs_for_mask`) and
-    ``boxes01`` stack the images' proposals: image i owns rows
-    ``offsets[i]:offsets[i + 1]``, ``pairs[i]`` is its assignment and
-    ``gt_boxes[i]``, ``gt_classes[i]`` its targets.  Each image's loss is
-    normalized as if alone; the breakdown is their mean, summed image by
-    image.  Returns (breakdown, dloss/dlogits per supervised head,
-    dloss/dboxes01) with gradients of the sum of the per-image losses,
-    expressed on the logits behind each softmax.  A non-finite loss raises
-    ``FloatingPointError`` naming the image's non-finite terms.
+    ``probs`` holds (B, N, K) probabilities per supervised head (from
+    :func:`model.loss_probs_for_mask`) and ``boxes01`` the (B, N, 4)
+    proposals; ``pairs[i]`` is image i's assignment and ``gt_boxes[i]``,
+    ``gt_classes[i]`` its targets.  Each image's loss is normalized as if
+    alone; the breakdown is their mean, summed image by image.  Returns
+    (breakdown, dloss/dlogits per supervised head, dloss/dboxes01), the
+    gradients of the sum of the per-image losses in the (B, N, ...) layout
+    of the inputs, expressed on the logits behind each softmax.  A
+    non-finite loss raises ``FloatingPointError`` naming the image's
+    non-finite terms.
     """
-    b = len(pairs)
-    offsets = np.asarray(offsets)
-    n_rows = offsets[-1]
+    b, n = boxes01.shape[:2]
+    n_rows = b * n
+    offsets = np.arange(b + 1) * n  # image i's rows of the (B * N) stack
     gamma = cfg.focal_gamma
     deepest = level.deepest_head
     n_pairs = np.array([len(p) for p in pairs], dtype=np.int64)
@@ -228,11 +225,10 @@ def loss_forward_backward(
     terms = [[0.0] * b for _ in HEAD_NAMES]  # per head, each image's term
     dlogits: dict[str, np.ndarray] = {}
     for col, head in enumerate(level.heads):
-        p = probs[head]
+        p = probs[head].reshape(n_rows, -1)
         if head == deepest:  # every row: its match's class, else background
             rows = np.arange(n_rows)
-            sizes = np.diff(offsets)
-            scale = np.repeat(1.0 / sizes, sizes)
+            scale = np.full(n_rows, 1.0 / n)
             tgt = np.full(n_rows, p.shape[1] - 1, dtype=np.int64)
             tgt[pred_idx] = gc[:, col]
             bounds = offsets
@@ -250,16 +246,16 @@ def loss_forward_backward(
         dl[rows] = -coef[:, None] * p[rows]
         dl[rows, tgt] += coef
         dl *= cfg.cls_weight
-        dlogits[head] = dl
+        dlogits[head] = dl.reshape(probs[head].shape)
 
-    pb = boxes01[pred_idx]
+    pb = boxes01.reshape(n_rows, 4)[pred_idx]
     diff = pb - gb
     gv, gd = giou_pair_grad(pb, gb)
     # Each matched row's gradient, summed from 0 as the unmatched rows' is.
     grad = np.zeros(pb.shape)
     grad += cfg.l1_weight * np.sign(diff) / per_pair[:, None]
     grad += -cfg.giou_weight * gd / per_pair[:, None]
-    dboxes01 = np.zeros_like(boxes01)
+    dboxes01 = np.zeros((n_rows, 4))
     dboxes01[pred_idx] = grad
     l1_sums = _segment_sums(np.abs(diff), pair_bounds)
     giou_sums = _segment_sums(1.0 - gv, pair_bounds)
@@ -267,9 +263,9 @@ def loss_forward_backward(
     totals = np.zeros(6)
     for i in range(b):
         cls = [t[i] for t in terms]
-        n = int(n_pairs[i])
-        l1 = l1_sums[i] / n if n else 0.0
-        giou = giou_sums[i] / n if n else 0.0
+        m = int(n_pairs[i])
+        l1 = l1_sums[i] / m if m else 0.0
+        giou = giou_sums[i] / m if m else 0.0
         total = (
             cfg.cls_weight * sum(cls[1:], start=cls[0])  # no 0.0 start: keeps a -0.0
             + cfg.l1_weight * l1
@@ -282,4 +278,4 @@ def loss_forward_backward(
         totals += np.array([*cls, l1, giou, total])
     totals /= b
     breakdown = LossBreakdown(*totals, matched_pairs=int(n_pairs.sum()))
-    return breakdown, dlogits, dboxes01
+    return breakdown, dlogits, dboxes01.reshape(boxes01.shape)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -475,7 +474,7 @@ def loss_probs_for_mask(
         if head == level.deepest_head:
             out[head] = softmax(logits[head])
         else:
-            out[head] = softmax(logits[head][:, :k])
+            out[head] = softmax(logits[head][..., :k])
     return out
 
 
@@ -524,55 +523,65 @@ def decode_grad_mask(z0_pred: np.ndarray, scale: float) -> np.ndarray:
     return m / (2.0 * scale)
 
 
-@dataclass
-class BatchItem:
-    """One training image prepared for the decoder."""
-
-    grid_feats: np.ndarray
-    z: np.ndarray  # (N, 4) signal-space proposals
-    t: float
-    gt_boxes: np.ndarray  # (M, 4) normalized center-size
-    gt_classes: np.ndarray  # (M, 3) class indices, -1 where a head has no label
-
-
 @blas.one_thread()
 def loss_gradients(
     params: ParamStore,
-    batch: list[BatchItem],
+    grids: np.ndarray,
+    z: np.ndarray,
+    t: np.ndarray,
+    gt_boxes: list[np.ndarray],
+    gt_classes: list[np.ndarray],
     level: HierarchyLevel,
     cfg: ModelConfig,
 ):
-    """Loss and exact analytic gradients over a batch of images.
+    """Loss and exact analytic gradients over a batch of B images.
+
+    The batch is B stacked (B, G, G, C) feature grids, (B, N, 4)
+    signal-space proposals, (B,) timesteps, and B per-image (M_i, 4)
+    normalized center-size ground-truth boxes with (M_i, 3) class indices
+    (-1 where a head has no label).  A batch whose parts disagree on B, or
+    whose proposals are not (B, N, 4), raises ``ValueError``.
 
     Returns (loss, grads, breakdown) with the loss mean-reduced over images
     and the breakdown counting the matched pairs.  Gradients of heads the
     level does not supervise are identically zero.
 
-    Images run in lockstep, one (b, N, ...) block per run of consecutive
-    images with equal proposal counts.  The step worker
-    (:func:`blas.in_parallel`) runs the second half of the batch's forward
-    pass while this thread runs the first; proposals are matched from one
-    cost tensor per block, and the loss runs once over the stacked rows.
-    The backward pass is split by tensor: the worker adds the box head's,
-    the classification heads' and the first layer's gradients, this thread
-    works back through the trunk and adds the second layer's.  Each tensor
-    is still summed by one thread, image by image in image order, so every
-    gradient is the float sum a per-image loop gives.
+    The images run in lockstep.  The step worker (:func:`blas.in_parallel`)
+    forwards the second half of the batch while this thread forwards the
+    first; proposals are matched from one cost tensor, and the loss runs
+    once over the (B, N) rows.  The backward pass is split by tensor: the
+    worker adds the box head's, the classification heads' and the first
+    layer's gradients, this thread works back through the trunk and adds
+    the second layer's.  Each tensor is still summed by one thread, image by
+    image in image order, so every gradient is the float sum a per-image
+    loop gives.
     """
     from queue import SimpleQueue  # kept out of the inference imports
 
     check_shapes(params, cfg)
-    offsets = np.cumsum([0] + [item.z.shape[0] for item in batch])
-    x = np.empty((offsets[-1], cfg.hidden + cfg.feat_dim))
-    half = (len(batch) + 1) // 2
-    first, second = blas.in_parallel(
-        lambda: _forward_blocks(params, batch, range(half), offsets, x, level, cfg),
-        lambda: _forward_blocks(
-            params, batch, range(half, len(batch)), offsets, x, level, cfg
-        ),
+    z = np.asarray(z, dtype=np.float64)
+    grids, t = np.asarray(grids), np.asarray(t, dtype=np.float64)
+    if (
+        z.ndim != 3 or z.shape[-1] != 4 or grids.ndim != 4 or t.ndim != 1
+        or not z.shape[0] == len(grids) == len(t) == len(gt_boxes) == len(gt_classes)
+    ):
+        raise ValueError(
+            f"a batch is (B, G, G, C) grids, (B, N, 4) proposals, (B,) timesteps "
+            f"and B ground-truth arrays each: got grids {grids.shape}, z {z.shape}, "
+            f"t {t.shape}, {len(gt_boxes)} gt_boxes, {len(gt_classes)} gt_classes"
+        )
+    b = len(z)
+    x = np.empty(z.shape[:-1] + (cfg.hidden + cfg.feat_dim,))
+
+    def forward(images: slice) -> ForwardCache:
+        forward_features(cfg, grids[images], z[images], t[images], out=x[images])
+        return forward_net(params, x[images], z[images], level.heads)
+
+    half = (b + 1) // 2
+    halves = blas.in_parallel(
+        lambda: forward(slice(0, half)), lambda: forward(slice(half, b))
     )
-    blocks = first + second
-    bd, dz0_pred, dlogits = _output_gradients(blocks, batch, offsets, level, cfg)
+    bd, dz0_pred, dlogits = _output_gradients(halves, gt_boxes, gt_classes, level, cfg)
     # Allocated only now, so the forward pass and matching peak lower.
     grads = zero_grads(cfg)
     handoff = SimpleQueue()
@@ -584,10 +593,10 @@ def loss_gradients(
 
     def caller_layers():
         try:
-            for cache, lo, hi in zip(_images(blocks), offsets, offsets[1:]):
+            for i, cache in enumerate(_images(halves)):
                 backward_net(
-                    params, cache, dz0_pred[lo:hi],
-                    {head: dl[lo:hi] for head, dl in dlogits.items()}, grads,
+                    params, cache, dz0_pred[i],
+                    {head: dl[i] for head, dl in dlogits.items()}, grads,
                     defer=lambda fn, *args: handoff.put((fn, args)),
                 )
         finally:
@@ -595,32 +604,6 @@ def loss_gradients(
 
     blas.in_parallel(caller_layers, worker_layers)
     return bd.total, grads, bd
-
-
-def _runs(batch, images: range):
-    """Runs of consecutive ``images`` of ``batch`` with equal proposal
-    counts, as ranges of image indices."""
-    for _, run in itertools.groupby(images, key=lambda i: batch[i].z.shape[0]):
-        run = list(run)
-        yield range(run[0], run[-1] + 1)
-
-
-def _forward_blocks(params, batch, images: range, offsets, x, level, cfg):
-    """Forward ``images`` of ``batch`` in lockstep, each image's head input
-    in its rows of ``x``: one (b, N, ...) cache per run of equal proposal
-    counts."""
-    blocks = []
-    for run in _runs(batch, images):
-        items = batch[run.start : run.stop]
-        xb = x[offsets[run.start] : offsets[run.stop]]
-        xb = xb.reshape(len(items), items[0].z.shape[0], x.shape[1])
-        z = np.stack([item.z for item in items])
-        forward_features(
-            cfg, np.stack([item.grid_feats for item in items]), z,
-            [item.t for item in items], out=xb,
-        )
-        blocks.append(forward_net(params, xb, z, level.heads))
-    return blocks
 
 
 def _images(blocks):
@@ -632,50 +615,33 @@ def _images(blocks):
             )
 
 
-def _output_gradients(blocks, batch, offsets, level: HierarchyLevel, cfg: ModelConfig):
-    """Match each run of equal proposal counts, then take the batch-mean
-    loss and its gradients on the stacked box predictions and full-width
-    logits.
+def _output_gradients(halves, gt_boxes, gt_classes, level: HierarchyLevel,
+                      cfg: ModelConfig):
+    """Match the batch, then take the batch-mean loss and its gradients on
+    the (B, N, 4) box predictions and (B, N, K+1) full-width logits.
 
     Kept apart from :func:`loss_gradients` so the loss's intermediates are
     freed before the backward passes run.
     """
     from .matching import loss_forward_backward, match_arrays
 
-    b = len(batch)
-    z0_pred = np.concatenate([c.z0_pred.reshape(-1, 4) for c in blocks])
+    z0_pred = np.concatenate([c.z0_pred for c in halves])
+    b = len(z0_pred)
     boxes01 = signal_decode(z0_pred, cfg.scale)
-    probs = loss_probs_for_mask({
-        head: np.concatenate([c.logits[head].reshape(-1, _head_dim(head)) for c in blocks])
-        for head in level.heads
-    }, level)
-    pairs = []
-    for run in _runs(batch, range(b)):
-        items = batch[run.start : run.stop]
-        rows = slice(offsets[run.start], offsets[run.stop])
-        lockstep = (len(items), items[0].z.shape[0])
-        pairs += match_arrays(
-            {head: p[rows].reshape(*lockstep, -1) for head, p in probs.items()},
-            boxes01[rows].reshape(*lockstep, 4),
-            [item.gt_boxes for item in items], [item.gt_classes for item in items],
-            level, cfg,
-        )
-    bd, dlogits, dboxes01 = loss_forward_backward(
-        probs,
-        boxes01,
-        offsets,
-        pairs,
-        [item.gt_boxes for item in batch],
-        [item.gt_classes for item in batch],
+    probs = loss_probs_for_mask(
+        {head: np.concatenate([c.logits[head] for c in halves]) for head in level.heads},
         level,
-        cfg,
+    )
+    pairs = match_arrays(probs, boxes01, gt_boxes, gt_classes, level, cfg)
+    bd, dlogits, dboxes01 = loss_forward_backward(
+        probs, boxes01, pairs, gt_boxes, gt_classes, level, cfg
     )
     # Mean over the batch; pad partial-head gradients up to K+1 logits.
     dz0_pred = dboxes01 * decode_grad_mask(z0_pred, cfg.scale) / b
     full = {}
     for head, dl in dlogits.items():
-        full[head] = np.zeros((offsets[-1], _head_dim(head)))
-        np.divide(dl, b, out=full[head][:, : dl.shape[1]])
+        full[head] = np.zeros(z0_pred.shape[:-1] + (_head_dim(head),))
+        np.divide(dl, b, out=full[head][..., : dl.shape[-1]])
     return bd, dz0_pred, full
 
 

@@ -1,5 +1,6 @@
 """Hand-built ground truth and Box-based evaluation input, for the oracles,
-and the assignment cost and solver that the matching kernels replaced.
+the assignment cost and solver that the matching kernels replaced, and the
+small training batch of the finite-difference checks.
 
 The package holds ground truth as per-image arrays: (M, 4) boxes and (M, 3)
 class rows.  Hand-built cases write a class row with :func:`class_row`, and
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dentdet import matching
+from dentdet.diffusion import signal_encode
 from dentdet.evalmetrics import evaluate
 from dentdet.geometry import overlap
 from dentdet.labels import HEAD_NAMES
@@ -106,3 +108,28 @@ def oracle_solve_assignment(cost):
     )
     rows, cols = matching.linear_sum_assignment(cost + tweak)
     return sorted(zip(rows.tolist(), cols.tolist()), key=lambda p: p[1])
+
+
+# ---------------------------------------------------------------------------
+# A training batch for the finite-difference checks.
+
+# Each image's two ground-truth boxes, normalized center-size.
+GRAD_GT_BOXES = np.array([[0.3, 0.3, 0.2, 0.2], [0.7, 0.6, 0.25, 0.3]])
+
+
+def grad_batch(rng, level, cfg, n_images: int):
+    """``loss_gradients``' batch arguments (grids, z, t, gt_boxes,
+    gt_classes) for ``n_images`` images: random (G, G, C) grids, and three
+    proposals per image at t = 300, two near the image's two ground-truth
+    boxes and one at random.  Draws from ``rng`` image by image: the grid,
+    then the random box, then the proposals' noise."""
+    grids, z, gt_classes = [], [], []
+    for _ in range(n_images):
+        grids.append(rng.normal(size=(cfg.grid, cfg.grid, cfg.channels)))
+        boxes = np.vstack([GRAD_GT_BOXES, rng.uniform(0.2, 0.8, 4)])
+        z.append(signal_encode(boxes, cfg.scale) + 0.1 * rng.standard_normal((3, 4)))
+        gt_classes.append(
+            class_rows(class_row(*(i, i + 2, i)[: len(level.heads)]) for i in range(2))
+        )
+    gt_boxes = [GRAD_GT_BOXES.copy() for _ in range(n_images)]
+    return np.stack(grids), np.stack(z), np.full(n_images, 300.0), gt_boxes, gt_classes

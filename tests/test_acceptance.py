@@ -23,7 +23,6 @@ from dentdet.labels import HierarchyLevel
 from dentdet.manipulate import inferred_boxes, manipulate_boxes
 from dentdet.matching import solve_assignment
 from dentdet.model import (
-    BatchItem,
     ModelConfig,
     encode_image,
     init_params,
@@ -40,7 +39,7 @@ from dentdet.train import (
     prepare_samples,
     run_pipeline,
 )
-from helpers import EvalInstance, class_row, class_rows, score
+from helpers import EvalInstance, grad_batch, score
 
 SCHED = Schedule.cosine(1000, 0.008)
 
@@ -136,28 +135,6 @@ PARAM_GROUPS = {
 }
 
 
-def _grad_batch(rng, level):
-    def triple(i):
-        return class_row(*(i, i + 2, i)[: len(level.heads)])
-
-    grid = rng.normal(size=(GRAD_CFG.grid, GRAD_CFG.grid, GRAD_CFG.channels))
-    gts = [
-        (Box(0.3, 0.3, 0.2, 0.2), triple(0)),
-        (Box(0.7, 0.6, 0.25, 0.3), triple(1)),
-    ]
-    z = signal_encode(
-        np.stack([b.to_array() for b, _ in gts] + [rng.uniform(0.2, 0.8, 4)]),
-        GRAD_CFG.scale,
-    ) + 0.1 * rng.standard_normal((3, 4))
-    return BatchItem(
-        grid_feats=grid,
-        z=z,
-        t=300.0,
-        gt_boxes=np.stack([b.to_array() for b, _ in gts]),
-        gt_classes=class_rows(lab for _, lab in gts),
-    )
-
-
 def test_gradients_match_finite_differences():
     eps = 1e-5
     with Timer() as timer:
@@ -171,8 +148,8 @@ def test_gradients_match_finite_differences():
                     params[name] = params[name] + rng.normal(
                         0, 0.01, params[name].shape
                     )
-            batch = [_grad_batch(rng, level), _grad_batch(rng, level)]
-            _, grads, _ = loss_gradients(params, batch, level, GRAD_CFG)
+            batch = grad_batch(rng, level, GRAD_CFG, 2)
+            _, grads, _ = loss_gradients(params, *batch, level, GRAD_CFG)
 
             frozen_heads = [
                 h for h in ("enumeration", "diagnosis")
@@ -196,9 +173,9 @@ def test_gradients_match_finite_differences():
                     flat = params[name].reshape(-1)
                     orig = flat[i]
                     flat[i] = orig + eps
-                    lp, _, _ = loss_gradients(params, batch, level, GRAD_CFG)
+                    lp, _, _ = loss_gradients(params, *batch, level, GRAD_CFG)
                     flat[i] = orig - eps
-                    lm, _, _ = loss_gradients(params, batch, level, GRAD_CFG)
+                    lm, _, _ = loss_gradients(params, *batch, level, GRAD_CFG)
                     flat[i] = orig
                     fd = (lp - lm) / (2 * eps)
                     g = grads[name].reshape(-1)[i]

@@ -40,7 +40,6 @@ from dentdet.matching import (
     match_arrays,
 )
 from dentdet.model import (
-    BatchItem,
     ModelConfig,
     backward_net,
     check_shapes,
@@ -133,24 +132,22 @@ def _image_loss(probs, boxes01, gt_boxes, gt_classes, pairs, level, cfg):
     return breakdown, dlogits, dboxes01
 
 
-def _oracle_loss_gradients(params, batch, level, cfg):
+def _oracle_loss_gradients(params, grids, z, t, gt_boxes, gt_classes, level, cfg):
     """Per-image forward, match, loss and backward; (loss, grads, breakdown)."""
     check_shapes(params, cfg)
     grads = zero_grads(cfg)
-    b = len(batch)
+    b = len(z)
     totals = np.zeros(6)
     n_matched = 0
     caches = [
-        forward_net(params, forward_features(cfg, it.grid_feats, it.z, it.t), it.z)
-        for it in batch
+        forward_net(params, forward_features(cfg, grids[i], z[i], t[i]), z[i])
+        for i in range(b)
     ]
-    for item, cache in zip(batch, caches):
+    for cache, gt, cls in zip(caches, gt_boxes, gt_classes, strict=True):
         boxes01 = signal_decode(cache.z0_pred, cfg.scale)
         probs = loss_probs_for_mask(cache.logits, level)
-        pairs = match_arrays(probs, boxes01, item.gt_boxes, item.gt_classes, level, cfg)
-        bd, dlogits, dboxes01 = _image_loss(
-            probs, boxes01, item.gt_boxes, item.gt_classes, pairs, level, cfg
-        )
+        pairs = _match_one(probs, boxes01, gt, cls, level, cfg)
+        bd, dlogits, dboxes01 = _image_loss(probs, boxes01, gt, cls, pairs, level, cfg)
         if not np.isfinite(bd.total):
             bad = [
                 name
@@ -175,10 +172,16 @@ def _oracle_loss_gradients(params, batch, level, cfg):
     return breakdown.total, grads, breakdown
 
 
+def _match_one(probs, boxes01, gt_boxes, gt_classes, level, cfg):
+    """One image's pairs, from ``match_arrays`` on a one-image stack."""
+    one = {head: p[None] for head, p in probs.items()}
+    return match_arrays(one, boxes01[None], [gt_boxes], [gt_classes], level, cfg)[0]
+
+
 # ---------------------------------------------------------------------------
-# Batches: unequal proposal counts, images without ground truth, and rows
-# spliced by manipulate_boxes (clean copies of ground truth, so matching
-# meets exact cost ties).
+# Batches: one proposal count, with an image without ground truth, one whose
+# every proposal is matched, and rows spliced by manipulate_boxes (clean
+# copies of ground truth, so matching meets exact cost ties).
 
 
 def _triple(rng, level):
@@ -189,28 +192,27 @@ def _triple(rng, level):
     )
 
 
-def _batch(rng, level, shapes=((5, 2), (9, 0), (3, 3), (7, 4), (6, 1))):
-    items = []
-    for n, m in shapes:
+def _batch(rng, level, n=6, counts=(2, 0, 6, 4, 1)):
+    """``loss_gradients``' batch arguments (grids, z, t, gt_boxes,
+    gt_classes) for images of ``n`` proposals with ``counts`` ground-truth
+    boxes."""
+    grids, z, t, gt_boxes, gt_classes = [], [], [], [], []
+    for m in counts:
         gt = np.column_stack(
             [rng.uniform(0.2, 0.8, (m, 2)), rng.uniform(0.05, 0.3, (m, 2))]
         )
-        z = rng.standard_normal((n, 4))
+        noisy = rng.standard_normal((n, 4))
         if m:
             inferred = inferred_boxes(
                 [(*gt[j], s) for j, s in ((0, 0.9), (m - 1, 0.7), (0, 0.3))]
             )
-            z = manipulate_boxes(z, inferred, 0.5, scale=CFG.scale)
-        items.append(
-            BatchItem(
-                grid_feats=rng.normal(size=(CFG.grid, CFG.grid, CFG.channels)),
-                z=z,
-                t=float(rng.integers(1, SCHED.T + 1)),
-                gt_boxes=gt,
-                gt_classes=class_rows(_triple(rng, level) for _ in range(m)),
-            )
-        )
-    return items
+            noisy = manipulate_boxes(noisy, inferred, 0.5, scale=CFG.scale)
+        grids.append(rng.normal(size=(CFG.grid, CFG.grid, CFG.channels)))
+        z.append(noisy)
+        t.append(float(rng.integers(1, SCHED.T + 1)))
+        gt_boxes.append(gt)
+        gt_classes.append(class_rows(_triple(rng, level) for _ in range(m)))
+    return np.stack(grids), np.stack(z), np.array(t), gt_boxes, gt_classes
 
 
 def _params(rng):
@@ -234,11 +236,11 @@ def test_loss_gradients_equal_per_image_oracle(level, seed):
     rng = np.random.default_rng([seed, 41])
     params = _params(rng)
     batch = _batch(rng, level)
-    loss, grads, bd = loss_gradients(params, batch, level, CFG)
-    want_loss, want_grads, want_bd = _oracle_loss_gradients(params, batch, level, CFG)
+    loss, grads, bd = loss_gradients(params, *batch, level, CFG)
+    want_loss, want_grads, want_bd = _oracle_loss_gradients(params, *batch, level, CFG)
     assert loss == want_loss
     assert bd == want_bd
-    assert bd.matched_pairs == sum(len(it.gt_boxes) for it in batch)
+    assert bd.matched_pairs == sum(len(gt) for gt in batch[3])
     assert grads.keys() == want_grads.keys()
     for name in grads:
         assert _same_bytes(grads[name], want_grads[name]), name
@@ -247,8 +249,9 @@ def test_loss_gradients_equal_per_image_oracle(level, seed):
 @LEVELS
 def test_loss_rows_equal_per_image_oracle(level):
     rng = np.random.default_rng(42)
-    sizes, probs, boxes, gts, classes, pairs = [], [], [], [], [], []
-    for n, m in ((6, 3), (4, 0), (8, 8), (1, 1)):
+    n = 8
+    probs, boxes, gts, classes, pairs = [], [], [], [], []
+    for m in (3, 0, 8, 1):
         p = {}
         for head in level.heads:
             k = HEAD_CLASS_COUNTS[head] + (head == level.deepest_head)
@@ -256,19 +259,17 @@ def test_loss_rows_equal_per_image_oracle(level):
         b01 = np.column_stack([rng.uniform(0, 1, (n, 2)), rng.uniform(0.01, 0.5, (n, 2))])
         gt = np.column_stack([rng.uniform(0, 1, (m, 2)), rng.uniform(0.01, 0.5, (m, 2))])
         cls = class_rows(_triple(rng, level) for _ in range(m))
-        sizes.append(n)
         probs.append(p)
         boxes.append(b01)
         gts.append(gt)
         classes.append(cls)
-        pairs.append(match_arrays(p, b01, gt, cls, level, ModelConfig()))
-    offsets = np.cumsum([0] + sizes)
+        pairs.append(_match_one(p, b01, gt, cls, level, ModelConfig()))
     bd, dlogits, dboxes = loss_forward_backward(
-        {h: np.concatenate([p[h] for p in probs]) for h in level.heads},
-        np.concatenate(boxes), offsets, pairs, gts, classes, level, ModelConfig(),
+        {h: np.stack([p[h] for p in probs]) for h in level.heads},
+        np.stack(boxes), pairs, gts, classes, level, ModelConfig(),
     )
     totals = np.zeros(6)
-    for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+    for i in range(len(boxes)):
         want_bd, want_dl, want_db = _image_loss(
             probs[i], boxes[i], gts[i], classes[i], pairs[i], level, ModelConfig()
         )
@@ -276,10 +277,40 @@ def test_loss_rows_equal_per_image_oracle(level):
                             want_bd.l1, want_bd.giou, want_bd.total])
         assert dlogits.keys() == want_dl.keys()
         for head in dlogits:
-            assert _same_bytes(dlogits[head][lo:hi], want_dl[head]), (i, head)
-        assert _same_bytes(dboxes[lo:hi], want_db), i
-    totals /= len(sizes)
+            assert _same_bytes(dlogits[head][i], want_dl[head]), (i, head)
+        assert _same_bytes(dboxes[i], want_db), i
+    totals /= len(boxes)
     assert bd == LossBreakdown(*totals, matched_pairs=12)
+
+
+def _malformed(grids, z, t, gt_boxes, gt_classes):
+    flat = z.reshape(-1, 4)  # the images' rows stacked, as unequal counts would be
+    yield "flat rows", (grids, flat, t, gt_boxes, gt_classes)
+    yield "no box axis", (grids, z[..., :3], t, gt_boxes, gt_classes)
+    yield "one grid", (grids[0], z, t, gt_boxes, gt_classes)
+    yield "grids short", (grids[:-1], z, t, gt_boxes, gt_classes)
+    yield "t short", (grids, z, t[:-1], gt_boxes, gt_classes)
+    yield "t per row", (grids, z, np.repeat(t, z.shape[1]).reshape(z.shape[:2]),
+                        gt_boxes, gt_classes)
+    yield "gt_boxes short", (grids, z, t, gt_boxes[:-1], gt_classes)
+    yield "gt_classes long", (grids, z, t, gt_boxes, gt_classes + gt_classes[:1])
+
+
+def test_malformed_batch_is_refused():
+    rng = np.random.default_rng(47)
+    level = HierarchyLevel.FULL
+    params, batch = _params(rng), _batch(rng, level)
+    for case, args in _malformed(*batch):
+        with pytest.raises(ValueError, match="^a batch is") as err:
+            loss_gradients(params, *args, level, CFG)
+        grids, z, t, gt_boxes, gt_classes = args
+        for part in (f"grids {np.shape(grids)}", f"z {np.shape(z)}", f"t {np.shape(t)}",
+                     f"{len(gt_boxes)} gt_boxes", f"{len(gt_classes)} gt_classes"):
+            assert part in str(err.value), case
+    # Images of unequal proposal counts make no (B, N, 4) stack.
+    ragged = [z_i[: 6 - i] for i, z_i in enumerate(batch[1])]
+    with pytest.raises(ValueError):
+        loss_gradients(params, batch[0], ragged, *batch[2:], level, CFG)
 
 
 @LEVELS
@@ -288,11 +319,11 @@ def test_non_finite_loss_names_the_terms(level):
     params = _params(rng)
     params[f"head_{level.deepest_head}.b"][0] = np.nan
     # No ground truth: the assignment is skipped and the loss sees the NaN.
-    batch = _batch(rng, level, shapes=((4, 0), (5, 0)))
+    batch = _batch(rng, level, n=5, counts=(0, 0))
     with pytest.raises(FloatingPointError) as want:
-        _oracle_loss_gradients(params, batch, level, CFG)
+        _oracle_loss_gradients(params, *batch, level, CFG)
     with pytest.raises(FloatingPointError) as got:
-        loss_gradients(params, batch, level, CFG)
+        loss_gradients(params, *batch, level, CFG)
     assert str(got.value) == str(want.value)
     assert CLS_TERM[level.deepest_head] in str(got.value)
 
@@ -311,12 +342,16 @@ def _samples(level, n=3, seed0=700):
     return out
 
 
-@pytest.mark.parametrize("level", list(HierarchyLevel), ids=lambda lv: lv.name)
-def test_train_stage_with_oracle_is_byte_equal(level, monkeypatch, tmp_path):
+@pytest.mark.parametrize(("level", "augment"), [
+    pytest.param(level, augment, id=level.name + "-augment" * augment)
+    for augment in (False, True) for level in HierarchyLevel
+])
+def test_train_stage_with_oracle_is_byte_equal(level, augment, monkeypatch, tmp_path):
+    # With augment, the step's grids are the stacked grids of the crops.
     samples = _samples(level)
     manip = level is not HierarchyLevel.QUADRANT_ONLY
     cfg = StageConfig(level=level, iterations=6, batch_size=3, lr=1e-2,
-                      n_proposals=40, seed=3, log_every=1)
+                      n_proposals=40, seed=3, augment=augment, log_every=1)
 
     def run(out_dir):
         cache = None
@@ -378,11 +413,11 @@ def test_worker_exception_reaches_the_caller(share, monkeypatch):
     params, batch = _params(rng), _batch(rng, level)
     monkeypatch.setattr(model_mod, share, _on_worker_only(getattr(model_mod, share), _raise))
     with pytest.raises(Injected, match="^worker share failed$"):
-        loss_gradients(params, batch, level, CFG)
+        loss_gradients(params, *batch, level, CFG)
     monkeypatch.undo()
     # The worker is free again, and the next step is whole.
-    loss, grads, _ = loss_gradients(params, batch, level, CFG)
-    want_loss, want_grads, _ = _oracle_loss_gradients(params, batch, level, CFG)
+    loss, grads, _ = loss_gradients(params, *batch, level, CFG)
+    want_loss, want_grads, _ = _oracle_loss_gradients(params, *batch, level, CFG)
     assert loss == want_loss
     for name in grads:
         assert _same_bytes(grads[name], want_grads[name]), name
@@ -452,14 +487,15 @@ def test_step_returns_after_the_worker_finished(monkeypatch):
     rng = np.random.default_rng(45)
     level = HierarchyLevel.QUADRANT_ENUM
     params, batch = _params(rng), _batch(rng, level)
-    want_loss, want_grads, _ = _oracle_loss_gradients(params, batch, level, CFG)
+    want_loss, want_grads, _ = _oracle_loss_gradients(params, *batch, level, CFG)
     finished = _slow_worker(monkeypatch)
-    loss, grads, _ = loss_gradients(params, batch, level, CFG)
-    # The worker forwards images 3 and 4 (two proposal counts, so two
-    # blocks) and adds the output and first layers' gradients of all five.
-    assert finished.count("forward_net") == 2
-    assert finished.count("_output_layer_grads") == len(batch)
-    assert finished.count("_first_layer_grads") == len(batch)
+    loss, grads, _ = loss_gradients(params, *batch, level, CFG)
+    # The worker forwards images 3 and 4 (the second half, one block) and
+    # adds the output and first layers' gradients of all five.
+    n_images = len(batch[1])
+    assert finished.count("forward_net") == 1
+    assert finished.count("_output_layer_grads") == n_images
+    assert finished.count("_first_layer_grads") == n_images
     assert loss == want_loss
     for name in grads:
         assert _same_bytes(grads[name], want_grads[name]), name
@@ -506,13 +542,13 @@ def test_concurrent_steps_share_the_worker_without_lost_updates():
     for seed in range(3):
         rng = np.random.default_rng([seed, 46])
         params, batch = _params(rng), _batch(rng, level)
-        cases.append((params, batch, _oracle_loss_gradients(params, batch, level, CFG)))
+        cases.append((params, batch, _oracle_loss_gradients(params, *batch, level, CFG)))
     errors = []
 
     def caller(params, batch, want):
         try:
             for _ in range(4):
-                loss, grads, bd = loss_gradients(params, batch, level, CFG)
+                loss, grads, bd = loss_gradients(params, *batch, level, CFG)
                 assert (loss, bd) == (want[0], want[2])
                 for name in grads:
                     assert _same_bytes(grads[name], want[1][name]), name
@@ -558,7 +594,7 @@ import numpy as np
 from dentdet.data import AnnotationSet, generate_dataset, level_tag, load_annotations
 from dentdet.diffusion import Schedule
 from dentdet.labels import HierarchyLevel
-from dentdet.model import BatchItem, ModelConfig, init_params, loss_gradients
+from dentdet.model import ModelConfig, init_params, loss_gradients
 from dentdet.train import infer, prepare_samples
 
 
@@ -587,9 +623,8 @@ grids = [s.grid_feats for s in samples]
 infer(params, grids, level, cfg, schedule, n_proposals=8, steps=2)
 assert step_threads() == worker and threading.active_count() == 2, threading.enumerate()
 gt = np.array([[0.5, 0.5, 0.2, 0.2]])
-batch = [BatchItem(g, rng.standard_normal((8, 4)), 10.0, gt, np.zeros((1, 3), int))
-         for g in grids]
-loss_gradients(params, batch, level, cfg)
+loss_gradients(params, np.stack(grids), rng.standard_normal((2, 8, 4)), np.full(2, 10.0),
+               [gt, gt], [np.zeros((1, 3), int)] * 2, level, cfg)
 assert step_threads() == worker and threading.active_count() == 2, threading.enumerate()
 print("ok")
 """

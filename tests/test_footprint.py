@@ -27,7 +27,7 @@ from dentdet.data import (
 )
 from dentdet.diffusion import Schedule, forward_noise, pad_gt_boxes
 from dentdet.labels import HierarchyLevel
-from dentdet.model import BatchItem, ModelConfig, encode_image, init_params, loss_gradients
+from dentdet.model import ModelConfig, encode_image, init_params, loss_gradients
 from dentdet.train import StageConfig, infer, prepare_samples, train_stage
 
 SRC = Path(dentdet.__file__).resolve().parent.parent
@@ -153,20 +153,25 @@ def test_training_step_peaks_at_most_two_and_a_half_head_inputs():
     cfg, level, n_images, n_proposals = ModelConfig(), HierarchyLevel.QUADRANT_ENUM, 8, 64
     schedule = Schedule.cosine(1000, 0.008)
     rng = np.random.default_rng(0)
-    batch = []
+    grids = np.empty((n_images, cfg.grid, cfg.grid, cfg.channels))
+    z, t = np.empty((n_images, n_proposals, 4)), np.empty(n_images)
+    gt_boxes, gt_classes = [], []
     for i in range(n_images):
         img, layout = generate_layout(100 + i)
-        gt_boxes, gt_classes = project_level(layout, level)
-        t = int(rng.integers(1, schedule.T + 1))
-        z0 = pad_gt_boxes(gt_boxes, n_proposals, rng, cfg.scale)
-        z = forward_noise(z0, t, schedule, rng)
-        batch.append(BatchItem(encode_image(img, cfg.grid), z, float(t), gt_boxes, gt_classes))
-    assert 25 <= np.mean([len(item.gt_boxes) for item in batch]) <= 35
+        boxes, classes = project_level(layout, level)
+        t[i] = step = int(rng.integers(1, schedule.T + 1))
+        z0 = pad_gt_boxes(boxes, n_proposals, rng, cfg.scale)
+        z[i] = forward_noise(z0, step, schedule, rng)
+        encode_image(img, cfg.grid, out=grids[i])
+        gt_boxes.append(boxes)
+        gt_classes.append(classes)
+    assert 25 <= np.mean([len(boxes) for boxes in gt_boxes]) <= 35
     params = init_params(cfg, rng, head_scale=0.3)
-    loss_gradients(params, batch, level, cfg)  # the solver's import and the worker stay out
+    batch = grids, z, t, gt_boxes, gt_classes
+    loss_gradients(params, *batch, level, cfg)  # the solver's import and the worker stay out
     tracemalloc.start()
     try:
-        loss_gradients(params, batch, level, cfg)
+        loss_gradients(params, *batch, level, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

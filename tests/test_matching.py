@@ -57,7 +57,9 @@ def match(preds, gts, level, cfg=CFG) -> MatchResult:
     """Minimum-cost one-to-one assignment of ground truth to predictions."""
     if len(gts) > len(preds):
         raise ValueError("cannot match more ground-truth boxes than predictions")
-    pairs = match_arrays(*_arrays(preds, gts, level), level, cfg)
+    probs, boxes01, gt_boxes, gt_classes = _arrays(preds, gts, level)
+    one = {head: p[None] for head, p in probs.items()}
+    (pairs,) = match_arrays(one, boxes01[None], [gt_boxes], [gt_classes], level, cfg)
     matched = {i for i, _ in pairs}
     unmatched = tuple(i for i in range(len(preds)) if i not in matched)
     return MatchResult(pairs=tuple(pairs), unmatched_preds=unmatched)
@@ -67,8 +69,8 @@ def compute_loss(preds, gts, matchres, level, cfg=CFG) -> LossBreakdown:
     """Loss breakdown for already-matched predictions (no gradients)."""
     probs, boxes01, gt_boxes, gt_classes = _arrays(preds, gts, level)
     breakdown, _, _ = loss_forward_backward(
-        probs, boxes01, [0, len(preds)], [list(matchres.pairs)], [gt_boxes],
-        [gt_classes], level, cfg,
+        {head: p[None] for head, p in probs.items()}, boxes01[None],
+        [list(matchres.pairs)], [gt_boxes], [gt_classes], level, cfg,
     )
     return breakdown
 

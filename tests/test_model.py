@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dentdet.train as train_mod
-from dentdet.diffusion import signal_decode, signal_encode
+from dentdet.diffusion import signal_decode
 from dentdet.geometry import Box
 from dentdet.labels import HEAD_CLASS_COUNTS, HEAD_NAMES, HierarchyLevel
 from dentdet.model import (
@@ -18,7 +18,6 @@ from dentdet.model import (
     HIST_EDGES,
     NUM_CHANNELS,
     STAT_CHANNELS,
-    BatchItem,
     ModelConfig,
     _bin_edges,
     _cell_overlaps,
@@ -43,7 +42,7 @@ from dentdet.model import (
     zero_grads,
 )
 from dentdet.train import encode_images
-from helpers import class_row, class_rows
+from helpers import grad_batch
 
 SMALL = ModelConfig(grid=4, pool=2, hidden=8, time_dim=4)
 
@@ -717,29 +716,6 @@ class TestHeadInput:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
 
-def _small_batch(rng, level):
-    grid = rng.normal(size=(SMALL.grid, SMALL.grid, NUM_CHANNELS))
-    gts = [
-        (Box(0.3, 0.3, 0.2, 0.2), _triple_for(level, 0)),
-        (Box(0.7, 0.6, 0.25, 0.3), _triple_for(level, 1)),
-    ]
-    z = signal_encode(
-        np.stack([b.to_array() for b, _ in gts] + [rng.uniform(0.2, 0.8, 4)]),
-        SMALL.scale,
-    ) + 0.1 * rng.standard_normal((3, 4))
-    return BatchItem(
-        grid_feats=grid,
-        z=z,
-        t=300.0,
-        gt_boxes=np.stack([b.to_array() for b, _ in gts]),
-        gt_classes=class_rows(lab for _, lab in gts),
-    )
-
-
-def _triple_for(level, i):
-    return class_row(*(i, i + 2, i)[: len(level.heads)])
-
-
 @pytest.mark.parametrize("level", list(HierarchyLevel), ids=["q", "qe", "qed"])
 class TestGradients:
     def test_finite_difference_check(self, level):
@@ -750,8 +726,8 @@ class TestGradients:
         for name in params:
             if name.endswith(".b") or ".b" in name:
                 params[name] = params[name] + rng.normal(0, 0.01, params[name].shape)
-        batch = [_small_batch(rng, level)]
-        _, grads, _ = loss_gradients(params, batch, level, SMALL)
+        batch = grad_batch(rng, level, SMALL, 1)
+        _, grads, _ = loss_gradients(params, *batch, level, SMALL)
         eps = 1e-5
         worst = 0.0
         for name in params:
@@ -761,9 +737,9 @@ class TestGradients:
             for i in idx:
                 orig = flat[i]
                 flat[i] = orig + eps
-                lp, _, _ = loss_gradients(params, batch, level, SMALL)
+                lp, _, _ = loss_gradients(params, *batch, level, SMALL)
                 flat[i] = orig - eps
-                lm, _, _ = loss_gradients(params, batch, level, SMALL)
+                lm, _, _ = loss_gradients(params, *batch, level, SMALL)
                 flat[i] = orig
                 fd = (lp - lm) / (2 * eps)
                 # The 1e-6 floor keeps sub-1e-7 gradients, where central
@@ -775,7 +751,7 @@ class TestGradients:
     def test_frozen_heads_zero_gradient(self, level):
         rng = np.random.default_rng(11)
         params = init_params(SMALL, rng)
-        _, grads, _ = loss_gradients(params, [_small_batch(rng, level)], level, SMALL)
+        _, grads, _ = loss_gradients(params, *grad_batch(rng, level, SMALL, 1), level, SMALL)
         frozen = [h for h in ("enumeration", "diagnosis") if h not in level.heads]
         for head in frozen:
             assert np.all(grads[f"head_{head}.w"] == 0.0)
@@ -787,9 +763,12 @@ class TestBatching:
         rng = np.random.default_rng(12)
         level = HierarchyLevel.QUADRANT_ENUM
         params = init_params(SMALL, rng)
-        items = [_small_batch(rng, level) for _ in range(3)]
-        loss_b, grads_b, _ = loss_gradients(params, items, level, SMALL)
-        singles = [loss_gradients(params, [it], level, SMALL) for it in items]
+        batch = grad_batch(rng, level, SMALL, 3)
+        loss_b, grads_b, _ = loss_gradients(params, *batch, level, SMALL)
+        singles = [
+            loss_gradients(params, *(part[i : i + 1] for part in batch), level, SMALL)
+            for i in range(3)
+        ]
         assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
         for name in grads_b:
             want = np.mean([s[1][name] for s in singles], axis=0)
