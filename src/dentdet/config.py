@@ -97,6 +97,7 @@ TRAIN_BOUNDS = {
     "weight_decay": at_least(0),
     "grad_clip": positive,
     "warmup": at_least(0),
+    "checkpoint_every": at_least(1),
 }
 INFER_BOUNDS = {
     "nms_iou": fraction,
@@ -129,6 +130,8 @@ class TrainConfig:
     grad_clip: float = 1.0
     warmup: int = 0
     augment: bool = False
+    # Iterations between checkpoints; the last iteration always writes one.
+    checkpoint_every: int = 500
 
     def __post_init__(self):
         _check_bounds("train", self, TRAIN_BOUNDS)

@@ -7,6 +7,7 @@ in "signal space", a linear rescaling of those coordinates.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +122,22 @@ def pad_gt_boxes(
     return signal_encode(arr, scale)
 
 
+def _standard_normal(
+    shape: tuple[int, ...], rng: np.random.Generator | Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Standard-normal noise of ``shape``, drawn by one generator or by a
+    sequence of generators, one per index of the leading axis: each fills
+    its own slice, the generators in sequence order."""
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_normal(shape)
+    if len(rng) != shape[0]:
+        raise ValueError(f"{len(rng)} generators for {shape[0]} images")
+    noise = np.empty(shape)
+    for g, image in zip(rng, noise):
+        g.standard_normal(out=image)
+    return noise
+
+
 def ddim_step(
     z_t: np.ndarray,
     z0_pred: np.ndarray,
@@ -128,10 +145,15 @@ def ddim_step(
     t_next: int,
     schedule: Schedule,
     eta: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
     """One reverse step from ``z_t`` at time t to time t_next, parameterized
     by the predicted clean signal.
+
+    ``z_t`` is (N, 4) proposals or (B, N, 4) proposals of B images.  The
+    noise comes from ``rng``: one generator, or a sequence of B, one per
+    image, each drawing that image's (N, 4) noise as a call on the image
+    alone would.
 
     With eta = 0 the update is deterministic; t_next = 0 reproduces the
     prediction exactly since alpha_bar[0] = 1.
@@ -155,7 +177,8 @@ def ddim_step(
     if sigma > 0:
         if rng is None:
             raise ValueError("eta > 0 requires an rng")
-        out = out + sigma * rng.standard_normal(out.shape)
+        noise = _standard_normal(out.shape, rng)
+        out += np.multiply(sigma, noise, out=noise)
     return out
 
 
@@ -163,11 +186,17 @@ def box_renewal(
     scores: np.ndarray,
     z: np.ndarray,
     score_threshold: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Replace low-confidence proposal rows with fresh standard-normal noise."""
+    """Replace low-confidence proposal rows with fresh standard-normal noise.
+
+    ``scores`` holds one score per row of ``z``: (N,) for (N, 4) proposals,
+    (B, N) for (B, N, 4).  ``rng`` is one generator or one per image, as in
+    :func:`ddim_step`; every row's noise is drawn, so each generator moves on
+    by its images' whole proposal block whatever is renewed.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape[0] != z.shape[0]:
+    if scores.shape != z.shape[:-1]:
         raise ValueError("one score per proposal row required")
     keep = scores >= score_threshold
-    return np.where(keep[:, None], z, rng.standard_normal(z.shape))
+    return np.where(keep[..., None], z, _standard_normal(z.shape, rng))

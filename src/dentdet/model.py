@@ -14,7 +14,9 @@ import json
 import math
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -180,13 +182,18 @@ def _bin_edges(lo: np.ndarray, hi: np.ndarray, pool: int):
 
 def _cell_overlaps(edges: np.ndarray, grid: int) -> np.ndarray:
     """Overlap lengths S + (P, G) between bins with edges S + (P+1,) and the
-    G grid cells."""
+    G grid cells, built in the returned array with one scratch array."""
     cell_lo = np.arange(grid) / grid
     cell_hi = cell_lo + 1.0 / grid
-    w = np.minimum(edges[..., 1:, None], cell_hi) - np.maximum(
-        edges[..., :-1, None], cell_lo
-    )
-    return np.maximum(w, 0.0)
+    w = np.minimum(edges[..., 1:, None], cell_hi)
+    w -= np.maximum(edges[..., :-1, None], cell_lo)
+    return np.maximum(w, 0.0, out=w)
+
+
+# Most boxes whose bin rows RoI pooling computes with one pair of products:
+# at the default ModelConfig, 32 boxes' bin rows take 295 KB, half of a
+# 64-proposal image's.
+POOL_BOXES = 32
 
 
 def roi_pool_batch(
@@ -220,18 +227,24 @@ def roi_pool_batch(
     edges, (bw, bh) = _bin_edges(lo, hi, pool)
     area = np.maximum(bh, 1e-12) * np.maximum(bw, 1e-12)
     # Bin weights factor per axis: pool rows with one GEMM, then columns with
-    # a batched one.  Image by image, so only one image's weights and
-    # (N*P, G*C) bin rows are held at a time.
+    # a batched one.  The weights of every image are built at once, one axis
+    # at a time.  The products run image by image over near-equal parts of at
+    # most POOL_BOXES boxes, so only one part's (P, G*C) bin rows are held at
+    # a time.  A part of an image that has several is at least POOL_BOXES / 2
+    # boxes, so numpy never hands its GEMM to GEMV, whose sums would differ.
     b = math.prod(lead)
-    edges, area = edges.reshape(2, b, n, pool + 1), area.reshape(b, n, 1, 1, 1)
+    wx, wy = (_cell_overlaps(e.reshape(b, n, pool + 1), g) for e in edges)
     grids = grid_feats.reshape(b, g, g * c)
     vals = out.reshape(b, n, pool, pool, c)  # a view: only the last axis splits
-    rows = np.empty((n * pool, g * c))
+    parts = -(-n // POOL_BOXES)
+    rows = np.empty((min(n, POOL_BOXES), pool, g, c))
     for i in range(b):
-        wx, wy = _cell_overlaps(edges[:, i], g)
-        np.matmul(wy.reshape(n * pool, g), grids[i], out=rows)
-        np.matmul(wx[:, None], rows.reshape(n, pool, g, c), out=vals[i])
-        vals[i] /= area[i]
+        for j in range(parts):
+            boxes = slice(n * j // parts, n * (j + 1) // parts)
+            bins = rows[: boxes.stop - boxes.start]
+            np.matmul(wy[i, boxes].reshape(-1, g), grids[i], out=bins.reshape(-1, g * c))
+            np.matmul(wx[i, boxes, None], bins, out=vals[i, boxes])
+    vals /= area.reshape(b, n, 1, 1, 1)
     return out
 
 
@@ -293,20 +306,22 @@ def level_params(level: HierarchyLevel | None = None) -> list[str]:
     ]
 
 
-def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+@functools.lru_cache(maxsize=16)
+def param_shapes(cfg: ModelConfig) -> Mapping[str, tuple[int, ...]]:
     """The parameter layout: every tensor's shape, in :func:`level_params`
-    order."""
+    order.  Built once per config and shared read-only, since every decode
+    checks its parameters against it."""
     d, h = cfg.feat_dim, cfg.hidden
     shapes = [(d, h), (h,), (h, h), (h,), (h, 4), (4,)]
     for head in HEAD_NAMES:
         k = _head_dim(head)
         shapes += [(h + d, k), (k,)]
-    return dict(zip(level_params(), shapes))
+    return MappingProxyType(dict(zip(level_params(), shapes)))
 
 
 def check_shapes(params: ParamStore, cfg: ModelConfig) -> None:
     expected = param_shapes(cfg)
-    if set(params) != set(expected):
+    if params.keys() != expected.keys():
         raise ValueError(
             f"parameter names mismatch: {sorted(set(params) ^ set(expected))}"
         )

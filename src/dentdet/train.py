@@ -67,7 +67,6 @@ class StageConfig(TrainConfig):
 
     level: HierarchyLevel
     log_every: int = 50
-    checkpoint_every: int = 500
 
 
 @dataclass(frozen=True)
@@ -376,11 +375,11 @@ DETECTED = np.dtype([
 # max(1, INFER_PASS_ROWS // n_proposals) at a time, each pass split into two
 # halves that run at once.  The call holds one (rows, H + D) head input, each
 # half decoding into its own images' rows; no activation outlives its decode,
-# and RoI pooling keeps the bin weights and bin rows of one image at a time.
-# At 512 rows, 8 images of 64 proposals at the default ModelConfig, a head
-# input is 1.8 MB, and a 4-step infer call peaks at 2.3 head inputs (traced)
-# over one pass and 2.4 (4.2 MB) over four.  With the halves run one after
-# the other it peaked at 1.8 and 2.0; two whole passes at once reach 3.8.
+# and RoI pooling keeps its half's bin weights and one part's bin rows
+# (model.POOL_BOXES).  At 512 rows, 8 images of 64 proposals at the default
+# ModelConfig, a head input is 1.8 MB, and a 4-step infer call peaks at 2.1
+# head inputs (traced) over one pass and 2.2 (3.9 MB) over four.  With the
+# halves run one after the other it peaks at 1.6 and 1.7.
 INFER_PASS_ROWS = 512
 
 
@@ -407,10 +406,10 @@ def _sample(
     runs the first half's whole chain, the decodes, the DDIM steps and
     renewal, the readout, NMS and the records, while the step worker
     (:func:`blas.in_parallel`) runs the second half's.  Within a half, the
-    decoder, NMS and the readout run over its images at once, and the DDIM
-    step and renewal per image.  Both halves decode into their own rows of
-    one head input, allocated here once per call, and this thread joins their
-    records in image order.  A pass of one image runs on this thread alone.
+    decoder, the DDIM step, renewal, NMS and the readout run over its images
+    at once; each image's noise still comes from its own generator.  Both
+    halves decode into their own rows of one head input, allocated here once
+    per call, and this thread joins their records in image order.  A pass of one image runs on this thread alone.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -435,10 +434,10 @@ def _sample(
                 params, grid, z, float(t), level, model_cfg,
                 heads=(level.deepest_head,) if renew else (), out=x,
             )
-            for b, rng in enumerate(rngs):
-                z[b] = ddim_step(z[b], z0_pred[b], t, t_next, schedule, eta, rng)
-                if renew:
-                    z[b] = box_renewal(scores[b], z[b], renewal_threshold, rng)
+            # Each image's generator draws its DDIM noise, then its renewal noise.
+            z = ddim_step(z, z0_pred, t, t_next, schedule, eta, rngs)
+            if renew:
+                z = box_renewal(scores, z, renewal_threshold, rngs)
         # Final readout on the denoised boxes: the chain ends with clean
         # proposals at t = 0.  Decode once to refine them (the box head can
         # correct sizes after observing the content under the denoised

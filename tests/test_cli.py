@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -131,6 +132,24 @@ def test_diverging_train_exits_5_without_a_traceback(dataset, tmp_path, capsys):
     assert "error: non-finite loss at iteration" in err and "Traceback" not in err
     # It diverges before its first checkpoint is due, and says so.
     assert err.rstrip().endswith("; no checkpoint was written before it")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow as it diverges
+def test_diverging_train_names_the_checkpoint_its_config_asked_for(dataset, tmp_path, capsys):
+    diverge = tmp_path / "diverge.yaml"
+    diverge.write_text(SMALL_CFG.replace(
+        "train:\n", "train:\n  lr: 1.0e+12\n  grad_clip: 1.0e+300\n  checkpoint_every: 1\n"
+    ))
+    run = tmp_path / "run"
+    code = main(["--config", str(diverge), "train", "--data", str(dataset), "--level", "b",
+                 "--out", str(run), "--iterations", "30"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DIVERGED
+    match = re.search(r"at iteration (\d+); last good checkpoint: (\S+)$", err.rstrip())
+    assert match, err
+    it, path = int(match[1]), match[2]
+    assert path == str(run / f"ckpt_{it:06d}.bin")
+    load_checkpoint(path)  # refuses non-finite values
 
 
 def test_eval_oracle_is_perfect(dataset, cfg_path, tmp_path, capsys):
@@ -431,6 +450,20 @@ def test_pipeline_samples_with_the_config_of_infer(tmp_path, monkeypatch):
     for path in out.glob("stage_*/inferred_boxes.tsv"):
         for line in path.read_text().splitlines():
             assert float(line.split("\t")[-1]) > 0.7
+
+
+def test_pipeline_checkpoints_as_often_as_the_config_asks(dataset, tmp_path):
+    cfg_path = tmp_path / "every2.yaml"
+    cfg_path.write_text(SMALL_CFG.replace("train:\n", "train:\n  checkpoint_every: 2\n"))
+    out = tmp_path / "pipe"
+    assert main(["--config", str(cfg_path), "pipeline", "--data", str(dataset),
+                 "--out", str(out)]) == EXIT_OK
+    stages = sorted(out.glob("stage_*"))
+    assert len(stages) == 3
+    for stage in stages:  # 3 iterations: every second one, and the last
+        assert sorted(p.name for p in stage.glob("ckpt_*.bin")) == [
+            "ckpt_000002.bin", "ckpt_000003.bin",
+        ]
 
 
 def test_zero_iterations_override_is_honoured(dataset, cfg_path, tmp_path, capsys):

@@ -83,6 +83,7 @@ TRAIN_CASES = [
     ("train", "weight_decay", -0.1, "train.weight_decay must be >= 0"),
     ("train", "grad_clip", 0.0, "train.grad_clip must be a positive number"),
     ("train", "n_proposals", "many", "train.n_proposals must be a number"),
+    ("train", "checkpoint_every", 0, "train.checkpoint_every must be >= 1, got 0"),
 ]
 
 
@@ -122,7 +123,8 @@ def test_stage_config_checks_the_train_bounds(section, key, value, message):
 
 
 @pytest.mark.parametrize("text", [
-    "train:\n  n_proposals: 1\n  iterations: 0\n  seed: 0\n  warmup: 0\n  weight_decay: 0\n",
+    "train:\n  n_proposals: 1\n  iterations: 0\n  seed: 0\n  warmup: 0\n  weight_decay: 0\n"
+    "  checkpoint_every: 1\n",
     "schedule:\n  eta: 0\n  steps: 8\ninfer:\n  nms_iou: 1\n  renewal_threshold: 0\n"
     "  cache_threshold: 1\n",
     "data:\n  size: 16\n  count: 1\n",

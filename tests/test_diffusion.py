@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dentdet.diffusion import (
     Schedule,
@@ -271,3 +273,66 @@ class TestBoxRenewal:
         z = np.zeros((4, 4))
         with pytest.raises(ValueError):
             box_renewal(np.ones(3), z, 0.5, np.random.default_rng(0))
+
+
+# A stack of B images' proposals: B, N, the step and the seed of the inputs.
+_stacks = dict(
+    b=st.integers(1, 6),
+    n=st.integers(1, 40),
+    step=st.sampled_from([(1000, 750), (750, 500), (500, 1), (250, 0), (1000, 0)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _generators(seed, b):
+    return [np.random.default_rng([seed, i]) for i in range(b)]
+
+
+class TestStackedImages:
+    """``ddim_step`` and ``box_renewal`` on (B, N, 4) proposals with one
+    generator per image give the bytes of the per-image calls."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(eta=st.sampled_from([0.0, 1.0]), **_stacks)
+    def test_ddim_step_equals_per_image_calls(self, schedule, eta, b, n, step, seed):
+        rng = np.random.default_rng(seed)
+        z, z0 = rng.normal(size=(2, b, n, 4))
+        t, t_next = step
+        got = ddim_step(z, z0, t, t_next, schedule, eta, _generators(seed, b))
+        want = np.stack([
+            ddim_step(zi, z0i, t, t_next, schedule, eta, g)
+            for zi, z0i, g in zip(z, z0, _generators(seed, b))
+        ])
+        assert got.shape == (b, n, 4) and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(eta=st.sampled_from([0.0, 1.0]), threshold=st.floats(0.0, 1.0), **_stacks)
+    def test_step_then_renewal_equals_per_image_calls(self, schedule, eta, threshold,
+                                                      b, n, step, seed):
+        # Each image's generator draws its DDIM noise, then its renewal noise,
+        # whether the images run one by one or stacked.
+        rng = np.random.default_rng(seed)
+        z, z0 = rng.normal(size=(2, b, n, 4))
+        scores = rng.uniform(size=(b, n))
+        t, t_next = step
+        gens = _generators(seed, b)
+        got = box_renewal(scores, ddim_step(z, z0, t, t_next, schedule, eta, gens),
+                          threshold, gens)
+        want, per_image = [], _generators(seed, b)
+        for zi, z0i, si, g in zip(z, z0, scores, per_image):
+            want.append(box_renewal(si, ddim_step(zi, z0i, t, t_next, schedule, eta, g),
+                                    threshold, g))
+        assert got.tobytes() == np.stack(want).tobytes()
+        # Every image's stream has moved on as far as its own calls move it.
+        assert [g.bit_generator.state for g in gens] == [
+            g.bit_generator.state for g in per_image
+        ]
+
+    def test_generators_must_match_the_images(self, schedule):
+        z = np.zeros((3, 5, 4))
+        with pytest.raises(ValueError, match="2 generators for 3 images"):
+            ddim_step(z, z, 800, 400, schedule, 1.0, _generators(0, 2))
+        with pytest.raises(ValueError, match="2 generators for 3 images"):
+            box_renewal(np.zeros((3, 5)), z, 0.5, _generators(0, 2))
+        with pytest.raises(ValueError, match="one score per proposal row"):
+            box_renewal(np.zeros((3, 4)), z, 0.5, _generators(0, 3))

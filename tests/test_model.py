@@ -1,5 +1,6 @@
 """Encoder determinism, RoI pooling, decoder gradients, transfer, checkpoints."""
 
+import dataclasses
 import re
 import threading
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from dentdet.model import (
     HIST_CHANNELS,
     HIST_EDGES,
     NUM_CHANNELS,
+    POOL_BOXES,
     STAT_CHANNELS,
     ModelConfig,
     _bin_edges,
@@ -452,6 +454,25 @@ class TestRoiPool:
             )
         assert (buf[..., :2] == 7.0).all() and (buf[..., -4:] == 7.0).all()
 
+    @pytest.mark.parametrize("n", [1, POOL_BOXES - 1, POOL_BOXES + 1, 64, 97, 300])
+    @pytest.mark.parametrize("pool", [1, 2, 4])
+    def test_out_gives_the_bytes_of_a_fresh_array(self, n, pool):
+        rng = np.random.default_rng(23)
+        b, g, c = 3, 16, NUM_CHANNELS
+        grids = rng.normal(size=(b, g, g, c))
+        boxes = rng.uniform(-0.2, 1.2, size=(b, n, 4))
+        fresh = roi_pool_batch(grids, boxes, pool)
+        # A caller's whole array, and a column slice of a wider head input.
+        whole = np.empty_like(fresh)
+        head_input = np.empty((b, n, 7 + fresh.shape[-1] + 5))
+        for out in (whole, head_input[..., 7 : 7 + fresh.shape[-1]]):
+            assert roi_pool_batch(grids, boxes, pool, out=out) is out
+            assert out.tobytes() == fresh.tobytes()
+        # Pooled in parts of at most POOL_BOXES boxes, every image still has
+        # the bytes of one GEMM over all its boxes.
+        for i in range(b):
+            assert fresh[i].tobytes() == _two_call_roi_pool(grids[i], boxes[i], pool).tobytes()
+
     @pytest.mark.parametrize("grids_lead, boxes_lead", [
         ((3,), (2,)),  # one grid too many: a per-image loop would drop it
         ((), (2,)),
@@ -491,6 +512,12 @@ class TestParams:
     def test_zero_head_scale_is_exactly_zero(self):
         params = init_params(SMALL, np.random.default_rng(2), head_scale=0.0)
         assert np.all(params["head_quadrant.w"] == 0.0)
+
+    def test_layout_is_built_once_per_config_and_read_only(self):
+        layout = param_shapes(SMALL)
+        assert param_shapes(ModelConfig(**dataclasses.asdict(SMALL))) is layout
+        with pytest.raises(TypeError):
+            layout["box.w"] = (1, 1)
 
     def test_check_shapes_rejects_mismatch(self):
         params = init_params(SMALL, np.random.default_rng(3))

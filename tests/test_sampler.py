@@ -117,8 +117,8 @@ def test_worker_half_exception_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(train_mod, "ddim_step", failing)
     with pytest.raises(Injected, match="^worker half failed$"):
         _sample(params, grids, LEVEL, SMALL, SCHED, **kw)
-    # The caller's half ran to its end: 4 images, 3 steps each.
-    assert calls == {"MainThread": 4 * 3, "worker": 1}
+    # The caller's half of 4 images ran to its end: one call per step.
+    assert calls == {"MainThread": 3, "worker": 1}
     monkeypatch.undo()
     # The worker is free again, and the next call is whole.
     want = _serial_sample(params, grids, LEVEL, SMALL, SCHED, **kw)
