@@ -1,7 +1,7 @@
 """Diffusion-based hierarchical multi-label tooth detection."""
 
 from .diffusion import Schedule, ddim_step, forward_noise, pad_gt_boxes
-from .geometry import Box, iou, nms
+from .geometry import nms
 from .labels import (
     HEAD_NAMES,
     NUM_DIAGNOSES,
@@ -21,13 +21,11 @@ from .model import (
     save_checkpoint,
     transfer_weights,
 )
-from .train import Detection, encode_images
+from .train import encode_images
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box",
-    "Detection",
     "HEAD_NAMES",
     "NUM_DIAGNOSES",
     "NUM_ENUMERATIONS",
@@ -43,7 +41,6 @@ __all__ = [
     "encode_images",
     "forward_noise",
     "init_params",
-    "iou",
     "load_checkpoint",
     "loss_gradients",
     "manipulate_boxes",

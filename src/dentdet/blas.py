@@ -1,5 +1,5 @@
 """Run dentdet's matrix products on one OpenBLAS thread per caller, and
-split a training step or a sampler pass over two callers.
+split a call's images over two callers.
 
 The products are small: a decoder pass multiplies 64 proposals by weights a
 few hundred columns wide, and RoI pooling multiplies 256 bin rows by the
@@ -18,18 +18,19 @@ With a BLAS other than OpenBLAS it does nothing.
 
 The thread count is one setting for the whole process, so a second thread
 that calls numpy inside ``one_thread`` runs its products on one thread too.
-:func:`in_parallel` uses that to put the second core to work: it runs one
-share of a training step, one half of a sampler pass's images, or one half
-of the images ``train.encode_images`` encodes, on the step worker, a single
-persistent daemon thread started by the first call (never at import), while
-the caller runs the other share.  The encoder makes no matrix product; its
-ufuncs, like the products, drop the GIL.  A plain thread
-and a queue serve it: an executor would import ``concurrent.futures`` and
-``logging``, which raised the sampler's peak RSS.  numpy drops the GIL
-inside each product, so the two shares' products run at the same time.
-The shares write into disjoint arrays the caller owns, so what they compute
-does not depend on which runs first, and the call returns only after both
-have finished.
+:func:`halves` uses that to put the second core to work.  It holds the one
+rule for sharing a call's images: the calling thread takes the first
+``ceil(n / 2)``, the step worker the rest, and fewer than two run on the
+calling thread alone.  The sampler, ``train.encode_images`` and a training
+step's forward pass split this way, once per call; each image is computed
+on its own, so the split changes no bit.  A training step's backward pass
+splits by tensor through :func:`in_parallel`.  The step worker is one
+persistent daemon thread, started by the first split (never at import) and
+served by a plain queue: an executor would import ``concurrent.futures``
+and ``logging``, which raised the sampler's peak RSS.  numpy's products
+and the encoder's ufuncs drop the GIL, so the two shares run at once.  They
+write into disjoint arrays the caller owns, and the call returns only
+after both have finished.
 """
 
 from __future__ import annotations
@@ -141,3 +142,13 @@ def in_parallel(here, there):
     if error is not None:
         raise error
     return mine, theirs
+
+
+def halves(share, n: int) -> list:
+    """``[share(range(0, h)), share(range(h, n))]``, ``h = ceil(n / 2)``, the
+    second share run on the step worker (:func:`in_parallel`); with ``n < 2``
+    only ``[share(range(n))]``, on this thread, and no thread starts."""
+    if n < 2:
+        return [share(range(n))]
+    h = (n + 1) // 2
+    return list(in_parallel(lambda: share(range(h)), lambda: share(range(h, n))))

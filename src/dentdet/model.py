@@ -554,22 +554,21 @@ def loss_gradients(
     The batch is B stacked (B, G, G, C) feature grids, (B, N, 4)
     signal-space proposals, (B,) timesteps, and B per-image (M_i, 4)
     normalized center-size ground-truth boxes with (M_i, 3) class indices
-    (-1 where a head has no label).  A batch whose parts disagree on B, or
-    whose proposals are not (B, N, 4), raises ``ValueError``.
+    (-1 where a head has no label).  A batch that is empty, whose parts
+    disagree on B, or whose proposals are not (B, N, 4), raises ``ValueError``.
 
     Returns (loss, grads, breakdown) with the loss mean-reduced over images
     and the breakdown counting the matched pairs.  Gradients of heads the
     level does not supervise are identically zero.
 
-    The images run in lockstep.  The step worker (:func:`blas.in_parallel`)
-    forwards the second half of the batch while this thread forwards the
-    first; proposals are matched from one cost tensor, and the loss runs
-    once over the (B, N) rows.  The backward pass is split by tensor: the
-    worker adds the box head's, the classification heads' and the first
-    layer's gradients, this thread works back through the trunk and adds
-    the second layer's.  Each tensor is still summed by one thread, image by
-    image in image order, so every gradient is the float sum a per-image
-    loop gives.
+    The images run in lockstep.  Their forward pass is split by
+    :func:`blas.halves`; proposals are matched from one cost tensor, and
+    the loss runs once over the (B, N) rows.  The backward pass is split by
+    tensor: the step worker adds the box head's, the classification heads'
+    and the first layer's gradients, this thread works back through the
+    trunk and adds the second layer's, and a batch of one image runs here
+    alone.  Each tensor is still summed by one thread, image by image in
+    image order, so every gradient is the float sum a per-image loop gives.
     """
     from queue import SimpleQueue  # kept out of the inference imports
 
@@ -578,25 +577,23 @@ def loss_gradients(
     grids, t = np.asarray(grids), np.asarray(t, dtype=np.float64)
     if (
         z.ndim != 3 or z.shape[-1] != 4 or grids.ndim != 4 or t.ndim != 1
-        or not z.shape[0] == len(grids) == len(t) == len(gt_boxes) == len(gt_classes)
+        or not 0 < z.shape[0] == len(grids) == len(t) == len(gt_boxes) == len(gt_classes)
     ):
         raise ValueError(
             f"a batch is (B, G, G, C) grids, (B, N, 4) proposals, (B,) timesteps "
-            f"and B ground-truth arrays each: got grids {grids.shape}, z {z.shape}, "
+            f"and B ground-truth arrays each, B >= 1: got grids {grids.shape}, z {z.shape}, "
             f"t {t.shape}, {len(gt_boxes)} gt_boxes, {len(gt_classes)} gt_classes"
         )
     b = len(z)
     x = np.empty(z.shape[:-1] + (cfg.hidden + cfg.feat_dim,))
 
-    def forward(images: slice) -> ForwardCache:
-        forward_features(cfg, grids[images], z[images], t[images], out=x[images])
-        return forward_net(params, x[images], z[images], level.heads)
+    def forward(images: range) -> ForwardCache:
+        rows = slice(images.start, images.stop)
+        forward_features(cfg, grids[rows], z[rows], t[rows], out=x[rows])
+        return forward_net(params, x[rows], z[rows], level.heads)
 
-    half = (b + 1) // 2
-    halves = blas.in_parallel(
-        lambda: forward(slice(0, half)), lambda: forward(slice(half, b))
-    )
-    bd, dz0_pred, dlogits = _output_gradients(halves, gt_boxes, gt_classes, level, cfg)
+    blocks = blas.halves(forward, b)
+    bd, dz0_pred, dlogits = _output_gradients(blocks, gt_boxes, gt_classes, level, cfg)
     # Allocated only now, so the forward pass and matching peak lower.
     grads = zero_grads(cfg)
     handoff = SimpleQueue()
@@ -608,7 +605,7 @@ def loss_gradients(
 
     def caller_layers():
         try:
-            for i, cache in enumerate(_images(halves)):
+            for i, cache in enumerate(_images(blocks)):
                 backward_net(
                     params, cache, dz0_pred[i],
                     {head: dl[i] for head, dl in dlogits.items()}, grads,
@@ -617,7 +614,11 @@ def loss_gradients(
         finally:
             handoff.put(None)
 
-    blas.in_parallel(caller_layers, worker_layers)
+    if b > 1:
+        blas.in_parallel(caller_layers, worker_layers)
+    else:  # the deferred layers wait in the queue and run here after
+        caller_layers()
+        worker_layers()
     return bd.total, grads, bd
 
 
@@ -625,12 +626,11 @@ def _images(blocks):
     """Each image's (N, ...) view of the lockstep caches, in image order."""
     for c in blocks:
         for i in range(len(c.x)):
-            yield ForwardCache(
-                c.x[i], c.h1[i], c.z0_pred[i], {h: lg[i] for h, lg in c.logits.items()}
-            )
+            logits = {h: lg[i] for h, lg in c.logits.items()}
+            yield ForwardCache(c.x[i], c.h1[i], c.z0_pred[i], logits)
 
 
-def _output_gradients(halves, gt_boxes, gt_classes, level: HierarchyLevel,
+def _output_gradients(blocks, gt_boxes, gt_classes, level: HierarchyLevel,
                       cfg: ModelConfig):
     """Match the batch, then take the batch-mean loss and its gradients on
     the (B, N, 4) box predictions and (B, N, K+1) full-width logits.
@@ -640,11 +640,11 @@ def _output_gradients(halves, gt_boxes, gt_classes, level: HierarchyLevel,
     """
     from .matching import loss_forward_backward, match_arrays
 
-    z0_pred = np.concatenate([c.z0_pred for c in halves])
+    z0_pred = np.concatenate([c.z0_pred for c in blocks])
     b = len(z0_pred)
     boxes01 = signal_decode(z0_pred, cfg.scale)
     probs = loss_probs_for_mask(
-        {head: np.concatenate([c.logits[head] for c in halves]) for head in level.heads},
+        {head: np.concatenate([c.logits[head] for c in blocks]) for head in level.heads},
         level,
     )
     pairs = match_arrays(probs, boxes01, gt_boxes, gt_classes, level, cfg)

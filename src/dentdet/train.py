@@ -8,7 +8,6 @@ of :data:`ARMS` toggle those two mechanisms independently.
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -371,15 +370,14 @@ DETECTED = np.dtype([
 ])
 
 
-# Proposal rows the sampler decodes in one pass: images run in lockstep,
-# max(1, INFER_PASS_ROWS // n_proposals) at a time, each pass split into two
-# halves that run at once.  The call holds one (rows, H + D) head input, each
-# half decoding into its own images' rows; no activation outlives its decode,
-# and RoI pooling keeps its half's bin weights and one part's bin rows
-# (model.POOL_BOXES).  At 512 rows, 8 images of 64 proposals at the default
-# ModelConfig, a head input is 1.8 MB, and a 4-step infer call peaks at 2.1
-# head inputs (traced) over one pass and 2.2 (3.9 MB) over four.  With the
-# halves run one after the other it peaks at 1.6 and 1.7.
+# Proposal rows the sampler decodes at once: per_pass =
+# max(1, INFER_PASS_ROWS // n_proposals) images in lockstep.  A call splits
+# its images once (blas.halves), each thread running its half in passes of
+# max(1, per_pass // 2) images into its own rows of one (rows, H + D) head
+# input the call holds; with per_pass 1 the calling thread runs them all.  No
+# activation outlives its decode.  At 512 rows, 8 images of 64 proposals at
+# the default ModelConfig, a head input is 1.8 MB, and a 4-step infer call
+# over 8 or 32 images peaks at 2.0 to 2.2 head inputs (traced).
 INFER_PASS_ROWS = 512
 
 
@@ -402,24 +400,24 @@ def _sample(
 
     Deterministic for a fixed seed and eta = 0; per-image rng streams make
     results independent of processing order and of how images are grouped
-    into passes.  Each pass of several images is split in two: this thread
-    runs the first half's whole chain, the decodes, the DDIM steps and
-    renewal, the readout, NMS and the records, while the step worker
-    (:func:`blas.in_parallel`) runs the second half's.  Within a half, the
-    decoder, the DDIM step, renewal, NMS and the readout run over its images
-    at once; each image's noise still comes from its own generator.  Both
-    halves decode into their own rows of one head input, allocated here once
-    per call, and this thread joins their records in image order.  A pass of one image runs on this thread alone.
+    into passes.  The images are split once (:func:`blas.halves`), and each
+    thread runs its half in passes (see :data:`INFER_PASS_ROWS`): a pass
+    runs its images' whole chain, the decodes, the DDIM steps and renewal,
+    the readout, NMS and the records, at once.  This thread joins the
+    records in image order.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not grids:
+        return []
     # linspace runs from T down to 0, so equal rounded steps are adjacent.
     times = list(dict.fromkeys(
         np.round(np.linspace(schedule.T, 0, steps + 1)).astype(int).tolist()
     ))
     per_pass = max(1, INFER_PASS_ROWS // n_proposals)
-    width = model_cfg.hidden + model_cfg.feat_dim
-    x = np.empty((min(per_pass, len(grids)), n_proposals, width))
+    step = max(1, per_pass // 2)
+    n = len(grids)
+    x = np.empty((min(per_pass, n), n_proposals, model_cfg.hidden + model_cfg.feat_dim))
 
     def chain(images: range, x: np.ndarray) -> tuple[np.recarray, np.ndarray]:
         """The records of ``images``, decoded in ``x``, image by image, and
@@ -457,29 +455,27 @@ def _sample(
         out.objectness = 1.0 - softmax(logits[level.deepest_head][kept])[:, -1]
         return out, np.bincount(kept[0], minlength=len(images))
 
-    results = []
-    for first in range(0, len(grids), per_pass):
-        n = min(per_pass, len(grids) - first)
-        half = (n + 1) // 2
-        here = functools.partial(chain, range(first, first + half), x[:half])
-        there = functools.partial(chain, range(first + half, first + n), x[half:n])
-        outs, counts = zip(*([here()] if n == 1 else blas.in_parallel(here, there)))
-        # Joined on this thread, so no record array the caller keeps holds
-        # memory in the worker's heap between calls.
-        records = np.concatenate(outs).view(np.recarray)
-        results += np.split(records, np.cumsum(np.concatenate(counts))[:-1])
-    return results
+    def passes(images: range) -> list[tuple[np.recarray, np.ndarray]]:
+        # Passes of `step` images in this thread's rows of x, the caller's first.
+        rows = x[min(step, images.start):]
+        chunks = [images[i:i + step] for i in range(0, len(images), step)]
+        return [chain(chunk, rows[:len(chunk)]) for chunk in chunks]
+
+    shares = blas.halves(passes, n) if per_pass > 1 else [passes(range(n))]
+    outs, counts = zip(*(p for share in shares for p in share))
+    # Joined on this thread, so no record array the caller keeps holds
+    # memory in the worker's heap between calls.
+    records = np.concatenate(outs).view(np.recarray)
+    return np.split(records, np.cumsum(np.concatenate(counts))[:-1])
 
 
 def encode_images(images, grid: int = 16) -> list[np.ndarray]:
-    """The :func:`encode_image` grids of a list of grayscale images.
+    """The :func:`encode_image` grids of a list of grayscale images, split
+    over two threads by :func:`blas.halves`.
 
-    Split as a sampler pass is: this thread encodes the first half of the
-    list while the step worker (:func:`blas.in_parallel`) encodes the
-    second, and a list of one image is encoded here alone.  This thread
-    allocates the output grids, so no grid the caller keeps holds memory in
-    the worker's heap.  An image that ``encode_image`` refuses raises its
-    ``ValueError`` here once both halves have finished.
+    This thread allocates the output grids, so no grid the caller keeps
+    holds memory in the worker's heap.  An image that ``encode_image``
+    refuses raises its ``ValueError`` here once both halves have finished.
     """
     images = [np.asarray(img) for img in images]
     grids = [np.empty((grid, grid, NUM_CHANNELS)) for _ in images]
@@ -488,12 +484,7 @@ def encode_images(images, grid: int = 16) -> list[np.ndarray]:
         for i in share:
             encode_image(images[i], grid, out=grids[i])
 
-    half = (len(images) + 1) // 2
-    here = functools.partial(encode, range(half))
-    if len(images) > 1:
-        blas.in_parallel(here, functools.partial(encode, range(half, len(images))))
-    else:
-        here()
+    blas.halves(encode, len(images))
     return grids
 
 

@@ -294,6 +294,7 @@ def _malformed(grids, z, t, gt_boxes, gt_classes):
                         gt_boxes, gt_classes)
     yield "gt_boxes short", (grids, z, t, gt_boxes[:-1], gt_classes)
     yield "gt_classes long", (grids, z, t, gt_boxes, gt_classes + gt_classes[:1])
+    yield "no images", (grids[:0], z[:0], t[:0], gt_boxes[:0], gt_classes[:0])
 
 
 def test_malformed_batch_is_refused():
@@ -610,6 +611,10 @@ params = init_params(cfg, rng)
 grids = [rng.random((8, 8, cfg.channels)) for _ in range(2)]
 infer(params, grids[:1], level, cfg, schedule, n_proposals=8, steps=2)
 assert threading.active_count() == 1, "a one-image pass started a thread"
+gt = np.array([[0.5, 0.5, 0.2, 0.2]])
+loss_gradients(params, np.stack(grids[:1]), rng.standard_normal((1, 8, 4)), np.full(1, 10.0),
+               [gt], [np.zeros((1, 3), int)], level, cfg)
+assert threading.active_count() == 1, "a one-image training step started a thread"
 with tempfile.TemporaryDirectory() as tmp:
     generate_dataset(Path(tmp), 2, 0)
     aset = load_annotations(Path(tmp) / f"annotations_{level_tag(level)}.json", level)
@@ -622,7 +627,6 @@ assert len(worker) == 1 and threading.active_count() == 2, threading.enumerate()
 grids = [s.grid_feats for s in samples]
 infer(params, grids, level, cfg, schedule, n_proposals=8, steps=2)
 assert step_threads() == worker and threading.active_count() == 2, threading.enumerate()
-gt = np.array([[0.5, 0.5, 0.2, 0.2]])
 loss_gradients(params, np.stack(grids), rng.standard_normal((2, 8, 4)), np.full(2, 10.0),
                [gt, gt], [np.zeros((1, 3), int)] * 2, level, cfg)
 assert step_threads() == worker and threading.active_count() == 2, threading.enumerate()
@@ -631,7 +635,8 @@ print("ok")
 
 
 def test_worker_starts_on_the_first_split_pass():
-    # No thread at import, for a one-image pass or for encoding one image.
+    # No thread at import, for a one-image pass, for a one-image training
+    # step or for encoding one image.
     # Encoding two images starts the step worker, and a later sampler pass
     # and training step reuse it.
     src = Path(model_mod.__file__).resolve().parent.parent

@@ -1,4 +1,8 @@
-"""One-thread OpenBLAS around training and inference."""
+"""One-thread OpenBLAS around training and inference, and the two-thread
+split of a call's images."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -99,3 +103,41 @@ def test_training_and_inference_run_on_one_thread(monkeypatch):
     finally:
         set_(before)
     assert seen and set(seen) == {1}
+
+
+@pytest.mark.parametrize("n, want", [
+    (0, [[]]),
+    (1, [[0]]),
+    (2, [[0], [1]]),
+    (5, [[0, 1, 2], [3, 4]]),
+])
+def test_halves_returns_the_shares_in_order(n, want):
+    def share(items: range):
+        return list(items), threading.current_thread().name
+
+    got = blas.halves(share, n)
+    assert [items for items, _ in got] == want
+    # The first share runs here; only a second share runs on the step worker.
+    here = threading.current_thread().name
+    assert [name for _, name in got] == [here, "dentdet-step"][: len(want)]
+
+
+class Injected(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
+def test_halves_raises_once_both_shares_finished(failing, n):
+    done = []
+
+    def share(items: range):
+        which = 0 if items.start == 0 else 1
+        if which == failing:
+            raise Injected(f"share {which}")
+        time.sleep(0.05)
+        done.append(which)
+
+    with pytest.raises(Injected, match=f"^share {failing}$"):
+        blas.halves(share, n)
+    assert done == [1 - failing]

@@ -4,7 +4,6 @@ longer does since the object-list API moved into the tests."""
 import pytest
 
 import dentdet
-import dentdet.train
 
 
 def test_every_exported_name_resolves():
@@ -16,12 +15,8 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize(
     "name",
     ["match", "compute_loss", "giou", "NoisyBoxes", "InferredBox", "HeadMask", "mask_for",
-     "LabelTriple", "Annotation", "class_array"],
+     "LabelTriple", "Annotation", "class_array", "Box", "iou", "Detection"],
 )
 def test_test_only_helpers_are_not_exported(name):
     assert name not in dentdet.__all__
     assert not hasattr(dentdet, name)
-
-
-def test_detection_is_exported_from_train():
-    assert dentdet.Detection is dentdet.train.Detection

@@ -1,5 +1,5 @@
-"""The sampler's split passes: each pass's images run in two halves, one on
-the calling thread and one on the step worker, and the records must be the
+"""The sampler's split: a call's images run in two halves, one on the
+calling thread and one on the step worker, and the records must be the
 bytes the one-thread sampler gives."""
 
 import threading

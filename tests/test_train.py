@@ -430,14 +430,17 @@ class TestInfer:
         monkeypatch.setattr(train_mod, "decode", counting)
         got = infer(params, grids, level, CFG, SCHED, **kw)
         want = _oracle_infer(params, grids, level, CFG, SCHED, **kw)
-        # Each pass decodes each half of its images in two sampler steps and
-        # two readouts: the first half on the calling thread, the second on
-        # the step worker.  A pass of one image has no second half.
+        # The call splits its images once: the calling thread decodes the
+        # first 5 of 9, the step worker the other 4, each in passes of
+        # per_pass // 2 images, two sampler steps and two readouts a pass.
+        # At these sizes its passes are the halves of the per_pass-image
+        # passes in ``sizes``.  A call of one-image passes runs on the calling
+        # thread alone.
         firsts = [(size + 1) // 2 for size in sizes]
         seconds = [size // 2 for size in sizes if size > 1]
         assert [n for n, _ in decoded["caller"]] == [n for n in firsts for _ in range(4)]
         assert [n for n, _ in decoded["worker"]] == [n for n in seconds for _ in range(4)]
-        # Each half decodes into its own images' rows of one head input.
+        # Each thread decodes into its own rows of one head input.
         buffers = decoded["caller"] + decoded["worker"]
         assert len({id(out.base) for _, out in buffers}) <= 1
         width = CFG.hidden + CFG.feat_dim
